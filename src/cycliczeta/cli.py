@@ -7,7 +7,8 @@ error, 4 budget cap exceeded, 5 non-admissible symbol.
 Output is JSON by default; CSV covers the flat tables (table1, eval
 refinement lists); text is a human-readable rendering.  Relation sets are
 cached under --cache-dir (or $MZF_CACHE_DIR) keyed by a content hash of the
-generation settings; cache hits are byte-identical to cold runs.
+generation settings and the code versions; cache hits are byte-identical to
+cold runs.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__, series
 from . import relations as rel_mod
-from . import series
 from .decompose import count_lattice_points, decompose_to_mzv, weak_orders
 from .errors import (
     BudgetError,
@@ -316,13 +317,20 @@ def cmd_domain(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _relation_set_bytes(weight: int, family: str, include_d1: bool,
-                        cfg: RunConfig) -> bytes:
+def _check_weight(weight: int, cfg: RunConfig):
+    """Symbols have weight >= 3; above the budget is refused (exit 4)."""
+    if weight < 3:
+        raise ParseError(f"weight {weight} is below the smallest weight 3")
     if weight > rel_mod.HARD_MAX_WEIGHT or weight > cfg.max_weight:
         raise BudgetError(
             f"weight {weight} exceeds the configured budget "
             f"{min(cfg.max_weight, rel_mod.HARD_MAX_WEIGHT)}"
         )
+
+
+def _relation_set_bytes(weight: int, family: str, include_d1: bool,
+                        cfg: RunConfig) -> bytes:
+    _check_weight(weight, cfg)
     configs = rel_mod.enumerate_family(weight, family,
                                        include_d1_derivation=include_d1)
     if len(configs) > cfg.max_rows:
@@ -363,21 +371,25 @@ def _atomic_write(path: Path, data: bytes):
 def _cache_path(cfg: RunConfig, weight: int, family: str, include_d1: bool) -> Path | None:
     if cfg.cache_dir is None:
         return None
+    # The code versions are part of the key, so sets cached by older code
+    # are never read back.
     key = json.dumps(
-        {"schema": 1, "weight": weight, "family": family,
-         "include_d1_derivation": include_d1},
+        {"version": __version__, "generator": rel_mod.GENERATOR_VERSION,
+         "weight": weight, "family": family, "include_d1_derivation": include_d1},
         sort_keys=True,
     )
     h = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cfg.cache_dir / f"relations-w{weight}-{family}-{h}.json"
 
 
-def _cache_valid(data: bytes) -> bool:
+def _cache_valid(data: bytes, weight: int, family: str) -> bool:
+    """A hit must parse as a relation set of the requested weight and family."""
     try:
         obj = json.loads(data)
-        return all(k in obj for k in ("weight", "family", "symbols", "rows"))
-    except (json.JSONDecodeError, TypeError):
+        rel_mod.relation_matrix_from_json_obj(obj)
+    except (ValueError, ParseError):
         return False
+    return obj.get("weight") == weight and obj.get("family") == family
 
 
 def cmd_relations(args, cfg: RunConfig) -> int:
@@ -387,7 +399,7 @@ def cmd_relations(args, cfg: RunConfig) -> int:
     cached = False
     if cache is not None and cache.exists():
         blob = cache.read_bytes()
-        if _cache_valid(blob):
+        if _cache_valid(blob, args.weight, args.family):
             data, cached = blob, True
         else:
             print(f"warning: corrupt cache entry {cache}, recomputing",
@@ -446,12 +458,10 @@ def cmd_table1(args, cfg: RunConfig) -> int:
             raise BudgetError(f"{len(rels)} rows exceed the budget {cfg.max_rows}")
         return rel_mod.rank_exact(rel_mod.relation_matrix(rels))
 
+    if args.max_weight < 3:
+        raise ParseError(f"--max-weight {args.max_weight} is below the smallest weight 3")
     for w in weights:
-        if w > rel_mod.HARD_MAX_WEIGHT or w > cfg.max_weight:
-            raise BudgetError(
-                f"weight {w} exceeds the configured budget "
-                f"{min(cfg.max_weight, rel_mod.HARD_MAX_WEIGHT)}"
-            )
+        _check_weight(w, cfg)
     cells = [(w, fam) for w in weights for fam in families]
     if cfg.parallel > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:

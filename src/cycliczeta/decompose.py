@@ -1,9 +1,13 @@
 """Exact rewriting of constrained index sums into nested-zeta symbols.
 
 A sum over a domain mixing strict and non-strict inequalities splits into
-sums over totally ordered chains: enumerate the ordered set partitions
-(weak orders) of the variable set compatible with the constraints, merge
-the exponents of tied variables, and read off one symbol per partition.
+sums over totally ordered chains, one per ordered set partition (weak
+order) of the variable set compatible with the constraints: merge the
+exponents of tied variables and read off one symbol per partition.  The
+decomposition only needs how often each symbol occurs, so it counts weak
+orders by a recursion over the order filters of the constraint poset; the
+weak orders themselves are enumerated for display and for the series
+evaluators.
 Completeness and disjointness of the split are exactly testable against a
 brute-force lattice-point count, which this module also provides.
 """
@@ -17,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import BudgetError, NonAdmissibleError, ParseError
+from .errors import BudgetError, InternalInvariantError, NonAdmissibleError, ParseError
 from .model import ConstraintSystem, REL_LT, VarId
 
 
@@ -67,17 +71,14 @@ class SymbolCombination:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[Composition, int] | None = None):
-        self._coeffs: dict[Composition, int] = {}
-        if coeffs:
-            for comp, c in coeffs.items():
-                if c == 0:
-                    continue
-                if not comp.admissible:
-                    raise NonAdmissibleError(
-                        f"non-admissible symbol ({comp}) in combination", parts=comp.parts
-                    )
-                self._coeffs[comp] = self._coeffs.get(comp, 0) + int(c)
-        self._coeffs = {k: v for k, v in self._coeffs.items() if v != 0}
+        self._coeffs: dict[Composition, int] = {
+            comp: int(c) for comp, c in (coeffs or {}).items() if c
+        }
+        for comp in self._coeffs:
+            if not comp.admissible:
+                raise NonAdmissibleError(
+                    f"non-admissible symbol ({comp}) in combination", parts=comp.parts
+                )
 
     def items(self) -> list[tuple[Composition, int]]:
         return sorted(self._coeffs.items(), key=lambda kv: kv[0].sort_key())
@@ -160,46 +161,68 @@ class OrderedSetPartition:
 
 
 @lru_cache(maxsize=None)
-def weak_orders(cs: ConstraintSystem) -> tuple[OrderedSetPartition, ...]:
-    """All ordered set partitions compatible with cs, canonically ordered.
+def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
+    """The variables of cs and, for every order filter reachable by peeling
+    levels off the bottom, its valid next levels in canonical order.
 
-    Recursive peeling: at each step every valid next level is a nonempty
+    A filter is a bitmask over the variable indices; its steps are
+    (level indices, rest mask) pairs.  A valid next level is a nonempty
     subset of the currently minimal variables, closed under non-strict
     in-edges; subsets are tried in binary-counter order over the sorted
-    candidate list, which fixes the output order across runs.
+    candidate list, which fixes the order of the weak orders across runs.
     """
-    vs = list(cs.variables)
+    vs = cs.variables
+    n = len(vs)
     idx = {v: t for t, v in enumerate(vs)}
-    edges = [(idx[c.lhs], idx[c.rhs], c.rel == REL_LT) for c in cs.constraints]
-    out: list[OrderedSetPartition] = []
-    levels: list[tuple[int, ...]] = []
-
-    def valid_level(level: set[int], remaining: frozenset[int]) -> bool:
-        for (u, w, strict) in edges:
-            if w in level and u in remaining:
-                if u not in level or strict:
-                    return False
-        return True
-
-    def rec(remaining: frozenset[int]):
-        if not remaining:
-            out.append(
-                OrderedSetPartition(tuple(tuple(vs[t] for t in lvl) for lvl in levels))
-            )
-            return
-        blocked = {
-            w for (u, w, strict) in edges if strict and u in remaining and w in remaining
-        }
-        cand = sorted(remaining - blocked)
+    strict_in = [0] * n  # strict_in[w]: mask of the u with u < w
+    weak_in = [0] * n  # weak_in[w]: mask of the u with u <= w
+    for c in cs.constraints:
+        if c.rel == REL_LT:
+            strict_in[idx[c.rhs]] |= 1 << idx[c.lhs]
+        else:
+            weak_in[idx[c.rhs]] |= 1 << idx[c.lhs]
+    steps: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+    todo = [(1 << n) - 1]
+    while todo:
+        remaining = todo.pop()
+        if remaining in steps:
+            continue
+        cand = [t for t in range(n) if remaining >> t & 1 and not strict_in[t] & remaining]
+        out = []
         for mask in range(1, 1 << len(cand)):
-            level = {cand[t] for t in range(len(cand)) if (mask >> t) & 1}
-            if not valid_level(level, remaining):
+            level = need = 0
+            for pos, t in enumerate(cand):
+                if mask >> pos & 1:
+                    level |= 1 << t
+                    need |= weak_in[t]
+            if need & remaining & ~level:
                 continue
-            levels.append(tuple(sorted(level)))
-            rec(remaining - frozenset(level))
+            rest = remaining & ~level
+            out.append((tuple(t for t in cand if level >> t & 1), rest))
+            if rest:
+                todo.append(rest)
+        steps[remaining] = tuple(out)
+    return vs, steps
+
+
+@lru_cache(maxsize=None)
+def weak_orders(cs: ConstraintSystem) -> tuple[OrderedSetPartition, ...]:
+    """All ordered set partitions compatible with cs, canonically ordered
+    (depth-first over the order-filter steps of `_filter_steps`)."""
+    vs, steps = _filter_steps(cs)
+    out: list[OrderedSetPartition] = []
+    levels: list[tuple[VarId, ...]] = []
+
+    def rec(remaining: int):
+        if not remaining:
+            out.append(OrderedSetPartition(tuple(levels)))
+            return
+        for lvl, rest in steps[remaining]:
+            levels.append(tuple(vs[t] for t in lvl))
+            rec(rest)
             levels.pop()
 
-    rec(frozenset(range(len(vs))))
+    rec((1 << len(vs)) - 1)
     return tuple(out)
 
 
@@ -220,14 +243,49 @@ def partition_respects(cs: ConstraintSystem, osp: OrderedSetPartition) -> bool:
 def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> SymbolCombination:
     """Rewrite the sum over cs with the given nonnegative integer exponents
     as an exact combination of admissible symbols (one per weak order, with
-    tied variables' exponents merged)."""
+    tied variables' exponents merged).
+
+    The weak orders are counted, not built: a memoised recursion over the
+    order filters maps each filter to the multiset of part tuples of its
+    completions, each level's part being the sum of its exponents.
+    """
     for v in cs.variables:
         if v not in exponents:
             raise ValueError(f"missing exponent for variable {v}")
     for v, e in exponents.items():
         if int(e) != e or e < 0:
             raise ValueError(f"exponent of {v} must be a nonnegative integer")
-    acc: dict[Composition, int] = {}
+    vs, steps = _filter_steps(cs)
+    exps = [int(exponents[v]) for v in vs]
+    memo: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}
+
+    def completions(remaining: int) -> dict[tuple[int, ...], int]:
+        got = memo.get(remaining)
+        if got is None:
+            got = {}
+            for lvl, rest in steps[remaining]:
+                part = sum(exps[t] for t in lvl)
+                if part < 1 or (part < 2 and not rest):
+                    _raise_non_admissible(cs, exponents)
+                for tail, n in completions(rest).items():
+                    key = (part,) + tail
+                    got[key] = got.get(key, 0) + n
+            memo[remaining] = got
+        return got
+
+    counts = completions((1 << len(vs)) - 1)
+    return SymbolCombination({_composition(parts): n for parts, n in counts.items()})
+
+
+@lru_cache(maxsize=None)
+def _composition(parts: tuple[int, ...]) -> Composition:
+    return Composition(parts)
+
+
+def _raise_non_admissible(cs: ConstraintSystem, exponents: Mapping[VarId, int]):
+    """Raise for the first weak order, in canonical order, with a part < 1
+    or a last part < 2.  Every filter step lies on some weak order, so a bad
+    step found by the recursion always has one."""
     for osp in weak_orders(cs):
         parts = tuple(sum(int(exponents[v]) for v in lvl) for lvl in osp.levels)
         if any(p < 1 for p in parts) or parts[-1] < 2:
@@ -236,9 +294,7 @@ def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> Sy
                 partition=osp,
                 parts=parts,
             )
-        comp = Composition(parts)
-        acc[comp] = acc.get(comp, 0) + 1
-    return SymbolCombination(acc)
+    raise InternalInvariantError("non-admissible filter step on no weak order")
 
 
 _GRID_CACHE: dict[tuple[int, int], list[np.ndarray]] = {}

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -376,6 +377,7 @@ def build_constraints_S(shape: Shape) -> ConstraintSystem:
     return _assemble(shape, _chain(shape), weak, has_extra=False)
 
 
+@lru_cache(maxsize=None)
 def build_constraints_S_ij(shape: Shape, i: int, j: int) -> ConstraintSystem:
     """Domain of the split series at position (i, j).
 
@@ -405,6 +407,7 @@ def build_constraints_S_ij(shape: Shape, i: int, j: int) -> ConstraintSystem:
     return _assemble(shape, strict, weak, has_extra=True)
 
 
+@lru_cache(maxsize=None)
 def build_constraints_S_i(shape: Shape, i: int) -> ConstraintSystem:
     """S plus the window n_{i,1} <= n <= n_{i+1, r_{i+1}} (wrapping)."""
     if not (1 <= i <= shape.d):

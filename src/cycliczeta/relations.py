@@ -37,6 +37,10 @@ ALL_RELATIONS_REF = {3: 1, 4: 3, 5: 6, 6: 14, 7: 29, 8: 60, 9: 123, 10: 249, 11:
 
 HARD_MAX_WEIGHT = 11
 
+# Bumped whenever a change to relation generation could change a relation
+# set, so that cached sets from older code are never served.
+GENERATOR_VERSION = 2
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -65,7 +69,12 @@ def cyclic_relation(k: IntArgs) -> Relation:
     if not is_integer_point_in_W(k):
         raise DomainError(f"integer point {k} lies outside W")
     shape = k.shape
-    combo = SymbolCombination()
+    acc: dict[Composition, int] = {}
+
+    def add(cs, exps, sign):
+        for comp, c in decompose_to_mzv(cs, exps).items():
+            acc[comp] = acc.get(comp, 0) + sign * c
+
     for i in range(1, shape.d + 1):
         r_i = shape.r[i - 1]
         for j in range(1, r_i + 1):
@@ -75,13 +84,13 @@ def cyclic_relation(k: IntArgs) -> Relation:
                 exps = {VarId.block(a, b): k[(a, b)] for (a, b) in shape.positions()}
                 exps[VarId.block(i, j)] = k[(i, j)] - m
                 exps[EXTRA] = m + 1
-                combo = combo + decompose_to_mzv(cs, exps)
+                add(cs, exps, 1)
     for i in range(1, shape.d + 1):
         cs = build_constraints_S_i(shape, i)
         exps = {VarId.block(a, b): k[(a, b)] for (a, b) in shape.positions()}
         exps[EXTRA] = 1
-        combo = combo - decompose_to_mzv(cs, exps)
-    return Relation(combo, Provenance("cyclic", shape, k))
+        add(cs, exps, -1)
+    return Relation(SymbolCombination(acc), Provenance("cyclic", shape, k))
 
 
 def zeta_star_expand(c: Composition) -> SymbolCombination:
@@ -324,7 +333,8 @@ _P2 = (1 << 64) - 59
 def rank_exact(matrix: RelationMatrix) -> int:
     """Rank over the rationals by fraction-free elimination, re-verified by
     elimination modulo two fixed primes above 2^60."""
-    rows = matrix.dense_rows()
+    # Repeated rows do not change the rank; keep first occurrences.
+    rows = list({tuple(r): r for r in matrix.dense_rows()}.values())
     if not rows or not matrix.symbols:
         return 0
     rank = _rank_bareiss(rows)

@@ -1,6 +1,13 @@
+import hashlib
 import json
+from pathlib import Path
 
+import pytest
+
+from cycliczeta import relations as rel_mod
 from cycliczeta.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -180,6 +187,67 @@ def test_relations_corrupt_cache_recovers(tmp_path, capsys):
     assert "corrupt cache" in err
 
 
+def _cached_relations(capsys, cache, out_file):
+    code, out, err = run(capsys, "relations", "--weight", "4", "--family", "cyclic",
+                         "--out", str(out_file), "--cache-dir", str(cache))
+    assert code == 0
+    return json.loads(out)["cached"], err
+
+
+def test_relations_cache_skips_sets_from_older_code(tmp_path, capsys, monkeypatch):
+    cache, out_file, fresh = tmp_path / "cache", tmp_path / "w4.json", tmp_path / "fresh.json"
+    assert run(capsys, "relations", "--weight", "4", "--family", "cyclic",
+               "--out", str(fresh))[0] == 0
+    # A well-formed set written by an older generator, which differs.
+    monkeypatch.setattr(rel_mod, "GENERATOR_VERSION", rel_mod.GENERATOR_VERSION - 1)
+    assert _cached_relations(capsys, cache, out_file)[0] is False
+    [stale] = cache.glob("relations-*.json")
+    obj = json.loads(stale.read_text())
+    obj["rows"] = obj["rows"][:1]
+    stale.write_text(json.dumps(obj))
+    monkeypatch.undo()
+    assert _cached_relations(capsys, cache, out_file)[0] is False
+    assert out_file.read_bytes() == fresh.read_bytes()
+    assert _cached_relations(capsys, cache, out_file)[0] is True
+    assert len(list(cache.glob("relations-*.json"))) == 2
+
+
+@pytest.mark.parametrize("blob", [
+    # the four top-level keys are present but the symbols do not parse
+    {"weight": 4, "family": "cyclic", "symbols": ["x"], "rows": []},
+    # a well-formed set of another weight
+    {"weight": 3, "family": "cyclic", "symbols": ["1,2", "3"],
+     "rows": [{"entries": [[0, "1"], [1, "-1"]]}]},
+])
+def test_relations_cache_recomputes_unusable_entry(tmp_path, capsys, blob):
+    cache, out_file, fresh = tmp_path / "cache", tmp_path / "w4.json", tmp_path / "fresh.json"
+    assert run(capsys, "relations", "--weight", "4", "--family", "cyclic",
+               "--out", str(fresh))[0] == 0
+    _cached_relations(capsys, cache, out_file)
+    [entry] = cache.glob("relations-*.json")
+    entry.write_text(json.dumps(blob))
+    cached, err = _cached_relations(capsys, cache, out_file)
+    assert cached is False and "corrupt cache" in err
+    assert out_file.read_bytes() == fresh.read_bytes() == entry.read_bytes()
+
+
+def test_relations_weight_below_3_exit_3(tmp_path, capsys):
+    code, _, err = run(capsys, "relations", "--weight", "2", "--family", "cyclic",
+                       "--out", str(tmp_path / "w2.json"))
+    assert code == 3 and "below the smallest weight 3" in err
+    assert not (tmp_path / "w2.json").exists()
+
+
+@pytest.mark.slow
+def test_relations_weight10_cyclic_matches_stored_checksum(tmp_path, capsys):
+    want = (ROOT / "perfbench" / "data" / "relations-w10-cyclic.json.sha256").read_text()
+    out_file = tmp_path / "w10.json"
+    code, _, _ = run(capsys, "relations", "--weight", "10", "--family", "cyclic",
+                     "--budget-max-weight", "10", "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == want.split()[0]
+
+
 def test_table1_small(capsys):
     code, out, _ = run(capsys, "table1", "--max-weight", "5")
     assert code == 0
@@ -200,6 +268,12 @@ def test_table1_text_marks_reference(capsys):
 def test_table1_budget_exit_4(capsys):
     code, _, _ = run(capsys, "table1", "--max-weight", "9")
     assert code == 4
+
+
+def test_table1_max_weight_below_3_exit_3(capsys):
+    code, out, err = run(capsys, "table1", "--max-weight", "2")
+    assert code == 3 and out == ""
+    assert "below the smallest weight 3" in err
 
 
 def test_table1_parallel_deterministic(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -193,3 +194,101 @@ def test_numpy_oracle_matches_pure_python():
                 cons.append(Constraint(vs[lo], rel, vs[hi]))
         cs = adhoc((k,), cons)
         assert count_lattice_points(cs, 8) == brute_count(cs, 8)
+
+
+# --- filter recursion against the weak-order enumeration ----------------------
+
+
+def reference_weak_orders(cs):
+    """The original enumerator, kept as the oracle: recursive peeling over
+    subsets of the minimal variables in binary-counter order."""
+    vs = list(cs.variables)
+    idx = {v: t for t, v in enumerate(vs)}
+    edges = [(idx[c.lhs], idx[c.rhs], c.rel == "<") for c in cs.constraints]
+    out, levels = [], []
+
+    def valid_level(level, remaining):
+        return not any(w in level and u in remaining and (u not in level or strict)
+                       for (u, w, strict) in edges)
+
+    def rec(remaining):
+        if not remaining:
+            out.append(tuple(tuple(vs[t] for t in lvl) for lvl in levels))
+            return
+        blocked = {w for (u, w, strict) in edges
+                   if strict and u in remaining and w in remaining}
+        cand = sorted(remaining - blocked)
+        for mask in range(1, 1 << len(cand)):
+            level = {cand[t] for t in range(len(cand)) if (mask >> t) & 1}
+            if valid_level(level, remaining):
+                levels.append(tuple(sorted(level)))
+                rec(remaining - frozenset(level))
+                levels.pop()
+
+    rec(frozenset(range(len(vs))))
+    return out
+
+
+def reference_decompose(cs, exps):
+    """The original decomposition, a Counter of merged parts over the weak
+    orders: (combination, None), or (None, (levels, parts)) for the first
+    weak order in canonical order whose parts are not admissible."""
+    orders = reference_weak_orders(cs)
+    merged = [tuple(sum(exps[v] for v in lvl) for lvl in levels) for levels in orders]
+    for levels, parts in zip(orders, merged):
+        if min(parts) < 1 or parts[-1] < 2:
+            return None, (levels, parts)
+    counts = Counter(merged)
+    return SymbolCombination({Composition(p): n for p, n in counts.items()}), None
+
+
+def systems_up_to_depth(max_depth):
+    for r in itertools.chain.from_iterable(
+        itertools.product(range(1, max_depth + 1), repeat=d) for d in range(1, max_depth + 1)
+    ):
+        if sum(r) <= max_depth:
+            shape = Shape(r)
+            yield build_constraints_S(shape)
+            for i in range(1, shape.d + 1):
+                yield build_constraints_S_i(shape, i)
+                yield build_constraints_T_i(shape, i)
+                for j in range(1, shape.r[i - 1] + 1):
+                    yield build_constraints_S_ij(shape, i, j)
+
+
+SYSTEMS = list(systems_up_to_depth(5))
+
+
+def test_weak_orders_match_reference_enumeration():
+    for cs in SYSTEMS:
+        got = [osp.levels for osp in weak_orders(cs)]
+        assert got == reference_weak_orders(cs), str(cs)
+
+
+def test_filter_recursion_matches_weak_order_counting():
+    rng = random.Random(2003)
+    admissible = rejected = 0
+    for cs in SYSTEMS:
+        for lo in (0, 1, 1):
+            exps = {v: rng.randint(lo, 3) for v in cs.variables}
+            want, bad = reference_decompose(cs, exps)
+            if bad is None:
+                assert decompose_to_mzv(cs, exps) == want, (str(cs), exps)
+                admissible += 1
+            else:
+                with pytest.raises(NonAdmissibleError) as ei:
+                    decompose_to_mzv(cs, exps)
+                assert (ei.value.partition.levels, ei.value.parts) == bad
+                rejected += 1
+    assert admissible > 200 and rejected > 200
+
+
+def test_non_admissible_reports_first_weak_order():
+    cs = build_constraints_S_i(Shape((2, 1)), 1)
+    exps = {B(1, 1): 2, B(1, 2): 1, B(2, 1): 1, EXTRA: 1}
+    _, (levels, parts) = reference_decompose(cs, exps)
+    with pytest.raises(NonAdmissibleError) as ei:
+        decompose_to_mzv(cs, exps)
+    osp = ei.value.partition
+    assert osp.levels == levels and ei.value.parts == parts
+    assert str(ei.value) == f"weak order {osp} yields non-admissible parts {parts}"

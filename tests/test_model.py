@@ -93,6 +93,16 @@ def test_S_ij_examples():
         build_constraints_S_ij(Shape((2,)), 1, 3)
 
 
+def test_window_builders_are_memoised():
+    shape = Shape((2, 1))
+    assert build_constraints_S_ij(shape, 1, 2) is build_constraints_S_ij(Shape((2, 1)), 1, 2)
+    assert build_constraints_S_i(shape, 2) is build_constraints_S_i(Shape((2, 1)), 2)
+    with pytest.raises(ValueError):  # errors are raised again, not cached
+        build_constraints_S_i(shape, 3)
+    with pytest.raises(ValueError):
+        build_constraints_S_i(shape, 3)
+
+
 def test_S_i_examples():
     assert cs_set(build_constraints_S_i(Shape((1,)), 1)) == {"n1_1 <= n", "n <= n1_1"}
     assert cs_set(build_constraints_S_i(Shape((2,)), 1)) == {

@@ -1,5 +1,6 @@
 import pytest
 
+from cycliczeta import relations
 from cycliczeta.decompose import Composition, SymbolCombination
 from cycliczeta.errors import BudgetError, DomainError
 from cycliczeta.model import IntArgs, Shape
@@ -168,6 +169,17 @@ def test_rank_small_matrices():
     assert _rank_bareiss([[2, 4, 1], [1, 2, 0], [3, 6, 1]]) == 2
     for p in ((1 << 61) - 1, (1 << 64) - 59):
         assert _rank_mod([[2, 4, 1], [1, 2, 0], [3, 6, 1]], p) == 2
+
+
+def test_rank_exact_drops_repeated_rows(monkeypatch):
+    seen = []
+    monkeypatch.setattr(relations, "_rank_bareiss",
+                        lambda rows: seen.append(rows) or _rank_bareiss(rows))
+    rels = generate_relations(5, "cyclic")
+    doubled = relation_matrix(rels + rels[::-1])
+    assert rank_exact(doubled) == 5
+    first_seen = list(dict.fromkeys(tuple(r) for r in relation_matrix(rels).dense_rows()))
+    assert [tuple(r) for r in seen[0]] == first_seen
 
 
 def test_rank_weight5_cyclic_is_5():
