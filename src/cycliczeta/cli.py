@@ -62,13 +62,24 @@ class RunConfig:
     def from_args(cls, args) -> "RunConfig":
         cache = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
         parallel = max(1, getattr(args, "parallel", 1) or 1)
+
+        def budget(name: str, default):
+            # An explicit 0 is a budget of 0, not "use the default".
+            value = getattr(args, name, None)
+            if value is None:
+                return default
+            if value < 0:
+                flag = "--" + name.replace("_", "-")
+                raise ParseError(f"{flag} must be >= 0, got {value}")
+            return value
+
         return cls(
             cache_dir=Path(cache) if cache else None,
             out_format=getattr(args, "format", "json") or "json",
             parallel=parallel,
-            max_cutoff=getattr(args, "budget_max_n", None),
-            max_weight=getattr(args, "budget_max_weight", None) or 8,
-            max_rows=getattr(args, "budget_max_rows", None) or 20000,
+            max_cutoff=budget("budget_max_n", None),
+            max_weight=budget("budget_max_weight", 8),
+            max_rows=budget("budget_max_rows", 20000),
         )
 
 
@@ -526,6 +537,8 @@ def _parse_exponents(text: str, variables) -> dict[VarId, int]:
             out[var] = int(val)
         except ValueError:
             raise ParseError(f"bad exponent value {val!r}") from None
+        if out[var] < 0:
+            raise ParseError(f"exponent of {var} must be >= 0, got {out[var]}")
     missing = [v for v in variables if v not in out]
     if missing:
         raise ParseError(

@@ -159,9 +159,12 @@ def parse_complex(text: str) -> complex:
     if not t:
         raise ParseError("empty complex entry")
     try:
-        return complex(t.replace("i", "j"))
+        v = complex(t.replace("i", "j"))
     except ValueError:
         raise ParseError(f"bad complex entry {text!r}") from None
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        raise ParseError(f"non-finite complex entry {text!r}")
+    return v
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,21 @@
 Every sum here is a box truncation: each summation variable runs over
 1..N.  Generic constrained sums are split into the weak orders of their
 constraint system (the same split the exact decomposer uses) and each
-totally ordered chain is evaluated by prefix/suffix cumulative sums.  A
-term may couple two variables, either through the pole factor
+totally ordered chain is evaluated by prefix cumulative sums.  A term may
+couple two variables, either through the pole factor
 a^p / (b^q (b - a)) or through a harmonic-range factor; coupled chains
 cost O(N^2) and are evaluated in fixed-size chunks with a fixed reduction
 order, so results are bit-reproducible.
+
+A box truncation at n keeps exactly the terms whose largest value is at
+most n, so every evaluator makes one pass at its largest cutoff and reads
+the value at each smaller cutoff (the refinements and N/2) off that pass;
+each of those values is bit-identical to a separate evaluation at that
+cutoff.  Plain chains (no coupling, or a coupling between tied variables)
+are streamed over fixed value segments: each segment has one table of
+powers keyed by exponent, shared by every chain of every weak order, and
+each chain carries its prefix sums from one segment to the next, so their
+memory does not grow with N.
 
 The harmonic-form evaluators sum the extra variable analytically into a
 harmonic-range factor and truncate only the outer variables, so at finite
@@ -22,8 +32,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +57,8 @@ from .model import (
 COUPLED_CUTOFF_CAP = 5000
 CHAIN_CUTOFF_CAP = 20_000_000
 _CHUNK = 256
+# Plain chains are streamed over segments of this many values.
+_SEGMENT = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +176,22 @@ def _cpow(vals: np.ndarray, e: complex) -> np.ndarray:
     return mag * (np.cos(aa) + 1j * sgn * np.sin(aa))
 
 
-def _pow_vec(n_max: int, s: complex) -> np.ndarray:
-    """[1..n_max]^(-s)."""
-    return _cpow(np.arange(1, n_max + 1, dtype=np.float64), -complex(s))
+def _pow_vec(n_max: int, s: complex, start: int = 0) -> np.ndarray:
+    """[start+1..n_max]^(-s)."""
+    return _cpow(np.arange(start + 1, n_max + 1, dtype=np.float64), -complex(s))
+
+
+def _power_table(n_max: int, start: int = 0) -> Callable[[complex], np.ndarray]:
+    """Memoised e -> [start+1..n_max]^(-e)."""
+    table: dict[complex, np.ndarray] = {}
+
+    def power(e: complex) -> np.ndarray:
+        g = table.get(e)
+        if g is None:
+            g = table[e] = _pow_vec(n_max, e, start)
+        return g
+
+    return power
 
 
 def harmonic_number(k: int) -> float:
@@ -213,86 +238,120 @@ def _shift_prefix(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_suffix(c: np.ndarray) -> np.ndarray:
-    out = np.empty_like(c)
-    out[-1] = 0
-    out[:-1] = np.cumsum(c[:0:-1])[::-1]
-    return out
+# A plain chain: its level exponents, bottom to top, and an optional extra
+# per-value factor (level, fn) applied as fn(x, x) on that level.
+_Plain = tuple[Sequence[complex], Optional[tuple[int, Callable]]]
 
 
-def _chain_plain(exps: Sequence[complex], n_max: int,
-                 extra_weight: tuple[int, np.ndarray] | None = None) -> complex:
-    """Sum over 1 <= x_1 < ... < x_t <= n_max of prod x_l^(-E_l), with an
-    optional extra per-value weight on one level."""
-    if n_max < 1:
-        return 0j
-    run = None
-    for l, e in enumerate(exps):
-        g = _pow_vec(n_max, e)
-        if extra_weight is not None and extra_weight[0] == l:
-            g = g * extra_weight[1]
-        run = g if run is None else g * _shift_prefix(run)
-    return complex(run.sum())
+def _chain_plain(chains: Sequence[_Plain],
+                 cutoffs: Sequence[int]) -> list[list[complex]]:
+    """For every chain and every cutoff n, the sum over
+    1 <= x_1 < ... < x_t <= n of prod x_l^(-E_l), from one pass at the
+    largest cutoff streamed over value segments.
+
+    Each segment has one power table shared by all chains.  A chain carries,
+    per level below its top, the sum of that level over all smaller values;
+    it seeds the segment's cumsum, so every prefix sum has the bits of one
+    sequential sum.  The value at n adds, segment by segment, the sum of
+    the top level's run up to n.
+    """
+    top = max(cutoffs, default=0)
+    carries = [[0] * (len(exps) - 1) for exps, _ in chains]
+    totals = [[0j] * len(cutoffs) for _ in chains]
+    for s0 in range(0, top, _SEGMENT):
+        s1 = min(s0 + _SEGMENT, top)
+        power = _power_table(s1, s0)
+        x = np.arange(s0 + 1, s1 + 1, dtype=np.float64)
+        for (exps, weight), carry, total in zip(chains, carries, totals):
+            run = None
+            for l, e in enumerate(exps):
+                g = power(e)
+                if weight is not None and weight[0] == l:
+                    g = g * weight[1](x, x)
+                if run is not None:
+                    pre = np.empty(s1 - s0 + 1, dtype=run.dtype)
+                    pre[0] = carry[l - 1]
+                    pre[1:] = run
+                    np.cumsum(pre, out=pre)
+                    carry[l - 1] = pre[-1]
+                    g = g * pre[:-1]
+                run = g
+            part: dict[int, complex] = {}
+            for k, n in enumerate(cutoffs):
+                if n > s0:
+                    m = min(n, s1) - s0
+                    if m not in part:
+                        part[m] = complex(run[:m].sum())
+                    total[k] += part[m]
+    return totals
 
 
 def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
-                   members: list[tuple[complex, Callable]]) -> complex:
-    """Coupled chain: levels p < q carry cell factors f(u, w) summed over
-    admissible value pairs u < w, with prefix/middle/suffix chains attached."""
+                   members: list[tuple[complex, Callable]],
+                   power: Callable[[complex], np.ndarray]) -> np.ndarray:
+    """Coupled chain by top value: entry w-1 is the sum over the chains
+    whose top level takes the value w.  Levels p < q carry cell factors
+    f(u, w) summed over value pairs u < w; the levels below p, between p
+    and q, and above q are plain.  power(e) is [1..n_max]^(-e).
+
+    The cells are summed over u in chunks of rows, column by column, and
+    the levels above q run as a prefix chain over the column sums, so the
+    sum of the first n entries is the chain truncated at n.
+    """
     t = len(exps)
     run = None
     for l in range(p):
-        g = _pow_vec(n_max, exps[l])
+        g = power(exps[l])
         run = g if run is None else g * _shift_prefix(run)
     a_pref = _shift_prefix(run) if run is not None else np.ones(n_max)
-    g_a = _pow_vec(n_max, exps[p]) * a_pref
+    g_a = power(exps[p]) * a_pref
 
-    run = None
-    for l in range(t - 1, q, -1):
-        g = _pow_vec(n_max, exps[l])
-        run = g if run is None else g * _shift_suffix(run)
-    c_suf = _shift_suffix(run) if run is not None else np.ones(n_max)
-    g_c = _pow_vec(n_max, exps[q]) * c_suf
-
-    mids = [_pow_vec(n_max, exps[l]) for l in range(p + 1, q)]
+    mids = [power(exps[l]) for l in range(p + 1, q)]
+    cums = np.cumsum(mids[0]) if mids else None
     vals = np.arange(1, n_max + 1, dtype=np.float64)
-    total = 0j
+    upper = np.arange(_CHUNK)[None, :] > np.arange(_CHUNK)[:, None]
+    col = np.zeros(n_max, dtype=complex)
     for u0 in range(0, n_max, _CHUNK):
         u1 = min(u0 + _CHUNK, n_max)
         rows = u1 - u0
-        uvals = vals[u0:u1, None]
-        wvals = vals[None, :]
-        wgtu = np.arange(n_max)[None, :] > np.arange(u0, u1)[:, None]
+        # Cells u < w only exist in the columns w >= u0, and only the
+        # leading rows x rows square holds cells with w <= u.
+        tri = upper[:rows, :rows]
         b_mid = None
-        if mids:
-            for l, g in enumerate(mids):
-                if l == 0:
-                    cums = np.cumsum(g)
-                    b_mid = cums[None, :] - cums[u0:u1, None]
-                    ge = np.arange(n_max)[None, :] >= np.arange(u0, u1)[:, None]
-                    b_mid = np.where(ge, b_mid, 0)
-                else:
-                    sh = np.concatenate(
-                        [np.zeros((rows, 1), dtype=b_mid.dtype), b_mid[:, :-1]], axis=1
-                    )
-                    b_mid = np.cumsum(g[None, :] * sh, axis=1)
+        for l, g in enumerate(mids):
+            if l == 0:
+                b_mid = cums[None, u0:] - cums[u0:u1, None]
+                b_mid[:, :rows] = np.where(tri, b_mid[:, :rows], 0)
+            else:
+                sh = np.concatenate(
+                    [np.zeros((rows, 1), dtype=b_mid.dtype), b_mid[:, :-1]], axis=1
+                )
+                b_mid = np.cumsum(g[None, u0:] * sh, axis=1)
+        if b_mid is not None:
             b_mid = np.concatenate(
                 [np.zeros((rows, 1), dtype=b_mid.dtype), b_mid[:, :-1]], axis=1
             )
         with np.errstate(all="ignore"):
             cells = None
             for coeff, fn in members:
-                f = coeff * fn(uvals, wvals)
+                f = coeff * fn(vals[u0:u1, None], vals[None, u0:])
                 cells = f if cells is None else cells + f
-            block = g_a[u0:u1, None] * (g_c[None, :] * cells)
+            block = g_a[u0:u1, None] * cells
             if b_mid is not None:
                 block = block * b_mid
-        block = np.where(wgtu, block, 0)
-        total += complex(block.sum())
-    return total
+        block[:, :rows] = np.where(tri, block[:, :rows], 0)
+        col[u0:] += block.sum(axis=0)
+
+    run = power(exps[q]) * col
+    for l in range(q + 1, t):
+        run = power(exps[l]) * _shift_prefix(run)
+    return run
 
 
-def _eval_order(osp, exps: Mapping[VarId, complex], pieces, n_max: int) -> complex:
+def _split_order(osp, exps: Mapping[VarId, complex], pieces):
+    """One weak order's summand: its level exponents, the coefficient of
+    the uncoupled chain, the tied couplings (coeff, level, fn) and the
+    couplings between levels p < q grouped by (p, q)."""
     levels = osp.levels
     level_of = {v: l for l, lvl in enumerate(levels) for v in lvl}
     level_exps = [sum((complex(exps.get(v, 0)) for v in lvl), 0j) for lvl in levels]
@@ -318,25 +377,36 @@ def _eval_order(osp, exps: Mapping[VarId, complex], pieces, n_max: int) -> compl
             groups.setdefault((lb, la), []).append(
                 (coeff, lambda u, w, _f=fn: _f(w, u))
             )
-
-    total = 0j
-    if plain_coeff != 0:
-        total += plain_coeff * _chain_plain(level_exps, n_max)
-    for coeff, l, fn in diag:
-        x = np.arange(1, n_max + 1, dtype=np.float64)
-        total += coeff * _chain_plain(level_exps, n_max, extra_weight=(l, fn(x, x)))
-    for (p, q), members in sorted(groups.items()):
-        total += _chain_coupled(level_exps, n_max, p, q, members)
-    return total
+    return level_exps, plain_coeff, diag, sorted(groups.items())
 
 
-def _eval_system(cs: ConstraintSystem, exps, pieces, n_max: int) -> complex:
-    if n_max < 1:
-        return 0j
-    total = 0j
-    for osp in weak_orders(cs):
-        total += _eval_order(osp, exps, pieces, n_max)
-    return total
+def _eval_system(cs: ConstraintSystem, exps, pieces,
+                 cutoffs: Sequence[int]) -> list[complex]:
+    """The constrained sum at every cutoff (all >= 1): the plain chains of
+    every weak order share one streamed pass, each coupled chain is
+    evaluated once at the largest cutoff."""
+    orders = [_split_order(osp, exps, pieces) for osp in weak_orders(cs)]
+    chains: list[_Plain] = []
+    for level_exps, plain_coeff, diag, _ in orders:
+        if plain_coeff != 0:
+            chains.append((level_exps, None))
+        chains.extend((level_exps, (l, fn)) for _, l, fn in diag)
+    plain = iter(_chain_plain(chains, cutoffs))
+    top = max(cutoffs)
+    power = _power_table(top)
+
+    totals = [0j] * len(cutoffs)
+    for level_exps, plain_coeff, diag, groups in orders:
+        order = [0j] * len(cutoffs)
+        if plain_coeff != 0:
+            order = [a + plain_coeff * v for a, v in zip(order, next(plain))]
+        for coeff, _, _ in diag:
+            order = [a + coeff * v for a, v in zip(order, next(plain))]
+        for (p, q), members in groups:
+            run = _chain_coupled(level_exps, top, p, q, members, power)
+            order = [a + complex(run[:n].sum()) for a, n in zip(order, cutoffs)]
+        totals = [a + v for a, v in zip(totals, order)]
+    return totals
 
 
 def _check_budget(plan: TruncationPlan, coupled: bool, max_cutoff: int | None):
@@ -348,20 +418,20 @@ def _check_budget(plan: TruncationPlan, coupled: bool, max_cutoff: int | None):
         raise BudgetError(f"cutoff {top} exceeds the enumeration cap {cap}")
 
 
-def _make_report(evalfn: Callable[[int], complex], plan: TruncationPlan) -> EvalReport:
-    cache: dict[int, complex] = {}
-
-    def ev(n: int) -> complex:
-        if n not in cache:
-            cache[n] = evalfn(n) if n >= 1 else 0j
-        return cache[n]
-
-    value = ev(plan.cutoff)
+def _make_report(evalfn: Callable[[tuple[int, ...]], Sequence[complex]],
+                 plan: TruncationPlan) -> EvalReport:
+    """evalfn maps increasing cutoffs (all >= 1) to their values; it is
+    asked once for the cutoff, its half and the refinements."""
+    half = plan.cutoff // 2
+    ns = tuple(sorted({plan.cutoff, *(plan.refinements or ()), *((half,) if half else ())}))
+    at = dict(zip(ns, evalfn(ns)))
+    at[0] = 0j
+    value = at[plan.cutoff]
     refs = None
     if plan.refinements is not None:
-        refs = [(n, ev(n)) for n in plan.refinements]
-    residual = abs(value - ev(plan.cutoff // 2))
-    return EvalReport(value=value, cutoff=plan.cutoff, residual=residual, refinements=refs)
+        refs = [(n, at[n]) for n in plan.refinements]
+    return EvalReport(value=value, cutoff=plan.cutoff, residual=abs(value - at[half]),
+                      refinements=refs)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +439,21 @@ def _make_report(evalfn: Callable[[int], complex], plan: TruncationPlan) -> Eval
 # ---------------------------------------------------------------------------
 
 
+def _pole_factor(num_exp: complex, den_exp: complex) -> Callable:
+    """The cell factor a^num_exp / (b^den_exp (b - a))."""
+    num_exp, den_exp = complex(num_exp), complex(den_exp)
+
+    def fn(a, b):
+        return _cpow(a, num_exp) * _cpow(b, -den_exp) / (b - a)
+
+    return fn
+
+
 def _pole_pieces(term: TermSpec):
     if term.pole is None:
         return [(1.0, None)]
     pole = term.pole
-
-    def fn(a, b, _n=complex(pole.num_exp), _d=complex(pole.den_exp)):
-        return _cpow(a, _n) * _cpow(b, -_d) / (b - a)
-
+    fn = _pole_factor(pole.num_exp, pole.den_exp)
     return [(1.0, _Coupling(pole.num_var, pole.den_var, fn, allow_tie=False))]
 
 
@@ -394,7 +471,7 @@ def eval_constrained_sum(cs: ConstraintSystem, term: TermSpec, plan,
                 raise ValueError(f"pole variable {v} not in the constraint system")
     _check_budget(plan, term.pole is not None, max_cutoff)
     pieces = _pole_pieces(term)
-    return _make_report(lambda n: _eval_system(cs, term.exponents, pieces, n), plan)
+    return _make_report(lambda ns: _eval_system(cs, term.exponents, pieces, ns), plan)
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +502,8 @@ def _tilde_pieces(s: ComplexArgs, i: int, j: int, variant) -> list:
     r_i = s.shape.r[i - 1]
     delta = 1 if j == r_i else 0
     x = VarId.block(i, j)
-
-    def pole_fn(num_exp: complex, den_exp: complex):
-        def fn(a, b, _n=complex(num_exp), _d=complex(den_exp)):
-            return _cpow(a, _n) * _cpow(b, -_d) / (b - a)
-
-        return fn
-
-    c1 = _Coupling(x, EXTRA, pole_fn(delta, delta), allow_tie=False)
-    c2 = _Coupling(x, EXTRA, pole_fn(s[(i, j)], s[(i, j)]), allow_tie=False)
+    c1 = _Coupling(x, EXTRA, _pole_factor(delta, delta), allow_tie=False)
+    c2 = _Coupling(x, EXTRA, _pole_factor(s[(i, j)], s[(i, j)]), allow_tie=False)
     if variant in (1, "1"):
         return [(1.0, c1)]
     if variant in (2, "2"):
@@ -460,71 +530,49 @@ def eval_zeta_tilde(s: ComplexArgs, i: int, j: int, variant, plan,
     cs = build_constraints_S_ij(shape, i, j)
     exps = _block_exponents(s, extra=0)
     pieces = _tilde_pieces(s, i, j, variant)
-    return _make_report(lambda n: _eval_system(cs, exps, pieces, n), plan)
+    return _make_report(lambda ns: _eval_system(cs, exps, pieces, ns), plan)
+
+
+# Harmonic-range kernels k(hn, a, b) over integer-valued value arrays, with
+# hn = H(0..N) at the largest cutoff N >= a, b; no index leaves the table.
+
+
+def _harmonic_gap(hn, a, b):
+    """H(b - a - 1), and 0 when a >= b - 1."""
+    return hn[np.maximum(b - a - 1, 0).astype(np.int64)]
+
+
+def _harmonic_wrap_1(hn, a, b):
+    """H(max(b, a - 1)) - H(max(a - b - 1, 0))."""
+    ai, bi = a.astype(np.int64), b.astype(np.int64)
+    return hn[np.maximum(bi, ai - 1)] - hn[np.maximum(ai - bi - 1, 0)]
+
+
+def _harmonic_wrap_2(hn, a, b):
+    """H(a - 1) - H(max(a - b - 1, 0))."""
+    ai, bi = a.astype(np.int64), b.astype(np.int64)
+    return hn[ai - 1] - hn[np.maximum(ai - bi - 1, 0)]
 
 
 def _tilde_harmonic_setup(s: ComplexArgs, i: int, j: int, variant):
-    """Outer system and harmonic coupling for the closed-form path."""
+    """Outer system, coupled pair and harmonic kernel for the closed-form path."""
     shape = s.shape
     r_i = shape.r[i - 1]
     if variant in (1, "1"):
         if j < r_i:
-            cs = build_constraints_S(shape)
-            va, vb = VarId.block(i, j), VarId.block(i, j + 1)
-
-            def make(hn):
-                def fn(a, b):
-                    gap = np.clip((b - a - 1).astype(np.int64), 0, hn.size - 1)
-                    return hn[gap]
-
-                return fn
-
-        else:
-            cs = build_constraints_T_i(shape, i)
-            prev = shape.wrap_block(i - 1)
-            va = VarId.block(prev, 1)
-            vb = VarId.block(i, r_i)
-
-            def make(hn):
-                def fn(a, b):
-                    ai = a.astype(np.int64)
-                    bi = b.astype(np.int64)
-                    hi = np.maximum(bi, ai - 1)
-                    lo = np.maximum(ai - bi - 1, 0)
-                    return hn[np.clip(hi, 0, hn.size - 1)] - hn[np.clip(lo, 0, hn.size - 1)]
-
-                return fn
-
-    elif variant in (2, "2"):
+            return (build_constraints_S(shape), VarId.block(i, j),
+                    VarId.block(i, j + 1), _harmonic_gap)
+        prev = shape.wrap_block(i - 1)
+        return (build_constraints_T_i(shape, i), VarId.block(prev, 1),
+                VarId.block(i, r_i), _harmonic_wrap_1)
+    if variant in (2, "2"):
         if j == 1:
             nxt = shape.wrap_block(i + 1)
-            cs = build_constraints_T_i(shape, nxt)
-            va = VarId.block(i, 1)
-            vb = VarId.block(nxt, shape.r[nxt - 1])
-
-            def make(hn):
-                def fn(a, b):
-                    ai = a.astype(np.int64)
-                    bi = b.astype(np.int64)
-                    lo = np.maximum(ai - bi - 1, 0)
-                    return hn[np.clip(ai - 1, 0, hn.size - 1)] - hn[np.clip(lo, 0, hn.size - 1)]
-
-                return fn
-
-        else:
-            cs = build_constraints_S(shape)
-            va, vb = VarId.block(i, j - 1), VarId.block(i, j)
-
-            def make(hn):
-                def fn(a, b):
-                    gap = np.clip((b - a - 1).astype(np.int64), 0, hn.size - 1)
-                    return hn[gap]
-
-                return fn
-
-    else:
-        raise ValueError(f"harmonic path supports variants 1 and 2, not {variant!r}")
-    return cs, va, vb, make
+            return (build_constraints_T_i(shape, nxt), VarId.block(i, 1),
+                    VarId.block(nxt, shape.r[nxt - 1]), _harmonic_wrap_2)
+        return (build_constraints_S(shape), VarId.block(i, j - 1),
+                VarId.block(i, j), _harmonic_gap)
+    raise ValueError(f"harmonic path supports variants 1 and 2, not {variant!r}")
 
 
 def eval_zeta_tilde_harmonic(s: ComplexArgs, i: int, j: int, variant, plan,
@@ -538,13 +586,12 @@ def eval_zeta_tilde_harmonic(s: ComplexArgs, i: int, j: int, variant, plan,
         raise ValueError(f"position ({i},{j}) out of range for shape {shape}")
     _require_w(s, enforce_domain)
     _check_budget(plan, True, max_cutoff)
-    cs, va, vb, make = _tilde_harmonic_setup(s, i, j, variant)
+    cs, va, vb, kernel = _tilde_harmonic_setup(s, i, j, variant)
     exps = _block_exponents(s)
 
-    def evalfn(n: int) -> complex:
-        hn = _harmonic_table(n)
-        pieces = [(1.0, _Coupling(va, vb, make(hn)))]
-        return _eval_system(cs, exps, pieces, n)
+    def evalfn(ns: tuple[int, ...]) -> list[complex]:
+        pieces = [(1.0, _Coupling(va, vb, partial(kernel, _harmonic_table(ns[-1]))))]
+        return _eval_system(cs, exps, pieces, ns)
 
     return _make_report(evalfn, plan)
 
@@ -559,7 +606,7 @@ def eval_zeta_C_i(s: ComplexArgs, i: int, plan, *, enforce_domain: bool = True,
     _check_budget(plan, False, max_cutoff)
     cs = build_constraints_S_i(s.shape, i)
     exps = _block_exponents(s, extra=1)
-    return _make_report(lambda n: _eval_system(cs, exps, [(1.0, None)], n), plan)
+    return _make_report(lambda ns: _eval_system(cs, exps, [(1.0, None)], ns), plan)
 
 
 def eval_zeta_C(s: ComplexArgs, plan, *, enforce_domain: bool = True,
@@ -570,7 +617,7 @@ def eval_zeta_C(s: ComplexArgs, plan, *, enforce_domain: bool = True,
     _check_budget(plan, False, max_cutoff)
     cs = build_constraints_S(s.shape)
     exps = _block_exponents(s)
-    return _make_report(lambda n: _eval_system(cs, exps, [(1.0, None)], n), plan)
+    return _make_report(lambda ns: _eval_system(cs, exps, [(1.0, None)], ns), plan)
 
 
 def eval_theorem_residual(s: ComplexArgs, plan, *, enforce_domain: bool = True,
@@ -594,25 +641,18 @@ def eval_theorem_residual(s: ComplexArgs, plan, *, enforce_domain: bool = True,
     exps_t = _block_exponents(s, extra=0)
     exps_c = _block_exponents(s, extra=1)
 
-    def sides(n: int) -> tuple[complex, complex]:
-        lhs = 0j
-        for cs, pieces in tilde:
-            lhs += _eval_system(cs, exps_t, pieces, n)
-        rhs = 0j
-        for cs in cees:
-            rhs += _eval_system(cs, exps_c, [(1.0, None)], n)
-        return lhs, rhs
-
-    lhs, rhs = sides(plan.cutoff)
+    ns = tuple(sorted({plan.cutoff, *(plan.refinements or ())}))
+    lhs = [0j] * len(ns)
+    for cs, pieces in tilde:
+        lhs = [a + v for a, v in zip(lhs, _eval_system(cs, exps_t, pieces, ns))]
+    rhs = [0j] * len(ns)
+    for cs in cees:
+        rhs = [a + v for a, v in zip(rhs, _eval_system(cs, exps_c, [(1.0, None)], ns))]
+    at = {n: (ln, rn) for n, ln, rn in zip(ns, lhs, rhs)}
+    lhs, rhs = at[plan.cutoff]
     refs = None
     if plan.refinements is not None:
-        refs = []
-        for n in plan.refinements:
-            if n == plan.cutoff:
-                ln, rn = lhs, rhs
-            else:
-                ln, rn = sides(n)
-            refs.append((n, ln, rn, abs(ln - rn)))
+        refs = [(n, *at[n], abs(at[n][0] - at[n][1])) for n in plan.refinements]
     return TheoremReport(
         lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), cutoff=plan.cutoff, refinements=refs
     )
@@ -637,7 +677,7 @@ def eval_mzf(s: Sequence[complex], plan, *, enforce_domain: bool = True,
             raise DomainError(msg)
         warnings.warn(msg, stacklevel=2)
     _check_budget(plan, False, max_cutoff)
-    return _make_report(lambda n: _chain_plain(vals, n), plan)
+    return _make_report(lambda ns: _chain_plain([(vals, None)], ns)[0], plan)
 
 
 def mzv_partial_sum(parts: Sequence[int], n_max: int) -> float:
@@ -647,7 +687,7 @@ def mzv_partial_sum(parts: Sequence[int], n_max: int) -> float:
 
 @lru_cache(maxsize=4096)
 def _mzv_partial_cached(parts: tuple[int, ...], n_max: int) -> float:
-    return complex(_chain_plain([complex(p) for p in parts], n_max)).real
+    return _chain_plain([([complex(p) for p in parts], None)], (n_max,))[0][0].real
 
 
 def combo_partial_sum(combo, n_max: int) -> float:
@@ -684,7 +724,7 @@ def eval_mordell_tornheim(s1: complex, s2: complex, s3: complex, plan,
             total += complex(block.sum())
         return total
 
-    return _make_report(evalfn, plan)
+    return _make_report(lambda ns: [evalfn(n) for n in ns], plan)
 
 
 def harmonic_relation_check(s1: complex, s2: complex, n_max: int) -> float:
@@ -692,9 +732,7 @@ def harmonic_relation_check(s1: complex, s2: complex, n_max: int) -> float:
     box truncation (the four pieces tile the box exactly, so this measures
     floating rounding at any N)."""
     s1, s2 = complex(s1), complex(s2)
-    z1 = _chain_plain([s1], n_max)
-    z2 = _chain_plain([s2], n_max)
-    z12 = _chain_plain([s1, s2], n_max)
-    z21 = _chain_plain([s2, s1], n_max)
-    zd = _chain_plain([s1 + s2], n_max)
+    chains = [([s1], None), ([s2], None), ([s1, s2], None), ([s2, s1], None),
+              ([s1 + s2], None)]
+    z1, z2, z12, z21, zd = (v[0] for v in _chain_plain(chains, (n_max,)))
     return abs(z1 * z2 - z12 - z21 - zd)

@@ -129,6 +129,13 @@ def test_domain_inside_json(capsys):
     assert obj["inside"] is True
 
 
+@pytest.mark.parametrize("arg", ["nan", "1e400"])
+def test_domain_non_finite_argument_exit_3(capsys, arg):
+    code, out, err = run(capsys, "domain", "--shape", "1", "--s", arg)
+    assert code == 3 and out == ""
+    assert err.startswith("parse error:") and "non-finite" in err
+
+
 # --- relations / rank / table1 ----------------------------------------------
 
 
@@ -270,6 +277,34 @@ def test_table1_budget_exit_4(capsys):
     assert code == 4
 
 
+def test_table1_zero_weight_budget_exit_4(capsys):
+    code, out, err = run(capsys, "table1", "--max-weight", "4",
+                         "--budget-max-weight", "0")
+    assert code == 4 and out == ""
+    assert "budget 0" in err
+
+
+def test_relations_zero_row_budget_exit_4(tmp_path, capsys):
+    out_file = tmp_path / "r.json"
+    code, _, err = run(capsys, "relations", "--weight", "5", "--family", "cyclic",
+                       "--budget-max-rows", "0", "--out", str(out_file))
+    assert code == 4
+    assert "exceed the budget 0" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--max-weight", "4", "--budget-max-weight", "-1"],
+    ["relations", "--weight", "5", "--family", "cyclic", "--budget-max-rows", "-1",
+     "--out", "unused.json"],
+    ["eval", "--kind", "mzf", "--s", "2", "--N", "10", "--budget-max-n", "-1"],
+])
+def test_negative_budget_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("parse error:") and "must be >= 0" in err
+
+
 def test_table1_max_weight_below_3_exit_3(capsys):
     code, out, err = run(capsys, "table1", "--max-weight", "2")
     assert code == 3 and out == ""
@@ -358,3 +393,12 @@ def test_decompose_bad_indices_exit_3(capsys):
         "--exponents", "n1_1:1,n1_2:2,n:1",
     )
     assert code == 3
+
+
+def test_decompose_negative_exponent_exit_3(capsys):
+    code, out, err = run(
+        capsys, "decompose", "--shape", "1", "--set", "S_ij", "--i", "1", "--j", "1",
+        "--exponents", "n1_1:-1,n:2",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("parse error:") and "must be >= 0" in err

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,8 +15,12 @@ from cycliczeta.model import (
     ConstraintSystem,
     Shape,
     VarId,
+    build_constraints_S,
+    build_constraints_S_i,
     build_constraints_S_ij,
+    build_constraints_T_i,
 )
+from cycliczeta import series
 from cycliczeta.series import (
     PoleSpec,
     TermSpec,
@@ -173,8 +179,6 @@ def test_engine_property_random_systems(data):
 
 def test_zeta_c_matches_bruteforce():
     s = ComplexArgs(Shape((2, 1)), (1.2 + 0.3j, 2.2, 1.5))
-    from cycliczeta.model import build_constraints_S, build_constraints_S_i
-
     n = 14
     exps = {B(i, j): s[(i, j)] for (i, j) in s.shape.positions()}
     got = eval_zeta_C(s, n).value
@@ -187,69 +191,81 @@ def test_zeta_c_matches_bruteforce():
         assert abs(got - want) < 1e-12
 
 
+# direct tail summation horizon for the open-ended harmonic case
+TAIL_HORIZON = 200_000
+
+
+@functools.lru_cache(maxsize=None)
+def tail_sum(a, m0):
+    """sum of a / (t (t - a)) for m0 <= t < TAIL_HORIZON."""
+    t = np.arange(m0, TAIL_HORIZON, dtype=np.float64)
+    return float(np.sum(a / (t * (t - a))))
+
+
+def brute_harmonic(s, i, j, variant, n):
+    """Outer chain enumerated, inner variable summed directly per point."""
+    shape = s.shape
+    r_i = shape.r[i - 1]
+    if variant == 1 and j < r_i:
+        cs = build_constraints_S(shape)
+
+        def inner(pt):
+            a, b = pt[B(i, j)], pt[B(i, j + 1)]
+            return sum(1.0 / (t - a) for t in range(a + 1, b))
+
+    elif variant == 1:
+        cs = build_constraints_T_i(shape, i)
+        prev = shape.wrap_block(i - 1)
+
+        def inner(pt):
+            a = pt[B(i, r_i)]
+            return tail_sum(a, max(a + 1, pt[B(prev, 1)]))
+
+    elif j == 1:
+        nxt = shape.wrap_block(i + 1)
+        cs = build_constraints_T_i(shape, nxt)
+
+        def inner(pt):
+            c = pt[B(i, 1)]
+            top = pt[B(nxt, shape.r[nxt - 1])]
+            return sum(1.0 / (c - t) for t in range(1, min(c - 1, top) + 1))
+
+    else:
+        cs = build_constraints_S(shape)
+
+        def inner(pt):
+            a, b = pt[B(i, j - 1)], pt[B(i, j)]
+            return sum(1.0 / (b - t) for t in range(a + 1, b))
+
+    want = 0j
+    for pt in lattice_points(cs, n):
+        w = 1.0 + 0j
+        for (bi, bj) in shape.positions():
+            w *= pt[B(bi, bj)] ** (-complex(s[(bi, bj)]))
+        want += w * inner(pt)
+    return want
+
+
+def harmonic_tolerance(s, i, j, variant):
+    # the open-ended case is cut at the tail horizon
+    return 2e-5 if (variant == 1 and j == s.shape.r[i - 1]) else 1e-11
+
+
 def test_harmonic_path_matches_bruteforce():
-    """Outer chain enumerated, inner variable summed exactly per point."""
     cases = [
         (Shape((2,)), (1.5, 2.5)),
         (Shape((2, 1)), (1.2, 2.2, 1.5)),
         (Shape((1, 1)), (1.5, 1.6)),
     ]
     n = 10
-    big = 200_000  # direct tail summation horizon for the open-ended case
     for shape, vals in cases:
         s = ComplexArgs(shape, vals)
-        from cycliczeta.model import build_constraints_S, build_constraints_T_i
-
-        for i in range(1, shape.d + 1):
-            r_i = shape.r[i - 1]
-            for j in range(1, r_i + 1):
-                for variant in (1, 2):
-                    got = eval_zeta_tilde_harmonic(s, i, j, variant, n).value
-                    # independent: enumerate outer points, sum n directly
-                    if variant == 1 and j < r_i:
-                        cs = build_constraints_S(shape)
-
-                        def inner(pt):
-                            a, b = pt[B(i, j)], pt[B(i, j + 1)]
-                            return sum(1.0 / (t - a) for t in range(a + 1, b))
-
-                    elif variant == 1:
-                        cs = build_constraints_T_i(shape, i)
-                        prev = shape.wrap_block(i - 1)
-
-                        def inner(pt, prev=prev):
-                            a = pt[B(i, r_i)]
-                            m0 = max(a + 1, pt[B(prev, 1)])
-                            return sum(
-                                a / (t * (t - a)) for t in range(m0, big)
-                            )
-
-                    elif j == 1:
-                        nxt = shape.wrap_block(i + 1)
-                        cs = build_constraints_T_i(shape, nxt)
-
-                        def inner(pt, nxt=nxt):
-                            c = pt[B(i, 1)]
-                            top = pt[B(nxt, shape.r[nxt - 1])]
-                            return sum(
-                                1.0 / (c - t) for t in range(1, min(c - 1, top) + 1)
-                            )
-
-                    else:
-                        cs = build_constraints_S(shape)
-
-                        def inner(pt):
-                            a, b = pt[B(i, j - 1)], pt[B(i, j)]
-                            return sum(1.0 / (b - t) for t in range(a + 1, b))
-
-                    want = 0j
-                    for pt in lattice_points(cs, n):
-                        w = 1.0 + 0j
-                        for (bi, bj) in shape.positions():
-                            w *= pt[B(bi, bj)] ** (-complex(s[(bi, bj)]))
-                        want += w * inner(pt)
-                    tol = 2e-5 if (variant == 1 and j == r_i) else 1e-11
-                    assert abs(got - want) < tol, (shape, i, j, variant)
+        for i, j in shape.positions():
+            for variant in (1, 2):
+                got = eval_zeta_tilde_harmonic(s, i, j, variant, n).value
+                want = brute_harmonic(s, i, j, variant, n)
+                assert abs(got - want) < harmonic_tolerance(s, i, j, variant), (
+                    shape, i, j, variant)
 
 
 # --- spec examples for the named series -------------------------------------
@@ -387,7 +403,6 @@ def test_numeric_oracle_engine_matches_decomposition():
     # generic engine vs. symbol-wise partial sums of the exact decomposition:
     # identical at every matched box cutoff up to rounding
     from cycliczeta.decompose import decompose_to_mzv
-    from cycliczeta.model import build_constraints_S_i
     from cycliczeta.series import combo_partial_sum
 
     cases = [
@@ -471,3 +486,157 @@ def test_report_serialization():
     assert obj["cutoff"] == 100
     assert len(obj["refinements"]) == 2
     assert isinstance(obj["value"][0], float)
+
+
+# --- one pass for every cutoff ------------------------------------------------
+
+# Cutoffs around the edges of segments of 3 values (3 and 6 are edges; the
+# report also asks for 8 // 2 = 4).
+STREAM_PLAN = TruncationPlan(8, refinements=(1, 2, 3, 5, 6, 8))
+SHAPE_21 = ComplexArgs(Shape((2, 1)), (1.2 + 0.3j, 2.2 - 0.1j, 1.5 + 0.2j))
+
+
+def brute_nested(vals, n):
+    total = 0j
+    for pt in itertools.combinations(range(1, n + 1), len(vals)):
+        term = 1.0 + 0j
+        for x, e in zip(pt, vals):
+            term *= x ** (-complex(e))
+        total += term
+    return total
+
+
+def brute_tilde(s, i, j, variant, n):
+    exps = {B(a, b): s[(a, b)] for (a, b) in s.shape.positions()}
+    exps[EXTRA] = 0
+    cs = build_constraints_S_ij(s.shape, i, j)
+    delta = 1 if j == s.shape.r[i - 1] else 0
+    halves = {1: (delta, delta), 2: (s[(i, j)], s[(i, j)])}
+    if variant == "diff":
+        return brute_tilde(s, i, j, 1, n) - brute_tilde(s, i, j, 2, n)
+    ne, de = halves[variant]
+    return brute_term_sum(cs, exps, n, pole=(B(i, j), EXTRA, ne, de))
+
+
+def brute_window(s, i, n):
+    exps = {B(a, b): s[(a, b)] for (a, b) in s.shape.positions()}
+    if i is None:
+        return brute_term_sum(build_constraints_S(s.shape), exps, n)
+    exps[EXTRA] = 1
+    return brute_term_sum(build_constraints_S_i(s.shape, i), exps, n)
+
+
+def assert_refinements(rep, want, tol=1e-12):
+    for n, got in rep.refinements:
+        assert abs(got - want(n)) < tol, n
+    assert abs(rep.residual - abs(rep.value - want(rep.cutoff // 2))) < tol
+
+
+def test_segmented_stream_matches_bruteforce(monkeypatch):
+    monkeypatch.setattr(series, "_SEGMENT", 3)
+    s, plan = SHAPE_21, STREAM_PLAN
+    for i, j in s.shape.positions():
+        for variant in (1, 2, "diff"):
+            assert_refinements(eval_zeta_tilde(s, i, j, variant, plan),
+                               lambda n: brute_tilde(s, i, j, variant, n))
+        for variant in (1, 2):
+            assert_refinements(eval_zeta_tilde_harmonic(s, i, j, variant, plan),
+                               lambda n: brute_harmonic(s, i, j, variant, n),
+                               tol=harmonic_tolerance(s, i, j, variant))
+    assert_refinements(eval_zeta_C(s, plan), lambda n: brute_window(s, None, n))
+    for i in (1, 2):
+        assert_refinements(eval_zeta_C_i(s, i, plan), lambda n: brute_window(s, i, n))
+
+    rep = eval_theorem_residual(s, plan)
+    for n, lhs, rhs, q in rep.refinements:
+        want_lhs = sum(brute_tilde(s, i, j, "diff", n) for i, j in s.shape.positions())
+        want_rhs = sum(brute_window(s, i, n) for i in (1, 2))
+        assert abs(lhs - want_lhs) < 1e-12 and abs(rhs - want_rhs) < 1e-12, n
+        assert q == abs(lhs - rhs)
+
+    vals = [1.5 + 0.5j, 2.0 - 0.3j, 1.2]
+    assert_refinements(eval_mzf(vals, plan), lambda n: brute_nested(vals, n))
+
+    # a pole beside plain levels: x < y <= z with the pole on (x, y)
+    x, y, z = B(1, 1), B(1, 2), B(1, 3)
+    cs = ConstraintSystem(Shape((3,)), False,
+                          (Constraint(x, "<", y), Constraint(y, "<=", z)))
+    exps = {x: 1.1 + 0.2j, y: 0.7, z: 1.3 - 0.4j}
+    term = TermSpec(exps, pole=PoleSpec(x, y, 1, 0.5 + 0.1j))
+    assert_refinements(eval_constrained_sum(cs, term, plan),
+                       lambda n: brute_term_sum(cs, exps, n, pole=(x, y, 1, 0.5 + 0.1j)))
+    assert_refinements(eval_constrained_sum(cs, TermSpec(exps), plan),
+                       lambda n: brute_term_sum(cs, exps, n))
+
+
+@pytest.mark.parametrize("segment", [3, 1 << 16])
+def test_refinements_equal_single_cutoff_calls(monkeypatch, segment):
+    """Every cutoff read off the one pass is bit-identical to a separate
+    evaluation at that cutoff, for plain and coupled chains alike (coupled
+    cutoffs straddle and hit the 256-row chunk edges)."""
+    monkeypatch.setattr(series, "_SEGMENT", segment)
+    s, s3 = SHAPE_21, ComplexArgs(Shape((1, 1, 1)), (1.5 + 0.1j, 1.4 + 0.2j, 1.6))
+
+    def check(fn, ns):
+        rep = fn(TruncationPlan(ns[-1], refinements=ns))
+        for n, v in rep.refinements:
+            assert v == fn(n).value, n
+        assert rep.residual == abs(rep.value - fn(ns[-1] // 2).value)
+
+    plain = (1, 2, 3, 7, 9, 40)
+    check(lambda p: eval_zeta_C(s, p), plain)
+    check(lambda p: eval_zeta_C_i(s, 1, p), plain)
+    check(lambda p: eval_mzf([1.5 + 0.5j, 2.0 - 0.3j, 1.2], p), plain)
+    coupled = (1, 2, 255, 256, 257, 300, 513, 520)
+    check(lambda p: eval_zeta_tilde(s3, 2, 1, "diff", p), coupled)
+    check(lambda p: eval_zeta_tilde(s, 1, 2, 1, p), coupled)
+    check(lambda p: eval_zeta_tilde_harmonic(s, 2, 1, 1, p), coupled)
+    check(lambda p: eval_zeta_tilde_harmonic(s, 1, 1, 2, p), coupled)
+
+    rep = eval_theorem_residual(s, TruncationPlan(257, refinements=(2, 256, 257)))
+    for n, lhs, rhs, q in rep.refinements:
+        single = eval_theorem_residual(s, n)
+        assert (lhs, rhs, q) == (single.lhs, single.rhs, single.residual), n
+
+
+def test_mzf_stable_across_segment_sizes(monkeypatch):
+    vals = [1.5 + 0.4j, 1.5 - 0.2j, 2.0]
+    got = []
+    for segment in (1 << 16, 4099, 999_983):
+        monkeypatch.setattr(series, "_SEGMENT", segment)
+        got.append(eval_mzf(vals, 200_001).value)
+    assert all(abs(v - got[0]) <= 1e-12 * abs(got[0]) for v in got[1:])
+
+
+def test_conjugation_exact_across_segments(monkeypatch):
+    m1 = eval_mzf([2 + 1j, 1.5 - 0.5j], 200_001).value  # four segments
+    m2 = eval_mzf([2 - 1j, 1.5 + 0.5j], 200_001).value
+    assert m1 == m2.conjugate()
+    monkeypatch.setattr(series, "_SEGMENT", 7)
+    s = SHAPE_21
+    plan = TruncationPlan(60, refinements=(13, 14, 60))
+    for fn in (lambda a: eval_zeta_C(a, plan),
+               lambda a: eval_zeta_C_i(a, 2, plan),
+               lambda a: eval_zeta_tilde_harmonic(a, 2, 1, 1, plan)):
+        r1, r2 = fn(s), fn(s.conjugate())
+        assert r1.value == r2.value.conjugate()
+        assert all(v == w.conjugate()
+                   for (_, v), (_, w) in zip(r1.refinements, r2.refinements))
+
+
+def test_cutoff_one():
+    s = SHAPE_21
+    assert eval_mzf([2 + 1j], 1).value == 1
+    assert eval_mzf([2 + 1j, 3], 1).value == 0
+    for i, j in s.shape.positions():
+        assert eval_zeta_tilde(s, i, j, "diff", 1).value == 0
+        for variant in (1, 2):
+            got = eval_zeta_tilde_harmonic(s, i, j, variant, 1).value
+            assert abs(got - brute_harmonic(s, i, j, variant, 1)) < 2e-5
+    for i in (None, 1, 2):
+        rep = eval_zeta_C(s, 1) if i is None else eval_zeta_C_i(s, i, 1)
+        assert abs(rep.value - brute_window(s, i, 1)) < 1e-15
+        assert rep.residual == abs(rep.value)
+    rep = eval_theorem_residual(s, TruncationPlan(1, refinements=(1,)))
+    assert rep.lhs == 0 and rep.refinements == [(1, rep.lhs, rep.rhs, rep.residual)]
+
