@@ -570,6 +570,8 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
     if args.count:
         if args.N is None:
             raise ParseError("--count needs --N")
+        if args.N < 0:
+            raise ParseError(f"--N must be >= 0, got {args.N}")
         n = count_lattice_points(cs, args.N)
         if cfg.out_format == "json":
             _emit(json.dumps({"count": n, "N": args.N,

@@ -5,9 +5,16 @@ Every sum here is a box truncation: each summation variable runs over
 constraint system (the same split the exact decomposer uses) and each
 totally ordered chain is evaluated by prefix cumulative sums.  A term may
 couple two variables, either through the pole factor
-a^p / (b^q (b - a)) or through a harmonic-range factor; coupled chains
-cost O(N^2) and are evaluated in fixed-size chunks with a fixed reduction
-order, so results are bit-reproducible.
+a^p / (b^q (b - a)) or through a harmonic-range factor.  Every coupling is
+a short sum of separable cell terms coeff * L(u) * R(w) * K(w - u) over
+value pairs u < w, with K a Toeplitz kernel (1/d, 1 or H(d - 1); see
+couplings.py), and the plain levels between the coupled pair split into
+separable prefix sums by Chen's identity.  So a coupled chain is a few real
+Toeplitz tile products of fixed shape, (rows x 256) @ (256 x 256), taken
+in a fixed order: no transcendental or complex division per cell, and
+bit-reproducible results.  The double series sum m^-a n^-b (m + n)^-c is
+one convolution per cutoff, taken with real transforms of the real and
+imaginary parts.
 
 A box truncation at n keeps exactly the terms whose largest value is at
 most n, so every evaluator makes one pass at its largest cutoff and reads
@@ -32,11 +39,24 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .couplings import (
+    Kernel,
+    Term,
+    cpow,
+    harmonic_gap,
+    harmonic_table,
+    harmonic_wrap_1,
+    harmonic_wrap_2,
+    kernel_tiles,
+    mul,
+    pole_coupling,
+    toeplitz_rows,
+)
 from .decompose import weak_orders
 from .errors import BudgetError, DomainError, InternalInvariantError
 from .model import (
@@ -56,7 +76,6 @@ from .model import (
 
 COUPLED_CUTOFF_CAP = 5000
 CHAIN_CUTOFF_CAP = 20_000_000
-_CHUNK = 256
 # Plain chains are streamed over segments of this many values.
 _SEGMENT = 1 << 16
 
@@ -161,24 +180,9 @@ def _as_plan(plan) -> TruncationPlan:
 # ---------------------------------------------------------------------------
 
 
-def _cpow(vals: np.ndarray, e: complex) -> np.ndarray:
-    """vals**e for positive vals, conjugation-symmetric in e."""
-    e = complex(e)
-    if e == 0:
-        return np.ones_like(np.asarray(vals, dtype=np.float64))
-    if e.imag == 0.0:
-        return np.asarray(vals, dtype=np.float64) ** e.real
-    v = np.asarray(vals, dtype=np.float64)
-    ln = np.log(v)
-    mag = v**e.real
-    aa = abs(e.imag) * ln
-    sgn = 1.0 if e.imag > 0 else -1.0
-    return mag * (np.cos(aa) + 1j * sgn * np.sin(aa))
-
-
 def _pow_vec(n_max: int, s: complex, start: int = 0) -> np.ndarray:
     """[start+1..n_max]^(-s)."""
-    return _cpow(np.arange(start + 1, n_max + 1, dtype=np.float64), -complex(s))
+    return cpow(np.arange(start + 1, n_max + 1, dtype=np.float64), -complex(s))
 
 
 def _power_table(n_max: int, start: int = 0) -> Callable[[complex], np.ndarray]:
@@ -208,27 +212,9 @@ def harmonic_range(a: int, b: int) -> float:
     return harmonic_number(b) - harmonic_number(a - 1)
 
 
-def _harmonic_table(n_max: int) -> np.ndarray:
-    """H(0..n_max) as a lookup vector."""
-    return np.concatenate(
-        ([0.0], np.cumsum(1.0 / np.arange(1, n_max + 1, dtype=np.float64)))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Chain evaluation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Coupling:
-    """A factor tying the values of two variables; fn(a_vals, b_vals) must
-    broadcast. allow_tie=False marks factors that are singular on ties."""
-
-    var_a: VarId
-    var_b: VarId
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    allow_tie: bool = True
 
 
 def _shift_prefix(c: np.ndarray) -> np.ndarray:
@@ -239,7 +225,7 @@ def _shift_prefix(c: np.ndarray) -> np.ndarray:
 
 
 # A plain chain: its level exponents, bottom to top, and an optional extra
-# per-value factor (level, fn) applied as fn(x, x) on that level.
+# per-value factor (level, fn) applied as fn(x) on that level.
 _Plain = tuple[Sequence[complex], Optional[tuple[int, Callable]]]
 
 
@@ -267,7 +253,7 @@ def _chain_plain(chains: Sequence[_Plain],
             for l, e in enumerate(exps):
                 g = power(e)
                 if weight is not None and weight[0] == l:
-                    g = g * weight[1](x, x)
+                    g = g * weight[1](x)
                 if run is not None:
                     pre = np.empty(s1 - s0 + 1, dtype=run.dtype)
                     pre[0] = carry[l - 1]
@@ -287,60 +273,61 @@ def _chain_plain(chains: Sequence[_Plain],
 
 
 def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
-                   members: list[tuple[complex, Callable]],
-                   power: Callable[[complex], np.ndarray]) -> np.ndarray:
+                   members: Sequence[Term],
+                   power: Callable[[complex], np.ndarray],
+                   tiles: Callable[[Kernel, int], np.ndarray]) -> np.ndarray:
     """Coupled chain by top value: entry w-1 is the sum over the chains
-    whose top level takes the value w.  Levels p < q carry cell factors
-    f(u, w) summed over value pairs u < w; the levels below p, between p
-    and q, and above q are plain.  power(e) is [1..n_max]^(-e).
+    whose top level takes the value w.  Levels p < q carry the cell terms
+    coeff L(u) R(w) K(w - u) summed over value pairs u < w; the levels
+    below p, between p and q, and above q are plain.  power(e) is
+    [1..n_max]^(-e) and tiles(K, nb) the Toeplitz tiles of K.
 
-    The cells are summed over u in chunks of rows, column by column, and
-    the levels above q run as a prefix chain over the column sums, so the
-    sum of the first n entries is the chain truncated at n.
+    The m levels between p and q split by Chen's identity,
+        sum_{u < x_1 < ... < x_m < w} = sum_k (-1)^k A_k(u) B_k(w),
+    with A_k(u) over u >= x_1 >= ... >= x_k >= 1 and B_k(w) over
+    x_{k+1} < ... < x_m < w, so every term is separable: its rows
+    coeff g_a L A_k go through the Toeplitz tile products of K, and each
+    row's columns are weighted by (-1)^k R B_k.  The first n entries are
+    bit-identical to a call at cutoff n.  The levels above q run as a
+    prefix chain over the column sums.
     """
     t = len(exps)
     run = None
     for l in range(p):
         g = power(exps[l])
         run = g if run is None else g * _shift_prefix(run)
-    a_pref = _shift_prefix(run) if run is not None else np.ones(n_max)
-    g_a = power(exps[p]) * a_pref
+    g_a = mul(power(exps[p]), None if run is None else _shift_prefix(run))
 
     mids = [power(exps[l]) for l in range(p + 1, q)]
-    cums = np.cumsum(mids[0]) if mids else None
+    lows: list[Optional[np.ndarray]] = [None]  # A_0 = 1
+    for k in range(1, len(mids) + 1):
+        acc = np.cumsum(mids[k - 1])
+        for g in reversed(mids[:k - 1]):
+            acc = np.cumsum(g * acc)
+        lows.append(acc)
+    highs: list[Optional[np.ndarray]] = []
+    for k in range(len(mids)):
+        acc = mids[k]
+        for g in mids[k + 1:]:
+            acc = g * _shift_prefix(acc)
+        highs.append(_shift_prefix(acc))
+    highs.append(None)  # B_m = 1
+
     vals = np.arange(1, n_max + 1, dtype=np.float64)
-    upper = np.arange(_CHUNK)[None, :] > np.arange(_CHUNK)[:, None]
+    groups: dict[Kernel, list] = {}
+    for term in members:
+        x = mul(term.coeff * g_a, term.left and term.left(vals))
+        right = term.right and term.right(vals)
+        for k, (low, high) in enumerate(zip(lows, highs)):
+            groups.setdefault(term.kernel, []).append(
+                (mul(x, low), mul(right, high), k % 2))
+
     col = np.zeros(n_max, dtype=complex)
-    for u0 in range(0, n_max, _CHUNK):
-        u1 = min(u0 + _CHUNK, n_max)
-        rows = u1 - u0
-        # Cells u < w only exist in the columns w >= u0, and only the
-        # leading rows x rows square holds cells with w <= u.
-        tri = upper[:rows, :rows]
-        b_mid = None
-        for l, g in enumerate(mids):
-            if l == 0:
-                b_mid = cums[None, u0:] - cums[u0:u1, None]
-                b_mid[:, :rows] = np.where(tri, b_mid[:, :rows], 0)
-            else:
-                sh = np.concatenate(
-                    [np.zeros((rows, 1), dtype=b_mid.dtype), b_mid[:, :-1]], axis=1
-                )
-                b_mid = np.cumsum(g[None, u0:] * sh, axis=1)
-        if b_mid is not None:
-            b_mid = np.concatenate(
-                [np.zeros((rows, 1), dtype=b_mid.dtype), b_mid[:, :-1]], axis=1
-            )
-        with np.errstate(all="ignore"):
-            cells = None
-            for coeff, fn in members:
-                f = coeff * fn(vals[u0:u1, None], vals[None, u0:])
-                cells = f if cells is None else cells + f
-            block = g_a[u0:u1, None] * cells
-            if b_mid is not None:
-                block = block * b_mid
-        block[:, :rows] = np.where(tri, block[:, :rows], 0)
-        col[u0:] += block.sum(axis=0)
+    for kernel, group in groups.items():
+        ys = toeplitz_rows([x for x, _, _ in group], kernel, tiles)
+        for y, (_, weight, odd) in zip(ys, group):
+            y = mul(y, weight)
+            col = col - y if odd else col + y
 
     run = power(exps[q]) * col
     for l in range(q + 1, t):
@@ -350,15 +337,15 @@ def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
 
 def _split_order(osp, exps: Mapping[VarId, complex], pieces):
     """One weak order's summand: its level exponents, the coefficient of
-    the uncoupled chain, the tied couplings (coeff, level, fn) and the
-    couplings between levels p < q grouped by (p, q)."""
+    the uncoupled chain, the tied couplings (coeff, level, fn) and the cell
+    terms between levels p < q grouped by (p, q)."""
     levels = osp.levels
     level_of = {v: l for l, lvl in enumerate(levels) for v in lvl}
     level_exps = [sum((complex(exps.get(v, 0)) for v in lvl), 0j) for lvl in levels]
 
     plain_coeff = 0j
     diag: list[tuple[complex, int, Callable]] = []
-    groups: dict[tuple[int, int], list[tuple[complex, Callable]]] = {}
+    groups: dict[tuple[int, int], list[Term]] = {}
     for coeff, cp in pieces:
         if cp is None:
             plain_coeff += coeff
@@ -369,22 +356,23 @@ def _split_order(osp, exps: Mapping[VarId, complex], pieces):
                 raise InternalInvariantError(
                     f"singular coupling between tied variables {cp.var_a}, {cp.var_b}"
                 )
-            diag.append((coeff, la, cp.fn))
-        elif la < lb:
-            groups.setdefault((la, lb), []).append((coeff, cp.fn))
-        else:
-            fn = cp.fn
-            groups.setdefault((lb, la), []).append(
-                (coeff, lambda u, w, _f=fn: _f(w, u))
+            diag.append((coeff, la, cp.tie))
+            continue
+        terms = cp.below if la < lb else cp.above
+        if terms:
+            groups.setdefault((min(la, lb), max(la, lb)), []).extend(
+                t._replace(coeff=coeff * t.coeff) for t in terms
             )
     return level_exps, plain_coeff, diag, sorted(groups.items())
 
 
-def _eval_system(cs: ConstraintSystem, exps, pieces,
-                 cutoffs: Sequence[int]) -> list[complex]:
+def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
+                 tiles: Callable[[Kernel, int], np.ndarray] | None = None
+                 ) -> list[complex]:
     """The constrained sum at every cutoff (all >= 1): the plain chains of
     every weak order share one streamed pass, each coupled chain is
-    evaluated once at the largest cutoff."""
+    evaluated once at the largest cutoff.  tiles may be shared by systems
+    evaluated at the same cutoffs."""
     orders = [_split_order(osp, exps, pieces) for osp in weak_orders(cs)]
     chains: list[_Plain] = []
     for level_exps, plain_coeff, diag, _ in orders:
@@ -394,6 +382,7 @@ def _eval_system(cs: ConstraintSystem, exps, pieces,
     plain = iter(_chain_plain(chains, cutoffs))
     top = max(cutoffs)
     power = _power_table(top)
+    tiles = tiles or kernel_tiles()
 
     totals = [0j] * len(cutoffs)
     for level_exps, plain_coeff, diag, groups in orders:
@@ -403,7 +392,7 @@ def _eval_system(cs: ConstraintSystem, exps, pieces,
         for coeff, _, _ in diag:
             order = [a + coeff * v for a, v in zip(order, next(plain))]
         for (p, q), members in groups:
-            run = _chain_coupled(level_exps, top, p, q, members, power)
+            run = _chain_coupled(level_exps, top, p, q, members, power, tiles)
             order = [a + complex(run[:n].sum()) for a, n in zip(order, cutoffs)]
         totals = [a + v for a, v in zip(totals, order)]
     return totals
@@ -439,22 +428,12 @@ def _make_report(evalfn: Callable[[tuple[int, ...]], Sequence[complex]],
 # ---------------------------------------------------------------------------
 
 
-def _pole_factor(num_exp: complex, den_exp: complex) -> Callable:
-    """The cell factor a^num_exp / (b^den_exp (b - a))."""
-    num_exp, den_exp = complex(num_exp), complex(den_exp)
-
-    def fn(a, b):
-        return _cpow(a, num_exp) * _cpow(b, -den_exp) / (b - a)
-
-    return fn
-
-
 def _pole_pieces(term: TermSpec):
     if term.pole is None:
         return [(1.0, None)]
     pole = term.pole
-    fn = _pole_factor(pole.num_exp, pole.den_exp)
-    return [(1.0, _Coupling(pole.num_var, pole.den_var, fn, allow_tie=False))]
+    return [(1.0, pole_coupling(pole.num_var, pole.den_var,
+                                 pole.num_exp, pole.den_exp))]
 
 
 def eval_constrained_sum(cs: ConstraintSystem, term: TermSpec, plan,
@@ -502,8 +481,8 @@ def _tilde_pieces(s: ComplexArgs, i: int, j: int, variant) -> list:
     r_i = s.shape.r[i - 1]
     delta = 1 if j == r_i else 0
     x = VarId.block(i, j)
-    c1 = _Coupling(x, EXTRA, _pole_factor(delta, delta), allow_tie=False)
-    c2 = _Coupling(x, EXTRA, _pole_factor(s[(i, j)], s[(i, j)]), allow_tie=False)
+    c1 = pole_coupling(x, EXTRA, delta, delta)
+    c2 = pole_coupling(x, EXTRA, s[(i, j)], s[(i, j)])
     if variant in (1, "1"):
         return [(1.0, c1)]
     if variant in (2, "2"):
@@ -533,45 +512,25 @@ def eval_zeta_tilde(s: ComplexArgs, i: int, j: int, variant, plan,
     return _make_report(lambda ns: _eval_system(cs, exps, pieces, ns), plan)
 
 
-# Harmonic-range kernels k(hn, a, b) over integer-valued value arrays, with
-# hn = H(0..N) at the largest cutoff N >= a, b; no index leaves the table.
-
-
-def _harmonic_gap(hn, a, b):
-    """H(b - a - 1), and 0 when a >= b - 1."""
-    return hn[np.maximum(b - a - 1, 0).astype(np.int64)]
-
-
-def _harmonic_wrap_1(hn, a, b):
-    """H(max(b, a - 1)) - H(max(a - b - 1, 0))."""
-    ai, bi = a.astype(np.int64), b.astype(np.int64)
-    return hn[np.maximum(bi, ai - 1)] - hn[np.maximum(ai - bi - 1, 0)]
-
-
-def _harmonic_wrap_2(hn, a, b):
-    """H(a - 1) - H(max(a - b - 1, 0))."""
-    ai, bi = a.astype(np.int64), b.astype(np.int64)
-    return hn[ai - 1] - hn[np.maximum(ai - bi - 1, 0)]
-
-
 def _tilde_harmonic_setup(s: ComplexArgs, i: int, j: int, variant):
-    """Outer system, coupled pair and harmonic kernel for the closed-form path."""
+    """Outer system, coupled pair and harmonic coupling for the closed-form
+    path."""
     shape = s.shape
     r_i = shape.r[i - 1]
     if variant in (1, "1"):
         if j < r_i:
             return (build_constraints_S(shape), VarId.block(i, j),
-                    VarId.block(i, j + 1), _harmonic_gap)
+                    VarId.block(i, j + 1), harmonic_gap)
         prev = shape.wrap_block(i - 1)
         return (build_constraints_T_i(shape, i), VarId.block(prev, 1),
-                VarId.block(i, r_i), _harmonic_wrap_1)
+                VarId.block(i, r_i), harmonic_wrap_1)
     if variant in (2, "2"):
         if j == 1:
             nxt = shape.wrap_block(i + 1)
             return (build_constraints_T_i(shape, nxt), VarId.block(i, 1),
-                    VarId.block(nxt, shape.r[nxt - 1]), _harmonic_wrap_2)
+                    VarId.block(nxt, shape.r[nxt - 1]), harmonic_wrap_2)
         return (build_constraints_S(shape), VarId.block(i, j - 1),
-                VarId.block(i, j), _harmonic_gap)
+                VarId.block(i, j), harmonic_gap)
     raise ValueError(f"harmonic path supports variants 1 and 2, not {variant!r}")
 
 
@@ -586,11 +545,11 @@ def eval_zeta_tilde_harmonic(s: ComplexArgs, i: int, j: int, variant, plan,
         raise ValueError(f"position ({i},{j}) out of range for shape {shape}")
     _require_w(s, enforce_domain)
     _check_budget(plan, True, max_cutoff)
-    cs, va, vb, kernel = _tilde_harmonic_setup(s, i, j, variant)
+    cs, va, vb, coupling = _tilde_harmonic_setup(s, i, j, variant)
     exps = _block_exponents(s)
 
     def evalfn(ns: tuple[int, ...]) -> list[complex]:
-        pieces = [(1.0, _Coupling(va, vb, partial(kernel, _harmonic_table(ns[-1]))))]
+        pieces = [(1.0, coupling(va, vb, harmonic_table(ns[-1])))]
         return _eval_system(cs, exps, pieces, ns)
 
     return _make_report(evalfn, plan)
@@ -642,9 +601,10 @@ def eval_theorem_residual(s: ComplexArgs, plan, *, enforce_domain: bool = True,
     exps_c = _block_exponents(s, extra=1)
 
     ns = tuple(sorted({plan.cutoff, *(plan.refinements or ())}))
+    tiles = kernel_tiles()
     lhs = [0j] * len(ns)
     for cs, pieces in tilde:
-        lhs = [a + v for a, v in zip(lhs, _eval_system(cs, exps_t, pieces, ns))]
+        lhs = [a + v for a, v in zip(lhs, _eval_system(cs, exps_t, pieces, ns, tiles))]
     rhs = [0j] * len(ns)
     for cs in cees:
         rhs = [a + v for a, v in zip(rhs, _eval_system(cs, exps_c, [(1.0, None)], ns))]
@@ -713,16 +673,17 @@ def eval_mordell_tornheim(s1: complex, s2: complex, s3: complex, plan,
     _check_budget(plan, True, max_cutoff)
 
     def evalfn(n: int) -> complex:
-        pn = _pow_vec(n, s2)
-        vals = np.arange(1, n + 1, dtype=np.float64)
-        total = 0j
-        for m0 in range(0, n, _CHUNK):
-            m1 = min(m0 + _CHUNK, n)
-            pm = _pow_vec(n, s1)[m0:m1]
-            mn = vals[m0:m1, None] + vals[None, :]
-            block = pm[:, None] * (pn[None, :] * _cpow(mn, -s3))
-            total += complex(block.sum())
-        return total
+        # conv[k - 2] = sum over m + n = k (m, n <= N) of m^-s1 n^-s2, from
+        # real transforms of the real and imaginary parts: negating an
+        # input negates its transform exactly, so conjugation stays exact.
+        size = 2 * n
+        a, b = _pow_vec(n, s1), _pow_vec(n, s2)
+        ar, ai = (np.fft.rfft(v, size) for v in (a.real, a.imag))
+        br, bi = (np.fft.rfft(v, size) for v in (b.real, b.imag))
+        conv = np.empty(size - 1, dtype=complex)
+        conv.real = np.fft.irfft(ar * br - ai * bi, size)[:size - 1]
+        conv.imag = np.fft.irfft(ar * bi + ai * br, size)[:size - 1]
+        return complex((conv * _pow_vec(size, s3)[1:]).sum())
 
     return _make_report(lambda ns: [evalfn(n) for n in ns], plan)
 

@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycliczeta import relations as rel_mod
 from cycliczeta.cli import main
@@ -402,3 +408,72 @@ def test_decompose_negative_exponent_exit_3(capsys):
     )
     assert code == 3 and out == ""
     assert err.startswith("parse error:") and "must be >= 0" in err
+
+
+def test_decompose_count_negative_n_exit_3(capsys):
+    code, out, err = run(
+        capsys, "decompose", "--shape", "1", "--set", "S_i", "--i", "1",
+        "--count", "--N", "-3",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("parse error:") and "--N must be >= 0" in err
+
+
+# --- fuzzed argument lists ---------------------------------------------------
+
+INT = st.integers(-3, 50).map(str)
+WEIGHT = st.integers(-1, 5).map(str)
+JUNK = st.sampled_from(["", "x", "nan", "1e400", "2.5", "1,2", ";", "--"])
+SHAPE = st.sampled_from(["1", "2", "1,1", "2,1", "1;1", "0", "-1", "a"])
+COMPLEX = st.sampled_from(["2+0i", "1.5+0.5i", "3", "0.5", "1.5,2.5", "1.5;1.6",
+                           "1.2,2.2;1.5", "2-1i,1,1", "1e400", "nan", "x", ""])
+N_LIST = st.lists(st.integers(-2, 50), max_size=3).map(lambda v: ",".join(map(str, v)))
+EXPONENTS = st.sampled_from(["n1_1:1,n:2", "n1_1:2 n:1", "n1_1:0,n2_1:0",
+                             "n1_1:1,n1_2:2,n2_1:2,n:1", "n1_1:-1,n:2", "n:x", "q:1", ""])
+FAMILY = st.sampled_from(["csf", "derivation", "cyclic", "bogus"])
+BOOL = st.sampled_from(["true", "0", "maybe"])
+# Paths inside the example's own directory: {tmp} is filled in per example.
+PATH = st.sampled_from(["{tmp}/set.json", "{tmp}/missing.json", "{tmp}/junk.json", "{tmp}"])
+
+OPTIONS = {
+    "eval": [("--kind", st.sampled_from(["mzf", "zeta-tilde", "zeta-c", "mt", "theorem", "z"])),
+             ("--shape", SHAPE), ("--s", COMPLEX), ("--N", INT), ("--N-list", N_LIST),
+             ("--i", INT), ("--j", INT), ("--budget-max-n", INT),
+             ("--variant", st.sampled_from(["1", "2", "diff", "h1", "h2", "3"]))],
+    "domain": [("--shape", SHAPE), ("--s", COMPLEX)],
+    "relations": [("--weight", WEIGHT), ("--family", FAMILY), ("--out", PATH),
+                  ("--include-d1-derivation", BOOL), ("--budget-max-weight", WEIGHT),
+                  ("--budget-max-rows", INT)],
+    "rank": [("--in", PATH)],
+    "table1": [("--max-weight", WEIGHT), ("--families", FAMILY),
+               ("--include-d1-derivation", BOOL), ("--budget-max-weight", WEIGHT),
+               ("--budget-max-rows", INT)],
+    "decompose": [("--shape", SHAPE), ("--set", st.sampled_from(["S", "S_i", "S_ij", "T_i", "U"])),
+                  ("--i", INT), ("--j", INT), ("--exponents", EXPONENTS), ("--count", None),
+                  ("--N", INT)],
+}
+COMMON = [("--format", st.sampled_from(["json", "csv", "text", "xml"])),
+          ("--parallel", st.integers(-1, 2).map(str)), ("--cache-dir", PATH)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_arguments_keep_the_exit_code_contract(data):
+    """Any argument list exits 0, 2, 3, 4 or 5; nothing escapes main."""
+    command = data.draw(st.sampled_from(sorted(OPTIONS)), label="command")
+    argv = [command]
+    for flag, value in data.draw(st.lists(st.sampled_from(OPTIONS[command] + COMMON),
+                                          max_size=7), label="options"):
+        argv.append(flag)
+        if value is not None:
+            argv.append(data.draw(st.one_of(value, JUNK), label=flag))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {}, clear=False):
+        os.environ.pop("MZF_CACHE_DIR", None)
+        Path(tmp, "junk.json").write_text("{not json")
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

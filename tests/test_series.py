@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cycliczeta.model import (
     build_constraints_S_ij,
     build_constraints_T_i,
 )
-from cycliczeta import series
+from cycliczeta import couplings, series
 from cycliczeta.series import (
     PoleSpec,
     TermSpec,
@@ -640,3 +641,161 @@ def test_cutoff_one():
     rep = eval_theorem_residual(s, TruncationPlan(1, refinements=(1,)))
     assert rep.lhs == 0 and rep.refinements == [(1, rep.lhs, rep.rhs, rep.residual)]
 
+
+
+# --- the coupled engine against the elementwise oracle ----------------------
+
+
+def reference_chain_coupled(exps, n_max, p, q, members, power):
+    """Elementwise coupled chain by top value: members are (coeff, fn) with
+    fn(u, w) the cell factor over value arrays, u < w.  The cells are
+    evaluated in chunks of 256 rows and summed column by column; the levels
+    between p and q enter as an explicit (rows x N) prefix-sum matrix."""
+    shift = series._shift_prefix
+    run = None
+    for l in range(p):
+        g = power(exps[l])
+        run = g if run is None else g * shift(run)
+    a_pref = shift(run) if run is not None else np.ones(n_max)
+    g_a = power(exps[p]) * a_pref
+
+    mids = [power(exps[l]) for l in range(p + 1, q)]
+    cums = np.cumsum(mids[0]) if mids else None
+    vals = np.arange(1, n_max + 1, dtype=np.float64)
+    chunk = 256
+    upper = np.arange(chunk)[None, :] > np.arange(chunk)[:, None]
+    col = np.zeros(n_max, dtype=complex)
+    for u0 in range(0, n_max, chunk):
+        u1 = min(u0 + chunk, n_max)
+        rows = u1 - u0
+        tri = upper[:rows, :rows]
+        b_mid = None
+        for l, g in enumerate(mids):
+            if l == 0:
+                b_mid = cums[None, u0:] - cums[u0:u1, None]
+                b_mid[:, :rows] = np.where(tri, b_mid[:, :rows], 0)
+            else:
+                sh = np.concatenate(
+                    [np.zeros((rows, 1), dtype=b_mid.dtype), b_mid[:, :-1]], axis=1
+                )
+                b_mid = np.cumsum(g[None, u0:] * sh, axis=1)
+        if b_mid is not None:
+            b_mid = np.concatenate(
+                [np.zeros((rows, 1), dtype=b_mid.dtype), b_mid[:, :-1]], axis=1
+            )
+        with np.errstate(all="ignore"):
+            cells = None
+            for coeff, fn in members:
+                f = coeff * fn(vals[u0:u1, None], vals[None, u0:])
+                cells = f if cells is None else cells + f
+            block = g_a[u0:u1, None] * cells
+            if b_mid is not None:
+                block = block * b_mid
+        block[:, :rows] = np.where(tri, block[:, :rows], 0)
+        col[u0:] += block.sum(axis=0)
+
+    run = power(exps[q]) * col
+    for l in range(q + 1, len(exps)):
+        run = power(exps[l]) * shift(run)
+    return run
+
+
+# Elementwise cell factors f(a, b) of the couplings, over value arrays.
+
+
+def pole_cell(ne, de):
+    return lambda a, b: couplings.cpow(a, ne) * couplings.cpow(b, -de) / (b - a)
+
+
+def gap_cell(hn):
+    return lambda a, b: hn[np.maximum(b - a - 1, 0).astype(np.int64)]
+
+
+def wrap1_cell(hn):
+    def fn(a, b):
+        ai, bi = a.astype(np.int64), b.astype(np.int64)
+        return hn[np.maximum(bi, ai - 1)] - hn[np.maximum(ai - bi - 1, 0)]
+    return fn
+
+
+def wrap2_cell(hn):
+    def fn(a, b):
+        ai, bi = a.astype(np.int64), b.astype(np.int64)
+        return hn[ai - 1] - hn[np.maximum(ai - bi - 1, 0)]
+    return fn
+
+
+COUPLED_CUTOFFS = (1, 2, 255, 256, 257, 511, 512, 513, 700)
+
+
+def random_exponent(rng):
+    return complex(rng.choice([0.0, 1.0, rng.uniform(0.3, 2.5)]),
+                   rng.choice([0.0, rng.uniform(-1.0, 1.0)]))
+
+
+def random_coupling(rng, kind, hn):
+    """(engine coupling, oracle cell factor f(a, b)) of one kind."""
+    a, b = B(1, 1), B(1, 2)
+    if kind == "pole":
+        ne, de = random_exponent(rng), random_exponent(rng)
+        return couplings.pole_coupling(a, b, ne, de), pole_cell(ne, de)
+    make, cell = {"gap": (couplings.harmonic_gap, gap_cell),
+                  "wrap1": (couplings.harmonic_wrap_1, wrap1_cell),
+                  "wrap2": (couplings.harmonic_wrap_2, wrap2_cell)}[kind]
+    return make(a, b, hn), cell(hn)
+
+
+def oriented(coeff, coupling, cell, below):
+    """Engine terms and oracle member for var_a on the lower (below) or the
+    upper level of the coupled pair."""
+    terms = coupling.below if below else coupling.above
+    fn = cell if below else (lambda u, w, _f=cell: _f(w, u))
+    return [t._replace(coeff=coeff * t.coeff) for t in terms], (coeff, fn)
+
+
+def test_coupled_engine_matches_reference():
+    """Every chain length 2-5, every coupled pair (p, q) (0-3 levels between
+    them), each coupling in both orientations and a mixture of all of them,
+    at cutoffs around the 256-value chunk edges."""
+    rng = random.Random(20201)
+    kinds = [(k, below) for k in ("pole", "gap", "wrap1", "wrap2") for below in (True, False)]
+    case = 0
+    for t in range(2, 6):
+        for p, q in itertools.combinations(range(t), 2):
+            for mix in kinds + [None]:
+                n = COUPLED_CUTOFFS[case % len(COUPLED_CUTOFFS)]
+                case += 1
+                hn = couplings.harmonic_table(n)
+                exps = [complex(rng.uniform(0.5, 2.5), rng.uniform(-1, 1))
+                        for _ in range(t)]
+                terms, members = [], []
+                for kind, below in [mix] if mix else kinds:
+                    coeff = 1.0 if mix else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    coupling, cell = random_coupling(rng, kind, hn)
+                    ts, member = oriented(coeff, coupling, cell, below)
+                    terms += ts
+                    members.append(member)
+                got = series._chain_coupled(exps, n, p, q, terms,
+                                            series._power_table(n),
+                                            couplings.kernel_tiles())
+                want = reference_chain_coupled(exps, n, p, q, members,
+                                               series._power_table(n))
+                err = np.max(np.abs(got - want))
+                assert err <= 1e-11 * np.sum(np.abs(want)), (t, p, q, mix, n, err)
+
+
+def brute_mordell_tornheim(s1, s2, s3, n):
+    return sum(m ** -s1 * k ** -s2 * (m + k) ** -s3
+               for m in range(1, n + 1) for k in range(1, n + 1))
+
+
+def test_mordell_tornheim_matches_double_loop():
+    s1, s2, s3 = 1.5 + 0.4j, 0.8 - 0.3j, 1.2 + 0.2j
+    mt = functools.partial(eval_mordell_tornheim, s1, s2, s3)
+    rep = mt(TruncationPlan(60, refinements=(1, 2, 7, 31, 60)))
+    for n, v in rep.refinements:
+        want = brute_mordell_tornheim(s1, s2, s3, n)
+        assert abs(v - want) <= 1e-13 * abs(want), n
+        assert v == mt(n).value, n
+    assert rep.residual == abs(rep.value - mt(30).value)
+    assert abs(mt(45).value - brute_mordell_tornheim(s1, s2, s3, 45)) <= 1e-13
