@@ -9,13 +9,23 @@ trailing blocks are singleton ones with entry 1 give the derivation
 family.  Stacking the relations of one weight into an integer matrix and
 computing its exact rank reproduces the reference table of independent
 relation counts.
+
+The rank is certified modularly: Gauss-Jordan elimination of the distinct
+rows modulo primes below 2^31 (int64 numpy rows) gives a lower bound, and
+integer kernel vectors recovered from the reduced rows by CRT and rational
+reconstruction, checked exactly against every row, give the matching upper
+bound.  Fraction-free elimination on big integers (`_rank_bareiss`) and
+elimination modulo a big prime (`_rank_mod`) are kept as test oracles.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .decompose import Composition, SymbolCombination, decompose_to_mzv
 from .errors import BudgetError, DomainError, InternalInvariantError, NonAdmissibleError, ParseError
@@ -326,25 +336,178 @@ def _rank_mod(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-_P1 = (1 << 61) - 1
-_P2 = (1 << 64) - 59
+# Primes below 2^31, largest first: a product of two residues fits in int64.
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+           2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
+           2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
+           2147483249)
+
+
+def _distinct_rows(matrix: RelationMatrix) -> list[dict[int, int]]:
+    """Every distinct row, first occurrences in generator order (repeated
+    rows do not change the rank)."""
+    seen: dict[frozenset, dict[int, int]] = {}
+    for row in matrix.rows:
+        seen.setdefault(frozenset(row.items()), row)
+    return list(seen.values())
+
+
+def _rref_mod(rows: list[dict[int, int]], ncols: int, p: int):
+    """Gauss-Jordan elimination modulo a prime p < 2^31, one pivot row at a
+    time against every row that has a nonzero entry in its column.
+
+    Returns the rank, the pivot columns and the reduced rows (rank x ncols
+    int64 residues in [0, p))."""
+    a = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        a[i, list(row)] = [v % p for v in row.values()]
+    rank = 0
+    pivots = []
+    for c in range(ncols):
+        nz = np.flatnonzero(a[rank:, c])
+        if not nz.size:
+            continue
+        k = rank + int(nz[0])
+        if k != rank:
+            a[[rank, k]] = a[[k, rank]]
+        piv = a[rank, c:] * pow(int(a[rank, c]), -1, p) % p
+        a[rank, c:] = piv
+        f = a[:, c].copy()
+        f[rank] = 0
+        hit = np.flatnonzero(f)
+        block = a[hit, c:]
+        block -= f[hit, None] * piv
+        block %= p
+        a[hit, c:] = block
+        pivots.append(c)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank, pivots, a[:rank]
+
+
+def _rational_reconstruction(u: int, m: int) -> tuple[int, int] | None:
+    """The fraction a/b = u (mod m) with |a|, 0 < b <= sqrt(m/2) and
+    gcd(a, b) = 1, or None if there is none (Wang's half extended Euclid)."""
+    bound = math.isqrt(m >> 1)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or math.gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _kernel_vectors(residues: list[list[int]], m: int, pivots: list[int],
+                    free: list[int], ncols: int) -> list[list[int]] | None:
+    """One integer vector per free column c from the reduced rows' entries
+    R[i, c] at the free columns, known modulo m: d * R[i, c] at the i-th
+    pivot column, -d at c and 0 at every other free column, with d the
+    common denominator.  None if some entry has no rational reconstruction."""
+    kernel = []
+    for j, c in enumerate(free):
+        fracs = []
+        for res in residues:
+            frac = _rational_reconstruction(res[j], m)
+            if frac is None:
+                return None
+            fracs.append(frac)
+        d = math.lcm(*(b for _, b in fracs))
+        y = [0] * ncols
+        for col, (a, b) in zip(pivots, fracs):
+            y[col] = a * (d // b)
+        y[c] = -d
+        kernel.append(y)
+    return kernel
+
+
+def _check_kernel(rows: list[dict[int, int]], free: list[int],
+                  kernel: list[list[int]]) -> None:
+    """Raise InternalInvariantError unless the vectors prove rank <= ncols -
+    len(free): every row times every vector is exactly 0, and on the free
+    columns the vectors form a diagonal with nonzero entries, so they are
+    independent.  The products run in int64 only when the largest row
+    1-norm times the largest vector entry is below 2^63, otherwise in
+    Python integers."""
+    for c, y in zip(free, kernel):
+        if not y[c] or any(y[e] for e in free if e != c):
+            raise InternalInvariantError(
+                f"kernel vector for column {c} is not diagonal on the free columns"
+            )
+    if not kernel:
+        return
+    norm1 = max(sum(abs(v) for v in row.values()) for row in rows)
+    if norm1 * max(abs(x) for y in kernel for x in y) < 1 << 63:
+        a = np.zeros((len(rows), len(kernel[0])), dtype=np.int64)
+        for i, row in enumerate(rows):
+            a[i, list(row)] = list(row.values())
+        bad = np.argwhere(a @ np.array(kernel, dtype=np.int64).T)
+        first = tuple(bad[0]) if bad.size else None
+    else:
+        first = next(((i, j) for j, y in enumerate(kernel) for i, row in enumerate(rows)
+                      if sum(v * y[c] for c, v in row.items())), None)
+    if first is not None:
+        i, j = first
+        raise InternalInvariantError(
+            f"row {i} times the kernel vector for column {free[j]} is not 0"
+        )
 
 
 def rank_exact(matrix: RelationMatrix) -> int:
-    """Rank over the rationals by fraction-free elimination, re-verified by
-    elimination modulo two fixed primes above 2^60."""
-    # Repeated rows do not change the rank; keep first occurrences.
-    rows = list({tuple(r): r for r in matrix.dense_rows()}.values())
-    if not rows or not matrix.symbols:
+    """Rank over the rationals, certified from eliminations modulo primes
+    below 2^31 (no floating point, no big-integer elimination).
+
+    The distinct rows are reduced modulo each prime in turn.  A rank r mod p
+    proves rank >= r: the pivot minor is a nonzero integer.  The reduced
+    rows' free-column entries, combined over the primes by CRT, give by
+    rational reconstruction one integer kernel vector per free column;
+    checking M y = 0 exactly proves rank <= r.  A prime whose pivot columns
+    differ from the kept ones has a lower rank or a lexicographically later
+    pivot list when it is unlucky; the better of the two is kept and the CRT
+    restarts from it.  Primes are added while reconstruction or the check
+    fails; once their product exceeds 2 H^2 (H the Hadamard bound on every
+    minor, so every reduced entry is a/b with |a|, b <= H) or the primes run
+    out, InternalInvariantError is raised."""
+    rows = _distinct_rows(matrix)
+    ncols = len(matrix.symbols)
+    if not rows or not ncols:
         return 0
-    rank = _rank_bareiss(rows)
-    r1 = _rank_mod(rows, _P1)
-    r2 = _rank_mod(rows, _P2)
-    if not (rank == r1 == r2):
-        raise InternalInvariantError(
-            f"rank disagreement: exact {rank}, mod {_P1}: {r1}, mod {_P2}: {r2}"
-        )
-    return rank
+    norms = sorted((max(1, sum(v * v for v in row.values())) for row in rows), reverse=True)
+    bound = 2 * math.prod(norms[:min(len(rows), ncols)])
+    best = None
+    for p in _PRIMES:
+        rank, pivots, rref = _rref_mod(rows, ncols, p)
+        key = (-rank, pivots)
+        if best is not None and key > best:
+            continue  # an unlucky prime
+        if best is None or key < best:
+            best, m = key, p
+            pivot_set = set(pivots)
+            free = [c for c in range(ncols) if c not in pivot_set]
+            residues = rref[:, free].tolist()
+        else:
+            inv = pow(m, -1, p)
+            residues = [[x + m * ((y - x) * inv % p) for x, y in zip(xs, ys)]
+                        for xs, ys in zip(residues, rref[:, free].tolist())]
+            m *= p
+        kernel = _kernel_vectors(residues, m, pivots, free, ncols)
+        if kernel is not None:
+            try:
+                _check_kernel(rows, free, kernel)
+                return rank
+            except InternalInvariantError:
+                pass
+        if m > bound:
+            raise InternalInvariantError(
+                f"no kernel certificate for rank {rank} with a CRT modulus above 2H^2"
+            )
+    raise InternalInvariantError(
+        f"no kernel certificate for rank {-best[0]} after {len(_PRIMES)} primes"
+    )
 
 
 # ---------------------------------------------------------------------------

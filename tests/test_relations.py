@@ -1,11 +1,14 @@
+import json
+
 import pytest
 
 from cycliczeta import relations
 from cycliczeta.decompose import Composition, SymbolCombination
-from cycliczeta.errors import BudgetError, DomainError
+from cycliczeta.errors import BudgetError, DomainError, InternalInvariantError
 from cycliczeta.model import IntArgs, Shape
 from cycliczeta.relations import (
     ALL_RELATIONS_REF,
+    RelationMatrix,
     csf_relation,
     cyclic_relation,
     enumerate_family,
@@ -173,13 +176,15 @@ def test_rank_small_matrices():
 
 def test_rank_exact_drops_repeated_rows(monkeypatch):
     seen = []
-    monkeypatch.setattr(relations, "_rank_bareiss",
-                        lambda rows: seen.append(rows) or _rank_bareiss(rows))
+    rref_mod = relations._rref_mod
+    monkeypatch.setattr(relations, "_rref_mod",
+                        lambda rows, ncols, p: seen.append(rows) or rref_mod(rows, ncols, p))
     rels = generate_relations(5, "cyclic")
     doubled = relation_matrix(rels + rels[::-1])
     assert rank_exact(doubled) == 5
     first_seen = list(dict.fromkeys(tuple(r) for r in relation_matrix(rels).dense_rows()))
-    assert [tuple(r) for r in seen[0]] == first_seen
+    ncols = doubled.shape[1]
+    assert [tuple(row.get(c, 0) for c in range(ncols)) for row in seen[0]] == first_seen
 
 
 def test_rank_weight5_cyclic_is_5():
@@ -232,6 +237,94 @@ def test_rank_fuzz_against_fraction_oracle():
         assert _rank_bareiss([list(r) for r in rows]) == want
         for p in ((1 << 61) - 1, (1 << 64) - 59):
             assert _rank_mod(rows, p) == want
+        assert rank_exact(_matrix(rows)) == want
+
+
+def _matrix(rows):
+    """A relation matrix over placeholder symbols with the given dense rows."""
+    ncols = len(rows[0])
+    return RelationMatrix(tuple(C(t + 2) for t in range(ncols)),
+                          [{c: v for c, v in enumerate(r) if v} for r in rows],
+                          None, [None] * len(rows))
+
+
+# A prime of the elimination's list divides the first matrix's determinant,
+# so the first prime sees rank 1; the second has an entry far outside int64
+# and one row that is the sum of two others.
+HARD_MATRICES = {  # name: (rows, rank)
+    "unlucky-prime": ([[2**31 - 1, 0], [0, 1]], 2),
+    "huge-entry": ([[2**80, 3, 0, 1], [5, -7, 2, 0], [2**80 + 5, -4, 2, 1], [0, 1, 1, 1]], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_MATRICES))
+def test_rank_exact_unlucky_prime_and_huge_entries(name):
+    rows, rank = HARD_MATRICES[name]
+    assert rank_exact(_matrix(rows)) == _rank_fraction_oracle(rows) == rank
+
+
+@pytest.mark.parametrize("name", sorted(HARD_MATRICES))
+def test_rank_cli_unlucky_prime_and_huge_entries(name, tmp_path, capsys):
+    from cycliczeta.cli import main
+
+    rows, _ = HARD_MATRICES[name]
+    obj = {
+        "weight": None,
+        "family": "cyclic",
+        "symbols": [str(C(t + 2)) for t in range(len(rows[0]))],
+        "rows": [{"entries": [[c, str(v)] for c, v in enumerate(r) if v]} for r in rows],
+    }
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps(obj))
+    code = main(["rank", "--in", str(f), "--format", "text"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == str(_rank_fraction_oracle(rows))
+
+
+def _certificate(rows):
+    """The kernel vectors of the distinct rows from one prime, with their
+    free columns."""
+    matrix = _matrix(rows)
+    distinct = relations._distinct_rows(matrix)
+    ncols = matrix.shape[1]
+    p = relations._PRIMES[0]
+    rank, pivots, rref = relations._rref_mod(distinct, ncols, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    kernel = relations._kernel_vectors(rref[:, free].tolist(), p, pivots, free, ncols)
+    return distinct, pivots, free, kernel
+
+
+def test_check_kernel_rejects_corrupted_vector():
+    rows = relation_matrix(generate_relations(6, "cyclic")).dense_rows()
+    distinct, pivots, free, kernel = _certificate(rows)
+    assert kernel and len(free) == len(rows[0]) - 11
+    relations._check_kernel(distinct, free, kernel)
+    for c in (pivots[0], free[0]):
+        bad = [list(y) for y in kernel]
+        bad[0][c] += 1
+        with pytest.raises(InternalInvariantError, match="is not 0"):
+            relations._check_kernel(distinct, free, bad)
+    # the zero vector solves every row but proves nothing
+    zero = [[0] * len(rows[0])] + kernel[1:]
+    with pytest.raises(InternalInvariantError, match="not diagonal"):
+        relations._check_kernel(distinct, free, zero)
+
+
+def test_rank_exact_raises_when_a_pivot_is_dropped(monkeypatch):
+    rref_mod = relations._rref_mod
+    primes = []
+
+    def drop_last_pivot(rows, ncols, p):
+        primes.append(p)
+        rank, pivots, rref = rref_mod(rows, ncols, p)
+        return rank - 1, pivots[:-1], rref[:-1]
+
+    monkeypatch.setattr(relations, "_rref_mod", drop_last_pivot)
+    rows = relation_matrix(generate_relations(5, "cyclic")).dense_rows()
+    with pytest.raises(InternalInvariantError, match="2H"):
+        rank_exact(_matrix(rows))
+    # the pivot minors are small: the bound is reached within the list
+    assert 1 <= len(primes) < len(relations._PRIMES)
 
 
 def _points(cs, n):
@@ -385,3 +478,27 @@ def test_relation_set_roundtrip():
     assert rank_exact(m) == rank_exact(relation_matrix(rels))
     assert m.weight == 4
     assert m.provenances[0] is not None
+
+
+@pytest.mark.slow
+def test_rank_sweep_and_weight11_rows(capsys):
+    from cycliczeta.cli import main
+
+    # the certified modular rank against Bareiss on every computed cell
+    for w in range(3, 11):
+        for fam in relations.FAMILIES:
+            matrix = relation_matrix(generate_relations(w, fam))
+            distinct = [[row.get(c, 0) for c in range(matrix.shape[1])]
+                        for row in relations._distinct_rows(matrix)]
+            assert rank_exact(matrix) == _rank_bareiss(distinct), (w, fam)
+    code = main(["table1", "--max-weight", "11", "--budget-max-weight", "11"])
+    assert code == 0
+    rows = {r["weight"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    # computed values, not reference values; all_ref is the stored
+    # reference count over all known relations (249 at w10, 503 at w11)
+    assert (rows[10]["csf"], rows[10]["derivation"], rows[10]["cyclic"]) == (58, 181, 227)
+    assert (rows[11]["csf"], rows[11]["derivation"], rows[11]["cyclic"]) == (106, 363, 466)
+    assert sorted(rows) == list(range(3, 12))
+    for row in rows.values():
+        assert row["csf"] <= row["cyclic"] and row["derivation"] <= row["cyclic"]
+        assert all(row[f] <= row["all_ref"] for f in relations.FAMILIES)
