@@ -343,6 +343,37 @@ _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
            2147483249)
 
 
+def _is_prime_below_2_32(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 4759123141 (bases 2, 7 and 61)."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d >> 1, s + 1
+    for a in (2, 7, 61):
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterable[int]:
+    """Primes below 2^31, largest first: `_PRIMES`, then the next smaller
+    ones found on demand."""
+    yield from _PRIMES
+    for n in range(_PRIMES[-1] - 2, 2, -2):
+        if _is_prime_below_2_32(n):
+            yield n
+
+
 def _distinct_rows(matrix: RelationMatrix) -> list[dict[int, int]]:
     """Every distinct row, first occurrences in generator order (repeated
     rows do not change the rank)."""
@@ -470,8 +501,8 @@ def rank_exact(matrix: RelationMatrix) -> int:
     pivot list when it is unlucky; the better of the two is kept and the CRT
     restarts from it.  Primes are added while reconstruction or the check
     fails; once their product exceeds 2 H^2 (H the Hadamard bound on every
-    minor, so every reduced entry is a/b with |a|, b <= H) or the primes run
-    out, InternalInvariantError is raised."""
+    minor, so every reduced entry is a/b with |a|, b <= H),
+    InternalInvariantError is raised."""
     rows = _distinct_rows(matrix)
     ncols = len(matrix.symbols)
     if not rows or not ncols:
@@ -479,7 +510,7 @@ def rank_exact(matrix: RelationMatrix) -> int:
     norms = sorted((max(1, sum(v * v for v in row.values())) for row in rows), reverse=True)
     bound = 2 * math.prod(norms[:min(len(rows), ncols)])
     best = None
-    for p in _PRIMES:
+    for p in _primes():
         rank, pivots, rref = _rref_mod(rows, ncols, p)
         key = (-rank, pivots)
         if best is not None and key > best:
@@ -505,9 +536,7 @@ def rank_exact(matrix: RelationMatrix) -> int:
             raise InternalInvariantError(
                 f"no kernel certificate for rank {rank} with a CRT modulus above 2H^2"
             )
-    raise InternalInvariantError(
-        f"no kernel certificate for rank {-best[0]} after {len(_PRIMES)} primes"
-    )
+    raise InternalInvariantError(f"no kernel certificate for rank {-best[0]}: primes exhausted")
 
 
 # ---------------------------------------------------------------------------

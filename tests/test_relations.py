@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import pytest
 
@@ -250,11 +252,22 @@ def _matrix(rows):
 
 # A prime of the elimination's list divides the first matrix's determinant,
 # so the first prime sees rank 1; the second has an entry far outside int64
-# and one row that is the sum of two others.
+# and one row that is the sum of two others; the third's reduced row holds
+# (2^250 + 1) / 2^250, whose reconstruction needs more primes than `_PRIMES`.
 HARD_MATRICES = {  # name: (rows, rank)
     "unlucky-prime": ([[2**31 - 1, 0], [0, 1]], 2),
     "huge-entry": ([[2**80, 3, 0, 1], [5, -7, 2, 0], [2**80 + 5, -4, 2, 1], [0, 1, 1, 1]], 3),
+    "wide-fraction": ([[2**250, 2**250 + 1]], 1),
 }
+
+
+def test_primes_continue_past_the_literal_list():
+    primes = list(itertools.islice(relations._primes(), len(relations._PRIMES) + 20))
+    assert tuple(primes[:len(relations._PRIMES)]) == relations._PRIMES
+    assert all(a > b for a, b in zip(primes, primes[1:])) and primes[0] < 2**31
+    gaps = range(primes[-1], relations._PRIMES[-1])
+    trial = [n for n in gaps if all(n % q for q in range(2, math.isqrt(n) + 1))]
+    assert primes[len(relations._PRIMES):] == sorted(trial, reverse=True)
 
 
 @pytest.mark.parametrize("name", sorted(HARD_MATRICES))
