@@ -30,7 +30,6 @@ from .model import (
     ComplexArgs,
     Constraint,
     ConstraintSystem,
-    DomainSpec,
     IntArgs,
     Shape,
     VarId,

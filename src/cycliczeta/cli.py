@@ -5,10 +5,10 @@ Exit-code contract (stable): 0 success, 2 domain violation, 3 parse/usage
 error, 4 budget cap exceeded, 5 non-admissible symbol.
 
 Output is JSON by default; CSV covers the flat tables (table1, eval
-refinement lists); text is a human-readable rendering.  Relation sets are
-cached under --cache-dir (or $MZF_CACHE_DIR) keyed by a content hash of the
-generation settings and the code versions; cache hits are byte-identical to
-cold runs.
+refinement lists); text is a human-readable rendering.  `relations` caches
+its sets under --cache-dir (or $MZF_CACHE_DIR) keyed by a content hash of
+the generation settings and the code versions; cache hits are
+byte-identical to cold runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +52,6 @@ CACHE_ENV = "MZF_CACHE_DIR"
 class RunConfig:
     cache_dir: Path | None
     out_format: str
-    parallel: int
     max_cutoff: int | None
     max_weight: int
     max_rows: int
@@ -61,7 +59,6 @@ class RunConfig:
     @classmethod
     def from_args(cls, args) -> "RunConfig":
         cache = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-        parallel = max(1, getattr(args, "parallel", 1) or 1)
 
         def budget(name: str, default):
             # An explicit 0 is a budget of 0, not "use the default".
@@ -76,10 +73,9 @@ class RunConfig:
         return cls(
             cache_dir=Path(cache) if cache else None,
             out_format=getattr(args, "format", "json") or "json",
-            parallel=parallel,
             max_cutoff=budget("budget_max_n", None),
-            max_weight=budget("budget_max_weight", 8),
-            max_rows=budget("budget_max_rows", 20000),
+            max_weight=budget("budget_max_weight", rel_mod.MAX_WEIGHT_BUDGET),
+            max_rows=budget("budget_max_rows", rel_mod.MAX_ROWS_BUDGET),
         )
 
 
@@ -101,10 +97,8 @@ def build_parser() -> _Parser:
     p = _Parser(prog="cycliczeta", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--parallel", type=int, default=1)
+    def formats(sp, *choices):
+        sp.add_argument("--format", choices=choices, default="json")
 
     ev = sub.add_parser("eval", help="evaluate a truncated series")
     ev.add_argument("--kind", required=True,
@@ -118,12 +112,12 @@ def build_parser() -> _Parser:
     ev.add_argument("--variant", default="diff",
                     choices=("1", "2", "diff", "h1", "h2"))
     ev.add_argument("--budget-max-n", type=int, default=None)
-    common(ev)
+    formats(ev, "json", "csv", "text")
 
     dm = sub.add_parser("domain", help="membership verdict with margins")
     dm.add_argument("--shape", default=None)
     dm.add_argument("--s", required=True)
-    common(dm)
+    formats(dm, "json", "text")
 
     rl = sub.add_parser("relations", help="generate a relation set file")
     rl.add_argument("--weight", type=int, required=True)
@@ -132,11 +126,12 @@ def build_parser() -> _Parser:
     rl.add_argument("--include-d1-derivation", type=_bool_flag, default=True)
     rl.add_argument("--budget-max-weight", type=int, default=None)
     rl.add_argument("--budget-max-rows", type=int, default=None)
-    common(rl)
+    rl.add_argument("--cache-dir", default=None)
+    formats(rl, "json", "text")
 
     rk = sub.add_parser("rank", help="exact rank of a relation set file")
     rk.add_argument("--in", dest="infile", required=True)
-    common(rk)
+    formats(rk, "json", "text")
 
     tb = sub.add_parser("table1", help="independent-relation counts per weight")
     tb.add_argument("--max-weight", type=int, required=True)
@@ -145,7 +140,7 @@ def build_parser() -> _Parser:
     tb.add_argument("--include-d1-derivation", type=_bool_flag, default=True)
     tb.add_argument("--budget-max-weight", type=int, default=None)
     tb.add_argument("--budget-max-rows", type=int, default=None)
-    common(tb)
+    formats(tb, "json", "csv", "text")
 
     dc = sub.add_parser("decompose", help="rewrite a constrained sum into symbols")
     dc.add_argument("--shape", required=True)
@@ -156,7 +151,7 @@ def build_parser() -> _Parser:
     dc.add_argument("--exponents", default=None)
     dc.add_argument("--count", action="store_true")
     dc.add_argument("--N", type=int, default=None)
-    common(dc)
+    formats(dc, "json", "text")
     return p
 
 
@@ -328,42 +323,6 @@ def cmd_domain(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _check_weight(weight: int, cfg: RunConfig):
-    """Symbols have weight >= 3; above the budget is refused (exit 4)."""
-    if weight < 3:
-        raise ParseError(f"weight {weight} is below the smallest weight 3")
-    if weight > rel_mod.HARD_MAX_WEIGHT or weight > cfg.max_weight:
-        raise BudgetError(
-            f"weight {weight} exceeds the configured budget "
-            f"{min(cfg.max_weight, rel_mod.HARD_MAX_WEIGHT)}"
-        )
-
-
-def _relation_set_bytes(weight: int, family: str, include_d1: bool,
-                        cfg: RunConfig) -> bytes:
-    _check_weight(weight, cfg)
-    configs = rel_mod.enumerate_family(weight, family,
-                                       include_d1_derivation=include_d1)
-    if len(configs) > cfg.max_rows:
-        raise BudgetError(f"{len(configs)} rows exceed the budget {cfg.max_rows}")
-
-    def one(pair):
-        shape, k = pair
-        r = rel_mod.csf_relation(k) if family == "csf" else rel_mod.cyclic_relation(k)
-        return rel_mod.Relation(r.combo, rel_mod.Provenance(family, shape, k))
-
-    if cfg.parallel > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            rels = list(pool.map(one, configs))
-    else:
-        rels = [one(c) for c in configs]
-    obj = rel_mod.relation_set_to_json_obj(
-        weight, family, rels,
-        settings={"include_d1_derivation": include_d1, "schema": 1},
-    )
-    return (json.dumps(obj, indent=2) + "\n").encode()
-
-
 def _atomic_write(path: Path, data: bytes):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
@@ -416,7 +375,13 @@ def cmd_relations(args, cfg: RunConfig) -> int:
             print(f"warning: corrupt cache entry {cache}, recomputing",
                   file=sys.stderr)
     if data is None:
-        data = _relation_set_bytes(args.weight, args.family, include_d1, cfg)
+        rels = rel_mod.generate_relations(
+            args.weight, args.family, include_d1_derivation=include_d1,
+            max_weight_budget=cfg.max_weight, max_rows_budget=cfg.max_rows)
+        obj = rel_mod.relation_set_to_json_obj(
+            args.weight, args.family, rels,
+            settings={"include_d1_derivation": include_d1, "schema": 1})
+        data = (json.dumps(obj, indent=2) + "\n").encode()
         if cache is not None:
             _atomic_write(cache, data)
     out = Path(args.out)
@@ -457,33 +422,14 @@ def cmd_rank(args, cfg: RunConfig) -> int:
 
 
 def cmd_table1(args, cfg: RunConfig) -> int:
-    weights = range(3, args.max_weight + 1)
+    # A --max-weight below 3 is passed on as the one weight, which table1
+    # refuses.
+    weights = range(min(3, args.max_weight), args.max_weight + 1)
     families = list(args.families or rel_mod.FAMILIES)
-
-    def cell(pair):
-        w, fam = pair
-        rels = rel_mod.generate_relations(
-            w, fam, include_d1_derivation=args.include_d1_derivation
-        )
-        if len(rels) > cfg.max_rows:
-            raise BudgetError(f"{len(rels)} rows exceed the budget {cfg.max_rows}")
-        return rel_mod.rank_exact(rel_mod.relation_matrix(rels))
-
-    if args.max_weight < 3:
-        raise ParseError(f"--max-weight {args.max_weight} is below the smallest weight 3")
-    for w in weights:
-        _check_weight(w, cfg)
-    cells = [(w, fam) for w in weights for fam in families]
-    if cfg.parallel > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            ranks = list(pool.map(cell, cells))
-    else:
-        ranks = [cell(c) for c in cells]
-    table: dict[int, dict[str, int]] = {}
-    for (w, fam), r in zip(cells, ranks):
-        table.setdefault(w, {})[fam] = r
-    for w in weights:
-        table[w]["all_ref"] = rel_mod.ALL_RELATIONS_REF.get(w, 0)
+    table = rel_mod.table1(weights, families,
+                           include_d1_derivation=args.include_d1_derivation,
+                           max_weight_budget=cfg.max_weight,
+                           max_rows_budget=cfg.max_rows)
 
     if cfg.out_format == "json":
         obj = {

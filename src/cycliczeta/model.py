@@ -529,38 +529,3 @@ def is_integer_point_in_W(k: IntArgs) -> bool:
             return False
     return True
 
-
-_W_KINDS = ("W_general", "W_all_singleton", "EZ_absolute")
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """A named convergence domain attached to a shape."""
-
-    shape: Shape
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _W_KINDS:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "W_all_singleton" and not self.shape.all_singleton:
-            raise ValueError("W_all_singleton requires an all-singleton shape")
-
-    def contains(self, values: Sequence[complex]) -> bool:
-        if self.kind == "EZ_absolute":
-            return in_domain_EZ_absolute(values)
-        args = ComplexArgs(self.shape, tuple(values))
-        if self.kind == "W_all_singleton":
-            return in_domain_W(args)
-        # W_general: the mixed-shape characterization, usable on any shape.
-        out = []
-        for i in range(1, self.shape.d + 1):
-            r_i = self.shape.r[i - 1]
-            if r_i == 1:
-                out.append(WIneq("", args[(i, 1)].real, 1.0, strict=False))
-            else:
-                acc = 0.0
-                for j in range(r_i, 0, -1):
-                    acc += args[(i, j)].real
-                    out.append(WIneq("", acc, float(r_i - j + 1), strict=True))
-        return all(q.ok for q in out)

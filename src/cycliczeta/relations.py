@@ -46,6 +46,10 @@ FAMILIES = ("csf", "derivation", "cyclic")
 ALL_RELATIONS_REF = {3: 1, 4: 3, 5: 6, 6: 14, 7: 29, 8: 60, 9: 123, 10: 249, 11: 503}
 
 HARD_MAX_WEIGHT = 11
+# Default budgets of the rank table: weights up to 8, and at most 20000
+# relations per cell or relation set.
+MAX_WEIGHT_BUDGET = 8
+MAX_ROWS_BUDGET = 20000
 
 # Bumped whenever a change to relation generation could change a relation
 # set, so that cached sets from older code are never served.
@@ -207,14 +211,32 @@ def enumerate_family(weight: int, family: str, *,
     return out
 
 
+def _check_weight(weight: int, max_weight_budget: int) -> None:
+    """Symbols have weight >= 3 (ParseError below); a weight above the budget
+    or HARD_MAX_WEIGHT is refused (BudgetError)."""
+    if weight < 3:
+        raise ParseError(f"weight {weight} is below the smallest weight 3")
+    if weight > HARD_MAX_WEIGHT or weight > max_weight_budget:
+        raise BudgetError(
+            f"weight {weight} exceeds the configured budget "
+            f"{min(max_weight_budget, HARD_MAX_WEIGHT)}"
+        )
+
+
 def generate_relations(weight: int, family: str, *,
-                       include_d1_derivation: bool = True) -> list[Relation]:
+                       include_d1_derivation: bool = True,
+                       max_weight_budget: int = HARD_MAX_WEIGHT,
+                       max_rows_budget: int = MAX_ROWS_BUDGET) -> list[Relation]:
     """One relation per configuration; the all-singleton family uses the
-    star-expansion route, the others the window decomposition."""
+    star-expansion route, the others the window decomposition.  The weight
+    and the number of configurations are checked against the budgets
+    before any relation is generated."""
+    _check_weight(weight, max_weight_budget)
+    configs = enumerate_family(weight, family, include_d1_derivation=include_d1_derivation)
+    if len(configs) > max_rows_budget:
+        raise BudgetError(f"{len(configs)} rows exceed the budget {max_rows_budget}")
     rels = []
-    for shape, k in enumerate_family(
-        weight, family, include_d1_derivation=include_d1_derivation
-    ):
+    for shape, k in configs:
         rel = csf_relation(k) if family == "csf" else cyclic_relation(k)
         rel = Relation(rel.combo, Provenance(family, shape, k))
         rels.append(rel)
@@ -552,24 +574,24 @@ def family_rank(weight: int, family: str, *, include_d1_derivation: bool = True)
 
 
 def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
-           include_d1_derivation: bool = True, max_weight_budget: int = 8,
-           max_rows_budget: int = 20000) -> dict[int, dict[str, int]]:
+           include_d1_derivation: bool = True,
+           max_weight_budget: int = MAX_WEIGHT_BUDGET,
+           max_rows_budget: int = MAX_ROWS_BUDGET) -> dict[int, dict[str, int]]:
     """Independent-relation counts per weight and family, plus the stored
-    reference column of counts over all known relations."""
+    reference column of counts over all known relations.  Every weight is
+    checked against the budget before any cell is generated."""
     for f in families:
         if f not in FAMILIES:
             raise ValueError(f"unknown family {f!r}")
+    for w in weights:
+        _check_weight(w, max_weight_budget)
     out: dict[int, dict[str, int]] = {}
     for w in weights:
-        if w > HARD_MAX_WEIGHT or w > max_weight_budget:
-            raise BudgetError(
-                f"weight {w} exceeds the configured budget {min(max_weight_budget, HARD_MAX_WEIGHT)}"
-            )
         row: dict[str, int] = {}
         for f in families:
-            rels = generate_relations(w, f, include_d1_derivation=include_d1_derivation)
-            if len(rels) > max_rows_budget:
-                raise BudgetError(f"{len(rels)} rows exceed the budget {max_rows_budget}")
+            rels = generate_relations(w, f, include_d1_derivation=include_d1_derivation,
+                                      max_weight_budget=max_weight_budget,
+                                      max_rows_budget=max_rows_budget)
             row[f] = rank_exact(relation_matrix(rels))
         row["all_ref"] = ALL_RELATIONS_REF.get(w, 0)
         out[w] = row

@@ -97,6 +97,18 @@ def test_eval_budget_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--N", "10000"], 0),
+    (["--N", "1000001"], 4),
+    (["--N", "2000", "--budget-max-n", "1000"], 4),
+])
+def test_eval_mt_cutoff_cap(capsys, argv, want):
+    code, out, err = run(capsys, "eval", "--kind", "mt", "--s", "2,1,1", *argv)
+    assert code == want
+    if want == 4:
+        assert out == "" and "exceeds the enumeration cap" in err
+
+
 def test_eval_mt_and_csv(capsys):
     code, out, _ = run(
         capsys, "eval", "--kind", "mt", "--s", "2+0i,1+0i,1+0i",
@@ -317,14 +329,6 @@ def test_table1_max_weight_below_3_exit_3(capsys):
     assert "below the smallest weight 3" in err
 
 
-def test_table1_parallel_deterministic(capsys):
-    code, seq, _ = run(capsys, "table1", "--max-weight", "4")
-    assert code == 0
-    code, par, _ = run(capsys, "table1", "--max-weight", "4", "--parallel", "4")
-    assert code == 0
-    assert seq == par
-
-
 def test_table1_csv(capsys):
     code, out, _ = run(capsys, "table1", "--max-weight", "4", "--format", "csv")
     assert code == 0
@@ -334,13 +338,17 @@ def test_table1_csv(capsys):
     assert lines[2] == "4,2,2,2,3"
 
 
-def test_relations_parallel_matches_serial(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(capsys, "relations", "--weight", "5", "--family", "cyclic",
-               "--out", str(a))[0] == 0
-    assert run(capsys, "relations", "--weight", "5", "--family", "cyclic",
-               "--out", str(b), "--parallel", "3")[0] == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("argv", [
+    ["table1", "--max-weight", "4", "--parallel", "2"],
+    ["relations", "--weight", "3", "--family", "csf", "--out", "unused.json",
+     "--parallel", "2"],
+    ["eval", "--kind", "mzf", "--s", "2", "--N", "10", "--cache-dir", "X"],
+    ["domain", "--shape", "1", "--s", "2.5", "--format", "csv"],
+])
+def test_flags_the_subcommand_does_not_read_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("parse error:")
 
 
 # --- decompose ---------------------------------------------------------------
@@ -443,7 +451,7 @@ OPTIONS = {
     "domain": [("--shape", SHAPE), ("--s", COMPLEX)],
     "relations": [("--weight", WEIGHT), ("--family", FAMILY), ("--out", PATH),
                   ("--include-d1-derivation", BOOL), ("--budget-max-weight", WEIGHT),
-                  ("--budget-max-rows", INT)],
+                  ("--budget-max-rows", INT), ("--cache-dir", PATH)],
     "rank": [("--in", PATH)],
     "table1": [("--max-weight", WEIGHT), ("--families", FAMILY),
                ("--include-d1-derivation", BOOL), ("--budget-max-weight", WEIGHT),
@@ -452,8 +460,7 @@ OPTIONS = {
                   ("--i", INT), ("--j", INT), ("--exponents", EXPONENTS), ("--count", None),
                   ("--N", INT)],
 }
-COMMON = [("--format", st.sampled_from(["json", "csv", "text", "xml"])),
-          ("--parallel", st.integers(-1, 2).map(str)), ("--cache-dir", PATH)]
+COMMON = [("--format", st.sampled_from(["json", "csv", "text", "xml"]))]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -9,7 +9,6 @@ from cycliczeta.model import (
     ComplexArgs,
     Constraint,
     ConstraintSystem,
-    DomainSpec,
     IntArgs,
     Shape,
     VarId,
@@ -274,13 +273,3 @@ def test_w_inequalities_describe():
     assert bad and "Re(s_{1,1})+Re(s_{1,2})" in bad[0].label
     assert "1.7" in bad[0].describe()
 
-
-def test_domain_spec():
-    sp = DomainSpec(Shape((1, 1)), "W_all_singleton")
-    assert sp.contains((1.5, 1.6))
-    gen = DomainSpec(Shape((1, 1)), "W_general")
-    # the general characterization demands Re >= 1 per singleton block
-    assert not gen.contains((0.5, 3.0))
-    assert DomainSpec(Shape((2,)), "EZ_absolute").contains((1.0, 2.0))
-    with pytest.raises(ValueError):
-        DomainSpec(Shape((2,)), "W_all_singleton")

@@ -482,6 +482,15 @@ def test_table1_budget():
         table1([12], max_weight_budget=12)
 
 
+def test_table1_refuses_weight_before_generating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(relations, "generate_relations",
+                        lambda *a, **k: calls.append(a) or [])
+    with pytest.raises(BudgetError):
+        table1(range(3, 10))
+    assert calls == []
+
+
 def test_relation_set_roundtrip():
     rels = generate_relations(4, "cyclic")
     obj = relation_set_to_json_obj(4, "cyclic", rels)
