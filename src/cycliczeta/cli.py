@@ -50,7 +50,6 @@ CACHE_ENV = "MZF_CACHE_DIR"
 
 @dataclass
 class RunConfig:
-    cache_dir: Path | None
     out_format: str
     max_cutoff: int | None
     max_weight: int
@@ -58,8 +57,6 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        cache = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-
         def budget(name: str, default):
             # An explicit 0 is a budget of 0, not "use the default".
             value = getattr(args, name, None)
@@ -71,7 +68,6 @@ class RunConfig:
             return value
 
         return cls(
-            cache_dir=Path(cache) if cache else None,
             out_format=getattr(args, "format", "json") or "json",
             max_cutoff=budget("budget_max_n", None),
             max_weight=budget("budget_max_weight", rel_mod.MAX_WEIGHT_BUDGET),
@@ -338,18 +334,20 @@ def _atomic_write(path: Path, data: bytes):
         raise
 
 
-def _cache_path(cfg: RunConfig, weight: int, family: str, include_d1: bool) -> Path | None:
-    if cfg.cache_dir is None:
+def _cache_path(args) -> Path | None:
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    if not cache_dir:
         return None
     # The code versions are part of the key, so sets cached by older code
     # are never read back.
     key = json.dumps(
         {"version": __version__, "generator": rel_mod.GENERATOR_VERSION,
-         "weight": weight, "family": family, "include_d1_derivation": include_d1},
+         "weight": args.weight, "family": args.family,
+         "include_d1_derivation": args.include_d1_derivation},
         sort_keys=True,
     )
     h = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return cfg.cache_dir / f"relations-w{weight}-{family}-{h}.json"
+    return Path(cache_dir) / f"relations-w{args.weight}-{args.family}-{h}.json"
 
 
 def _cache_valid(data: bytes, weight: int, family: str) -> bool:
@@ -364,7 +362,7 @@ def _cache_valid(data: bytes, weight: int, family: str) -> bool:
 
 def cmd_relations(args, cfg: RunConfig) -> int:
     include_d1 = args.include_d1_derivation
-    cache = _cache_path(cfg, args.weight, args.family, include_d1)
+    cache = _cache_path(args)
     data = None
     cached = False
     if cache is not None and cache.exists():

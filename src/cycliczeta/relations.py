@@ -590,7 +590,6 @@ def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
         row: dict[str, int] = {}
         for f in families:
             rels = generate_relations(w, f, include_d1_derivation=include_d1_derivation,
-                                      max_weight_budget=max_weight_budget,
                                       max_rows_budget=max_rows_budget)
             row[f] = rank_exact(relation_matrix(rels))
         row["all_ref"] = ALL_RELATIONS_REF.get(w, 0)
