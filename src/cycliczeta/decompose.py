@@ -226,20 +226,6 @@ def weak_orders(cs: ConstraintSystem) -> tuple[OrderedSetPartition, ...]:
     return tuple(out)
 
 
-def partition_respects(cs: ConstraintSystem, osp: OrderedSetPartition) -> bool:
-    """Check that a partition refines the constraint system (test helper)."""
-    level_of = {v: t for t, lvl in enumerate(osp.levels) for v in lvl}
-    if set(level_of) != set(cs.variables):
-        return False
-    for c in cs.constraints:
-        a, b = level_of[c.lhs], level_of[c.rhs]
-        if c.rel == REL_LT and not a < b:
-            return False
-        if c.rel != REL_LT and not a <= b:
-            return False
-    return True
-
-
 def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> SymbolCombination:
     """Rewrite the sum over cs with the given nonnegative integer exponents
     as an exact combination of admissible symbols (one per weak order, with

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -140,7 +140,7 @@ def csf_relation(k: IntArgs) -> Relation:
     d = shape.d
     vals = [k[(i, 1)] for i in range(1, d + 1)]
     total = sum(vals)
-    combo = SymbolCombination()
+    acc: dict[Composition, int] = {}
     for i in range(d):
         for m in range(1, vals[i]):
             rotated = (
@@ -148,9 +148,11 @@ def csf_relation(k: IntArgs) -> Relation:
                 + tuple(vals[(i + t) % d] for t in range(1, d))
                 + (m + 1,)
             )
-            combo = combo + zeta_star_expand(Composition(rotated))
-    combo = combo - total * SymbolCombination({Composition((total + 1,)): 1})
-    return Relation(combo, Provenance("csf", shape, k))
+            for comp, c in zeta_star_expand(Composition(rotated)).items():
+                acc[comp] = acc.get(comp, 0) + c
+    full = Composition((total + 1,))
+    acc[full] = acc.get(full, 0) - total
+    return Relation(SymbolCombination(acc), Provenance("csf", shape, k))
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +230,34 @@ def generate_relations(weight: int, family: str, *,
                        max_weight_budget: int = HARD_MAX_WEIGHT,
                        max_rows_budget: int = MAX_ROWS_BUDGET) -> list[Relation]:
     """One relation per configuration; the all-singleton family uses the
-    star-expansion route, the others the window decomposition.  The weight
-    and the number of configurations are checked against the budgets
-    before any relation is generated."""
+    star-expansion route, the others the window decomposition, each computed
+    once per block-rotation orbit (`_orbit_combo`).  The weight and the
+    number of configurations are checked against the budgets before any
+    relation is generated."""
     _check_weight(weight, max_weight_budget)
     configs = enumerate_family(weight, family, include_d1_derivation=include_d1_derivation)
     if len(configs) > max_rows_budget:
         raise BudgetError(f"{len(configs)} rows exceed the budget {max_rows_budget}")
-    rels = []
-    for shape, k in configs:
-        rel = csf_relation(k) if family == "csf" else cyclic_relation(k)
-        rel = Relation(rel.combo, Provenance(family, shape, k))
-        rels.append(rel)
-    return rels
+    generator = csf_relation if family == "csf" else cyclic_relation
+    return [Relation(_orbit_combo(generator, k), Provenance(family, shape, k))
+            for shape, k in configs]
+
+
+# The combination of each block-rotation orbit, per generator, from the first
+# configuration met in it.  Relabelling the blocks cyclically maps every S_ij
+# and S_i system of a configuration onto those of its rotation, and the
+# cyclic-sum formula sums over every rotation of its star symbols, so all
+# rotations of a configuration have the same relation.
+_ORBIT_COMBOS: dict[tuple[Callable, tuple[tuple[int, ...], ...]], SymbolCombination] = {}
+
+
+def _orbit_combo(generator: Callable[[IntArgs], Relation], k: IntArgs) -> SymbolCombination:
+    blocks = tuple(k.block(i) for i in range(1, k.shape.d + 1))
+    key = (generator, min(blocks[t:] + blocks[:t] for t in range(len(blocks))))
+    combo = _ORBIT_COMBOS.get(key)
+    if combo is None:
+        combo = _ORBIT_COMBOS[key] = generator(k).combo
+    return combo
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +596,10 @@ def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
            max_rows_budget: int = MAX_ROWS_BUDGET) -> dict[int, dict[str, int]]:
     """Independent-relation counts per weight and family, plus the stored
     reference column of counts over all known relations.  Every weight is
-    checked against the budget before any cell is generated."""
+    checked against the budget before any cell is generated.  The csf and
+    derivation families are sub-families of the cyclic one, so at every
+    weight neither may exceed it and no family may exceed the reference
+    count; InternalInvariantError is raised otherwise."""
     for f in families:
         if f not in FAMILIES:
             raise ValueError(f"unknown family {f!r}")
@@ -593,6 +613,12 @@ def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
                                       max_rows_budget=max_rows_budget)
             row[f] = rank_exact(relation_matrix(rels))
         row["all_ref"] = ALL_RELATIONS_REF.get(w, 0)
+        nested = [(f, "cyclic") for f in ("csf", "derivation") if f in row and "cyclic" in row]
+        for lo, hi in nested + [(f, "all_ref") for f in families]:
+            if row[lo] > row[hi]:
+                raise InternalInvariantError(
+                    f"weight {w}: {lo} rank {row[lo]} exceeds {hi} {row[hi]}"
+                )
         out[w] = row
     return out
 

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -425,6 +428,40 @@ def test_decompose_count_negative_n_exit_3(capsys):
     )
     assert code == 3 and out == ""
     assert err.startswith("parse error:") and "--N must be >= 0" in err
+
+
+# --- the benchmark's traced run ---------------------------------------------
+
+# Run in a fresh interpreter: Tracer.install rebinds module attributes.
+TRACED_TABLE1 = """
+import contextlib, io, json, sys, time
+sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+import tracing
+from cycliczeta import cli
+tracer = tracing.Tracer("t")
+tracer.install()
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["table1", "--max-weight", "5"])
+metrics = tracer.metrics(time.perf_counter() - start)
+print(json.dumps({"code": code, "missing": tracer.missing,
+                  "metrics": {k: v for k, (v, _) in metrics.items()}}))
+"""
+# Per-layer metrics that perfbench/run.py adds from whole runs.
+RUN_METRICS = {"trace.wall_s", "trace.untraced_wall_s", "trace.overhead_s",
+               "trace.untraced_spread", "host.raw_wall_s", "host.slowdown"}
+
+
+def test_traced_table1_reports_every_per_layer_metric_finite():
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", TRACED_TABLE1, str(ROOT)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["code"] == 0 and got["missing"] == []
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in declared} - RUN_METRICS <= set(got["metrics"])
+    assert all(math.isfinite(v) for v in got["metrics"].values()), got["metrics"]
 
 
 # --- fuzzed argument lists ---------------------------------------------------

@@ -11,11 +11,11 @@ from cycliczeta.decompose import (
     chain_count,
     count_lattice_points,
     decompose_to_mzv,
-    partition_respects,
     weak_orders,
 )
 from cycliczeta.model import (
     EXTRA,
+    REL_LT,
     Constraint,
     ConstraintSystem,
     Shape,
@@ -33,6 +33,20 @@ def B(i, j):
 
 def adhoc(shape_r, cons, extra=False):
     return ConstraintSystem(Shape(shape_r), extra, tuple(cons))
+
+
+def partition_respects(cs, osp):
+    """Check that a partition refines the constraint system."""
+    level_of = {v: t for t, lvl in enumerate(osp.levels) for v in lvl}
+    if set(level_of) != set(cs.variables):
+        return False
+    for c in cs.constraints:
+        a, b = level_of[c.lhs], level_of[c.rhs]
+        if c.rel == REL_LT and not a < b:
+            return False
+        if c.rel != REL_LT and not a <= b:
+            return False
+    return True
 
 
 def brute_count(cs, n_max):

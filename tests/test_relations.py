@@ -10,6 +10,8 @@ from cycliczeta.errors import BudgetError, DomainError, InternalInvariantError
 from cycliczeta.model import IntArgs, Shape
 from cycliczeta.relations import (
     ALL_RELATIONS_REF,
+    Provenance,
+    Relation,
     RelationMatrix,
     csf_relation,
     cyclic_relation,
@@ -141,6 +143,49 @@ def test_enumerate_family_derivation():
     cyc = set(enumerate_family(5, "cyclic"))
     assert set(enumerate_family(5, "derivation")) <= cyc
     assert set(enumerate_family(5, "csf")) <= cyc
+
+
+# --- one relation per block-rotation orbit -----------------------------------
+
+
+def _rotations(k):
+    """Every cyclic rotation of the blocks of k, k itself first."""
+    blocks = [k.block(i) for i in range(1, k.shape.d + 1)]
+    for t in range(len(blocks)):
+        rot = blocks[t:] + blocks[:t]
+        yield IntArgs(Shape(tuple(map(len, rot))), sum(rot, ()))
+
+
+def test_generate_relations_matches_per_configuration_route(monkeypatch):
+    monkeypatch.setattr(relations, "_ORBIT_COMBOS", {})
+    for w in range(3, 9):
+        for fam in relations.FAMILIES:
+            gen = csf_relation if fam == "csf" else cyclic_relation
+            want = [Relation(gen(k).combo, Provenance(fam, shape, k))
+                    for shape, k in enumerate_family(w, fam)]
+            assert generate_relations(w, fam) == want, (w, fam)
+
+
+def test_rotated_configurations_have_equal_relations():
+    for w in range(3, 9):
+        for fam, gen in (("cyclic", cyclic_relation), ("csf", csf_relation)):
+            for _, k in enumerate_family(w, fam):
+                base, *rotated = (gen(k2).combo for k2 in _rotations(k))
+                assert all(c == base for c in rotated), (fam, str(k))
+
+
+def test_one_generator_call_per_orbit(monkeypatch):
+    calls = []
+    cyclic = relations.cyclic_relation
+    monkeypatch.setattr(relations, "_ORBIT_COMBOS", {})
+    monkeypatch.setattr(relations, "cyclic_relation", lambda k: calls.append(k) or cyclic(k))
+    rels = generate_relations(7, "cyclic")
+    orbits = {min(tuple(map(str, _rotations(k)))) for _, k in enumerate_family(7, "cyclic")}
+    distinct = relations._distinct_rows(relation_matrix(rels))
+    assert (len(rels), len(calls), len(orbits), len(distinct)) == (88, 45, 45, 45)
+    # derivation configurations reuse the orbits the cyclic family filled
+    generate_relations(7, "derivation")
+    assert len(calls) == 45
 
 
 # --- matrices and rank -------------------------------------------------------
@@ -489,6 +534,23 @@ def test_table1_refuses_weight_before_generating(monkeypatch):
     with pytest.raises(BudgetError):
         table1(range(3, 10))
     assert calls == []
+
+
+@pytest.mark.parametrize("family, bump, broken", [
+    ("csf", 2, "csf rank 6 exceeds cyclic 5"),
+    ("derivation", 1, "derivation rank 6 exceeds cyclic 5"),
+    ("cyclic", 2, "cyclic rank 7 exceeds all_ref 6"),
+])
+def test_table1_checks_family_nesting(monkeypatch, family, bump, broken):
+    rank = relations.rank_exact
+
+    def skewed(matrix):
+        r = rank(matrix)
+        return r + bump if matrix.provenances[0].family == family else r
+
+    monkeypatch.setattr(relations, "rank_exact", skewed)
+    with pytest.raises(InternalInvariantError, match=f"weight 5: {broken}"):
+        table1([5])
 
 
 def test_relation_set_roundtrip():
