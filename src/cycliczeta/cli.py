@@ -2,7 +2,8 @@
 generation, exact ranks, and the rank table.
 
 Exit-code contract (stable): 0 success, 2 domain violation, 3 parse/usage
-error, 4 budget cap exceeded, 5 non-admissible symbol.
+error, 4 budget cap exceeded, 5 non-admissible symbol or internal invariant
+violated.
 
 Output is JSON by default; CSV covers the flat tables (table1, eval
 refinement lists); text is a human-readable rendering.  `relations` caches
@@ -29,6 +30,7 @@ from .decompose import count_lattice_points, decompose_to_mzv, weak_orders
 from .errors import (
     BudgetError,
     DomainError,
+    InternalInvariantError,
     NonAdmissibleError,
     ParseError,
 )
@@ -569,6 +571,9 @@ def main(argv=None) -> int:
     except NonAdmissibleError as exc:
         detail = f" (partition {exc.partition})" if exc.partition is not None else ""
         print(f"non-admissible symbol: {exc}{detail}", file=sys.stderr)
+        return 5
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 5
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract (see cli.py):
-DomainError -> 2, ParseError -> 3, BudgetError -> 4, NonAdmissibleError -> 5.
+DomainError -> 2, ParseError -> 3, BudgetError -> 4, NonAdmissibleError and
+InternalInvariantError -> 5.
 """
 
 

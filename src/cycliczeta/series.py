@@ -22,9 +22,12 @@ the value at each smaller cutoff (the refinements and N/2) off that pass;
 each of those values is bit-identical to a separate evaluation at that
 cutoff.  Plain chains (no coupling, or a coupling between tied variables)
 are streamed over fixed value segments: each segment has one table of
-powers keyed by exponent, shared by every chain of every weak order, and
-each chain carries its prefix sums from one segment to the next, so their
-memory does not grow with N.
+single-exponent powers, shared by every chain of every weak order, and a
+level of tied variables is the product of its members' powers.  Chains
+that share their bottom levels (neighbouring weak orders do) share those
+levels' prefix sums, and each prefix carries its sums from one segment to
+the next, so their memory does not grow with N.  The coupled chains keep
+one power of each level's summed exponent.
 
 The harmonic-form evaluators sum the extra variable analytically into a
 harmonic-range factor and truncate only the outer variables, so at finite
@@ -32,7 +35,9 @@ N they differ from the direct path; the two agree in the limit.
 
 Complex powers n^(-s) are computed as exp(-s log n) with the real log of a
 positive integer; the sine/cosine are taken at |Im s| log n so that
-conjugating every argument conjugates the result exactly.
+conjugating every argument conjugates the result exactly.  Products of
+powers are taken in variable order, never in an order of their values,
+which conjugation could change, so they stay exact under conjugation too.
 """
 
 from __future__ import annotations
@@ -227,44 +232,82 @@ def _shift_prefix(c: np.ndarray) -> np.ndarray:
     return out
 
 
-# A plain chain: its level exponents, bottom to top, and an optional extra
-# per-value factor (level, fn) applied as fn(x) on that level.
-_Plain = tuple[Sequence[complex], Optional[tuple[int, Callable]]]
+# A plain chain: its levels, bottom to top, each the exponents of its
+# members (a tied level is their product), and an optional extra per-value
+# factor (level, fn) applied as fn(x) on that level.
+_Plain = tuple[Sequence[Sequence[complex]], Optional[tuple[int, Callable]]]
 
 
 def _chain_plain(chains: Sequence[_Plain],
                  cutoffs: Sequence[int]) -> list[list[complex]]:
     """For every chain and every cutoff n, the sum over
-    1 <= x_1 < ... < x_t <= n of prod x_l^(-E_l), from one pass at the
-    largest cutoff streamed over value segments.
+    1 <= x_1 < ... < x_t <= n of prod_l prod_{e in E_l} x_l^(-e), from one
+    pass at the largest cutoff streamed over value segments.
 
-    Each segment has one power table shared by all chains.  A chain carries,
-    per level below its top, the sum of that level over all smaller values;
-    it seeds the segment's cumsum, so every prefix sum has the bits of one
-    sequential sum.  The value at n adds, segment by segment, the sum of
-    the top level's run up to n.
+    Each segment has one table of single-exponent powers shared by all
+    chains.  A level's vector is the product of its members' vectors, taken
+    in the given member order (an empty level is the ones vector), so a
+    tied level costs one complex multiply per extra member and conjugation
+    stays exact.
+
+    The run of a chain prefix (levels 0..l, with the extra factor if it
+    sits at or below l) depends on that prefix alone, so chains that share
+    a prefix share its work.  The chains are walked in the given order with
+    a stack of (prefix, its prefix sums); a chain keeps the stack up to its
+    first differing level, which for weak orders in depth-first order is
+    most of it, and the prefix sums of each depth reuse one buffer.  Each
+    prefix carries the sum of its run over all smaller values; it seeds the
+    segment's cumsum, so every prefix sum has the bits of one sequential
+    sum.  Carries are read from the previous segment's dict and written to
+    a fresh one, so a prefix that leaves the stack and is met again in the
+    same segment does not advance twice.  The value at n adds, segment by
+    segment, the sum of the top level's run up to n.
     """
     top = max(cutoffs, default=0)
-    carries = [[0] * (len(exps) - 1) for exps, _ in chains]
+    # Number the distinct prefixes: chains with equal ids have equal runs.
+    ids: dict[tuple, int] = {}
+    paths = []
+    for levels, weight in chains:
+        pid, path = None, []
+        for l, members in enumerate(levels):
+            fn = weight[1] if weight is not None and weight[0] == l else None
+            pid = ids.setdefault((pid, tuple(members), fn), len(ids))
+            path.append(pid)
+        paths.append(path)
+    carries: dict[int, complex] = {}
+    # One prefix-sum buffer per stack depth and dtype, reused every segment.
+    bufs: dict[tuple[int, np.dtype], np.ndarray] = {}
     totals = [[0j] * len(cutoffs) for _ in chains]
     for s0 in range(0, top, _SEGMENT):
         s1 = min(s0 + _SEGMENT, top)
         power = _power_table(s1, s0)
         x = np.arange(s0 + 1, s1 + 1, dtype=np.float64)
-        for (exps, weight), carry, total in zip(chains, carries, totals):
-            run = None
-            for l, e in enumerate(exps):
-                g = power(e)
+        fresh: dict[int, complex] = {}
+        stack: list[tuple[int, np.ndarray]] = []  # (prefix id, its prefix sums)
+        for (levels, weight), path, total in zip(chains, paths, totals):
+            d = 0
+            while d < min(len(stack), len(path) - 1) and stack[d][0] == path[d]:
+                d += 1
+            del stack[d:]
+            for l in range(d, len(levels)):
+                members = levels[l]
+                run = power(members[0] if members else 0)
+                for e in members[1:]:
+                    run = run * power(e)
                 if weight is not None and weight[0] == l:
-                    g = g * weight[1](x)
-                if run is not None:
-                    pre = np.empty(s1 - s0 + 1, dtype=run.dtype)
-                    pre[0] = carry[l - 1]
+                    run = run * weight[1](x)
+                if stack:
+                    run = run * stack[-1][1]
+                if l < len(levels) - 1:
+                    key = (l, run.dtype)
+                    if key not in bufs:
+                        bufs[key] = np.empty(min(top, _SEGMENT) + 1, run.dtype)
+                    pre = bufs[key][:s1 - s0 + 1]
+                    pre[0] = carries.get(path[l], 0)
                     pre[1:] = run
                     np.cumsum(pre, out=pre)
-                    carry[l - 1] = pre[-1]
-                    g = g * pre[:-1]
-                run = g
+                    fresh[path[l]] = pre[-1]
+                    stack.append((path[l], pre[:-1]))
             part: dict[int, complex] = {}
             for k, n in enumerate(cutoffs):
                 if n > s0:
@@ -272,6 +315,7 @@ def _chain_plain(chains: Sequence[_Plain],
                     if m not in part:
                         part[m] = complex(run[:m].sum())
                     total[k] += part[m]
+        carries = fresh
     return totals
 
 
@@ -339,12 +383,14 @@ def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
 
 
 def _split_order(osp, exps: Mapping[VarId, complex], pieces):
-    """One weak order's summand: its level exponents, the coefficient of
-    the uncoupled chain, the tied couplings (coeff, level, fn) and the cell
-    terms between levels p < q grouped by (p, q)."""
+    """One weak order's summand: its levels (each the tuple of its members'
+    nonzero exponents, in variable order), the coefficient of the uncoupled
+    chain, the tied couplings (coeff, level, fn) and the cell terms between
+    levels p < q grouped by (p, q)."""
     levels = osp.levels
     level_of = {v: l for l, lvl in enumerate(levels) for v in lvl}
-    level_exps = [sum((complex(exps.get(v, 0)) for v in lvl), 0j) for lvl in levels]
+    members = [tuple(complex(exps[v]) for v in lvl if exps.get(v, 0) != 0)
+               for lvl in levels]
 
     plain_coeff = 0j
     diag: list[tuple[complex, int, Callable]] = []
@@ -366,7 +412,7 @@ def _split_order(osp, exps: Mapping[VarId, complex], pieces):
             groups.setdefault((min(la, lb), max(la, lb)), []).extend(
                 t._replace(coeff=coeff * t.coeff) for t in terms
             )
-    return level_exps, plain_coeff, diag, sorted(groups.items())
+    return members, plain_coeff, diag, sorted(groups.items())
 
 
 def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
@@ -378,24 +424,26 @@ def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
     evaluated at the same cutoffs."""
     orders = [_split_order(osp, exps, pieces) for osp in weak_orders(cs)]
     chains: list[_Plain] = []
-    for level_exps, plain_coeff, diag, _ in orders:
+    for levels, plain_coeff, diag, _ in orders:
         if plain_coeff != 0:
-            chains.append((level_exps, None))
-        chains.extend((level_exps, (l, fn)) for _, l, fn in diag)
+            chains.append((levels, None))
+        chains.extend((levels, (l, fn)) for _, l, fn in diag)
     plain = iter(_chain_plain(chains, cutoffs))
     top = max(cutoffs)
     power = _power_table(top)
     tiles = tiles or kernel_tiles()
 
     totals = [0j] * len(cutoffs)
-    for level_exps, plain_coeff, diag, groups in orders:
+    for levels, plain_coeff, diag, groups in orders:
         order = [0j] * len(cutoffs)
         if plain_coeff != 0:
             order = [a + plain_coeff * v for a, v in zip(order, next(plain))]
         for coeff, _, _ in diag:
             order = [a + coeff * v for a, v in zip(order, next(plain))]
-        for (p, q), members in groups:
-            run = _chain_coupled(level_exps, top, p, q, members, power, tiles)
+        # Coupled chains take one power of each level's summed exponent.
+        level_exps = [sum(lvl, 0j) for lvl in levels]
+        for (p, q), terms in groups:
+            run = _chain_coupled(level_exps, top, p, q, terms, power, tiles)
             order = [a + complex(run[:n].sum()) for a, n in zip(order, cutoffs)]
         totals = [a + v for a, v in zip(totals, order)]
     return totals
@@ -641,7 +689,8 @@ def eval_mzf(s: Sequence[complex], plan, *, enforce_domain: bool = True,
             raise DomainError(msg)
         warnings.warn(msg, stacklevel=2)
     _check_budget(plan, CHAIN_CUTOFF_CAP, max_cutoff)
-    return _make_report(lambda ns: _chain_plain([(vals, None)], ns)[0], plan)
+    chain = ([(v,) for v in vals], None)
+    return _make_report(lambda ns: _chain_plain([chain], ns)[0], plan)
 
 
 def mzv_partial_sum(parts: Sequence[int], n_max: int) -> float:
@@ -651,7 +700,7 @@ def mzv_partial_sum(parts: Sequence[int], n_max: int) -> float:
 
 @lru_cache(maxsize=4096)
 def _mzv_partial_cached(parts: tuple[int, ...], n_max: int) -> float:
-    return _chain_plain([([complex(p) for p in parts], None)], (n_max,))[0][0].real
+    return _chain_plain([([(complex(p),) for p in parts], None)], (n_max,))[0][0].real
 
 
 def combo_partial_sum(combo, n_max: int) -> float:
@@ -697,7 +746,7 @@ def harmonic_relation_check(s1: complex, s2: complex, n_max: int) -> float:
     box truncation (the four pieces tile the box exactly, so this measures
     floating rounding at any N)."""
     s1, s2 = complex(s1), complex(s2)
-    chains = [([s1], None), ([s2], None), ([s1, s2], None), ([s2, s1], None),
-              ([s1 + s2], None)]
+    chains = [([(s1,)], None), ([(s2,)], None), ([(s1,), (s2,)], None),
+              ([(s2,), (s1,)], None), ([(s1, s2)], None)]
     z1, z2, z12, z21, zd = (v[0] for v in _chain_plain(chains, (n_max,)))
     return abs(z1 * z2 - z12 - z21 - zd)

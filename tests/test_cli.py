@@ -305,6 +305,20 @@ def test_table1_zero_weight_budget_exit_4(capsys):
     assert "budget 0" in err
 
 
+def test_table1_internal_invariant_exit_5(capsys, monkeypatch):
+    rank = rel_mod.rank_exact
+
+    def inflated(matrix):
+        r = rank(matrix)
+        return r + 2 if matrix.provenances[0].family == "csf" else r
+
+    monkeypatch.setattr(rel_mod, "rank_exact", inflated)
+    code, out, err = run(capsys, "table1", "--max-weight", "5")
+    assert code == 5 and out == ""
+    assert err.startswith("internal error:") and "weight" in err
+    assert "Traceback" not in err
+
+
 def test_relations_zero_row_budget_exit_4(tmp_path, capsys):
     out_file = tmp_path / "r.json"
     code, _, err = run(capsys, "relations", "--weight", "5", "--family", "cyclic",
@@ -433,7 +447,9 @@ def test_decompose_count_negative_n_exit_3(capsys):
 # --- the benchmark's traced run ---------------------------------------------
 
 # Run in a fresh interpreter: Tracer.install rebinds module attributes.
-TRACED_TABLE1 = """
+# argv[1] is the checkout, argv[2] the CLI arguments as JSON; the last line
+# printed is one JSON object holding the CLI's exit code and output.
+TRACED = """
 import contextlib, io, json, sys, time
 sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
 import tracing
@@ -441,27 +457,51 @@ from cycliczeta import cli
 tracer = tracing.Tracer("t")
 tracer.install()
 start = time.perf_counter()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["table1", "--max-weight", "5"])
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(json.loads(sys.argv[2]))
 metrics = tracer.metrics(time.perf_counter() - start)
-print(json.dumps({"code": code, "missing": tracer.missing,
+print(json.dumps({"code": code, "out": out.getvalue(), "missing": tracer.missing,
                   "metrics": {k: v for k, (v, _) in metrics.items()}}))
 """
 # Per-layer metrics that perfbench/run.py adds from whole runs.
 RUN_METRICS = {"trace.wall_s", "trace.untraced_wall_s", "trace.overhead_s",
                "trace.untraced_spread", "host.raw_wall_s", "host.slowdown"}
+DECLARED = {m["name"] for m in
+            json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+
+
+def run_traced(*argv) -> dict:
+    """The traced CLI run's result; it must leave perfbench/ as it was."""
+    before = sorted((ROOT / "perfbench").rglob("*"))
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", TRACED, str(ROOT), json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted((ROOT / "perfbench").rglob("*")) == before
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["code"] == 0 and got["missing"] == []
+    assert all(math.isfinite(v) for v in got["metrics"].values()), got["metrics"]
+    return got
 
 
 def test_traced_table1_reports_every_per_layer_metric_finite():
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", TRACED_TABLE1, str(ROOT)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["code"] == 0 and got["missing"] == []
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    assert {m["name"] for m in declared} - RUN_METRICS <= set(got["metrics"])
-    assert all(math.isfinite(v) for v in got["metrics"].values()), got["metrics"]
+    got = run_traced("table1", "--max-weight", "5")
+    assert DECLARED - RUN_METRICS <= set(got["metrics"])
+
+
+def test_traced_eval_reports_every_series_metric_finite():
+    """The plain-chain path under the tracer: every series.* name is
+    present, the wrapped bindings are called through the module, and the
+    CLI output is still the evaluation report."""
+    got = run_traced("eval", "--kind", "zeta-c", "--shape", "2,2", "--s",
+                     "1.2+0.1i,2.2-0.2i;1.5+0.3i,2.5", "--i", "1", "--N-list", "50,100")
+    metrics = got["metrics"]
+    assert {n for n in DECLARED if n.startswith("series.")} <= set(metrics)
+    for name in ("series.chain_plain_calls", "series.pow_vec_calls",
+                 "series.orders_evaluated"):
+        assert metrics[name] > 0, name
+    result = json.loads(got["out"])
+    assert result["cutoff"] == 100 and len(result["refinements"]) == 2
 
 
 # --- fuzzed argument lists ---------------------------------------------------

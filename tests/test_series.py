@@ -643,6 +643,102 @@ def test_cutoff_one():
 
 
 
+# --- plain chains against the per-chain, summed-exponent route ---------------
+
+
+def reference_chain_plain(chains, cutoffs):
+    """The plain-chain route before prefix sharing: every chain on its own,
+    each level one power vector of its summed exponent, streamed over the
+    same segments."""
+    top = max(cutoffs, default=0)
+    carries = [[0] * (len(levels) - 1) for levels, _ in chains]
+    totals = [[0j] * len(cutoffs) for _ in chains]
+    for s0 in range(0, top, series._SEGMENT):
+        s1 = min(s0 + series._SEGMENT, top)
+        power = series._power_table(s1, s0)
+        x = np.arange(s0 + 1, s1 + 1, dtype=np.float64)
+        for (levels, weight), carry, total in zip(chains, carries, totals):
+            run = None
+            for l, members in enumerate(levels):
+                g = power(sum(members, 0j))
+                if weight is not None and weight[0] == l:
+                    g = g * weight[1](x)
+                if run is not None:
+                    pre = np.empty(s1 - s0 + 1, dtype=run.dtype)
+                    pre[0] = carry[l - 1]
+                    pre[1:] = run
+                    np.cumsum(pre, out=pre)
+                    carry[l - 1] = pre[-1]
+                    g = g * pre[:-1]
+                run = g
+            for k, n in enumerate(cutoffs):
+                if n > s0:
+                    total[k] += complex(run[:min(n, s1) - s0].sum())
+    return totals
+
+
+def test_shared_prefix_carry_advances_once_per_segment(monkeypatch):
+    """Chains A, B, A2 where A and A2 share a two-level prefix (one level
+    tied) that B lacks: the prefix leaves the stack at B and is met again
+    in the same segment.  Each chain equals, bit for bit, a call on that
+    chain alone."""
+    monkeypatch.setattr(series, "_SEGMENT", 3)
+    a, b, c, d = 1.5 + 0.4j, 0.7 - 0.3j, 1.1 + 0.2j, 2.0 - 0.6j
+    chains = [([(a,), (b, c), (d,)], None),
+              ([(b,), (a,), (c, d)], None),
+              ([(a,), (b, c), (c,), (d, a)], None)]
+    cutoffs = (1, 2, 4, 7, 9, 13)  # five segments of 3 values
+    got = series._chain_plain(chains, cutoffs)
+    for chain, values in zip(chains, got):
+        assert values == series._chain_plain([chain], cutoffs)[0]
+
+
+# (shape, arguments) of the window and full series compared with the
+# summed-exponent route.
+ORACLE_CASES = [
+    ComplexArgs(Shape((2, 1)), (1.2 + 0.3j, 2.2 - 0.1j, 1.5 + 0.2j)),
+    ComplexArgs(Shape((2, 2)), (1.2 - 0.2j, 2.2 + 0.4j, 1.5 + 0.1j, 2.5 - 0.3j)),
+]
+ORACLE_PLAN = TruncationPlan(200_001, refinements=(65_536, 65_537, 131_073, 200_001))
+
+
+def assert_close_to_reference(monkeypatch, fn):
+    """The report fn() agrees with the one from the summed-exponent route to
+    1e-13 relative at every cutoff."""
+    got = fn()
+    with monkeypatch.context() as m:
+        m.setattr(series, "_chain_plain", reference_chain_plain)
+        want = fn()
+    for (n, v), (_, w) in zip(got.refinements, want.refinements):
+        assert abs(v - w) <= 1e-13 * abs(w), (n, v, w)
+
+
+@pytest.mark.parametrize("s", ORACLE_CASES, ids=["2,1", "2,2"])
+def test_plain_chains_match_summed_exponent_route(monkeypatch, s):
+    evals = [lambda a: eval_zeta_C(a, ORACLE_PLAN)]
+    evals += [lambda a, i=i: eval_zeta_C_i(a, i, ORACLE_PLAN) for i in (1, 2)]
+    for fn in evals:
+        assert_close_to_reference(monkeypatch, lambda: fn(s))
+        r1, r2 = fn(s), fn(s.conjugate())
+        assert all(v == w.conjugate()
+                   for (_, v), (_, w) in zip(r1.refinements, r2.refinements))
+
+
+def test_tied_chains_match_summed_exponent_route():
+    """mzf-style chains with tied and empty levels, and their conjugates."""
+    a, b, c = 1.5 + 0.4j, 0.6 - 0.3j, 1.3 + 0.2j
+    chains = [([(a, b), (c,)], None), ([(a,), (b, c)], None),
+              ([(), (c, a, b)], None), ([(b,), (), (a, c)], None)]
+    conj = [([tuple(e.conjugate() for e in lvl) for lvl in levels], w)
+            for levels, w in chains]
+    ns = ORACLE_PLAN.refinements
+    got = series._chain_plain(chains, ns)
+    for values, want in zip(got, reference_chain_plain(chains, ns)):
+        assert all(abs(v - w) <= 1e-13 * abs(w) for v, w in zip(values, want))
+    for values, flipped in zip(got, series._chain_plain(conj, ns)):
+        assert all(v == w.conjugate() for v, w in zip(values, flipped))
+
+
 # --- the coupled engine against the elementwise oracle ----------------------
 
 
