@@ -35,7 +35,6 @@ from .errors import (
     ParseError,
 )
 from .model import (
-    EXTRA,
     ComplexArgs,
     Shape,
     VarId,
@@ -464,25 +463,29 @@ def cmd_table1(args, cfg: RunConfig) -> int:
     return 0
 
 
-_EXP_KEY = re.compile(r"^(n)$|^n(\d+)_(\d+)$")
+_EXP_VALUE = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_exponents(text: str, variables) -> dict[VarId, int]:
+    """key:value entries separated by commas or spaces: each key names one
+    variable of the system (n or n<i>_<j>) exactly once, each value is an
+    optional sign and ASCII digits, and every variable gets a value."""
+    names = {str(v): v for v in variables}
     out: dict[VarId, int] = {}
     for tok in re.split(r"[,\s]+", text.strip()):
         if not tok:
             continue
-        if ":" not in tok:
+        key, sep, val = tok.partition(":")
+        if not sep:
             raise ParseError(f"bad exponent entry {tok!r} (expected key:value)")
-        key, _, val = tok.partition(":")
-        m = _EXP_KEY.match(key.strip())
-        if not m:
-            raise ParseError(f"bad exponent key {key!r} (use n or n<i>_<j>)")
-        var = EXTRA if m.group(1) else VarId.block(int(m.group(2)), int(m.group(3)))
-        try:
-            out[var] = int(val)
-        except ValueError:
-            raise ParseError(f"bad exponent value {val!r}") from None
+        var = names.get(key)
+        if var is None:
+            raise ParseError(f"bad exponent key {key!r} (the variables are {', '.join(names)})")
+        if var in out:
+            raise ParseError(f"exponent of {var} given twice")
+        if not _EXP_VALUE.fullmatch(val):
+            raise ParseError(f"bad exponent value {val!r}")
+        out[var] = int(val)
         if out[var] < 0:
             raise ParseError(f"exponent of {var} must be >= 0, got {out[var]}")
     missing = [v for v in variables if v not in out]

@@ -33,18 +33,29 @@ TILE = 256
 
 
 def cpow(vals: np.ndarray, e: complex) -> np.ndarray:
-    """vals**e for positive vals, conjugation-symmetric in e."""
+    """vals**e for positive vals, conjugation-symmetric in e.
+
+    Written in place into the result and one work buffer (the log, then the
+    modulus): cos and sin of |Im e| log v fill the real and imaginary
+    halves, and both are scaled by v**Re e."""
     e = complex(e)
-    if e == 0:
-        return np.ones_like(np.asarray(vals, dtype=np.float64))
-    if e.imag == 0.0:
-        return np.asarray(vals, dtype=np.float64) ** e.real
     v = np.asarray(vals, dtype=np.float64)
-    ln = np.log(v)
-    mag = v**e.real
-    aa = abs(e.imag) * ln
-    sgn = 1.0 if e.imag > 0 else -1.0
-    return mag * (np.cos(aa) + 1j * sgn * np.sin(aa))
+    if e == 0:
+        return np.ones_like(v)
+    if e.imag == 0.0:
+        return v**e.real
+    out = np.empty(v.shape, dtype=np.complex128)
+    re, im = out.real, out.imag
+    buf = np.log(v)
+    buf *= abs(e.imag)
+    np.cos(buf, out=re)
+    np.sin(buf, out=im)
+    if e.imag < 0:
+        np.subtract(0.0, im, out=im)  # not negative(): sin 0 stays +0
+    np.power(v, e.real, out=buf)
+    re *= buf
+    im *= buf
+    return out
 
 
 def harmonic_table(n_max: int) -> np.ndarray:

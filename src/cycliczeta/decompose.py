@@ -4,8 +4,11 @@ A sum over a domain mixing strict and non-strict inequalities splits into
 sums over totally ordered chains, one per ordered set partition (weak
 order) of the variable set compatible with the constraints: merge the
 exponents of tied variables and read off one symbol per partition.  The
-decomposition only needs how often each symbol occurs, so it counts weak
-orders by a recursion over the order filters of the constraint poset; the
+decomposition only needs how often each symbol occurs, so one engine
+(`_part_counts`) counts weak orders by a recursion over the order filters of
+the constraint poset and returns plain part tuples with their counts;
+`decompose_to_mzv` checks its input and wraps that result as a
+`SymbolCombination`, and relation generation sums the tuples itself.  The
 weak orders themselves are enumerated for display and for the series
 evaluators.
 Completeness and disjointness of the split are exactly testable against a
@@ -17,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -82,6 +86,11 @@ class SymbolCombination:
 
     def items(self) -> list[tuple[Composition, int]]:
         return sorted(self._coeffs.items(), key=lambda kv: kv[0].sort_key())
+
+    def coefficients(self) -> Mapping[Composition, int]:
+        """Read-only view of the nonzero coefficients by symbol, unsorted
+        (cheaper than items() for readers that do not need the order)."""
+        return MappingProxyType(self._coeffs)
 
     def coefficient(self, comp: Composition) -> int:
         return self._coeffs.get(comp, 0)
@@ -229,11 +238,8 @@ def weak_orders(cs: ConstraintSystem) -> tuple[OrderedSetPartition, ...]:
 def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> SymbolCombination:
     """Rewrite the sum over cs with the given nonnegative integer exponents
     as an exact combination of admissible symbols (one per weak order, with
-    tied variables' exponents merged).
-
-    The weak orders are counted, not built: a memoised recursion over the
-    order filters maps each filter to the multiset of part tuples of its
-    completions, each level's part being the sum of its exponents.
+    tied variables' exponents merged): the checked public form of
+    `_part_counts`.
     """
     for v in cs.variables:
         if v not in exponents:
@@ -241,8 +247,19 @@ def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> Sy
     for v, e in exponents.items():
         if int(e) != e or e < 0:
             raise ValueError(f"exponent of {v} must be a nonnegative integer")
+    return _combination(_part_counts(cs, [int(exponents[v]) for v in cs.variables]))
+
+
+def _part_counts(cs: ConstraintSystem, exps: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """The decomposition engine: each part tuple of the weak orders of cs and
+    how many weak orders read it, for nonnegative integer exponents listed
+    in the order of cs.variables (not checked here).
+
+    The weak orders are counted, not built: a memoised recursion over the
+    order filters maps each filter to the multiset of part tuples of its
+    completions, each level's part being the sum of its exponents.
+    """
     vs, steps = _filter_steps(cs)
-    exps = [int(exponents[v]) for v in vs]
     memo: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}
 
     def completions(remaining: int) -> dict[tuple[int, ...], int]:
@@ -252,20 +269,25 @@ def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> Sy
             for lvl, rest in steps[remaining]:
                 part = sum(exps[t] for t in lvl)
                 if part < 1 or (part < 2 and not rest):
-                    _raise_non_admissible(cs, exponents)
+                    _raise_non_admissible(cs, dict(zip(vs, exps)))
                 for tail, n in completions(rest).items():
                     key = (part,) + tail
                     got[key] = got.get(key, 0) + n
             memo[remaining] = got
         return got
 
-    counts = completions((1 << len(vs)) - 1)
-    return SymbolCombination({_composition(parts): n for parts, n in counts.items()})
+    return completions((1 << len(vs)) - 1)
 
 
 @lru_cache(maxsize=None)
 def _composition(parts: tuple[int, ...]) -> Composition:
     return Composition(parts)
+
+
+def _combination(counts: Mapping[tuple[int, ...], int]) -> SymbolCombination:
+    """The combination of part tuples and their coefficients; each symbol
+    is built once per process."""
+    return SymbolCombination({_composition(parts): c for parts, c in counts.items()})
 
 
 def _raise_non_admissible(cs: ConstraintSystem, exponents: Mapping[VarId, int]):

@@ -10,6 +10,12 @@ family.  Stacking the relations of one weight into an integer matrix and
 computing its exact rank reproduces the reference table of independent
 relation counts.
 
+Relations are accumulated on plain part tuples: the window decompositions
+come from the decomposition engine (`decompose._part_counts`), the star
+expansions from `_star_parts`, and each relation builds one
+`SymbolCombination` at the end.  `relation_matrix` indexes each distinct
+combination once, unsorted.
+
 The rank is certified modularly: Gauss-Jordan elimination of the distinct
 rows modulo primes below 2^31 (int64 numpy rows) gives a lower bound, and
 integer kernel vectors recovered from the reduced rows by CRT and rational
@@ -22,18 +28,19 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .decompose import Composition, SymbolCombination, decompose_to_mzv
+from .decompose import Composition, SymbolCombination, _combination, _part_counts
+# Unused here, but perfbench/tracing.py wraps this binding until the library counts its own calls.
+from .decompose import decompose_to_mzv  # noqa: F401
 from .errors import BudgetError, DomainError, InternalInvariantError, NonAdmissibleError, ParseError
 from .model import (
-    EXTRA,
     IntArgs,
     Shape,
-    VarId,
     build_constraints_S_i,
     build_constraints_S_ij,
     is_integer_point_in_W,
@@ -78,42 +85,38 @@ def cyclic_relation(k: IntArgs) -> Relation:
     window domain at (i, j) is decomposed with the exponent at (i, j)
     lowered by m and the extra variable carrying m+1; the window series
     over every block (extra exponent 1) is subtracted.  Every symbol has
-    weight sum(k) + 1.
+    weight sum(k) + 1.  The variables of every S_ij and S_i system are the
+    block positions in order, then n, so the exponents are passed to the
+    decomposition engine as plain lists and its part tuples summed.
     """
     if not is_integer_point_in_W(k):
         raise DomainError(f"integer point {k} lies outside W")
     shape = k.shape
-    acc: dict[Composition, int] = {}
+    values = list(k.values)
+    acc: dict[tuple[int, ...], int] = {}
 
     def add(cs, exps, sign):
-        for comp, c in decompose_to_mzv(cs, exps).items():
-            acc[comp] = acc.get(comp, 0) + sign * c
+        for parts, c in _part_counts(cs, exps).items():
+            acc[parts] = acc.get(parts, 0) + sign * c
 
     for i in range(1, shape.d + 1):
         r_i = shape.r[i - 1]
         for j in range(1, r_i + 1):
             delta = 1 if j == r_i else 0
             cs = build_constraints_S_ij(shape, i, j)
-            for m in range(delta, k[(i, j)]):
-                exps = {VarId.block(a, b): k[(a, b)] for (a, b) in shape.positions()}
-                exps[VarId.block(i, j)] = k[(i, j)] - m
-                exps[EXTRA] = m + 1
+            at = shape.offset(i, j)
+            for m in range(delta, values[at]):
+                exps = values + [m + 1]
+                exps[at] -= m
                 add(cs, exps, 1)
     for i in range(1, shape.d + 1):
-        cs = build_constraints_S_i(shape, i)
-        exps = {VarId.block(a, b): k[(a, b)] for (a, b) in shape.positions()}
-        exps[EXTRA] = 1
-        add(cs, exps, -1)
-    return Relation(SymbolCombination(acc), Provenance("cyclic", shape, k))
+        add(build_constraints_S_i(shape, i), values + [1], -1)
+    return Relation(_combination(acc), Provenance("cyclic", shape, k))
 
 
-def zeta_star_expand(c: Composition) -> SymbolCombination:
-    """Expand a star symbol (non-strict chain) into strict-chain symbols by
-    merging adjacent parts in all 2^(t-1) ways, coefficient +1 each."""
-    if not c.admissible:
-        raise NonAdmissibleError(f"star symbol ({c}) is not admissible", parts=c.parts)
-    parts = c.parts
-    acc: dict[Composition, int] = {}
+def _star_parts(parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The strict-chain part tuples of a star symbol: adjacent parts merged
+    in all 2^(t-1) ways."""
     t = len(parts)
     for mask in range(1 << (t - 1)):
         merged = [parts[0]]
@@ -122,9 +125,15 @@ def zeta_star_expand(c: Composition) -> SymbolCombination:
                 merged[-1] += parts[pos]
             else:
                 merged.append(parts[pos])
-        comp = Composition(tuple(merged))
-        acc[comp] = acc.get(comp, 0) + 1
-    return SymbolCombination(acc)
+        yield tuple(merged)
+
+
+def zeta_star_expand(c: Composition) -> SymbolCombination:
+    """Expand a star symbol (non-strict chain) into strict-chain symbols by
+    merging adjacent parts in all 2^(t-1) ways, coefficient +1 each."""
+    if not c.admissible:
+        raise NonAdmissibleError(f"star symbol ({c}) is not admissible", parts=c.parts)
+    return _combination(Counter(_star_parts(c.parts)))
 
 
 def csf_relation(k: IntArgs) -> Relation:
@@ -138,21 +147,14 @@ def csf_relation(k: IntArgs) -> Relation:
     if not is_integer_point_in_W(k):
         raise DomainError(f"integer point {k} lies outside W")
     d = shape.d
-    vals = [k[(i, 1)] for i in range(1, d + 1)]
+    vals = k.values
     total = sum(vals)
-    acc: dict[Composition, int] = {}
+    acc: Counter[tuple[int, ...]] = Counter()
     for i in range(d):
         for m in range(1, vals[i]):
-            rotated = (
-                (vals[i] - m,)
-                + tuple(vals[(i + t) % d] for t in range(1, d))
-                + (m + 1,)
-            )
-            for comp, c in zeta_star_expand(Composition(rotated)).items():
-                acc[comp] = acc.get(comp, 0) + c
-    full = Composition((total + 1,))
-    acc[full] = acc.get(full, 0) - total
-    return Relation(SymbolCombination(acc), Provenance("csf", shape, k))
+            acc.update(_star_parts((vals[i] - m,) + vals[i + 1:] + vals[:i] + (m + 1,)))
+    acc[(total + 1,)] -= total
+    return Relation(_combination(acc), Provenance("csf", shape, k))
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +286,17 @@ class RelationMatrix:
 
 
 def relation_matrix(rels: Sequence[Relation]) -> RelationMatrix:
-    weights = {r.combo.weight() for r in rels if r.combo}
-    weights.discard(None)
+    # Relations of one rotation orbit share their combination object, so
+    # each distinct one is indexed once; every row is still its own dict.
+    combos = {id(r.combo): r.combo.coefficients() for r in rels}
+    symbols = sorted(set().union(*combos.values()), key=Composition.sort_key)
+    weights = sorted({comp.weight for comp in symbols})
     if len(weights) > 1:
-        raise ValueError(f"relations mix symbol weights {sorted(weights)}")
-    weight = weights.pop() if weights else None
-    symbols = sorted(
-        {comp for r in rels for comp, _ in r.combo.items()}, key=Composition.sort_key
-    )
+        raise ValueError(f"relations mix symbol weights {weights}")
     col = {comp: t for t, comp in enumerate(symbols)}
-    rows = []
-    provs = []
-    for r in rels:
-        rows.append({col[comp]: c for comp, c in r.combo.items()})
-        provs.append(r.provenance)
-    return RelationMatrix(tuple(symbols), rows, weight, provs)
+    entries = {key: [(col[comp], c) for comp, c in co.items()] for key, co in combos.items()}
+    return RelationMatrix(tuple(symbols), [dict(entries[id(r.combo)]) for r in rels],
+                          weights[0] if weights else None, [r.provenance for r in rels])
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:

@@ -435,6 +435,22 @@ def test_decompose_negative_exponent_exit_3(capsys):
     assert err.startswith("parse error:") and "must be >= 0" in err
 
 
+@pytest.mark.parametrize("exponents, message", [
+    ("n9_9:3,n1_1:1,n:2", "bad exponent key 'n9_9'"),  # not a variable of the system
+    ("n0_1:1,n1_1:1,n:2", "bad exponent key 'n0_1'"),
+    ("n:1,n:0,n1_1:1", "exponent of n given twice"),
+    ("n1_1:1_0,n:2", "bad exponent value '1_0'"),
+    ("n1_1:\uff12,n:2", "bad exponent value"),  # full-width digit two
+])
+def test_decompose_bad_exponents_exit_3(capsys, exponents, message):
+    code, out, err = run(
+        capsys, "decompose", "--shape", "1", "--set", "S_ij", "--i", "1", "--j", "1",
+        "--exponents", exponents,
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("parse error:") and message in err
+
+
 def test_decompose_count_negative_n_exit_3(capsys):
     code, out, err = run(
         capsys, "decompose", "--shape", "1", "--set", "S_i", "--i", "1",
@@ -514,7 +530,8 @@ COMPLEX = st.sampled_from(["2+0i", "1.5+0.5i", "3", "0.5", "1.5,2.5", "1.5;1.6",
                            "1.2,2.2;1.5", "2-1i,1,1", "1e400", "nan", "x", ""])
 N_LIST = st.lists(st.integers(-2, 50), max_size=3).map(lambda v: ",".join(map(str, v)))
 EXPONENTS = st.sampled_from(["n1_1:1,n:2", "n1_1:2 n:1", "n1_1:0,n2_1:0",
-                             "n1_1:1,n1_2:2,n2_1:2,n:1", "n1_1:-1,n:2", "n:x", "q:1", ""])
+                             "n1_1:1,n1_2:2,n2_1:2,n:1", "n1_1:-1,n:2", "n0_1:1,n:2",
+                             "n:x", "q:1", ""])
 FAMILY = st.sampled_from(["csf", "derivation", "cyclic", "bogus"])
 BOOL = st.sampled_from(["true", "0", "maybe"])
 # Paths inside the example's own directory: {tmp} is filled in per example.

@@ -4,10 +4,19 @@ import math
 
 import pytest
 
-from cycliczeta import relations
-from cycliczeta.decompose import Composition, SymbolCombination
-from cycliczeta.errors import BudgetError, DomainError, InternalInvariantError
-from cycliczeta.model import IntArgs, Shape
+from cycliczeta import decompose, relations
+from cycliczeta.decompose import Composition, SymbolCombination, decompose_to_mzv
+from cycliczeta.errors import BudgetError, DomainError, InternalInvariantError, NonAdmissibleError
+from cycliczeta.model import (
+    EXTRA,
+    Constraint,
+    ConstraintSystem,
+    IntArgs,
+    Shape,
+    VarId,
+    build_constraints_S_i,
+    build_constraints_S_ij,
+)
 from cycliczeta.relations import (
     ALL_RELATIONS_REF,
     Provenance,
@@ -73,18 +82,18 @@ def test_zeta_star_expand_examples():
     )
 
 
-def test_zeta_star_expand_matches_chain_decomposition():
-    # star expansion must agree with decomposing the all-non-strict chain
-    from cycliczeta.decompose import decompose_to_mzv
-    from cycliczeta.model import Constraint, ConstraintSystem, Shape as Sh, VarId
+def _star_chain(parts):
+    """The all-non-strict chain x_1 <= ... <= x_t and its exponents: its
+    decomposition is the star symbol of parts."""
+    t = len(parts)
+    vs = [VarId.block(1, j + 1) for j in range(t)]
+    cons = tuple(Constraint(vs[p], "<=", vs[p + 1]) for p in range(t - 1))
+    return ConstraintSystem(Shape((t,)), False, cons), dict(zip(vs, parts))
 
+
+def test_zeta_star_expand_matches_chain_decomposition():
     for parts in ((1, 2), (2, 3), (1, 1, 2), (2, 1, 3), (1, 1, 1, 2)):
-        t = len(parts)
-        vs = [VarId.block(1, j + 1) for j in range(t)]
-        cons = tuple(Constraint(vs[p], "<=", vs[p + 1]) for p in range(t - 1))
-        cs = ConstraintSystem(Sh((t,)), False, cons)
-        exps = {vs[p]: parts[p] for p in range(t)}
-        assert zeta_star_expand(C(*parts)) == decompose_to_mzv(cs, exps), parts
+        assert zeta_star_expand(C(*parts)) == decompose_to_mzv(*_star_chain(parts)), parts
 
 
 def test_zeta_star_expand_counts_and_weight():
@@ -164,6 +173,64 @@ def test_generate_relations_matches_per_configuration_route(monkeypatch):
             want = [Relation(gen(k).combo, Provenance(fam, shape, k))
                     for shape, k in enumerate_family(w, fam)]
             assert generate_relations(w, fam) == want, (w, fam)
+
+
+def _per_call_cyclic(k):
+    """The per-call route: decompose_to_mzv(...).items() summed per (i, j, m)."""
+    shape, acc = k.shape, {}
+
+    def add(cs, exps, sign):
+        for comp, c in decompose_to_mzv(cs, exps).items():
+            acc[comp] = acc.get(comp, 0) + sign * c
+
+    base = {VarId.block(a, b): k[(a, b)] for (a, b) in shape.positions()}
+    for i in range(1, shape.d + 1):
+        r_i = shape.r[i - 1]
+        for j in range(1, r_i + 1):
+            for m in range(1 if j == r_i else 0, k[(i, j)]):
+                exps = {**base, VarId.block(i, j): k[(i, j)] - m, EXTRA: m + 1}
+                add(build_constraints_S_ij(shape, i, j), exps, 1)
+    for i in range(1, shape.d + 1):
+        add(build_constraints_S_i(shape, i), {**base, EXTRA: 1}, -1)
+    return SymbolCombination(acc)
+
+
+def _per_call_csf(k):
+    """The cyclic-sum identity with each rotated star symbol decomposed as a
+    non-strict chain by decompose_to_mzv."""
+    vals, acc = k.values, {}
+    d, total = len(vals), sum(vals)
+    for i in range(d):
+        for m in range(1, vals[i]):
+            rotated = (vals[i] - m,) + vals[i + 1:] + vals[:i] + (m + 1,)
+            for comp, c in decompose_to_mzv(*_star_chain(rotated)).items():
+                acc[comp] = acc.get(comp, 0) + c
+    acc[C(total + 1)] = acc.get(C(total + 1), 0) - total
+    return SymbolCombination(acc)
+
+
+def test_part_tuple_engine_matches_per_call_route():
+    for w in range(3, 9):
+        for fam in relations.FAMILIES:
+            for _, k in enumerate_family(w, fam):
+                assert cyclic_relation(k).combo == _per_call_cyclic(k), (fam, str(k))
+                if fam == "csf":
+                    assert csf_relation(k).combo == _per_call_csf(k), str(k)
+
+
+def test_part_tuple_engine_reports_first_non_admissible_order():
+    shape = Shape((2, 1))
+    for cs in [build_constraints_S_ij(shape, 1, 2), build_constraints_S_i(shape, 1)]:
+        for exps in ([2, 1, 1, 1], [1, 0, 2, 1], [0, 0, 0, 0], [2, 2, 2, 0]):
+            by_var = dict(zip(cs.variables, exps))
+            first = next((osp, parts) for osp in decompose.weak_orders(cs)
+                         for parts in [tuple(sum(by_var[v] for v in lvl) for lvl in osp.levels)]
+                         if min(parts) < 1 or parts[-1] < 2)
+            for route in (lambda: decompose._part_counts(cs, exps),
+                          lambda: decompose_to_mzv(cs, by_var)):
+                with pytest.raises(NonAdmissibleError) as ei:
+                    route()
+                assert (ei.value.partition, ei.value.parts) == first, (str(cs), exps)
 
 
 def test_rotated_configurations_have_equal_relations():
