@@ -9,6 +9,7 @@ from cycliczeta import (
     Composition,
     IntArgs,
     Shape,
+    SymbolCombination,
     combo_partial_sum,
     csf_relation,
     cyclic_relation,
@@ -28,11 +29,18 @@ print("   truncated value at N=1e6:", combo_partial_sum(rel.combo, 10**6))
 print("\nstar symbols expand by merging adjacent parts:")
 print("  z*(1,1,2) =", zeta_star_expand(Composition((1, 1, 2))))
 
-print("\nall-singleton configurations reduce to the cyclic-sum identity;")
-print("both construction routes agree exactly:")
-k = IntArgs(Shape((1, 1)), (1, 2))
-print("  ", csf_relation(k).combo)
-assert csf_relation(k).combo == cyclic_relation(k).combo
+print("\nthe cyclic relation includes the cyclic sum formula: at an all-singleton")
+print("configuration it equals, with star symbols expanded,")
+print("  sum_i sum_{0<m<k_i} z*(k_i - m, k_(i+1), ..., k_(i-1), m + 1) - (sum k) z(sum k + 1)")
+k = IntArgs(Shape((1, 1, 1)), (1, 2, 1))
+vals, total = k.values, sum(k.values)
+classical = -total * SymbolCombination({Composition((total + 1,)): 1})
+for i in range(len(vals)):
+    for m in range(1, vals[i]):
+        rotated = (vals[i] - m,) + vals[i + 1:] + vals[:i] + (m + 1,)
+        classical = classical + zeta_star_expand(Composition(rotated))
+print(f"  k = {k}:", classical)
+assert classical == cyclic_relation(k).combo == csf_relation(k).combo
 
 print("\nweight-5 family sizes and ranks:")
 for family in ("csf", "derivation", "cyclic"):

@@ -321,17 +321,23 @@ def cmd_domain(args, cfg: RunConfig) -> int:
 
 
 def _atomic_write(path: Path, data: bytes):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
+    """Write through a temporary file in the target directory, removed on
+    failure; an OSError is a ParseError."""
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise ParseError(f"cannot write {path}: {exc}") from None
         raise
 
 
@@ -366,8 +372,11 @@ def cmd_relations(args, cfg: RunConfig) -> int:
     cache = _cache_path(args)
     data = None
     cached = False
-    if cache is not None and cache.exists():
-        blob = cache.read_bytes()
+    try:
+        blob = cache.read_bytes() if cache is not None and cache.exists() else None
+    except OSError as exc:
+        raise ParseError(f"cannot read {cache}: {exc}") from None
+    if blob is not None:
         if _cache_valid(blob, args.weight, args.family):
             data, cached = blob, True
         else:

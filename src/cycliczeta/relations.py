@@ -3,16 +3,16 @@
 Specializing the split-series identity at positive-integer exponents and
 expanding each pole factor as a geometric series yields, for every block
 configuration, one exact integer relation among admissible symbols (the
-cyclic family).  All-singleton configurations reduce to the classical
-cyclic-sum identity via star-symbol expansion, and configurations whose
-trailing blocks are singleton ones with entry 1 give the derivation
-family.  Stacking the relations of one weight into an integer matrix and
-computing its exact rank reproduces the reference table of independent
-relation counts.
+cyclic family).  The cyclic relation includes the classical cyclic sum
+formula: at an all-singleton configuration it is that formula (the csf
+family), and configurations whose trailing blocks are singleton ones with
+entry 1 give the derivation family.  All three families are generated by
+`cyclic_relation`.  Stacking the relations of one weight into an integer
+matrix and computing its exact rank reproduces the reference table of
+independent relation counts.
 
-Relations are accumulated on plain part tuples: the window decompositions
-come from the decomposition engine (`decompose._part_counts`), the star
-expansions from `_star_parts`, and each relation builds one
+Relations are accumulated on plain part tuples from the decomposition
+engine (`decompose._part_counts`), and each relation builds one
 `SymbolCombination` at the end.  `relation_matrix` indexes each distinct
 combination once, unsorted.
 
@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -114,47 +113,32 @@ def cyclic_relation(k: IntArgs) -> Relation:
     return Relation(_combination(acc), Provenance("cyclic", shape, k))
 
 
-def _star_parts(parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The strict-chain part tuples of a star symbol: adjacent parts merged
-    in all 2^(t-1) ways."""
-    t = len(parts)
-    for mask in range(1 << (t - 1)):
-        merged = [parts[0]]
-        for pos in range(1, t):
-            if (mask >> (pos - 1)) & 1:
-                merged[-1] += parts[pos]
-            else:
-                merged.append(parts[pos])
-        yield tuple(merged)
-
-
 def zeta_star_expand(c: Composition) -> SymbolCombination:
     """Expand a star symbol (non-strict chain) into strict-chain symbols by
     merging adjacent parts in all 2^(t-1) ways, coefficient +1 each."""
     if not c.admissible:
         raise NonAdmissibleError(f"star symbol ({c}) is not admissible", parts=c.parts)
-    return _combination(Counter(_star_parts(c.parts)))
+    parts = c.parts
+    acc: dict[tuple[int, ...], int] = {}
+    for mask in range(1 << (len(parts) - 1)):
+        merged = [parts[0]]
+        for pos in range(1, len(parts)):
+            if (mask >> (pos - 1)) & 1:
+                merged[-1] += parts[pos]
+            else:
+                merged.append(parts[pos])
+        acc[tuple(merged)] = 1
+    return _combination(acc)
 
 
 def csf_relation(k: IntArgs) -> Relation:
-    """The cyclic-sum identity at an all-singleton configuration, written
-    through star-symbol expansion:  sum over blocks and orders of the
-    rotated star symbol, minus (sum k) times the single full-weight symbol.
-    """
-    shape = k.shape
-    if not shape.all_singleton:
+    """The cyclic-sum identity at an all-singleton configuration: the sum
+    over blocks and orders of the rotated star symbol, minus (sum k) times
+    the single full-weight symbol.  Expanded into strict symbols it is the
+    cyclic relation of k, which is how it is computed."""
+    if not k.shape.all_singleton:
         raise ValueError("the cyclic-sum family needs an all-singleton shape")
-    if not is_integer_point_in_W(k):
-        raise DomainError(f"integer point {k} lies outside W")
-    d = shape.d
-    vals = k.values
-    total = sum(vals)
-    acc: Counter[tuple[int, ...]] = Counter()
-    for i in range(d):
-        for m in range(1, vals[i]):
-            acc.update(_star_parts((vals[i] - m,) + vals[i + 1:] + vals[:i] + (m + 1,)))
-    acc[(total + 1,)] -= total
-    return Relation(_combination(acc), Provenance("csf", shape, k))
+    return Relation(cyclic_relation(k).combo, Provenance("csf", k.shape, k))
 
 
 # ---------------------------------------------------------------------------
@@ -231,34 +215,30 @@ def generate_relations(weight: int, family: str, *,
                        include_d1_derivation: bool = True,
                        max_weight_budget: int = HARD_MAX_WEIGHT,
                        max_rows_budget: int = MAX_ROWS_BUDGET) -> list[Relation]:
-    """One relation per configuration; the all-singleton family uses the
-    star-expansion route, the others the window decomposition, each computed
-    once per block-rotation orbit (`_orbit_combo`).  The weight and the
-    number of configurations are checked against the budgets before any
-    relation is generated."""
+    """One relation per configuration, from `cyclic_relation` computed once
+    per block-rotation orbit (`_orbit_combo`).  The weight and the number
+    of configurations are checked against the budgets before any relation
+    is generated."""
     _check_weight(weight, max_weight_budget)
     configs = enumerate_family(weight, family, include_d1_derivation=include_d1_derivation)
     if len(configs) > max_rows_budget:
         raise BudgetError(f"{len(configs)} rows exceed the budget {max_rows_budget}")
-    generator = csf_relation if family == "csf" else cyclic_relation
-    return [Relation(_orbit_combo(generator, k), Provenance(family, shape, k))
-            for shape, k in configs]
+    return [Relation(_orbit_combo(k), Provenance(family, shape, k)) for shape, k in configs]
 
 
-# The combination of each block-rotation orbit, per generator, from the first
-# configuration met in it.  Relabelling the blocks cyclically maps every S_ij
-# and S_i system of a configuration onto those of its rotation, and the
-# cyclic-sum formula sums over every rotation of its star symbols, so all
-# rotations of a configuration have the same relation.
-_ORBIT_COMBOS: dict[tuple[Callable, tuple[tuple[int, ...], ...]], SymbolCombination] = {}
+# The combination of each block-rotation orbit, from the first configuration
+# met in it.  Relabelling the blocks cyclically maps every S_ij and S_i
+# system of a configuration onto those of its rotation, so all rotations of
+# a configuration have the same relation.
+_ORBIT_COMBOS: dict[tuple[tuple[int, ...], ...], SymbolCombination] = {}
 
 
-def _orbit_combo(generator: Callable[[IntArgs], Relation], k: IntArgs) -> SymbolCombination:
+def _orbit_combo(k: IntArgs) -> SymbolCombination:
     blocks = tuple(k.block(i) for i in range(1, k.shape.d + 1))
-    key = (generator, min(blocks[t:] + blocks[:t] for t in range(len(blocks))))
+    key = min(blocks[t:] + blocks[:t] for t in range(len(blocks)))
     combo = _ORBIT_COMBOS.get(key)
     if combo is None:
-        combo = _ORBIT_COMBOS[key] = generator(k).combo
+        combo = _ORBIT_COMBOS[key] = cyclic_relation(k).combo
     return combo
 
 
@@ -373,13 +353,6 @@ def _rank_mod(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-# Primes below 2^31, largest first: a product of two residues fits in int64.
-_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-           2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
-           2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
-           2147483249)
-
-
 def _is_prime_below_2_32(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 4759123141 (bases 2, 7 and 61)."""
     if n < 2 or n % 2 == 0:
@@ -403,10 +376,9 @@ def _is_prime_below_2_32(n: int) -> bool:
 
 
 def _primes() -> Iterable[int]:
-    """Primes below 2^31, largest first: `_PRIMES`, then the next smaller
-    ones found on demand."""
-    yield from _PRIMES
-    for n in range(_PRIMES[-1] - 2, 2, -2):
+    """Primes below 2^31, largest first, found on demand; a product of two
+    residues fits in int64."""
+    for n in range(2**31 - 1, 2, -2):
         if _is_prime_below_2_32(n):
             yield n
 
@@ -656,8 +628,14 @@ def relation_matrix_from_json_obj(obj: dict) -> RelationMatrix:
         symbols = tuple(Composition.parse(t) for t in obj["symbols"])
         rows = []
         provs: list[Provenance | None] = []
-        for row in obj["rows"]:
-            rows.append({int(c): int(v) for c, v in row["entries"]})
+        for i, row in enumerate(obj["rows"]):
+            # Anything but distinct int columns and string coefficients, as
+            # written, would change silently on conversion.
+            entries = row["entries"]
+            rows.append({c: int(v) for c, v in entries if type(c) is int and type(v) is str})
+            if len(rows[-1]) != len(entries):
+                raise ParseError(f"row {i}: columns must be distinct integers "
+                                 "and coefficients strings")
             p = row.get("provenance")
             if p:
                 shape = Shape.parse(p["shape"])

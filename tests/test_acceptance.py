@@ -15,7 +15,13 @@ import random
 import pytest
 
 from cycliczeta.cli import main
-from cycliczeta.decompose import chain_count, count_lattice_points, weak_orders
+from cycliczeta.decompose import (
+    Composition,
+    SymbolCombination,
+    chain_count,
+    count_lattice_points,
+    weak_orders,
+)
 from cycliczeta.model import (
     ComplexArgs,
     Constraint,
@@ -32,6 +38,7 @@ from cycliczeta.relations import (
     csf_relation,
     cyclic_relation,
     enumerate_family,
+    zeta_star_expand,
 )
 from cycliczeta.series import (
     TruncationPlan,
@@ -227,11 +234,25 @@ def test_criterion_5_counting_oracle_random():
 # -- criterion 6: all-singleton specialization equality ------------------------
 
 
+def _cyclic_sum_formula(k):
+    """The classical cyclic sum formula at an all-singleton k: the rotated
+    star symbols z*(k_i - m, k_(i+1), ..., k_(i-1), m + 1), 0 < m < k_i, minus
+    (sum k) z(sum k + 1), with each star symbol expanded."""
+    vals, total = k.values, sum(k.values)
+    combo = -total * SymbolCombination({Composition((total + 1,)): 1})
+    for i in range(len(vals)):
+        for m in range(1, vals[i]):
+            rotated = (vals[i] - m,) + vals[i + 1:] + vals[:i] + (m + 1,)
+            combo = combo + zeta_star_expand(Composition(rotated))
+    return combo
+
+
 def test_criterion_6_csf_equals_cyclic_weight_le_8():
     checked = 0
     for w in range(3, 9):
         for shape, k in enumerate_family(w, "csf"):
-            assert csf_relation(k).combo == cyclic_relation(k).combo, (w, k)
+            want = _cyclic_sum_formula(k)
+            assert want == cyclic_relation(k).combo == csf_relation(k).combo, (w, k)
             checked += 1
     _ok("6 specialization equality", f"{checked} all-singleton configurations")
 

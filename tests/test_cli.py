@@ -188,6 +188,64 @@ def test_rank_bad_file_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("entries", [
+    [[0, "1"], [0, "-1"], [1, "1"]],  # a repeated column: the last value would win
+    [[0, "1"], [1.7, "-1"]],  # float and boolean columns would read as 1
+    [[0, "1"], [True, "-1"]],
+    [[0, 1], [1, "-1"]],  # non-string coefficients; int() would truncate a float
+    [[0, "1"], [1, -1.9]],
+], ids=["repeated-column", "float-column", "bool-column", "int-coefficient",
+        "float-coefficient"])
+def test_rank_entries_that_would_change_on_load_exit_3(tmp_path, capsys, entries):
+    f = tmp_path / "set.json"
+    f.write_text(json.dumps({"weight": 3, "family": "cyclic", "symbols": ["1,2", "3"],
+                             "rows": [{"entries": entries}]}))
+    code, out, err = run(capsys, "rank", "--in", f.as_posix())
+    assert (code, out) == (3, "")
+    assert err == ("parse error: row 0: columns must be distinct integers "
+                   "and coefficients strings\n")
+
+
+def _write_failure(tmp_path, capsys, *flags):
+    code, out, err = run(capsys, "relations", "--weight", "3", "--family", "cyclic", *flags)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert not list(tmp_path.rglob(".tmp-*"))
+    return err
+
+
+def test_relations_out_is_a_directory_exit_3(tmp_path, capsys):
+    err = _write_failure(tmp_path, capsys, "--out", str(tmp_path))
+    assert err.startswith(f"parse error: cannot write {tmp_path}: ")
+
+
+def test_relations_out_under_a_file_exit_3(tmp_path, capsys):
+    f = tmp_path / "file"
+    f.write_text("kept")
+    err = _write_failure(tmp_path, capsys, "--out", str(f / "x"))
+    assert err.startswith(f"parse error: cannot write {f / 'x'}: ")
+    assert f.read_text() == "kept"
+
+
+def test_relations_cache_dir_is_a_file_exit_3(tmp_path, capsys):
+    f = tmp_path / "file"
+    f.write_text("kept")
+    err = _write_failure(tmp_path, capsys, "--out", str(tmp_path / "w3.json"),
+                         "--cache-dir", str(f))
+    assert err.startswith(f"parse error: cannot write {f}/relations-w3-cyclic-")
+    assert f.read_text() == "kept" and not (tmp_path / "w3.json").exists()
+
+
+def test_relations_unreadable_cache_entry_exit_3(tmp_path, capsys):
+    cache, out_file = tmp_path / "cache", tmp_path / "w3.json"
+    assert run(capsys, "relations", "--weight", "3", "--family", "cyclic",
+               "--out", str(out_file), "--cache-dir", str(cache))[0] == 0
+    [entry] = cache.glob("relations-*.json")
+    entry.unlink()
+    entry.mkdir()
+    err = _write_failure(tmp_path, capsys, "--out", str(out_file), "--cache-dir", str(cache))
+    assert err.startswith(f"parse error: cannot read {entry}: ")
+
+
 def test_relations_cache_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MZF_CACHE_DIR", str(tmp_path / "cache"))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -246,6 +304,9 @@ def test_relations_cache_skips_sets_from_older_code(tmp_path, capsys, monkeypatc
     # a well-formed set of another weight
     {"weight": 3, "family": "cyclic", "symbols": ["1,2", "3"],
      "rows": [{"entries": [[0, "1"], [1, "-1"]]}]},
+    # a repeated column, which would load as its last value
+    {"weight": 4, "family": "cyclic", "symbols": ["1,3", "4"],
+     "rows": [{"entries": [[0, "1"], [0, "-1"], [1, "1"]]}]},
 ])
 def test_relations_cache_recomputes_unusable_entry(tmp_path, capsys, blob):
     cache, out_file, fresh = tmp_path / "cache", tmp_path / "w4.json", tmp_path / "fresh.json"

@@ -214,8 +214,6 @@ def test_part_tuple_engine_matches_per_call_route():
         for fam in relations.FAMILIES:
             for _, k in enumerate_family(w, fam):
                 assert cyclic_relation(k).combo == _per_call_cyclic(k), (fam, str(k))
-                if fam == "csf":
-                    assert csf_relation(k).combo == _per_call_csf(k), str(k)
 
 
 def test_part_tuple_engine_reports_first_non_admissible_order():
@@ -235,10 +233,9 @@ def test_part_tuple_engine_reports_first_non_admissible_order():
 
 def test_rotated_configurations_have_equal_relations():
     for w in range(3, 9):
-        for fam, gen in (("cyclic", cyclic_relation), ("csf", csf_relation)):
-            for _, k in enumerate_family(w, fam):
-                base, *rotated = (gen(k2).combo for k2 in _rotations(k))
-                assert all(c == base for c in rotated), (fam, str(k))
+        for _, k in enumerate_family(w, "cyclic"):
+            base, *rotated = (cyclic_relation(k2).combo for k2 in _rotations(k))
+            assert all(c == base for c in rotated), str(k)
 
 
 def test_one_generator_call_per_orbit(monkeypatch):
@@ -246,6 +243,9 @@ def test_one_generator_call_per_orbit(monkeypatch):
     cyclic = relations.cyclic_relation
     monkeypatch.setattr(relations, "_ORBIT_COMBOS", {})
     monkeypatch.setattr(relations, "cyclic_relation", lambda k: calls.append(k) or cyclic(k))
+    # the cyclic-sum family is generated by the same calls, on its own orbits
+    csf = generate_relations(7, "csf")
+    assert 0 < len(calls) < len(csf)
     rels = generate_relations(7, "cyclic")
     orbits = {min(tuple(map(str, _rotations(k)))) for _, k in enumerate_family(7, "cyclic")}
     distinct = relations._distinct_rows(relation_matrix(rels))
@@ -365,7 +365,7 @@ def _matrix(rows):
 # A prime of the elimination's list divides the first matrix's determinant,
 # so the first prime sees rank 1; the second has an entry far outside int64
 # and one row that is the sum of two others; the third's reduced row holds
-# (2^250 + 1) / 2^250, whose reconstruction needs more primes than `_PRIMES`.
+# (2^250 + 1) / 2^250, whose reconstruction needs more than 16 primes.
 HARD_MATRICES = {  # name: (rows, rank)
     "unlucky-prime": ([[2**31 - 1, 0], [0, 1]], 2),
     "huge-entry": ([[2**80, 3, 0, 1], [5, -7, 2, 0], [2**80 + 5, -4, 2, 1], [0, 1, 1, 1]], 3),
@@ -373,13 +373,20 @@ HARD_MATRICES = {  # name: (rows, rank)
 }
 
 
+# The 16 largest primes below 2^31.
+PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+          2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
+          2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
+          2147483249)
+
+
 def test_primes_continue_past_the_literal_list():
-    primes = list(itertools.islice(relations._primes(), len(relations._PRIMES) + 20))
-    assert tuple(primes[:len(relations._PRIMES)]) == relations._PRIMES
+    primes = list(itertools.islice(relations._primes(), len(PRIMES) + 20))
+    assert tuple(primes[:len(PRIMES)]) == PRIMES
     assert all(a > b for a, b in zip(primes, primes[1:])) and primes[0] < 2**31
-    gaps = range(primes[-1], relations._PRIMES[-1])
+    gaps = range(primes[-1], PRIMES[-1])
     trial = [n for n in gaps if all(n % q for q in range(2, math.isqrt(n) + 1))]
-    assert primes[len(relations._PRIMES):] == sorted(trial, reverse=True)
+    assert primes[len(PRIMES):] == sorted(trial, reverse=True)
 
 
 @pytest.mark.parametrize("name", sorted(HARD_MATRICES))
@@ -412,7 +419,7 @@ def _certificate(rows):
     matrix = _matrix(rows)
     distinct = relations._distinct_rows(matrix)
     ncols = matrix.shape[1]
-    p = relations._PRIMES[0]
+    p = PRIMES[0]
     rank, pivots, rref = relations._rref_mod(distinct, ncols, p)
     free = [c for c in range(ncols) if c not in pivots]
     kernel = relations._kernel_vectors(rref[:, free].tolist(), p, pivots, free, ncols)
@@ -448,8 +455,8 @@ def test_rank_exact_raises_when_a_pivot_is_dropped(monkeypatch):
     rows = relation_matrix(generate_relations(5, "cyclic")).dense_rows()
     with pytest.raises(InternalInvariantError, match="2H"):
         rank_exact(_matrix(rows))
-    # the pivot minors are small: the bound is reached within the list
-    assert 1 <= len(primes) < len(relations._PRIMES)
+    # the pivot minors are small: the bound is reached within the first 16 primes
+    assert 1 <= len(primes) < len(PRIMES)
 
 
 def _points(cs, n):
@@ -536,10 +543,22 @@ def test_relation_pipeline_exact_rational_bruteforce():
     assert checked >= 16
 
 
+def _cyclic_relation_includes_csf(weights):
+    """The paper's claim: at every all-singleton configuration the cyclic
+    relation is the cyclic sum formula, checked against the star-chain
+    route."""
+    for w in weights:
+        for _, k in enumerate_family(w, "csf"):
+            assert _per_call_csf(k) == cyclic_relation(k).combo == csf_relation(k).combo, str(k)
+
+
 def test_specialization_csf_equals_cyclic_small():
-    for w in (3, 4, 5, 6):
-        for shape, k in enumerate_family(w, "csf"):
-            assert csf_relation(k).combo == cyclic_relation(k).combo, (w, k)
+    _cyclic_relation_includes_csf(range(3, 10))
+
+
+@pytest.mark.slow
+def test_specialization_csf_equals_cyclic_large():
+    _cyclic_relation_includes_csf((10, 11))
 
 
 def test_numeric_zero_weight_le_6():
