@@ -8,7 +8,7 @@ violated.
 Output is JSON by default; CSV covers the flat tables (table1, eval
 refinement lists); text is a human-readable rendering.  `relations` caches
 its sets under --cache-dir (or $MZF_CACHE_DIR) keyed by a content hash of
-the generation settings and the code versions; cache hits are
+the weight, the family and the code versions; cache hits are
 byte-identical to cold runs.
 """
 
@@ -81,15 +81,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _bool_flag(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ParseError(f"expected a boolean, got {text!r}")
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="cycliczeta", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -120,7 +111,6 @@ def build_parser() -> _Parser:
     rl.add_argument("--weight", type=int, required=True)
     rl.add_argument("--family", required=True, choices=rel_mod.FAMILIES)
     rl.add_argument("--out", required=True)
-    rl.add_argument("--include-d1-derivation", type=_bool_flag, default=True)
     rl.add_argument("--budget-max-weight", type=int, default=None)
     rl.add_argument("--budget-max-rows", type=int, default=None)
     rl.add_argument("--cache-dir", default=None)
@@ -134,7 +124,6 @@ def build_parser() -> _Parser:
     tb.add_argument("--max-weight", type=int, required=True)
     tb.add_argument("--families", nargs="*", default=list(rel_mod.FAMILIES),
                     choices=rel_mod.FAMILIES)
-    tb.add_argument("--include-d1-derivation", type=_bool_flag, default=True)
     tb.add_argument("--budget-max-weight", type=int, default=None)
     tb.add_argument("--budget-max-rows", type=int, default=None)
     formats(tb, "json", "csv", "text")
@@ -349,52 +338,47 @@ def _cache_path(args) -> Path | None:
     # are never read back.
     key = json.dumps(
         {"version": __version__, "generator": rel_mod.GENERATOR_VERSION,
-         "weight": args.weight, "family": args.family,
-         "include_d1_derivation": args.include_d1_derivation},
+         "weight": args.weight, "family": args.family},
         sort_keys=True,
     )
     h = hashlib.sha256(key.encode()).hexdigest()[:16]
     return Path(cache_dir) / f"relations-w{args.weight}-{args.family}-{h}.json"
 
 
-def _cache_valid(data: bytes, weight: int, family: str) -> bool:
-    """A hit must parse as a relation set of the requested weight and family."""
+def _cache_valid(data: bytes, weight: int, family: str) -> dict | None:
+    """The parsed set of a hit, or None: a hit must parse as a relation set
+    of the requested weight and family."""
     try:
         obj = json.loads(data)
         rel_mod.relation_matrix_from_json_obj(obj)
     except (ValueError, ParseError):
-        return False
-    return obj.get("weight") == weight and obj.get("family") == family
+        return None
+    return obj if obj.get("weight") == weight and obj.get("family") == family else None
 
 
 def cmd_relations(args, cfg: RunConfig) -> int:
-    include_d1 = args.include_d1_derivation
     cache = _cache_path(args)
-    data = None
-    cached = False
+    obj = None
     try:
-        blob = cache.read_bytes() if cache is not None and cache.exists() else None
+        data = cache.read_bytes() if cache is not None and cache.exists() else None
     except OSError as exc:
         raise ParseError(f"cannot read {cache}: {exc}") from None
-    if blob is not None:
-        if _cache_valid(blob, args.weight, args.family):
-            data, cached = blob, True
-        else:
+    if data is not None:
+        obj = _cache_valid(data, args.weight, args.family)
+        if obj is None:
             print(f"warning: corrupt cache entry {cache}, recomputing",
                   file=sys.stderr)
-    if data is None:
+    cached = obj is not None
+    if obj is None:
         rels = rel_mod.generate_relations(
-            args.weight, args.family, include_d1_derivation=include_d1,
+            args.weight, args.family,
             max_weight_budget=cfg.max_weight, max_rows_budget=cfg.max_rows)
-        obj = rel_mod.relation_set_to_json_obj(
-            args.weight, args.family, rels,
-            settings={"include_d1_derivation": include_d1, "schema": 1})
+        obj = rel_mod.relation_set_to_json_obj(args.weight, args.family, rels)
         data = (json.dumps(obj, indent=2) + "\n").encode()
         if cache is not None:
             _atomic_write(cache, data)
     out = Path(args.out)
     _atomic_write(out, data)
-    obj = json.loads(data)
     summary = {
         "out": str(out),
         "weight": args.weight,
@@ -435,7 +419,6 @@ def cmd_table1(args, cfg: RunConfig) -> int:
     weights = range(min(3, args.max_weight), args.max_weight + 1)
     families = list(args.families or rel_mod.FAMILIES)
     table = rel_mod.table1(weights, families,
-                           include_d1_derivation=args.include_d1_derivation,
                            max_weight_budget=cfg.max_weight,
                            max_rows_budget=cfg.max_rows)
 

@@ -305,17 +305,18 @@ def _raise_non_admissible(cs: ConstraintSystem, exponents: Mapping[VarId, int]):
     raise InternalInvariantError("non-admissible filter step on no weak order")
 
 
+ORACLE_CUTOFF_CAP = 30
 _GRID_CACHE: dict[tuple[int, int], list[np.ndarray]] = {}
 
 
-def count_lattice_points(cs: ConstraintSystem, n_max: int, cap: int = 30) -> int:
+def count_lattice_points(cs: ConstraintSystem, n_max: int) -> int:
     """Exact number of assignments in [1, n_max]^#vars satisfying cs.
 
     Brute force by full-box masking (independent of the weak-order split);
-    n_max above the oracle cap is refused.
+    n_max above ORACLE_CUTOFF_CAP is refused.
     """
-    if n_max > cap:
-        raise BudgetError(f"oracle cutoff {n_max} exceeds cap {cap}")
+    if n_max > ORACLE_CUTOFF_CAP:
+        raise BudgetError(f"oracle cutoff {n_max} exceeds cap {ORACLE_CUTOFF_CAP}")
     if n_max < 1:
         return 0
     vs = list(cs.variables)

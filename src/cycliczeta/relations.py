@@ -5,11 +5,11 @@ expanding each pole factor as a geometric series yields, for every block
 configuration, one exact integer relation among admissible symbols (the
 cyclic family).  The cyclic relation includes the classical cyclic sum
 formula: at an all-singleton configuration it is that formula (the csf
-family), and configurations whose trailing blocks are singleton ones with
-entry 1 give the derivation family.  All three families are generated by
-`cyclic_relation`.  Stacking the relations of one weight into an integer
-matrix and computing its exact rank reproduces the reference table of
-independent relation counts.
+family), and the configurations of one block, or whose trailing blocks are
+singleton ones with entry 1, give the derivation family.  All three
+families are generated by `cyclic_relation`.  Stacking the relations of
+one weight into an integer matrix and computing its exact rank reproduces
+the reference table of independent relation counts.
 
 Relations are accumulated on plain part tuples from the decomposition
 engine (`decompose._part_counts`), and each relation builds one
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -165,10 +166,11 @@ def _all_shapes(max_depth: int) -> Iterable[Shape]:
                 yield Shape(r)
 
 
-def enumerate_family(weight: int, family: str, *,
-                     include_d1_derivation: bool = True) -> list[tuple[Shape, IntArgs]]:
+def enumerate_family(weight: int, family: str) -> list[tuple[Shape, IntArgs]]:
     """All configurations of a family whose symbols have the given weight
-    (exponent total weight - 1), ordered by d, then r, then k."""
+    (exponent total weight - 1), ordered by d, then r, then k.  The
+    derivation family takes every single-block shape and the shapes whose
+    trailing blocks are singletons."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if weight < 3:
@@ -179,20 +181,14 @@ def enumerate_family(weight: int, family: str, *,
     for shape in shapes:
         if family == "csf" and not shape.all_singleton:
             continue
-        if family == "derivation":
-            if shape.d == 1:
-                if not include_d1_derivation:
-                    continue
-            elif any(x != 1 for x in shape.r[1:]):
-                continue
+        if family == "derivation" and any(x != 1 for x in shape.r[1:]):
+            continue
         t = shape.total_depth
         if ktotal < t:
             continue
         for vals in _compositions(ktotal, t):
-            if family == "derivation" and shape.d > 1:
-                r1 = shape.r[0]
-                if any(v != 1 for v in vals[r1:]):
-                    continue
+            if family == "derivation" and any(v != 1 for v in vals[shape.r[0]:]):
+                continue
             k = IntArgs(shape, vals)
             if is_integer_point_in_W(k):
                 out.append((shape, k))
@@ -212,7 +208,6 @@ def _check_weight(weight: int, max_weight_budget: int) -> None:
 
 
 def generate_relations(weight: int, family: str, *,
-                       include_d1_derivation: bool = True,
                        max_weight_budget: int = HARD_MAX_WEIGHT,
                        max_rows_budget: int = MAX_ROWS_BUDGET) -> list[Relation]:
     """One relation per configuration, from `cyclic_relation` computed once
@@ -220,7 +215,7 @@ def generate_relations(weight: int, family: str, *,
     of configurations are checked against the budgets before any relation
     is generated."""
     _check_weight(weight, max_weight_budget)
-    configs = enumerate_family(weight, family, include_d1_derivation=include_d1_derivation)
+    configs = enumerate_family(weight, family)
     if len(configs) > max_rows_budget:
         raise BudgetError(f"{len(configs)} rows exceed the budget {max_rows_budget}")
     return [Relation(_orbit_combo(k), Provenance(family, shape, k)) for shape, k in configs]
@@ -553,15 +548,11 @@ def rank_exact(matrix: RelationMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def family_rank(weight: int, family: str, *, include_d1_derivation: bool = True) -> int:
-    rels = generate_relations(
-        weight, family, include_d1_derivation=include_d1_derivation
-    )
-    return rank_exact(relation_matrix(rels))
+def family_rank(weight: int, family: str) -> int:
+    return rank_exact(relation_matrix(generate_relations(weight, family)))
 
 
 def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
-           include_d1_derivation: bool = True,
            max_weight_budget: int = MAX_WEIGHT_BUDGET,
            max_rows_budget: int = MAX_ROWS_BUDGET) -> dict[int, dict[str, int]]:
     """Independent-relation counts per weight and family, plus the stored
@@ -579,8 +570,7 @@ def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
     for w in weights:
         row: dict[str, int] = {}
         for f in families:
-            rels = generate_relations(w, f, include_d1_derivation=include_d1_derivation,
-                                      max_rows_budget=max_rows_budget)
+            rels = generate_relations(w, f, max_rows_budget=max_rows_budget)
             row[f] = rank_exact(relation_matrix(rels))
         row["all_ref"] = ALL_RELATIONS_REF.get(w, 0)
         nested = [(f, "cyclic") for f in ("csf", "derivation") if f in row and "cyclic" in row]
@@ -598,8 +588,7 @@ def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
 # ---------------------------------------------------------------------------
 
 
-def relation_set_to_json_obj(weight: int, family: str, rels: Sequence[Relation],
-                             settings: dict | None = None) -> dict:
+def relation_set_to_json_obj(weight: int, family: str, rels: Sequence[Relation]) -> dict:
     matrix = relation_matrix(rels)
     rows = []
     for row, prov in zip(matrix.rows, matrix.provenances):
@@ -612,15 +601,18 @@ def relation_set_to_json_obj(weight: int, family: str, rels: Sequence[Relation],
             "entries": [[c, str(row[c])] for c in sorted(row)],
         }
         rows.append(entry)
-    obj = {
+    # The settings block names the one derivation family; stored sets and
+    # their checksums include it.
+    return {
         "weight": weight,
         "family": family,
         "symbols": [str(c) for c in matrix.symbols],
         "rows": rows,
+        "settings": {"include_d1_derivation": True, "schema": 1},
     }
-    if settings:
-        obj["settings"] = settings
-    return obj
+
+
+_COEFFICIENT_CHARS = re.compile(r"[0-9-]*")
 
 
 def relation_matrix_from_json_obj(obj: dict) -> RelationMatrix:
@@ -629,13 +621,16 @@ def relation_matrix_from_json_obj(obj: dict) -> RelationMatrix:
         rows = []
         provs: list[Provenance | None] = []
         for i, row in enumerate(obj["rows"]):
-            # Anything but distinct int columns and string coefficients, as
-            # written, would change silently on conversion.
+            # Anything but distinct int columns and coefficients as str()
+            # writes them would change silently on conversion: int() also
+            # reads '+', spaces, underscores and non-ASCII digits.  The
+            # coefficients are checked by one match per row.
             entries = row["entries"]
             rows.append({c: int(v) for c, v in entries if type(c) is int and type(v) is str})
-            if len(rows[-1]) != len(entries):
-                raise ParseError(f"row {i}: columns must be distinct integers "
-                                 "and coefficients strings")
+            if (len(rows[-1]) != len(entries)
+                    or not _COEFFICIENT_CHARS.fullmatch("".join([v for _, v in entries]))):
+                raise ParseError(f"row {i}: columns must be distinct integers and "
+                                 "coefficients strings of ASCII digits with an optional '-'")
             p = row.get("provenance")
             if p:
                 shape = Shape.parse(p["shape"])

@@ -38,6 +38,10 @@ positive integer; the sine/cosine are taken at |Im s| log n so that
 conjugating every argument conjugates the result exactly.  Products of
 powers are taken in variable order, never in an order of their values,
 which conjugation could change, so they stay exact under conjugation too.
+
+Every block-model evaluator and `eval_mzf` refuse arguments outside their
+convergence domain (W, or the absolute-convergence domain of the plain
+series) with DomainError; the double series only warns.
 """
 
 from __future__ import annotations
@@ -74,8 +78,6 @@ from .model import (
     build_constraints_S_ij,
     build_constraints_T_i,
     ez_inequalities,
-    in_domain_EZ_absolute,
-    in_domain_W,
     w_inequalities,
 )
 
@@ -510,14 +512,11 @@ def eval_constrained_sum(cs: ConstraintSystem, term: TermSpec, plan,
 # ---------------------------------------------------------------------------
 
 
-def _require_w(s: ComplexArgs, enforce: bool):
-    if in_domain_W(s):
-        return
-    bad = next(q for q in w_inequalities(s) if not q.ok)
-    msg = f"arguments outside W: {bad.describe()}"
-    if enforce:
-        raise DomainError(msg)
-    warnings.warn(msg, stacklevel=3)
+def _require(ineqs, domain: str):
+    """Raise DomainError naming the first inequality that fails."""
+    bad = next((q for q in ineqs if not q.ok), None)
+    if bad is not None:
+        raise DomainError(f"arguments outside {domain}: {bad.describe()}")
 
 
 def _block_exponents(s: ComplexArgs, extra: complex | None = None):
@@ -545,20 +544,16 @@ def _tilde_pieces(s: ComplexArgs, i: int, j: int, variant) -> list:
 
 
 def eval_zeta_tilde(s: ComplexArgs, i: int, j: int, variant, plan,
-                    *, enforce_domain: bool = True,
-                    max_cutoff: int | None = None) -> EvalReport:
+                    *, max_cutoff: int | None = None) -> EvalReport:
     """Direct box-truncated evaluation of the split series at position (i, j).
 
     variant 1 and 2 are the two halves; 'diff' is their termwise difference
     over the same index domain.
     """
     plan = _as_plan(plan)
-    shape = s.shape
-    if not (1 <= i <= shape.d and 1 <= j <= shape.r[i - 1]):
-        raise ValueError(f"position ({i},{j}) out of range for shape {shape}")
-    _require_w(s, enforce_domain)
+    cs = build_constraints_S_ij(s.shape, i, j)
+    _require(w_inequalities(s), "W")
     _check_budget(plan, COUPLED_CUTOFF_CAP, max_cutoff)
-    cs = build_constraints_S_ij(shape, i, j)
     exps = _block_exponents(s, extra=0)
     pieces = _tilde_pieces(s, i, j, variant)
     return _make_report(lambda ns: _eval_system(cs, exps, pieces, ns), plan)
@@ -587,15 +582,14 @@ def _tilde_harmonic_setup(s: ComplexArgs, i: int, j: int, variant):
 
 
 def eval_zeta_tilde_harmonic(s: ComplexArgs, i: int, j: int, variant, plan,
-                             *, enforce_domain: bool = True,
-                             max_cutoff: int | None = None) -> EvalReport:
+                             *, max_cutoff: int | None = None) -> EvalReport:
     """Closed-form path: the extra variable is summed analytically into a
     harmonic-range factor; only the outer chain is truncated at N."""
     plan = _as_plan(plan)
     shape = s.shape
     if not (1 <= i <= shape.d and 1 <= j <= shape.r[i - 1]):
         raise ValueError(f"position ({i},{j}) out of range for shape {shape}")
-    _require_w(s, enforce_domain)
+    _require(w_inequalities(s), "W")
     _check_budget(plan, COUPLED_CUTOFF_CAP, max_cutoff)
     cs, va, vb, coupling = _tilde_harmonic_setup(s, i, j, variant)
     exps = _block_exponents(s)
@@ -607,31 +601,27 @@ def eval_zeta_tilde_harmonic(s: ComplexArgs, i: int, j: int, variant, plan,
     return _make_report(evalfn, plan)
 
 
-def eval_zeta_C_i(s: ComplexArgs, i: int, plan, *, enforce_domain: bool = True,
-                  max_cutoff: int | None = None) -> EvalReport:
+def eval_zeta_C_i(s: ComplexArgs, i: int, plan, *, max_cutoff: int | None = None) -> EvalReport:
     """Truncated window series over S_i (extra variable with exponent 1)."""
     plan = _as_plan(plan)
-    if not (1 <= i <= s.shape.d):
-        raise ValueError(f"block {i} out of range for shape {s.shape}")
-    _require_w(s, enforce_domain)
-    _check_budget(plan, CHAIN_CUTOFF_CAP, max_cutoff)
     cs = build_constraints_S_i(s.shape, i)
+    _require(w_inequalities(s), "W")
+    _check_budget(plan, CHAIN_CUTOFF_CAP, max_cutoff)
     exps = _block_exponents(s, extra=1)
     return _make_report(lambda ns: _eval_system(cs, exps, [(1.0, None)], ns), plan)
 
 
-def eval_zeta_C(s: ComplexArgs, plan, *, enforce_domain: bool = True,
-                max_cutoff: int | None = None) -> EvalReport:
+def eval_zeta_C(s: ComplexArgs, plan, *, max_cutoff: int | None = None) -> EvalReport:
     """Truncated series over the cyclic domain S (block variables only)."""
     plan = _as_plan(plan)
-    _require_w(s, enforce_domain)
+    _require(w_inequalities(s), "W")
     _check_budget(plan, CHAIN_CUTOFF_CAP, max_cutoff)
     cs = build_constraints_S(s.shape)
     exps = _block_exponents(s)
     return _make_report(lambda ns: _eval_system(cs, exps, [(1.0, None)], ns), plan)
 
 
-def eval_theorem_residual(s: ComplexArgs, plan, *, enforce_domain: bool = True,
+def eval_theorem_residual(s: ComplexArgs, plan, *,
                           max_cutoff: int | None = None) -> TheoremReport:
     """Both sides of the main identity at matched box truncations.
 
@@ -640,7 +630,7 @@ def eval_theorem_residual(s: ComplexArgs, plan, *, enforce_domain: bool = True,
     """
     plan = _as_plan(plan)
     shape = s.shape
-    _require_w(s, enforce_domain)
+    _require(w_inequalities(s), "W")
     _check_budget(plan, COUPLED_CUTOFF_CAP, max_cutoff)
     tilde = []
     for i in range(1, shape.d + 1):
@@ -675,19 +665,13 @@ def eval_theorem_residual(s: ComplexArgs, plan, *, enforce_domain: bool = True,
 # ---------------------------------------------------------------------------
 
 
-def eval_mzf(s: Sequence[complex], plan, *, enforce_domain: bool = True,
-             max_cutoff: int | None = None) -> EvalReport:
+def eval_mzf(s: Sequence[complex], plan, *, max_cutoff: int | None = None) -> EvalReport:
     """Truncated nested series on a strict chain, via prefix-sum recursion."""
     vals = [complex(v) for v in s]
     if not vals:
         raise ValueError("empty argument list")
     plan = _as_plan(plan)
-    if not in_domain_EZ_absolute(vals):
-        bad = next(q for q in ez_inequalities(vals) if not q.ok)
-        msg = f"arguments outside the absolute-convergence domain: {bad.describe()}"
-        if enforce_domain:
-            raise DomainError(msg)
-        warnings.warn(msg, stacklevel=2)
+    _require(ez_inequalities(vals), "the absolute-convergence domain")
     _check_budget(plan, CHAIN_CUTOFF_CAP, max_cutoff)
     chain = ([(v,) for v in vals], None)
     return _make_report(lambda ns: _chain_plain([chain], ns)[0], plan)

@@ -90,6 +90,12 @@ def test_eval_parse_error_exit_3(capsys):
     assert code == 3
     code, _, _ = run(capsys, "eval", "--kind", "nope", "--s", "2", "--N", "10")
     assert code == 3
+    # A position out of range is a usage error even when s lies outside W.
+    for where in (["--kind", "zeta-c", "--i", "7"], ["--kind", "zeta-tilde", "--i", "3",
+                                                     "--j", "1"]):
+        code, _, err = run(capsys, "eval", *where, "--shape", "1,1", "--s", "0.5;0.5",
+                           "--N", "10")
+        assert code == 3 and "out of range" in err
 
 
 def test_eval_budget_exit_4(capsys):
@@ -194,16 +200,21 @@ def test_rank_bad_file_exit_3(tmp_path, capsys):
     [[0, "1"], [True, "-1"]],
     [[0, 1], [1, "-1"]],  # non-string coefficients; int() would truncate a float
     [[0, "1"], [1, -1.9]],
+    # int() reads these, but str() never writes them
+    [[0, "1_0"], [1, "-1"]],
+    [[0, "1"], [1, " -1 "]],
+    [[0, "+3"], [1, "-1"]],
+    [[0, "\uff12"], [1, "-1"]],
 ], ids=["repeated-column", "float-column", "bool-column", "int-coefficient",
-        "float-coefficient"])
+        "float-coefficient", "underscore", "whitespace", "plus-sign", "fullwidth-digit"])
 def test_rank_entries_that_would_change_on_load_exit_3(tmp_path, capsys, entries):
     f = tmp_path / "set.json"
     f.write_text(json.dumps({"weight": 3, "family": "cyclic", "symbols": ["1,2", "3"],
                              "rows": [{"entries": entries}]}))
     code, out, err = run(capsys, "rank", "--in", f.as_posix())
     assert (code, out) == (3, "")
-    assert err == ("parse error: row 0: columns must be distinct integers "
-                   "and coefficients strings\n")
+    assert err == ("parse error: row 0: columns must be distinct integers and "
+                   "coefficients strings of ASCII digits with an optional '-'\n")
 
 
 def _write_failure(tmp_path, capsys, *flags):
@@ -249,12 +260,13 @@ def test_relations_unreadable_cache_entry_exit_3(tmp_path, capsys):
 def test_relations_cache_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MZF_CACHE_DIR", str(tmp_path / "cache"))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    code, out, _ = run(capsys, "relations", "--weight", "4", "--family", "csf",
-                       "--out", str(a))
-    assert code == 0 and json.loads(out)["cached"] is False
-    code, out, _ = run(capsys, "relations", "--weight", "4", "--family", "csf",
-                       "--out", str(b))
-    assert code == 0 and json.loads(out)["cached"] is True
+    # A miss parses no JSON; a hit parses its entry once.
+    for path, cached, parses in ((a, False, 0), (b, True, 1)):
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            code, out, _ = run(capsys, "relations", "--weight", "4", "--family", "csf",
+                               "--out", str(path))
+        assert (code, loads.call_count) == (0, parses)
+        assert json.loads(out)["cached"] is cached
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -335,6 +347,19 @@ def test_relations_weight10_cyclic_matches_stored_checksum(tmp_path, capsys):
                      "--budget-max-weight", "10", "--out", str(out_file))
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == want.split()[0]
+
+
+@pytest.mark.parametrize("family, want", [
+    ("csf", "8cb5c72d46056b0111cd4f5cdd2227c71db45c6ae6a7b8faa5973c183d7453b2"),
+    ("derivation", "520865c076e92dc87f30f1fe775e535470f4aa07ff502c752777b472084b6136"),
+    ("cyclic", "89402ca4e3196ca16ce39fb4d33fafc17f4f0246979e10b177444da3c3d7103c"),
+])
+def test_relations_weight6_matches_recorded_checksum(tmp_path, capsys, family, want):
+    out_file = tmp_path / "w6.json"
+    code, _, _ = run(capsys, "relations", "--weight", "6", "--family", family,
+                     "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == want
 
 
 def test_table1_small(capsys):
@@ -422,6 +447,9 @@ def test_table1_csv(capsys):
      "--parallel", "2"],
     ["eval", "--kind", "mzf", "--s", "2", "--N", "10", "--cache-dir", "X"],
     ["domain", "--shape", "1", "--s", "2.5", "--format", "csv"],
+    ["relations", "--weight", "3", "--family", "derivation", "--out", "unused.json",
+     "--include-d1-derivation", "true"],
+    ["table1", "--max-weight", "4", "--include-d1-derivation", "true"],
 ])
 def test_flags_the_subcommand_does_not_read_exit_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -594,7 +622,6 @@ EXPONENTS = st.sampled_from(["n1_1:1,n:2", "n1_1:2 n:1", "n1_1:0,n2_1:0",
                              "n1_1:1,n1_2:2,n2_1:2,n:1", "n1_1:-1,n:2", "n0_1:1,n:2",
                              "n:x", "q:1", ""])
 FAMILY = st.sampled_from(["csf", "derivation", "cyclic", "bogus"])
-BOOL = st.sampled_from(["true", "0", "maybe"])
 # Paths inside the example's own directory: {tmp} is filled in per example.
 PATH = st.sampled_from(["{tmp}/set.json", "{tmp}/missing.json", "{tmp}/junk.json", "{tmp}"])
 
@@ -605,12 +632,11 @@ OPTIONS = {
              ("--variant", st.sampled_from(["1", "2", "diff", "h1", "h2", "3"]))],
     "domain": [("--shape", SHAPE), ("--s", COMPLEX)],
     "relations": [("--weight", WEIGHT), ("--family", FAMILY), ("--out", PATH),
-                  ("--include-d1-derivation", BOOL), ("--budget-max-weight", WEIGHT),
-                  ("--budget-max-rows", INT), ("--cache-dir", PATH)],
+                  ("--budget-max-weight", WEIGHT), ("--budget-max-rows", INT),
+                  ("--cache-dir", PATH)],
     "rank": [("--in", PATH)],
     "table1": [("--max-weight", WEIGHT), ("--families", FAMILY),
-               ("--include-d1-derivation", BOOL), ("--budget-max-weight", WEIGHT),
-               ("--budget-max-rows", INT)],
+               ("--budget-max-weight", WEIGHT), ("--budget-max-rows", INT)],
     "decompose": [("--shape", SHAPE), ("--set", st.sampled_from(["S", "S_i", "S_ij", "T_i", "U"])),
                   ("--i", INT), ("--j", INT), ("--exponents", EXPONENTS), ("--count", None),
                   ("--N", INT)],

@@ -146,8 +146,6 @@ def test_enumerate_family_derivation():
         (Shape((2,)), IntArgs(Shape((2,)), (1, 2))),
         (Shape((1, 1)), IntArgs(Shape((1, 1)), (2, 1))),
     ]
-    got_no_d1 = enumerate_family(4, "derivation", include_d1_derivation=False)
-    assert got_no_d1 == [(Shape((1, 1)), IntArgs(Shape((1, 1)), (2, 1)))]
     # every derivation or csf configuration is also a cyclic configuration
     cyc = set(enumerate_family(5, "cyclic"))
     assert set(enumerate_family(5, "derivation")) <= cyc

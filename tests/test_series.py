@@ -295,8 +295,6 @@ def test_zeta_tilde_domain_guard():
     s = ComplexArgs(Shape((2,)), (0.5, 1.2))
     with pytest.raises(DomainError):
         eval_zeta_tilde(s, 1, 1, 1, 100)
-    with pytest.warns(UserWarning):
-        eval_zeta_tilde(s, 1, 1, 1, 50, enforce_domain=False)
 
 
 def test_harmonic_helpers():
