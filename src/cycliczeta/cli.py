@@ -345,6 +345,17 @@ def _cache_path(args) -> Path | None:
     return Path(cache_dir) / f"relations-w{args.weight}-{args.family}-{h}.json"
 
 
+def _drop_other_keys(entry: Path):
+    """Delete the sets of entry's weight and family cached under other keys
+    (by older code); one that cannot be deleted is left."""
+    for path in entry.parent.glob(entry.name.rsplit("-", 1)[0] + "-*.json"):
+        if path != entry:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+
+
 def _cache_valid(data: bytes, weight: int, family: str) -> dict | None:
     """The parsed set of a hit, or None: a hit must parse as a relation set
     of the requested weight and family."""
@@ -379,6 +390,8 @@ def cmd_relations(args, cfg: RunConfig) -> int:
             _atomic_write(cache, data)
     out = Path(args.out)
     _atomic_write(out, data)
+    if cache is not None and not cached:
+        _drop_other_keys(cache)
     summary = {
         "out": str(out),
         "weight": args.weight,

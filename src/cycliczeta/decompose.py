@@ -9,8 +9,9 @@ decomposition only needs how often each symbol occurs, so one engine
 the constraint poset and returns plain part tuples with their counts;
 `decompose_to_mzv` checks its input and wraps that result as a
 `SymbolCombination`, and relation generation sums the tuples itself.  The
-weak orders themselves are enumerated for display and for the series
-evaluators.
+series evaluators walk the same order filters (`_filter_steps`) for their
+plain sums.  The weak orders themselves are enumerated only for `decompose`
+output and for the coupled chains of the series evaluators.
 Completeness and disjointness of the split are exactly testable against a
 brute-force lattice-point count, which this module also provides.
 """

@@ -615,9 +615,16 @@ def relation_set_to_json_obj(weight: int, family: str, rels: Sequence[Relation])
 _COEFFICIENT_CHARS = re.compile(r"[0-9-]*")
 
 
+def _string(v) -> str:
+    """v, which the parsers split, if it is a string."""
+    if type(v) is not str:
+        raise TypeError(f"expected a string, not {v!r}")
+    return v
+
+
 def relation_matrix_from_json_obj(obj: dict) -> RelationMatrix:
     try:
-        symbols = tuple(Composition.parse(t) for t in obj["symbols"])
+        symbols = tuple(Composition.parse(_string(t)) for t in obj["symbols"])
         rows = []
         provs: list[Provenance | None] = []
         for i, row in enumerate(obj["rows"]):
@@ -633,9 +640,9 @@ def relation_matrix_from_json_obj(obj: dict) -> RelationMatrix:
                                  "coefficients strings of ASCII digits with an optional '-'")
             p = row.get("provenance")
             if p:
-                shape = Shape.parse(p["shape"])
+                shape = Shape.parse(_string(p["shape"]))
                 provs.append(
-                    Provenance(p["family"], shape, IntArgs.parse(p["k"], shape))
+                    Provenance(p["family"], shape, IntArgs.parse(_string(p["k"]), shape))
                 )
             else:
                 provs.append(None)

@@ -1,33 +1,32 @@
 """Truncated evaluation of the complex-argument series attached to a shape.
 
 Every sum here is a box truncation: each summation variable runs over
-1..N.  Generic constrained sums are split into the weak orders of their
-constraint system (the same split the exact decomposer uses) and each
-totally ordered chain is evaluated by prefix cumulative sums.  A term may
-couple two variables, either through the pole factor
-a^p / (b^q (b - a)) or through a harmonic-range factor.  Every coupling is
-a short sum of separable cell terms coeff * L(u) * R(w) * K(w - u) over
-value pairs u < w, with K a Toeplitz kernel (1/d, 1 or H(d - 1); see
-couplings.py), and the plain levels between the coupled pair split into
-separable prefix sums by Chen's identity.  So a coupled chain is a few real
-Toeplitz tile products of fixed shape, (rows x 256) @ (256 x 256), taken
-in a fixed order: no transcendental or complex division per cell, and
-bit-reproducible results.  The double series sum m^-a n^-b (m + n)^-c is
-one convolution per cutoff, taken with real transforms of the real and
-imaginary parts.
+1..N.  A constrained sum is split into the weak orders of its constraint
+system, as the exact decomposer splits it, each a totally ordered chain.
+Its plain part walks the order-filter DAG of the system
+(`decompose._filter_steps`), on which every weak order is a path: one
+vector per filter and one multiply per edge, not one chain per weak order.
+A term may couple two variables, through the pole factor
+a^p / (b^q (b - a)) or a harmonic-range factor.  Where the two share a
+level, the coupling is one more walk, restricted to such levels and with
+its tie factor on them.  Across levels the weak orders are enumerated, and
+every coupling is a short sum of separable cell terms
+coeff * L(u) * R(w) * K(w - u) over value pairs u < w, with K a Toeplitz
+kernel (1/d, 1 or H(d - 1); see couplings.py); the plain levels between
+the coupled pair split into separable prefix sums by Chen's identity.  So a
+coupled chain is a few real Toeplitz tile products of fixed shape,
+(rows x 256) @ (256 x 256), in a fixed order: no transcendental or complex
+division per cell, and bit-reproducible results.  The double series
+sum m^-a n^-b (m + n)^-c is one convolution per cutoff, taken with real
+transforms of the real and imaginary parts.
 
 A box truncation at n keeps exactly the terms whose largest value is at
 most n, so every evaluator makes one pass at its largest cutoff and reads
 the value at each smaller cutoff (the refinements and N/2) off that pass;
-each of those values is bit-identical to a separate evaluation at that
-cutoff.  Plain chains (no coupling, or a coupling between tied variables)
-are streamed over fixed value segments: each segment has one table of
-single-exponent powers, shared by every chain of every weak order, and a
-level of tied variables is the product of its members' powers.  Chains
-that share their bottom levels (neighbouring weak orders do) share those
-levels' prefix sums, and each prefix carries its sums from one segment to
-the next, so their memory does not grow with N.  The coupled chains keep
-one power of each level's summed exponent.
+each is bit-identical to a separate evaluation at that cutoff.  The walks
+are streamed over value segments, each filter carrying its sums into the
+next, so their memory does not grow with N.  The coupled chains keep one
+power of each level's summed exponent.
 
 The harmonic-form evaluators sum the extra variable analytically into a
 harmonic-range factor and truncate only the outer variables, so at finite
@@ -66,7 +65,7 @@ from .couplings import (
     pole_coupling,
     toeplitz_rows,
 )
-from .decompose import weak_orders
+from .decompose import _filter_steps, weak_orders
 from .errors import BudgetError, DomainError, InternalInvariantError
 from .model import (
     EXTRA,
@@ -86,8 +85,9 @@ CHAIN_CUTOFF_CAP = 20_000_000
 # The double series is O(N log N) per cutoff, but its peak memory grows by
 # about 180 bytes per N (210 MiB at 1e6).
 MT_CUTOFF_CAP = 1_000_000
-# Plain chains are streamed over segments of this many values.
-_SEGMENT = 1 << 16
+# Plain sums are streamed over segments of this many values; a walk keeps
+# one pending vector per filter it has reached (18 for (2,2,2) S_1).
+_SEGMENT = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -234,90 +234,79 @@ def _shift_prefix(c: np.ndarray) -> np.ndarray:
     return out
 
 
-# A plain chain: its levels, bottom to top, each the exponents of its
-# members (a tied level is their product), and an optional extra per-value
-# factor (level, fn) applied as fn(x) on that level.
-_Plain = tuple[Sequence[Sequence[complex]], Optional[tuple[int, Callable]]]
+def _path(levels: Sequence[Sequence[int]]) -> dict:
+    """The steps, in `_filter_steps` format, of the one path through the
+    given levels of variable indices, bottom to top."""
+    steps, rest = {}, 0
+    for lvl in reversed(levels):
+        mask = rest | sum(1 << t for t in lvl)
+        steps[mask] = ((tuple(lvl), rest),)
+        rest = mask
+    return steps
 
 
-def _chain_plain(chains: Sequence[_Plain],
-                 cutoffs: Sequence[int]) -> list[list[complex]]:
-    """For every chain and every cutoff n, the sum over
-    1 <= x_1 < ... < x_t <= n of prod_l prod_{e in E_l} x_l^(-e), from one
-    pass at the largest cutoff streamed over value segments.
+def _chain_plain(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
+                 exps: Sequence[complex], cutoffs: Sequence[int],
+                 tie: Optional[tuple[int, Callable]] = None) -> list[complex]:
+    """For every cutoff n, the sum over the paths of a DAG of order filters,
+    given as `decompose._filter_steps` gives it ({mask: ((level indices,
+    rest mask), ...)}, from the largest mask down to 0), of the sum over
+    1 <= x_1 < ... < x_t <= n of prod_l prod_{i in level l} x_l^(-exps[i]).
+    tie = (pair mask, fn) keeps the paths on which the pair shares a level
+    and puts fn(x) on that level.
 
-    Each segment has one table of single-exponent powers shared by all
-    chains.  A level's vector is the product of its members' vectors, taken
-    in the given member order (an empty level is the ones vector), so a
-    tied level costs one complex multiply per extra member and conjugation
-    stays exact.
-
-    The run of a chain prefix (levels 0..l, with the extra factor if it
-    sits at or below l) depends on that prefix alone, so chains that share
-    a prefix share its work.  The chains are walked in the given order with
-    a stack of (prefix, its prefix sums); a chain keeps the stack up to its
-    first differing level, which for weak orders in depth-first order is
-    most of it, and the prefix sums of each depth reuse one buffer.  Each
-    prefix carries the sum of its run over all smaller values; it seeds the
-    segment's cumsum, so every prefix sum has the bits of one sequential
-    sum.  Carries are read from the previous segment's dict and written to
-    a fresh one, so a prefix that leaves the stack and is met again in the
-    same segment does not advance twice.  The value at n adds, segment by
-    segment, the sum of the top level's run up to n.
+    One pass at the largest cutoff, streamed over value segments, each with
+    one table of single-exponent powers.  A level's vector is the product of
+    its members' vectors in index order (empty: ones), so conjugation stays
+    exact.  Filters are visited from the source down; each sums the runs of
+    its in-edges, and its strict prefix sums, seeded by the carry of all
+    smaller values, have the bits of one sequential sum.  An edge multiplies
+    its level's vector by its source's prefix sums.  The value at n adds,
+    segment by segment, the sum of the sink's run up to n.
     """
+    pair, fn = tie or (0, None)
+    # The edges on some path to the sink, source first; with a tie, those
+    # whose level holds both of the pair or neither.
+    live, edges = {0}, []
+    for mask in sorted(steps):
+        out = [([exps[t] for t in lvl if exps[t] != 0], rest, (mask & ~rest & pair) != 0)
+               for lvl, rest in steps[mask]
+               if rest in live and (mask & ~rest & pair) in (0, pair)]
+        if out:
+            live.add(mask)
+            edges.insert(0, (mask, out))
     top = max(cutoffs, default=0)
-    # Number the distinct prefixes: chains with equal ids have equal runs.
-    ids: dict[tuple, int] = {}
-    paths = []
-    for levels, weight in chains:
-        pid, path = None, []
-        for l, members in enumerate(levels):
-            fn = weight[1] if weight is not None and weight[0] == l else None
-            pid = ids.setdefault((pid, tuple(members), fn), len(ids))
-            path.append(pid)
-        paths.append(path)
     carries: dict[int, complex] = {}
-    # One prefix-sum buffer per stack depth and dtype, reused every segment.
-    bufs: dict[tuple[int, np.dtype], np.ndarray] = {}
-    totals = [[0j] * len(cutoffs) for _ in chains]
+    totals = [0j] * len(cutoffs)
     for s0 in range(0, top, _SEGMENT):
         s1 = min(s0 + _SEGMENT, top)
         power = _power_table(s1, s0)
-        x = np.arange(s0 + 1, s1 + 1, dtype=np.float64)
-        fresh: dict[int, complex] = {}
-        stack: list[tuple[int, np.ndarray]] = []  # (prefix id, its prefix sums)
-        for (levels, weight), path, total in zip(chains, paths, totals):
-            d = 0
-            while d < min(len(stack), len(path) - 1) and stack[d][0] == path[d]:
-                d += 1
-            del stack[d:]
-            for l in range(d, len(levels)):
-                members = levels[l]
-                run = power(members[0] if members else 0)
+        factor = fn and fn(np.arange(s0 + 1, s1 + 1, dtype=np.float64))
+        runs: dict[int, Optional[np.ndarray]] = {max(steps): None}  # None: all ones
+        for mask, out in edges:
+            if mask not in runs:
+                continue
+            pre = run = runs.pop(mask)
+            if run is not None:
+                pre = np.empty(len(run) + 1, run.dtype)
+                pre[0] = carries.get(mask, 0)
+                pre[1:] = run
+                np.cumsum(pre, out=pre)
+                carries[mask] = pre[-1]
+                pre = pre[:-1]
+            for members, rest, tied in out:
+                g = power(members[0] if members else 0)
                 for e in members[1:]:
-                    run = run * power(e)
-                if weight is not None and weight[0] == l:
-                    run = run * weight[1](x)
-                if stack:
-                    run = run * stack[-1][1]
-                if l < len(levels) - 1:
-                    key = (l, run.dtype)
-                    if key not in bufs:
-                        bufs[key] = np.empty(min(top, _SEGMENT) + 1, run.dtype)
-                    pre = bufs[key][:s1 - s0 + 1]
-                    pre[0] = carries.get(path[l], 0)
-                    pre[1:] = run
-                    np.cumsum(pre, out=pre)
-                    fresh[path[l]] = pre[-1]
-                    stack.append((path[l], pre[:-1]))
-            part: dict[int, complex] = {}
-            for k, n in enumerate(cutoffs):
-                if n > s0:
-                    m = min(n, s1) - s0
-                    if m not in part:
-                        part[m] = complex(run[:m].sum())
-                    total[k] += part[m]
-        carries = fresh
+                    g = g * power(e)
+                if tied:
+                    g = g * factor
+                if pre is not None:
+                    g = g * pre
+                runs[rest] = g if rest not in runs else runs[rest] + g
+        sink = runs.get(0)
+        for k, n in enumerate(cutoffs):
+            if n > s0 and sink is not None:
+                totals[k] += complex(sink[:min(n, s1) - s0].sum())
     return totals
 
 
@@ -384,70 +373,53 @@ def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
     return run
 
 
-def _split_order(osp, exps: Mapping[VarId, complex], pieces):
-    """One weak order's summand: its levels (each the tuple of its members'
-    nonzero exponents, in variable order), the coefficient of the uncoupled
-    chain, the tied couplings (coeff, level, fn) and the cell terms between
-    levels p < q grouped by (p, q)."""
-    levels = osp.levels
-    level_of = {v: l for l, lvl in enumerate(levels) for v in lvl}
-    members = [tuple(complex(exps[v]) for v in lvl if exps.get(v, 0) != 0)
-               for lvl in levels]
-
-    plain_coeff = 0j
-    diag: list[tuple[complex, int, Callable]] = []
-    groups: dict[tuple[int, int], list[Term]] = {}
-    for coeff, cp in pieces:
-        if cp is None:
-            plain_coeff += coeff
-            continue
-        la, lb = level_of[cp.var_a], level_of[cp.var_b]
-        if la == lb:
-            if not cp.allow_tie:
-                raise InternalInvariantError(
-                    f"singular coupling between tied variables {cp.var_a}, {cp.var_b}"
-                )
-            diag.append((coeff, la, cp.tie))
-            continue
-        terms = cp.below if la < lb else cp.above
-        if terms:
-            groups.setdefault((min(la, lb), max(la, lb)), []).extend(
-                t._replace(coeff=coeff * t.coeff) for t in terms
-            )
-    return members, plain_coeff, diag, sorted(groups.items())
-
-
 def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
                  tiles: Callable[[Kernel, int], np.ndarray] | None = None
                  ) -> list[complex]:
-    """The constrained sum at every cutoff (all >= 1): the plain chains of
-    every weak order share one streamed pass, each coupled chain is
-    evaluated once at the largest cutoff.  tiles may be shared by systems
-    evaluated at the same cutoffs."""
-    orders = [_split_order(osp, exps, pieces) for osp in weak_orders(cs)]
-    chains: list[_Plain] = []
-    for levels, plain_coeff, diag, _ in orders:
-        if plain_coeff != 0:
-            chains.append((levels, None))
-        chains.extend((levels, (l, fn)) for _, l, fn in diag)
-    plain = iter(_chain_plain(chains, cutoffs))
+    """The constrained sum at every cutoff (all >= 1).  The uncoupled part
+    and each coupling that allows ties, where its two variables share a
+    level, are sums over the order-filter DAG of cs; a coupling across two
+    levels is summed per weak order, each coupled chain once at the largest
+    cutoff.  tiles may be shared by systems evaluated at the same
+    cutoffs."""
+    vs, steps = _filter_steps(cs)
+    idx = {v: t for t, v in enumerate(vs)}
+    es = [complex(exps.get(v, 0)) for v in vs]
+    coupled = [(coeff, cp) for coeff, cp in pieces if cp is not None]
+    plain = sum(coeff for coeff, cp in pieces if cp is None)
+    walks = [(plain, None)] if plain != 0 else []
+    walks += [(coeff, (1 << idx[cp.var_a] | 1 << idx[cp.var_b], cp.tie))
+              for coeff, cp in coupled if cp.allow_tie]
+    totals = [0j] * len(cutoffs)
+    for coeff, tie in walks:
+        totals = [a + coeff * v for a, v in zip(totals, _chain_plain(steps, es, cutoffs, tie))]
+    if not coupled:
+        return totals
+
     top = max(cutoffs)
     power = _power_table(top)
     tiles = tiles or kernel_tiles()
-
-    totals = [0j] * len(cutoffs)
-    for levels, plain_coeff, diag, groups in orders:
-        order = [0j] * len(cutoffs)
-        if plain_coeff != 0:
-            order = [a + plain_coeff * v for a, v in zip(order, next(plain))]
-        for coeff, _, _ in diag:
-            order = [a + coeff * v for a, v in zip(order, next(plain))]
+    for osp in weak_orders(cs):
+        level_of = {v: l for l, lvl in enumerate(osp.levels) for v in lvl}
+        groups: dict[tuple[int, int], list[Term]] = {}
+        for coeff, cp in coupled:
+            la, lb = level_of[cp.var_a], level_of[cp.var_b]
+            if la == lb:
+                if not cp.allow_tie:
+                    raise InternalInvariantError(
+                        f"singular coupling between tied variables {cp.var_a}, {cp.var_b}"
+                    )
+                continue
+            terms = cp.below if la < lb else cp.above
+            if terms:
+                groups.setdefault((min(la, lb), max(la, lb)), []).extend(
+                    t._replace(coeff=coeff * t.coeff) for t in terms
+                )
         # Coupled chains take one power of each level's summed exponent.
-        level_exps = [sum(lvl, 0j) for lvl in levels]
-        for (p, q), terms in groups:
+        level_exps = [sum((es[idx[v]] for v in lvl), 0j) for lvl in osp.levels]
+        for (p, q), terms in sorted(groups.items()):
             run = _chain_coupled(level_exps, top, p, q, terms, power, tiles)
-            order = [a + complex(run[:n].sum()) for a, n in zip(order, cutoffs)]
-        totals = [a + v for a, v in zip(totals, order)]
+            totals = [a + complex(run[:n].sum()) for a, n in zip(totals, cutoffs)]
     return totals
 
 
@@ -673,8 +645,8 @@ def eval_mzf(s: Sequence[complex], plan, *, max_cutoff: int | None = None) -> Ev
     plan = _as_plan(plan)
     _require(ez_inequalities(vals), "the absolute-convergence domain")
     _check_budget(plan, CHAIN_CUTOFF_CAP, max_cutoff)
-    chain = ([(v,) for v in vals], None)
-    return _make_report(lambda ns: _chain_plain([chain], ns)[0], plan)
+    steps = _path([(t,) for t in range(len(vals))])
+    return _make_report(lambda ns: _chain_plain(steps, vals, ns), plan)
 
 
 def mzv_partial_sum(parts: Sequence[int], n_max: int) -> float:
@@ -684,7 +656,8 @@ def mzv_partial_sum(parts: Sequence[int], n_max: int) -> float:
 
 @lru_cache(maxsize=4096)
 def _mzv_partial_cached(parts: tuple[int, ...], n_max: int) -> float:
-    return _chain_plain([([(complex(p),) for p in parts], None)], (n_max,))[0][0].real
+    steps = _path([(t,) for t in range(len(parts))])
+    return _chain_plain(steps, [complex(p) for p in parts], (n_max,))[0].real
 
 
 def combo_partial_sum(combo, n_max: int) -> float:
@@ -730,7 +703,9 @@ def harmonic_relation_check(s1: complex, s2: complex, n_max: int) -> float:
     box truncation (the four pieces tile the box exactly, so this measures
     floating rounding at any N)."""
     s1, s2 = complex(s1), complex(s2)
-    chains = [([(s1,)], None), ([(s2,)], None), ([(s1,), (s2,)], None),
-              ([(s2,), (s1,)], None), ([(s1, s2)], None)]
-    z1, z2, z12, z21, zd = (v[0] for v in _chain_plain(chains, (n_max,)))
+    one, two, tied = _path([(0,)]), _path([(0,), (1,)]), _path([(0, 1)])
+    z1, z2, z12, z21, zd = (
+        _chain_plain(steps, exps, (n_max,))[0]
+        for steps, exps in ((one, [s1]), (one, [s2]), (two, [s1, s2]),
+                            (two, [s2, s1]), (tied, [s1, s2])))
     return abs(z1 * z2 - z12 - z21 - zd)

@@ -194,6 +194,19 @@ def test_rank_bad_file_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("field, value, bad", [("symbols", [4], 4), ("shape", 5, 5), ("k", 2, 2)])
+def test_rank_non_string_field_exit_3(tmp_path, capsys, field, value, bad):
+    prov = {"family": "cyclic", "shape": "1,1", "k": "1;2"}
+    obj = {"weight": 3, "family": "cyclic", "symbols": ["1,2", "3"],
+           "rows": [{"entries": [[0, "1"], [1, "-1"]], "provenance": prov}]}
+    (obj if field == "symbols" else prov)[field] = value
+    f = tmp_path / "set.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "rank", "--in", f.as_posix())
+    assert (code, out) == (3, "")
+    assert err == f"parse error: bad relation-set object: expected a string, not {bad}\n"
+
+
 @pytest.mark.parametrize("entries", [
     [[0, "1"], [0, "-1"], [1, "1"]],  # a repeated column: the last value would win
     [[0, "1"], [1.7, "-1"]],  # float and boolean columns would read as 1
@@ -307,7 +320,23 @@ def test_relations_cache_skips_sets_from_older_code(tmp_path, capsys, monkeypatc
     assert _cached_relations(capsys, cache, out_file)[0] is False
     assert out_file.read_bytes() == fresh.read_bytes()
     assert _cached_relations(capsys, cache, out_file)[0] is True
-    assert len(list(cache.glob("relations-*.json"))) == 2
+    assert len(list(cache.glob("relations-*.json"))) == 1
+
+
+def test_relations_cache_keeps_other_weights_and_families(tmp_path, capsys):
+    """Writing an entry deletes only its own weight and family's entries
+    under other keys: w4 is not a prefix match for w40."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    kept = [cache / "relations-w40-cyclic-0123456789abcdef.json",
+            cache / "relations-w4-csf-0123456789abcdef.json"]
+    stale = cache / "relations-w4-cyclic-0123456789abcdef.json"
+    for path in (*kept, stale):
+        path.write_text("{}")
+    assert _cached_relations(capsys, cache, tmp_path / "w4.json")[0] is False
+    [entry] = set(cache.glob("relations-*.json")) - set(kept)
+    assert entry != stale and not stale.exists()
+    assert all(path.read_text() == "{}" for path in kept)
 
 
 @pytest.mark.parametrize("blob", [
@@ -319,6 +348,8 @@ def test_relations_cache_skips_sets_from_older_code(tmp_path, capsys, monkeypatc
     # a repeated column, which would load as its last value
     {"weight": 4, "family": "cyclic", "symbols": ["1,3", "4"],
      "rows": [{"entries": [[0, "1"], [0, "-1"], [1, "1"]]}]},
+    # a symbol that is not a string
+    {"weight": 4, "family": "cyclic", "symbols": [4], "rows": []},
 ])
 def test_relations_cache_recomputes_unusable_entry(tmp_path, capsys, blob):
     cache, out_file, fresh = tmp_path / "cache", tmp_path / "w4.json", tmp_path / "fresh.json"
@@ -594,17 +625,22 @@ def test_traced_table1_reports_every_per_layer_metric_finite():
     assert DECLARED - RUN_METRICS <= set(got["metrics"])
 
 
-def test_traced_eval_reports_every_series_metric_finite():
-    """The plain-chain path under the tracer: every series.* name is
-    present, the wrapped bindings are called through the module, and the
-    CLI output is still the evaluation report."""
-    got = run_traced("eval", "--kind", "zeta-c", "--shape", "2,2", "--s",
-                     "1.2+0.1i,2.2-0.2i;1.5+0.3i,2.5", "--i", "1", "--N-list", "50,100")
+@pytest.mark.parametrize("args, orders", [
+    (("--kind", "zeta-c", "--shape", "2,2", "--s", "1.2+0.1i,2.2-0.2i;1.5+0.3i,2.5",
+      "--i", "1"), False),
+    (("--kind", "theorem", "--shape", "2,1", "--s", "1.2+0.1i,2.2-0.2i;1.5+0.3i"), True),
+], ids=["zeta-c", "theorem"])
+def test_traced_eval_reports_every_series_metric_finite(args, orders):
+    """The series paths under the tracer: every series.* name is present,
+    the wrapped bindings are called through the module, and the CLI output
+    is still the evaluation report.  Plain sums walk the order-filter DAG,
+    so only the theorem's coupled chains enumerate weak orders."""
+    got = run_traced("eval", *args, "--N-list", "50,100")
     metrics = got["metrics"]
     assert {n for n in DECLARED if n.startswith("series.")} <= set(metrics)
-    for name in ("series.chain_plain_calls", "series.pow_vec_calls",
-                 "series.orders_evaluated"):
+    for name in ("series.chain_plain_calls", "series.pow_vec_calls"):
         assert metrics[name] > 0, name
+    assert (metrics["series.orders_evaluated"] > 0) == orders
     result = json.loads(got["out"])
     assert result["cutoff"] == 100 and len(result["refinements"]) == 2
 

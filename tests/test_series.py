@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycliczeta.decompose import count_lattice_points
+from cycliczeta.decompose import count_lattice_points, weak_orders
 from cycliczeta.errors import BudgetError, DomainError
 from cycliczeta.model import (
     EXTRA,
@@ -21,7 +21,7 @@ from cycliczeta.model import (
     build_constraints_S_ij,
     build_constraints_T_i,
 )
-from cycliczeta import couplings, series
+from cycliczeta import couplings, decompose, series
 from cycliczeta.series import (
     PoleSpec,
     TermSpec,
@@ -641,7 +641,7 @@ def test_cutoff_one():
 
 
 
-# --- plain chains against the per-chain, summed-exponent route ---------------
+# --- plain sums against the per-weak-order, summed-exponent route ------------
 
 
 def reference_chain_plain(chains, cutoffs):
@@ -675,20 +675,46 @@ def reference_chain_plain(chains, cutoffs):
     return totals
 
 
-def test_shared_prefix_carry_advances_once_per_segment(monkeypatch):
-    """Chains A, B, A2 where A and A2 share a two-level prefix (one level
-    tied) that B lacks: the prefix leaves the stack at B and is met again
-    in the same segment.  Each chain equals, bit for bit, a call on that
-    chain alone."""
+def reference_system(cs, exps, cutoffs):
+    """The sum over cs by the reference route: every weak order one chain."""
+    chains = [([[exps[v] for v in lvl if exps.get(v, 0) != 0] for lvl in osp.levels], None)
+              for osp in weak_orders(cs)]
+    return [sum(col, 0j) for col in zip(*reference_chain_plain(chains, cutoffs))]
+
+
+def chain_steps(levels):
+    """A chain of exponent levels as the steps of its one path and the
+    exponents by index; an empty level is one variable of exponent 0."""
+    exps, path = [], []
+    for lvl in levels:
+        lvl = lvl or (0,)
+        path.append(tuple(range(len(exps), len(exps) + len(lvl))))
+        exps.extend(lvl)
+    return series._path(path), exps
+
+
+def assert_close(got, want):
+    assert all(abs(v - w) <= 1e-13 * abs(w) for v, w in zip(got, want)), (got, want)
+
+
+def test_dag_node_carry_advances_once_per_segment(monkeypatch):
+    """A filter reached by two edges keeps one run and one carry: over five
+    segments of 3 values the sum at every cutoff equals, bit for bit, a
+    call at that cutoff alone, and matches the sum of the four paths."""
     monkeypatch.setattr(series, "_SEGMENT", 3)
-    a, b, c, d = 1.5 + 0.4j, 0.7 - 0.3j, 1.1 + 0.2j, 2.0 - 0.6j
-    chains = [([(a,), (b, c), (d,)], None),
-              ([(b,), (a,), (c, d)], None),
-              ([(a,), (b, c), (c,), (d, a)], None)]
-    cutoffs = (1, 2, 4, 7, 9, 13)  # five segments of 3 values
-    got = series._chain_plain(chains, cutoffs)
-    for chain, values in zip(chains, got):
-        assert values == series._chain_plain([chain], cutoffs)[0]
+    a, b, c, d = exps = [1.5 + 0.4j, 0.7 - 0.3j, 1.1 + 0.2j, 2.0 - 0.6j]
+    # a < b or b < a, both into the filter {c, d}; then c = d or c < d
+    steps = {0b1111: (((0,), 0b1110), ((1,), 0b1101)),
+             0b1110: (((1,), 0b1100),), 0b1101: (((0,), 0b1100),),
+             0b1100: (((2, 3), 0), ((2,), 0b1000)), 0b1000: (((3,), 0),)}
+    cutoffs = (1, 2, 4, 7, 9, 13)
+    got = series._chain_plain(steps, exps, cutoffs)
+    for n, v in zip(cutoffs, got):
+        assert v == series._chain_plain(steps, exps, (n,))[0], n
+    paths = [[(x,), (y,), *tail] for x, y in ((a, b), (b, a))
+             for tail in ([(c, d)], [(c,), (d,)])]
+    want = reference_chain_plain([(p, None) for p in paths], cutoffs)
+    assert_close(got, [sum(col) for col in zip(*want)])
 
 
 # (shape, arguments) of the window and full series compared with the
@@ -700,41 +726,83 @@ ORACLE_CASES = [
 ORACLE_PLAN = TruncationPlan(200_001, refinements=(65_536, 65_537, 131_073, 200_001))
 
 
-def assert_close_to_reference(monkeypatch, fn):
-    """The report fn() agrees with the one from the summed-exponent route to
-    1e-13 relative at every cutoff."""
-    got = fn()
-    with monkeypatch.context() as m:
-        m.setattr(series, "_chain_plain", reference_chain_plain)
-        want = fn()
-    for (n, v), (_, w) in zip(got.refinements, want.refinements):
-        assert abs(v - w) <= 1e-13 * abs(w), (n, v, w)
-
-
 @pytest.mark.parametrize("s", ORACLE_CASES, ids=["2,1", "2,2"])
-def test_plain_chains_match_summed_exponent_route(monkeypatch, s):
-    evals = [lambda a: eval_zeta_C(a, ORACLE_PLAN)]
-    evals += [lambda a, i=i: eval_zeta_C_i(a, i, ORACLE_PLAN) for i in (1, 2)]
-    for fn in evals:
-        assert_close_to_reference(monkeypatch, lambda: fn(s))
+def test_plain_chains_match_summed_exponent_route(s):
+    """The full and window series agree with the sum over their weak orders
+    of the reference route to 1e-13 relative at every cutoff, and
+    conjugating the arguments conjugates them exactly."""
+    cases = [(lambda a: eval_zeta_C(a, ORACLE_PLAN), build_constraints_S(s.shape), None)]
+    cases += [(lambda a, i=i: eval_zeta_C_i(a, i, ORACLE_PLAN),
+               build_constraints_S_i(s.shape, i), 1) for i in (1, 2)]
+    for fn, cs, extra in cases:
         r1, r2 = fn(s), fn(s.conjugate())
+        want = reference_system(cs, series._block_exponents(s, extra), ORACLE_PLAN.refinements)
+        assert_close([v for _, v in r1.refinements], want)
         assert all(v == w.conjugate()
                    for (_, v), (_, w) in zip(r1.refinements, r2.refinements))
 
 
 def test_tied_chains_match_summed_exponent_route():
-    """mzf-style chains with tied and empty levels, and their conjugates."""
+    """mzf-style chains with tied and empty levels given as one-path steps,
+    a tie restricting a DAG to the paths that tie its pair, and their
+    conjugates."""
     a, b, c = 1.5 + 0.4j, 0.6 - 0.3j, 1.3 + 0.2j
-    chains = [([(a, b), (c,)], None), ([(a,), (b, c)], None),
-              ([(), (c, a, b)], None), ([(b,), (), (a, c)], None)]
-    conj = [([tuple(e.conjugate() for e in lvl) for lvl in levels], w)
-            for levels, w in chains]
     ns = ORACLE_PLAN.refinements
-    got = series._chain_plain(chains, ns)
-    for values, want in zip(got, reference_chain_plain(chains, ns)):
-        assert all(abs(v - w) <= 1e-13 * abs(w) for v, w in zip(values, want))
-    for values, flipped in zip(got, series._chain_plain(conj, ns)):
-        assert all(v == w.conjugate() for v, w in zip(values, flipped))
+    for levels in ([(a, b), (c,)], [(a,), (b, c)], [(), (c, a, b)], [(b,), (), (a, c)]):
+        steps, exps = chain_steps(levels)
+        got = series._chain_plain(steps, exps, ns)
+        assert_close(got, reference_chain_plain([(levels, None)], ns)[0])
+        flipped = series._chain_plain(steps, [e.conjugate() for e in exps], ns)
+        assert all(v == w.conjugate() for v, w in zip(got, flipped))
+
+    # the free system on three variables, with x_0 = x_2 weighted by 1/x
+    cs = ConstraintSystem(Shape((3,)), False, ())
+    vs, steps = decompose._filter_steps(cs)
+    exps = [a, b, c]
+    got = series._chain_plain(steps, exps, ns, (0b101, lambda x: 1 / x))
+    chains = [([[exps[vs.index(v)] for v in lvl] for lvl in osp.levels], (l, lambda x: 1 / x))
+              for osp in weak_orders(cs) for l, lvl in enumerate(osp.levels)
+              if {vs[0], vs[2]} <= set(lvl)]
+    assert len(chains) == 3
+    assert_close(got, [sum(col) for col in zip(*reference_chain_plain(chains, ns))])
+
+
+def compositions(n):
+    """Every shape of total depth n, as block lengths."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        blocks = [1]
+        for cut in cuts:
+            if cut:
+                blocks.append(1)
+            else:
+                blocks[-1] += 1
+        yield tuple(blocks)
+
+
+@pytest.mark.parametrize("depths", [range(1, 6),
+                                    pytest.param(range(6, 7), marks=pytest.mark.slow)],
+                         ids=["depth<=5", "depth6"])
+def test_plain_sums_match_weak_order_route_on_every_small_shape(monkeypatch, depths):
+    """S and every S_i of every shape of the given total depths: the DAG sum
+    agrees with the sum over the weak orders of the reference route to
+    1e-13 relative at cutoffs around three segments, and conjugating the
+    exponents conjugates it exactly."""
+    monkeypatch.setattr(series, "_SEGMENT", 8)
+    ns = (1, 7, 8, 9, 20)
+    for depth in depths:
+        for blocks in compositions(depth):
+            shape = Shape(blocks)
+            args = ComplexArgs(shape, tuple(1.1 + 0.15 * k + (0.3j if k % 2 else -0.2j)
+                                            for k in range(depth)))
+            systems = [(build_constraints_S(shape), None)]
+            systems += [(build_constraints_S_i(shape, i), 1) for i in range(1, shape.d + 1)]
+            for cs, extra in systems:
+                exps = series._block_exponents(args, extra)
+                got = series._eval_system(cs, exps, [(1.0, None)], ns)
+                assert_close(got, reference_system(cs, exps, ns))
+                conj = {v: complex(e).conjugate() for v, e in exps.items()}
+                flipped = series._eval_system(cs, conj, [(1.0, None)], ns)
+                assert all(v == w.conjugate() for v, w in zip(got, flipped)), (blocks, cs)
 
 
 # --- the coupled engine against the elementwise oracle ----------------------
