@@ -37,7 +37,6 @@ from .model import (
     build_constraints_S_i,
     build_constraints_S_ij,
     build_constraints_T_i,
-    in_domain_EZ_absolute,
     in_domain_W,
     is_integer_point_in_W,
     w_inequalities,
@@ -49,7 +48,6 @@ from .relations import (
     csf_relation,
     cyclic_relation,
     enumerate_family,
-    family_rank,
     generate_relations,
     rank_exact,
     relation_matrix,
@@ -58,12 +56,9 @@ from .relations import (
 )
 from .series import (
     EvalReport,
-    PoleSpec,
-    TermSpec,
     TheoremReport,
     TruncationPlan,
     combo_partial_sum,
-    eval_constrained_sum,
     eval_mordell_tornheim,
     eval_mzf,
     eval_theorem_residual,
@@ -71,8 +66,6 @@ from .series import (
     eval_zeta_C_i,
     eval_zeta_tilde,
     eval_zeta_tilde_harmonic,
-    harmonic_number,
-    harmonic_range,
     harmonic_relation_check,
     mzv_partial_sum,
 )

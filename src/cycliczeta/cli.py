@@ -356,48 +356,48 @@ def _drop_other_keys(entry: Path):
                 pass
 
 
-def _cache_valid(data: bytes, weight: int, family: str) -> dict | None:
-    """The parsed set of a hit, or None: a hit must parse as a relation set
-    of the requested weight and family."""
+def _cache_valid(data: bytes, weight: int, family: str) -> rel_mod.RelationMatrix | None:
+    """The matrix of a hit, or None: a hit must parse as a relation set of
+    the requested weight and family."""
     try:
-        obj = json.loads(data)
-        rel_mod.relation_matrix_from_json_obj(obj)
-    except (ValueError, ParseError):
+        matrix = rel_mod.relation_set_loads(data)
+    except ParseError:
         return None
-    return obj if obj.get("weight") == weight and obj.get("family") == family else None
+    return matrix if (matrix.weight, matrix.family) == (weight, family) else None
 
 
 def cmd_relations(args, cfg: RunConfig) -> int:
     cache = _cache_path(args)
-    obj = None
+    matrix = None
     try:
         data = cache.read_bytes() if cache is not None and cache.exists() else None
     except OSError as exc:
         raise ParseError(f"cannot read {cache}: {exc}") from None
     if data is not None:
-        obj = _cache_valid(data, args.weight, args.family)
-        if obj is None:
+        matrix = _cache_valid(data, args.weight, args.family)
+        if matrix is None:
             print(f"warning: corrupt cache entry {cache}, recomputing",
                   file=sys.stderr)
-    cached = obj is not None
-    if obj is None:
+    cached = matrix is not None
+    if matrix is None:
         rels = rel_mod.generate_relations(
             args.weight, args.family,
             max_weight_budget=cfg.max_weight, max_rows_budget=cfg.max_rows)
-        obj = rel_mod.relation_set_to_json_obj(args.weight, args.family, rels)
-        data = (json.dumps(obj, indent=2) + "\n").encode()
+        matrix = rel_mod.relation_matrix(rels)
+        data = rel_mod.relation_set_dumps(args.weight, args.family, matrix)
         if cache is not None:
             _atomic_write(cache, data)
     out = Path(args.out)
     _atomic_write(out, data)
     if cache is not None and not cached:
         _drop_other_keys(cache)
+    rows, symbols = matrix.shape
     summary = {
         "out": str(out),
         "weight": args.weight,
         "family": args.family,
-        "rows": len(obj["rows"]),
-        "symbols": len(obj["symbols"]),
+        "rows": rows,
+        "symbols": symbols,
         "cached": cached,
     }
     if cfg.out_format == "json":
@@ -413,10 +413,10 @@ def cmd_relations(args, cfg: RunConfig) -> int:
 def cmd_rank(args, cfg: RunConfig) -> int:
     path = Path(args.infile)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    matrix = rel_mod.relation_set_loads(text)
+    matrix = rel_mod.relation_set_loads(data)
     rank = rel_mod.rank_exact(matrix)
     if cfg.out_format == "json":
         _emit(json.dumps({"rank": rank, "rows": matrix.shape[0],

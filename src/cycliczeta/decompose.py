@@ -96,9 +96,6 @@ class SymbolCombination:
     def coefficient(self, comp: Composition) -> int:
         return self._coeffs.get(comp, 0)
 
-    def symbols(self) -> list[Composition]:
-        return [c for c, _ in self.items()]
-
     def weight(self) -> int | None:
         """Common weight of the stored symbols, or None if empty/mixed."""
         ws = {c.weight for c in self._coeffs}
@@ -133,10 +130,6 @@ class SymbolCombination:
 
     def to_json_obj(self) -> dict[str, str]:
         return {str(comp): str(c) for comp, c in self.items()}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping[str, str]) -> "SymbolCombination":
-        return cls({Composition.parse(k): int(v) for k, v in obj.items()})
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -242,9 +242,6 @@ class IntArgs:
         lo = sum(self.shape.r[: i - 1])
         return self.values[lo : lo + self.shape.r[i - 1]]
 
-    def to_complex(self) -> ComplexArgs:
-        return ComplexArgs(self.shape, tuple(complex(v) for v in self.values))
-
     @classmethod
     def parse(cls, text: str, shape: Shape | None = None) -> "IntArgs":
         blocks = text.split(";")
@@ -315,9 +312,9 @@ class ConstraintSystem:
 
 
 def _has_strict_cycle(variables: Iterable[VarId], cons: Sequence[Constraint]) -> bool:
-    # Tarjan-free SCC check is overkill at this size: collapse non-strict
-    # components by union-find over mutual reachability, then look for a
-    # strict edge inside one component.
+    # A strict edge lies on a cycle exactly when its head reaches its tail.
+    # At this size, one reachability set per variable (a search from each)
+    # is simpler than finding strongly connected components.
     vs = list(variables)
     idx = {v: k for k, v in enumerate(vs)}
     n = len(vs)
@@ -507,10 +504,6 @@ def ez_inequalities(s: Sequence[complex]) -> list[WIneq]:
         lbl = f"Re(s({l},{r}))"
         out.append(WIneq(lbl, acc, float(r - l + 1), strict=True))
     return out
-
-
-def in_domain_EZ_absolute(s: Sequence[complex]) -> bool:
-    return all(q.ok for q in ez_inequalities(s))
 
 
 def is_integer_point_in_W(k: IntArgs) -> bool:

@@ -250,14 +250,12 @@ class RelationMatrix:
     rows: list[dict[int, int]]
     weight: int | None
     provenances: list[Provenance | None]
+    # The family a relation-set file names; generated matrices leave it None.
+    family: str | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.symbols))
-
-    def dense_rows(self) -> list[list[int]]:
-        n = len(self.symbols)
-        return [[row.get(c, 0) for c in range(n)] for row in self.rows]
 
 
 def relation_matrix(rels: Sequence[Relation]) -> RelationMatrix:
@@ -548,10 +546,6 @@ def rank_exact(matrix: RelationMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def family_rank(weight: int, family: str) -> int:
-    return rank_exact(relation_matrix(generate_relations(weight, family)))
-
-
 def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
            max_weight_budget: int = MAX_WEIGHT_BUDGET,
            max_rows_budget: int = MAX_ROWS_BUDGET) -> dict[int, dict[str, int]]:
@@ -584,12 +578,13 @@ def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
 
 
 # ---------------------------------------------------------------------------
-# Relation-set serialization (shared with the CLI)
+# Relation-set files: every read and write of the format is here
 # ---------------------------------------------------------------------------
 
 
-def relation_set_to_json_obj(weight: int, family: str, rels: Sequence[Relation]) -> dict:
-    matrix = relation_matrix(rels)
+def relation_set_dumps(weight: int, family: str, matrix: RelationMatrix) -> bytes:
+    """The relation-set file of a generated matrix: indented JSON and a
+    final newline."""
     rows = []
     for row, prov in zip(matrix.rows, matrix.provenances):
         entry = {
@@ -603,13 +598,14 @@ def relation_set_to_json_obj(weight: int, family: str, rels: Sequence[Relation])
         rows.append(entry)
     # The settings block names the one derivation family; stored sets and
     # their checksums include it.
-    return {
+    obj = {
         "weight": weight,
         "family": family,
         "symbols": [str(c) for c in matrix.symbols],
         "rows": rows,
         "settings": {"include_d1_derivation": True, "schema": 1},
     }
+    return (json.dumps(obj, indent=2) + "\n").encode()
 
 
 _COEFFICIENT_CHARS = re.compile(r"[0-9-]*")
@@ -622,9 +618,22 @@ def _string(v) -> str:
     return v
 
 
-def relation_matrix_from_json_obj(obj: dict) -> RelationMatrix:
+def relation_set_loads(data: str | bytes) -> RelationMatrix:
+    """The matrix of a relation-set file, with the weight and family it
+    names.  Anything that is not JSON (including bytes that are not UTF-8,
+    and nesting too deep to decode) or not a relation set raises
+    ParseError, and so does any symbol, column or coefficient that would
+    change on conversion: every symbol must be distinct and read back as
+    written, since the rank takes each column as a different symbol."""
+    try:
+        obj = json.loads(data.decode() if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad relation-set JSON: {exc}") from None
     try:
         symbols = tuple(Composition.parse(_string(t)) for t in obj["symbols"])
+        if len(set(symbols)) != len(symbols) or [str(c) for c in symbols] != obj["symbols"]:
+            raise ParseError("symbols must be distinct and written as str() writes "
+                             "them (comma-separated positive integers)")
         rows = []
         provs: list[Provenance | None] = []
         for i, row in enumerate(obj["rows"]):
@@ -646,19 +655,11 @@ def relation_matrix_from_json_obj(obj: dict) -> RelationMatrix:
                 )
             else:
                 provs.append(None)
-        weight = obj.get("weight")
+        weight, family = obj.get("weight"), obj.get("family")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad relation-set object: {exc}") from None
     for row in rows:
         for c in row:
             if not 0 <= c < len(symbols):
                 raise ParseError(f"column index {c} out of range")
-    return RelationMatrix(symbols, rows, weight, provs)
-
-
-def relation_set_loads(text: str) -> RelationMatrix:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad relation-set JSON: {exc}") from None
-    return relation_matrix_from_json_obj(obj)
+    return RelationMatrix(symbols, rows, weight, provs, family)

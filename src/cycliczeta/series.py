@@ -91,32 +91,8 @@ _SEGMENT = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# Term and plan types
+# Plan and report types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PoleSpec:
-    """Factor num^{num_exp} / (den^{den_exp} * (den - num)) joining two
-    strictly separated variables."""
-
-    num_var: VarId
-    den_var: VarId
-    num_exp: complex
-    den_exp: complex
-
-    def __post_init__(self):
-        if self.num_var == self.den_var:
-            raise ValueError("pole needs two distinct variables")
-
-
-@dataclass(frozen=True)
-class TermSpec:
-    """Summand: product of v^{-e(v)} over the exponent map, times the
-    optional pole factor."""
-
-    exponents: Mapping[VarId, complex]
-    pole: PoleSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -186,7 +162,7 @@ def _as_plan(plan) -> TruncationPlan:
 
 
 # ---------------------------------------------------------------------------
-# Powers and harmonic numbers
+# Powers
 # ---------------------------------------------------------------------------
 
 
@@ -206,20 +182,6 @@ def _power_table(n_max: int, start: int = 0) -> Callable[[complex], np.ndarray]:
         return g
 
     return power
-
-
-def harmonic_number(k: int) -> float:
-    """H(k) = 1 + 1/2 + ... + 1/k, with H(0) = 0."""
-    if k < 0:
-        raise ValueError("harmonic index must be >= 0")
-    return float(np.sum(1.0 / np.arange(1, k + 1))) if k else 0.0
-
-
-def harmonic_range(a: int, b: int) -> float:
-    """Sum of 1/k for a <= k <= b (0 for an empty range)."""
-    if b < a:
-        return 0.0
-    return harmonic_number(b) - harmonic_number(a - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -446,37 +408,6 @@ def _make_report(evalfn: Callable[[tuple[int, ...]], Sequence[complex]],
         refs = [(n, at[n]) for n in plan.refinements]
     return EvalReport(value=value, cutoff=plan.cutoff, residual=abs(value - at[half]),
                       refinements=refs)
-
-
-# ---------------------------------------------------------------------------
-# Generic constrained sums
-# ---------------------------------------------------------------------------
-
-
-def _pole_pieces(term: TermSpec):
-    if term.pole is None:
-        return [(1.0, None)]
-    pole = term.pole
-    return [(1.0, pole_coupling(pole.num_var, pole.den_var,
-                                 pole.num_exp, pole.den_exp))]
-
-
-def eval_constrained_sum(cs: ConstraintSystem, term: TermSpec, plan,
-                         *, max_cutoff: int | None = None) -> EvalReport:
-    """Box-truncated sum of the term over the lattice points of cs."""
-    plan = _as_plan(plan)
-    varset = set(cs.variables)
-    for v in term.exponents:
-        if v not in varset:
-            raise ValueError(f"term variable {v} not in the constraint system")
-    if term.pole is not None:
-        for v in (term.pole.num_var, term.pole.den_var):
-            if v not in varset:
-                raise ValueError(f"pole variable {v} not in the constraint system")
-    _check_budget(plan, CHAIN_CUTOFF_CAP if term.pole is None else COUPLED_CUTOFF_CAP,
-                  max_cutoff)
-    pieces = _pole_pieces(term)
-    return _make_report(lambda ns: _eval_system(cs, term.exponents, pieces, ns), plan)
 
 
 # ---------------------------------------------------------------------------

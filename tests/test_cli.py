@@ -187,11 +187,18 @@ def test_rank_empty_file(tmp_path, capsys):
     assert out.strip() == "0"
 
 
-def test_rank_bad_file_exit_3(tmp_path, capsys):
+# Unreadable relation sets: not JSON, not UTF-8, and nested past the decoder's depth.
+UNREADABLE = [b"{nope", b"\x80", b"[" * 200_000]
+UNREADABLE_IDS = ["not-json", "not-utf8", "too-deep"]
+
+
+@pytest.mark.parametrize("data", UNREADABLE, ids=UNREADABLE_IDS)
+def test_rank_bad_file_exit_3(tmp_path, capsys, data):
     f = tmp_path / "bad.json"
-    f.write_text("{nope")
-    code, _, _ = run(capsys, "rank", "--in", f.as_posix())
-    assert code == 3
+    f.write_bytes(data)
+    code, out, err = run(capsys, "rank", "--in", f.as_posix())
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: bad relation-set JSON: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value, bad", [("symbols", [4], 4), ("shape", 5, 5), ("k", 2, 2)])
@@ -228,6 +235,20 @@ def test_rank_entries_that_would_change_on_load_exit_3(tmp_path, capsys, entries
     assert (code, out) == (3, "")
     assert err == ("parse error: row 0: columns must be distinct integers and "
                    "coefficients strings of ASCII digits with an optional '-'\n")
+
+
+@pytest.mark.parametrize("symbols", [["3", "3"], ["3", "0_3"], ["1, 2", "3"], ["+3", "1,2"]],
+                         ids=["repeated", "underscore", "space", "plus-sign"])
+def test_rank_repeated_or_non_canonical_symbols_exit_3(tmp_path, capsys, symbols):
+    """Each column is a different symbol to the rank: two rows of z(3) = 0
+    written over a repeated symbol would rank 2, not 1."""
+    f = tmp_path / "set.json"
+    f.write_text(json.dumps({"weight": 3, "family": "cyclic", "symbols": symbols,
+                             "rows": [{"entries": [[0, "1"]]}, {"entries": [[1, "1"]]}]}))
+    code, out, err = run(capsys, "rank", "--in", f.as_posix())
+    assert (code, out) == (3, "")
+    assert err == ("parse error: symbols must be distinct and written as str() writes "
+                   "them (comma-separated positive integers)\n")
 
 
 def _write_failure(tmp_path, capsys, *flags):
@@ -350,6 +371,10 @@ def test_relations_cache_keeps_other_weights_and_families(tmp_path, capsys):
      "rows": [{"entries": [[0, "1"], [0, "-1"], [1, "1"]]}]},
     # a symbol that is not a string
     {"weight": 4, "family": "cyclic", "symbols": [4], "rows": []},
+    # a repeated symbol, which the rank would take as two
+    {"weight": 4, "family": "cyclic", "symbols": ["4", "4"],
+     "rows": [{"entries": [[0, "1"]]}, {"entries": [[1, "1"]]}]},
+    *(pytest.param(data, id=name) for data, name in zip(UNREADABLE, UNREADABLE_IDS)),
 ])
 def test_relations_cache_recomputes_unusable_entry(tmp_path, capsys, blob):
     cache, out_file, fresh = tmp_path / "cache", tmp_path / "w4.json", tmp_path / "fresh.json"
@@ -357,7 +382,7 @@ def test_relations_cache_recomputes_unusable_entry(tmp_path, capsys, blob):
                "--out", str(fresh))[0] == 0
     _cached_relations(capsys, cache, out_file)
     [entry] = cache.glob("relations-*.json")
-    entry.write_text(json.dumps(blob))
+    entry.write_bytes(blob if type(blob) is bytes else json.dumps(blob).encode())
     cached, err = _cached_relations(capsys, cache, out_file)
     assert cached is False and "corrupt cache" in err
     assert out_file.read_bytes() == fresh.read_bytes() == entry.read_bytes()
@@ -659,7 +684,8 @@ EXPONENTS = st.sampled_from(["n1_1:1,n:2", "n1_1:2 n:1", "n1_1:0,n2_1:0",
                              "n:x", "q:1", ""])
 FAMILY = st.sampled_from(["csf", "derivation", "cyclic", "bogus"])
 # Paths inside the example's own directory: {tmp} is filled in per example.
-PATH = st.sampled_from(["{tmp}/set.json", "{tmp}/missing.json", "{tmp}/junk.json", "{tmp}"])
+PATH = st.sampled_from(["{tmp}/set.json", "{tmp}/missing.json", "{tmp}/junk.json",
+                        "{tmp}/not-utf8.json", "{tmp}/too-deep.json", "{tmp}"])
 
 OPTIONS = {
     "eval": [("--kind", st.sampled_from(["mzf", "zeta-tilde", "zeta-c", "mt", "theorem", "z"])),
@@ -695,6 +721,8 @@ def test_fuzzed_arguments_keep_the_exit_code_contract(data):
             mock.patch.dict(os.environ, {}, clear=False):
         os.environ.pop("MZF_CACHE_DIR", None)
         Path(tmp, "junk.json").write_text("{not json")
+        for name, data in zip(UNREADABLE_IDS[1:], UNREADABLE[1:]):
+            Path(tmp, f"{name}.json").write_bytes(data)
         argv = [a.replace("{tmp}", tmp) for a in argv]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -16,7 +16,7 @@ from cycliczeta.model import (
     build_constraints_S_i,
     build_constraints_S_ij,
     build_constraints_T_i,
-    in_domain_EZ_absolute,
+    ez_inequalities,
     in_domain_W,
     is_integer_point_in_W,
     w_inequalities,
@@ -224,9 +224,12 @@ def test_all_singleton_windows():
 
 
 def test_in_domain_EZ_examples():
-    assert in_domain_EZ_absolute([2.5])
-    assert in_domain_EZ_absolute([1.0, 2.0])
-    assert not in_domain_EZ_absolute([0.0, 1.5])
+    def inside(s):
+        return all(q.ok for q in ez_inequalities(s))
+
+    assert inside([2.5])
+    assert inside([1.0, 2.0])
+    assert not inside([0.0, 1.5])
 
 
 def test_is_integer_point_examples():
@@ -241,7 +244,8 @@ def test_integer_characterization_matches_W_exhaustively():
         t = shape.total_depth
         for vals in itertools.product(range(1, 5), repeat=t):
             k = IntArgs(shape, vals)
-            assert is_integer_point_in_W(k) == in_domain_W(k.to_complex()), (shape, vals)
+            s = ComplexArgs(k.shape, k.values)
+            assert is_integer_point_in_W(k) == in_domain_W(s), (shape, vals)
 
 
 @st.composite

@@ -25,12 +25,11 @@ from cycliczeta.relations import (
     csf_relation,
     cyclic_relation,
     enumerate_family,
-    family_rank,
     generate_relations,
     rank_exact,
     relation_matrix,
     relation_set_loads,
-    relation_set_to_json_obj,
+    relation_set_dumps,
     table1,
     zeta_star_expand,
     _rank_bareiss,
@@ -41,6 +40,14 @@ from cycliczeta.series import combo_partial_sum
 
 def C(*parts):
     return Composition(tuple(parts))
+
+
+def dense(m):
+    return [[row.get(c, 0) for c in range(m.shape[1])] for row in m.rows]
+
+
+def family_rank(weight, family):
+    return rank_exact(relation_matrix(generate_relations(weight, family)))
 
 
 def combo(d):
@@ -260,7 +267,7 @@ def test_relation_matrix_examples():
     euler = cyclic_relation(IntArgs(Shape((1,)), (2,)))
     m = relation_matrix([euler])
     assert m.shape == (1, 2)
-    assert m.dense_rows() == [[1, -1]]
+    assert dense(m) == [[1, -1]]
     assert [str(c) for c in m.symbols] == ["1,2", "3"]
 
     empty = relation_matrix([])
@@ -294,7 +301,7 @@ def test_rank_exact_drops_repeated_rows(monkeypatch):
     rels = generate_relations(5, "cyclic")
     doubled = relation_matrix(rels + rels[::-1])
     assert rank_exact(doubled) == 5
-    first_seen = list(dict.fromkeys(tuple(r) for r in relation_matrix(rels).dense_rows()))
+    first_seen = list(dict.fromkeys(tuple(r) for r in dense(relation_matrix(rels))))
     ncols = doubled.shape[1]
     assert [tuple(row.get(c, 0) for c in range(ncols)) for row in seen[0]] == first_seen
 
@@ -425,7 +432,7 @@ def _certificate(rows):
 
 
 def test_check_kernel_rejects_corrupted_vector():
-    rows = relation_matrix(generate_relations(6, "cyclic")).dense_rows()
+    rows = dense(relation_matrix(generate_relations(6, "cyclic")))
     distinct, pivots, free, kernel = _certificate(rows)
     assert kernel and len(free) == len(rows[0]) - 11
     relations._check_kernel(distinct, free, kernel)
@@ -450,7 +457,7 @@ def test_rank_exact_raises_when_a_pivot_is_dropped(monkeypatch):
         return rank - 1, pivots[:-1], rref[:-1]
 
     monkeypatch.setattr(relations, "_rref_mod", drop_last_pivot)
-    rows = relation_matrix(generate_relations(5, "cyclic")).dense_rows()
+    rows = dense(relation_matrix(generate_relations(5, "cyclic")))
     with pytest.raises(InternalInvariantError, match="2H"):
         rank_exact(_matrix(rows))
     # the pivot minors are small: the bound is reached within the first 16 primes
@@ -638,14 +645,13 @@ def test_table1_checks_family_nesting(monkeypatch, family, bump, broken):
 
 
 def test_relation_set_roundtrip():
-    rels = generate_relations(4, "cyclic")
-    obj = relation_set_to_json_obj(4, "cyclic", rels)
-    import json
-
-    m = relation_set_loads(json.dumps(obj))
-    assert rank_exact(m) == rank_exact(relation_matrix(rels))
-    assert m.weight == 4
-    assert m.provenances[0] is not None
+    matrix = relation_matrix(generate_relations(4, "cyclic"))
+    data = relation_set_dumps(4, "cyclic", matrix)
+    assert data.endswith(b"}\n")
+    m = relation_set_loads(data)
+    assert (m.weight, m.family) == (4, "cyclic") and matrix.family is None
+    assert (m.symbols, m.rows, m.provenances) == (matrix.symbols, matrix.rows, matrix.provenances)
+    assert relation_set_loads(data.decode()) == m
 
 
 @pytest.mark.slow

@@ -23,10 +23,7 @@ from cycliczeta.model import (
 )
 from cycliczeta import couplings, decompose, series
 from cycliczeta.series import (
-    PoleSpec,
-    TermSpec,
     TruncationPlan,
-    eval_constrained_sum,
     eval_mordell_tornheim,
     eval_mzf,
     eval_theorem_residual,
@@ -34,8 +31,6 @@ from cycliczeta.series import (
     eval_zeta_C_i,
     eval_zeta_tilde,
     eval_zeta_tilde_harmonic,
-    harmonic_number,
-    harmonic_range,
     harmonic_relation_check,
     mzv_partial_sum,
 )
@@ -79,6 +74,15 @@ def brute_term_sum(cs, exps, n_max, pole=None):
     return total
 
 
+def constrained_sum(cs, exps, plan, pole=None):
+    """The box-truncated sum over cs of prod v^-exps[v], times
+    num^p / (den^q (den - num)) for pole = (num, den, p, q)."""
+    return series._make_report(
+        lambda ns: series._eval_system(
+            cs, exps, [(1.0, pole and couplings.pole_coupling(*pole))], ns),
+        series._as_plan(plan))
+
+
 # --- generic engine vs. brute force -----------------------------------------
 
 
@@ -86,16 +90,16 @@ def test_eval_constrained_sum_examples():
     sh = Shape((2,))
     a, b = B(1, 1), B(1, 2)
     lt = ConstraintSystem(sh, False, (Constraint(a, "<", b),))
-    rep = eval_constrained_sum(lt, TermSpec({a: 1, b: 2}), 10_000)
+    rep = constrained_sum(lt, {a: 1, b: 2}, 10_000)
     assert abs(rep.value - ZETA3) < 1e-2
 
     eq = ConstraintSystem(sh, False, (Constraint(a, "<=", b), Constraint(b, "<=", a)))
-    rep = eval_constrained_sum(eq, TermSpec({a: 2, b: 1}), 1000)
+    rep = constrained_sum(eq, {a: 2, b: 1}, 1000)
     expected = sum(n ** (-3.0) for n in range(1, 1001))
     assert abs(rep.value - expected) < 1e-12
 
     free = ConstraintSystem(Shape((1,)), False, ())
-    rep = eval_constrained_sum(free, TermSpec({B(1, 1): 0}), 7)
+    rep = constrained_sum(free, {B(1, 1): 0}, 7)
     assert rep.value == 7
 
 
@@ -168,13 +172,10 @@ def test_engine_property_random_systems(data):
     strict_pairs = [c for c in cons if c.rel == "<"]
     if strict_pairs and data.draw(st.booleans(), label="with_pole"):
         c = strict_pairs[0]
-        pole = PoleSpec(c.lhs, c.rhs, complex(1), complex(1))
+        pole = (c.lhs, c.rhs, complex(1), complex(1))
     n = 8
-    got = eval_constrained_sum(cs, TermSpec(exps, pole=pole), n).value
-    want = brute_term_sum(
-        cs, exps, n,
-        pole=None if pole is None else (pole.num_var, pole.den_var, 1, 1),
-    )
+    got = constrained_sum(cs, exps, n, pole).value
+    want = brute_term_sum(cs, exps, n, pole=pole)
     assert abs(got - want) < 1e-10
 
 
@@ -297,12 +298,6 @@ def test_zeta_tilde_domain_guard():
         eval_zeta_tilde(s, 1, 1, 1, 100)
 
 
-def test_harmonic_helpers():
-    assert harmonic_range(1, 0) == 0.0
-    assert abs(harmonic_range(1, 3) - 11 / 6) < 1e-15
-    assert harmonic_number(0) == 0.0
-
-
 def test_harmonic_two_path_diagnostic():
     s = ComplexArgs(Shape((2,)), (1.5, 2.5))
     h500 = eval_zeta_tilde_harmonic(s, 1, 1, 1, 500).value
@@ -412,7 +407,7 @@ def test_numeric_oracle_engine_matches_decomposition():
     for cs, exps in cases:
         combo = decompose_to_mzv(cs, exps)
         for n in (10, 100, 400):
-            got = eval_constrained_sum(cs, TermSpec(exps), n).value.real
+            got = constrained_sum(cs, exps, n).value.real
             want = combo_partial_sum(combo, n)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (str(cs), n)
 
@@ -422,7 +417,7 @@ def test_zero_exponent_counting_matches_oracle():
         cs = build_constraints_S_ij(shape, i, j)
         exps = {v: 0 for v in cs.variables}
         for n in (5, 12, 30):
-            got = eval_constrained_sum(cs, TermSpec(exps), n).value
+            got = constrained_sum(cs, exps, n).value
             assert int(round(got.real)) == count_lattice_points(cs, n)
 
 
@@ -463,9 +458,8 @@ def test_pole_on_unseparated_variables_is_internal_error():
     sh = Shape((2,))
     a, b = B(1, 1), B(1, 2)
     cs = ConstraintSystem(sh, False, (Constraint(a, "<=", b),))
-    term = TermSpec({a: 1, b: 2}, pole=PoleSpec(a, b, 0, 0))
     with pytest.raises(InternalInvariantError):
-        eval_constrained_sum(cs, term, 10)
+        constrained_sum(cs, {a: 1, b: 2}, 10, pole=(a, b, 0, 0))
 
 
 def test_budget_cap():
@@ -561,10 +555,10 @@ def test_segmented_stream_matches_bruteforce(monkeypatch):
     cs = ConstraintSystem(Shape((3,)), False,
                           (Constraint(x, "<", y), Constraint(y, "<=", z)))
     exps = {x: 1.1 + 0.2j, y: 0.7, z: 1.3 - 0.4j}
-    term = TermSpec(exps, pole=PoleSpec(x, y, 1, 0.5 + 0.1j))
-    assert_refinements(eval_constrained_sum(cs, term, plan),
-                       lambda n: brute_term_sum(cs, exps, n, pole=(x, y, 1, 0.5 + 0.1j)))
-    assert_refinements(eval_constrained_sum(cs, TermSpec(exps), plan),
+    pole = (x, y, 1, 0.5 + 0.1j)
+    assert_refinements(constrained_sum(cs, exps, plan, pole),
+                       lambda n: brute_term_sum(cs, exps, n, pole=pole))
+    assert_refinements(constrained_sum(cs, exps, plan),
                        lambda n: brute_term_sum(cs, exps, n))
 
 
