@@ -21,12 +21,13 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, series
 from . import relations as rel_mod
-from .decompose import count_lattice_points, decompose_to_mzv, weak_orders
+from .decompose import count_lattice_points, decompose_to_mzv
+# Unused here, but perfbench/tracing.py wraps this binding until the library counts its own calls.
+from .decompose import weak_orders  # noqa: F401
 from .errors import (
     BudgetError,
     DomainError,
@@ -42,38 +43,10 @@ from .model import (
     build_constraints_S_i,
     build_constraints_S_ij,
     build_constraints_T_i,
-    parse_complex,
     w_inequalities,
 )
 
 CACHE_ENV = "MZF_CACHE_DIR"
-
-
-@dataclass
-class RunConfig:
-    out_format: str
-    max_cutoff: int | None
-    max_weight: int
-    max_rows: int
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        def budget(name: str, default):
-            # An explicit 0 is a budget of 0, not "use the default".
-            value = getattr(args, name, None)
-            if value is None:
-                return default
-            if value < 0:
-                flag = "--" + name.replace("_", "-")
-                raise ParseError(f"{flag} must be >= 0, got {value}")
-            return value
-
-        return cls(
-            out_format=getattr(args, "format", "json") or "json",
-            max_cutoff=budget("budget_max_n", None),
-            max_weight=budget("budget_max_weight", rel_mod.MAX_WEIGHT_BUDGET),
-            max_rows=budget("budget_max_rows", rel_mod.MAX_ROWS_BUDGET),
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +61,12 @@ def build_parser() -> _Parser:
     def formats(sp, *choices):
         sp.add_argument("--format", choices=choices, default="json")
 
+    def budget(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
     ev = sub.add_parser("eval", help="evaluate a truncated series")
     ev.add_argument("--kind", required=True,
                     choices=("mzf", "zeta-tilde", "zeta-c", "mt", "theorem"))
@@ -99,7 +78,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--j", type=int, default=None)
     ev.add_argument("--variant", default="diff",
                     choices=("1", "2", "diff", "h1", "h2"))
-    ev.add_argument("--budget-max-n", type=int, default=None)
+    ev.add_argument("--budget-max-n", type=budget, default=None)
     formats(ev, "json", "csv", "text")
 
     dm = sub.add_parser("domain", help="membership verdict with margins")
@@ -111,8 +90,7 @@ def build_parser() -> _Parser:
     rl.add_argument("--weight", type=int, required=True)
     rl.add_argument("--family", required=True, choices=rel_mod.FAMILIES)
     rl.add_argument("--out", required=True)
-    rl.add_argument("--budget-max-weight", type=int, default=None)
-    rl.add_argument("--budget-max-rows", type=int, default=None)
+    rl.add_argument("--budget-max-weight", type=budget, default=rel_mod.MAX_WEIGHT_BUDGET)
     rl.add_argument("--cache-dir", default=None)
     formats(rl, "json", "text")
 
@@ -124,8 +102,7 @@ def build_parser() -> _Parser:
     tb.add_argument("--max-weight", type=int, required=True)
     tb.add_argument("--families", nargs="*", default=list(rel_mod.FAMILIES),
                     choices=rel_mod.FAMILIES)
-    tb.add_argument("--budget-max-weight", type=int, default=None)
-    tb.add_argument("--budget-max-rows", type=int, default=None)
+    tb.add_argument("--budget-max-weight", type=budget, default=rel_mod.MAX_WEIGHT_BUDGET)
     formats(tb, "json", "csv", "text")
 
     dc = sub.add_parser("decompose", help="rewrite a constrained sum into symbols")
@@ -168,26 +145,9 @@ def _plan_from_args(args) -> series.TruncationPlan:
         raise ParseError(str(exc)) from None
 
 
-def _parse_flat_complex(text: str) -> list[complex]:
-    entries = [e for e in re.split(r"[;,]", text) if e.strip()]
-    if not entries:
-        raise ParseError("empty argument list")
-    return [parse_complex(e) for e in entries]
-
-
 def _parse_args_with_shape(args) -> ComplexArgs:
-    # The canonical form separates blocks with ';', but a flat comma list is
-    # accepted whenever --shape pins the block structure.
     shape = Shape.parse(args.shape.replace(";", ",")) if args.shape else None
-    if shape is None:
-        return ComplexArgs.parse(args.s)
-    try:
-        return ComplexArgs.parse(args.s, shape)
-    except ParseError:
-        vals = _parse_flat_complex(args.s)
-        if len(vals) != shape.total_depth:
-            raise
-        return ComplexArgs(shape, tuple(vals))
+    return ComplexArgs.parse(args.s, shape)
 
 
 def _report_text(rep: series.EvalReport) -> str:
@@ -211,17 +171,17 @@ def _report_csv(rep: series.EvalReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
+def cmd_eval(args) -> int:
     plan = _plan_from_args(args)
     kind = args.kind
     if kind == "mzf":
-        rep = series.eval_mzf(_parse_flat_complex(args.s), plan,
-                              max_cutoff=cfg.max_cutoff)
+        rep = series.eval_mzf(ComplexArgs.parse(args.s).values, plan,
+                              max_cutoff=args.budget_max_n)
     elif kind == "mt":
-        vals = _parse_flat_complex(args.s)
+        vals = ComplexArgs.parse(args.s).values
         if len(vals) != 3:
             raise ParseError("--kind mt needs exactly three arguments")
-        rep = series.eval_mordell_tornheim(*vals, plan, max_cutoff=cfg.max_cutoff)
+        rep = series.eval_mordell_tornheim(*vals, plan, max_cutoff=args.budget_max_n)
     else:
         s = _parse_args_with_shape(args)
         try:
@@ -231,25 +191,25 @@ def cmd_eval(args, cfg: RunConfig) -> int:
                 if args.variant in ("h1", "h2"):
                     rep = series.eval_zeta_tilde_harmonic(
                         s, args.i, args.j, int(args.variant[1]), plan,
-                        max_cutoff=cfg.max_cutoff)
+                        max_cutoff=args.budget_max_n)
                 else:
                     rep = series.eval_zeta_tilde(
                         s, args.i, args.j, args.variant, plan,
-                        max_cutoff=cfg.max_cutoff)
+                        max_cutoff=args.budget_max_n)
             elif kind == "zeta-c":
                 if args.i is not None:
-                    rep = series.eval_zeta_C_i(s, args.i, plan, max_cutoff=cfg.max_cutoff)
+                    rep = series.eval_zeta_C_i(s, args.i, plan, max_cutoff=args.budget_max_n)
                 else:
-                    rep = series.eval_zeta_C(s, plan, max_cutoff=cfg.max_cutoff)
+                    rep = series.eval_zeta_C(s, plan, max_cutoff=args.budget_max_n)
             else:  # theorem
-                rep = series.eval_theorem_residual(s, plan, max_cutoff=cfg.max_cutoff)
+                rep = series.eval_theorem_residual(s, plan, max_cutoff=args.budget_max_n)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
     if kind == "theorem":
-        if cfg.out_format == "json":
+        if args.format == "json":
             _emit(json.dumps(rep.to_json_obj(), indent=2))
-        elif cfg.out_format == "csv":
+        elif args.format == "csv":
             rows = ["N,lhs_re,lhs_im,rhs_re,rhs_im,residual"]
             for n, l, r, q in rep.refinements or [
                 (rep.cutoff, rep.lhs, rep.rhs, rep.residual)
@@ -267,20 +227,20 @@ def cmd_eval(args, cfg: RunConfig) -> int:
                     lines.append(f"  N={n}: residual {q!r}")
             _emit("\n".join(lines))
         return 0
-    if cfg.out_format == "json":
+    if args.format == "json":
         _emit(json.dumps(rep.to_json_obj(), indent=2))
-    elif cfg.out_format == "csv":
+    elif args.format == "csv":
         _emit(_report_csv(rep))
     else:
         _emit(_report_text(rep))
     return 0
 
 
-def cmd_domain(args, cfg: RunConfig) -> int:
+def cmd_domain(args) -> int:
     s = _parse_args_with_shape(args)
     qs = w_inequalities(s)
     inside = all(q.ok for q in qs)
-    if cfg.out_format == "json":
+    if args.format == "json":
         _emit(json.dumps({
             "inside": inside,
             "inequalities": [
@@ -366,7 +326,7 @@ def _cache_valid(data: bytes, weight: int, family: str) -> rel_mod.RelationMatri
     return matrix if (matrix.weight, matrix.family) == (weight, family) else None
 
 
-def cmd_relations(args, cfg: RunConfig) -> int:
+def cmd_relations(args) -> int:
     cache = _cache_path(args)
     matrix = None
     try:
@@ -381,8 +341,7 @@ def cmd_relations(args, cfg: RunConfig) -> int:
     cached = matrix is not None
     if matrix is None:
         rels = rel_mod.generate_relations(
-            args.weight, args.family,
-            max_weight_budget=cfg.max_weight, max_rows_budget=cfg.max_rows)
+            args.weight, args.family, max_weight_budget=args.budget_max_weight)
         matrix = rel_mod.relation_matrix(rels)
         data = rel_mod.relation_set_dumps(args.weight, args.family, matrix)
         if cache is not None:
@@ -400,7 +359,7 @@ def cmd_relations(args, cfg: RunConfig) -> int:
         "symbols": symbols,
         "cached": cached,
     }
-    if cfg.out_format == "json":
+    if args.format == "json":
         _emit(json.dumps(summary, indent=2))
     else:
         _emit(
@@ -410,7 +369,7 @@ def cmd_relations(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_rank(args, cfg: RunConfig) -> int:
+def cmd_rank(args) -> int:
     path = Path(args.infile)
     try:
         data = path.read_bytes()
@@ -418,7 +377,7 @@ def cmd_rank(args, cfg: RunConfig) -> int:
         raise ParseError(f"cannot read {path}: {exc}") from None
     matrix = rel_mod.relation_set_loads(data)
     rank = rel_mod.rank_exact(matrix)
-    if cfg.out_format == "json":
+    if args.format == "json":
         _emit(json.dumps({"rank": rank, "rows": matrix.shape[0],
                           "symbols": matrix.shape[1]}, indent=2))
     else:
@@ -426,22 +385,20 @@ def cmd_rank(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_table1(args, cfg: RunConfig) -> int:
+def cmd_table1(args) -> int:
     # A --max-weight below 3 is passed on as the one weight, which table1
     # refuses.
     weights = range(min(3, args.max_weight), args.max_weight + 1)
     families = list(args.families or rel_mod.FAMILIES)
-    table = rel_mod.table1(weights, families,
-                           max_weight_budget=cfg.max_weight,
-                           max_rows_budget=cfg.max_rows)
+    table = rel_mod.table1(weights, families, max_weight_budget=args.budget_max_weight)
 
-    if cfg.out_format == "json":
+    if args.format == "json":
         obj = {
             "note": "all_ref is a stored reference count, not computed",
             "rows": [{"weight": w, **table[w]} for w in weights],
         }
         _emit(json.dumps(obj, indent=2))
-    elif cfg.out_format == "csv":
+    elif args.format == "csv":
         header = ["weight"] + families + ["all_relations(ref)"]
         rows = [",".join(header)]
         for w in weights:
@@ -501,7 +458,7 @@ def _parse_exponents(text: str, variables) -> dict[VarId, int]:
     return out
 
 
-def cmd_decompose(args, cfg: RunConfig) -> int:
+def cmd_decompose(args) -> int:
     shape = Shape.parse(args.shape)
     try:
         if args.setname == "S":
@@ -527,7 +484,7 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
         if args.N < 0:
             raise ParseError(f"--N must be >= 0, got {args.N}")
         n = count_lattice_points(cs, args.N)
-        if cfg.out_format == "json":
+        if args.format == "json":
             _emit(json.dumps({"count": n, "N": args.N,
                               "constraints": [str(c) for c in cs.constraints]}))
         else:
@@ -538,15 +495,16 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
         raise ParseError("--exponents is required unless --count is given")
     exps = _parse_exponents(args.exponents, cs.variables)
     combo = decompose_to_mzv(cs, exps)
-    orders = weak_orders(cs)
-    if cfg.out_format == "json":
+    # Each weak order adds 1 to the coefficient of one symbol.
+    orders = sum(combo.coefficients().values())
+    if args.format == "json":
         _emit(json.dumps({
-            "weak_orders": len(orders),
+            "weak_orders": orders,
             "combination": combo.to_json_obj(),
             "constraints": [str(c) for c in cs.constraints],
         }, indent=2))
     else:
-        _emit(f"{len(orders)} weak orders\n{combo}")
+        _emit(f"{orders} weak orders\n{combo}")
     return 0
 
 
@@ -557,7 +515,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = RunConfig.from_args(args)
         handler = {
             "eval": cmd_eval,
             "domain": cmd_domain,
@@ -566,7 +523,7 @@ def main(argv=None) -> int:
             "table1": cmd_table1,
             "decompose": cmd_decompose,
         }[args.command]
-        return handler(args, cfg)
+        return handler(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

@@ -300,14 +300,14 @@ def _raise_non_admissible(cs: ConstraintSystem, exponents: Mapping[VarId, int]):
 
 
 ORACLE_CUTOFF_CAP = 30
-_GRID_CACHE: dict[tuple[int, int], list[np.ndarray]] = {}
 
 
 def count_lattice_points(cs: ConstraintSystem, n_max: int) -> int:
     """Exact number of assignments in [1, n_max]^#vars satisfying cs.
 
     Brute force by full-box masking (independent of the weak-order split);
-    n_max above ORACLE_CUTOFF_CAP is refused.
+    n_max above ORACLE_CUTOFF_CAP, more than 5e8 points, or a grid and mask
+    above 256 MiB are refused.
     """
     if n_max > ORACLE_CUTOFF_CAP:
         raise BudgetError(f"oracle cutoff {n_max} exceeds cap {ORACLE_CUTOFF_CAP}")
@@ -315,26 +315,24 @@ def count_lattice_points(cs: ConstraintSystem, n_max: int) -> int:
         return 0
     vs = list(cs.variables)
     k = len(vs)
-    if n_max**k > 5 * 10**8:
+    # The grid holds k-1 int16 rows and the mask one bool row, each of
+    # n_max^(k-1) cells.
+    if n_max**k > 5 * 10**8 or (2 * (k - 1) + 1) * n_max ** (k - 1) > 2**28:
         raise BudgetError("oracle grid too large")
     idx = {v: t for t, v in enumerate(vs)}
     cons = [(idx[c.lhs], c.rel == REL_LT, idx[c.rhs]) for c in cs.constraints]
     if k == 1:
         total = n_max
         return total if not cons else 0
-    key = (k - 1, n_max)
-    if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = list(
-            np.indices((n_max,) * (k - 1), dtype=np.int16).reshape(k - 1, -1) + 1
-        )
-    grids = _GRID_CACHE[key]
+    grids = np.indices((n_max,) * (k - 1), dtype=np.int16).reshape(k - 1, -1)
+    grids += 1
 
     def axis(t: int, v0: int):
         return v0 if t == 0 else grids[t - 1]
 
     total = 0
     for v0 in range(1, n_max + 1):
-        mask = np.ones(grids[0].shape, dtype=bool)
+        mask = np.ones(grids.shape[1], dtype=bool)
         for (a, strict, b) in cons:
             lhs, rhs = axis(a, v0), axis(b, v0)
             mask &= (lhs < rhs) if strict else (lhs <= rhs)

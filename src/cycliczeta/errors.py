@@ -19,7 +19,7 @@ class ParseError(CyclicZetaError):
 
 
 class BudgetError(CyclicZetaError):
-    """A configured resource cap (cutoff, weight, matrix size) was exceeded."""
+    """A configured resource cap (cutoff, weight, oracle grid) was exceeded."""
 
 
 class NonAdmissibleError(CyclicZetaError):

@@ -148,31 +148,50 @@ class Shape:
         return ",".join(str(x) for x in self.r)
 
 
-def _fmt_complex(v: complex) -> str:
-    sign = "+" if v.imag >= 0 else "-"
-    return f"{v.real!r}{sign}{abs(v.imag)!r}i"
+@dataclass(frozen=True)
+class _BlockArgs:
+    """Values arranged by block, flattened block-major.  The text form
+    separates blocks by ';' and entries by ','; each subclass reads and
+    writes its own entries (`_parse_entry`, `_format_entry`)."""
 
+    shape: Shape
+    values: tuple
 
-def parse_complex(text: str) -> complex:
-    """Parse one 'a+bi' entry (decimal reals; plain 'a' also accepted)."""
-    t = text.strip().replace(" ", "")
-    if not t:
-        raise ParseError("empty complex entry")
-    try:
-        v = complex(t.replace("i", "j"))
-    except ValueError:
-        raise ParseError(f"bad complex entry {text!r}") from None
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise ParseError(f"non-finite complex entry {text!r}")
-    return v
+    def __getitem__(self, ij: tuple[int, int]):
+        return self.values[self.shape.offset(*ij)]
+
+    def block(self, i: int) -> tuple:
+        lo = sum(self.shape.r[: i - 1])
+        return self.values[lo : lo + self.shape.r[i - 1]]
+
+    @classmethod
+    def parse(cls, text: str, shape: Shape | None = None):
+        """The blocks of text, which must have the structure of shape if one
+        is given; a ';'-free comma list of shape.total_depth entries is read
+        block by block in shape."""
+        blocks = []
+        for b in text.split(";"):
+            entries = [cls._parse_entry(e) for e in b.split(",") if e.strip()]
+            if not entries:
+                raise ParseError(f"empty block in {text!r}")
+            blocks.append(entries)
+        inferred = Shape(tuple(len(b) for b in blocks))
+        if shape is not None and shape != inferred:
+            if len(blocks) > 1 or inferred.total_depth != shape.total_depth:
+                raise ParseError(
+                    f"arguments {text!r} have block structure {inferred}, expected {shape}"
+                )
+            inferred = shape
+        return cls(inferred, tuple(v for b in blocks for v in b))
+
+    def __str__(self) -> str:
+        return ";".join(",".join(self._format_entry(v) for v in self.block(i))
+                        for i in range(1, self.shape.d + 1))
 
 
 @dataclass(frozen=True)
-class ComplexArgs:
-    """Complex exponents s_{i,j} arranged by block, flattened block-major."""
-
-    shape: Shape
-    values: tuple[complex, ...]
+class ComplexArgs(_BlockArgs):
+    """Complex exponents s_{i,j}; each entry is written 'a+bi'."""
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
@@ -182,47 +201,30 @@ class ComplexArgs:
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError("arguments must be finite")
 
-    def __getitem__(self, ij: tuple[int, int]) -> complex:
-        return self.values[self.shape.offset(*ij)]
-
-    def block(self, i: int) -> tuple[complex, ...]:
-        lo = sum(self.shape.r[: i - 1])
-        return self.values[lo : lo + self.shape.r[i - 1]]
-
     def conjugate(self) -> "ComplexArgs":
         return ComplexArgs(self.shape, tuple(v.conjugate() for v in self.values))
 
-    @classmethod
-    def parse(cls, text: str, shape: Shape | None = None) -> "ComplexArgs":
-        blocks = [b for b in text.split(";")]
-        vals: list[complex] = []
-        depths: list[int] = []
-        for b in blocks:
-            entries = [e for e in b.split(",") if e.strip()]
-            if not entries:
-                raise ParseError(f"empty block in {text!r}")
-            depths.append(len(entries))
-            vals.extend(parse_complex(e) for e in entries)
-        inferred = Shape(tuple(depths))
-        if shape is not None and shape != inferred:
-            raise ParseError(
-                f"arguments {text!r} have block structure {inferred}, expected {shape}"
-            )
-        return cls(shape or inferred, tuple(vals))
+    @staticmethod
+    def _parse_entry(text: str) -> complex:
+        """One 'a+bi' entry (decimal reals; plain 'a' also accepted)."""
+        t = text.strip().replace(" ", "")
+        try:
+            v = complex(t.replace("i", "j"))
+        except ValueError:
+            raise ParseError(f"bad complex entry {text!r}") from None
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ParseError(f"non-finite complex entry {text!r}")
+        return v
 
-    def __str__(self) -> str:
-        parts = []
-        for i in range(1, self.shape.d + 1):
-            parts.append(",".join(_fmt_complex(v) for v in self.block(i)))
-        return ";".join(parts)
+    @staticmethod
+    def _format_entry(v: complex) -> str:
+        sign = "+" if v.imag >= 0 else "-"
+        return f"{v.real!r}{sign}{abs(v.imag)!r}i"
 
 
 @dataclass(frozen=True)
-class IntArgs:
+class IntArgs(_BlockArgs):
     """Positive-integer exponents arranged by block."""
-
-    shape: Shape
-    values: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
@@ -235,37 +237,14 @@ class IntArgs:
     def weight(self) -> int:
         return sum(self.values)
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.values[self.shape.offset(*ij)]
-
-    def block(self, i: int) -> tuple[int, ...]:
-        lo = sum(self.shape.r[: i - 1])
-        return self.values[lo : lo + self.shape.r[i - 1]]
-
-    @classmethod
-    def parse(cls, text: str, shape: Shape | None = None) -> "IntArgs":
-        blocks = text.split(";")
-        vals: list[int] = []
-        depths: list[int] = []
+    @staticmethod
+    def _parse_entry(text: str) -> int:
         try:
-            for b in blocks:
-                entries = [e for e in b.split(",") if e.strip()]
-                depths.append(len(entries))
-                vals.extend(int(e) for e in entries)
+            return int(text)
         except ValueError:
-            raise ParseError(f"bad integer arguments {text!r}") from None
-        inferred = Shape(tuple(depths))
-        if shape is not None and shape != inferred:
-            raise ParseError(
-                f"arguments {text!r} have block structure {inferred}, expected {shape}"
-            )
-        return cls(shape or inferred, tuple(vals))
+            raise ParseError(f"bad integer entry {text!r}") from None
 
-    def __str__(self) -> str:
-        parts = []
-        for i in range(1, self.shape.d + 1):
-            parts.append(",".join(str(v) for v in self.block(i)))
-        return ";".join(parts)
+    _format_entry = staticmethod(str)
 
 
 # ---------------------------------------------------------------------------

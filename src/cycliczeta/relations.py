@@ -53,10 +53,8 @@ FAMILIES = ("csf", "derivation", "cyclic")
 ALL_RELATIONS_REF = {3: 1, 4: 3, 5: 6, 6: 14, 7: 29, 8: 60, 9: 123, 10: 249, 11: 503}
 
 HARD_MAX_WEIGHT = 11
-# Default budgets of the rank table: weights up to 8, and at most 20000
-# relations per cell or relation set.
+# Default weight budget of the rank table and the CLI.
 MAX_WEIGHT_BUDGET = 8
-MAX_ROWS_BUDGET = 20000
 
 # Bumped whenever a change to relation generation could change a relation
 # set, so that cached sets from older code are never served.
@@ -208,17 +206,13 @@ def _check_weight(weight: int, max_weight_budget: int) -> None:
 
 
 def generate_relations(weight: int, family: str, *,
-                       max_weight_budget: int = HARD_MAX_WEIGHT,
-                       max_rows_budget: int = MAX_ROWS_BUDGET) -> list[Relation]:
+                       max_weight_budget: int = HARD_MAX_WEIGHT) -> list[Relation]:
     """One relation per configuration, from `cyclic_relation` computed once
-    per block-rotation orbit (`_orbit_combo`).  The weight and the number
-    of configurations are checked against the budgets before any relation
-    is generated."""
+    per block-rotation orbit (`_orbit_combo`).  The weight is checked
+    against the budget before any relation is generated."""
     _check_weight(weight, max_weight_budget)
-    configs = enumerate_family(weight, family)
-    if len(configs) > max_rows_budget:
-        raise BudgetError(f"{len(configs)} rows exceed the budget {max_rows_budget}")
-    return [Relation(_orbit_combo(k), Provenance(family, shape, k)) for shape, k in configs]
+    return [Relation(_orbit_combo(k), Provenance(family, shape, k))
+            for shape, k in enumerate_family(weight, family)]
 
 
 # The combination of each block-rotation orbit, from the first configuration
@@ -547,8 +541,7 @@ def rank_exact(matrix: RelationMatrix) -> int:
 
 
 def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
-           max_weight_budget: int = MAX_WEIGHT_BUDGET,
-           max_rows_budget: int = MAX_ROWS_BUDGET) -> dict[int, dict[str, int]]:
+           max_weight_budget: int = MAX_WEIGHT_BUDGET) -> dict[int, dict[str, int]]:
     """Independent-relation counts per weight and family, plus the stored
     reference column of counts over all known relations.  Every weight is
     checked against the budget before any cell is generated.  The csf and
@@ -564,7 +557,7 @@ def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
     for w in weights:
         row: dict[str, int] = {}
         for f in families:
-            rels = generate_relations(w, f, max_rows_budget=max_rows_budget)
+            rels = generate_relations(w, f)
             row[f] = rank_exact(relation_matrix(rels))
         row["all_ref"] = ALL_RELATIONS_REF.get(w, 0)
         nested = [(f, "cyclic") for f in ("csf", "derivation") if f in row and "cyclic" in row]

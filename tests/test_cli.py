@@ -10,11 +10,14 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycliczeta import relations as rel_mod
-from cycliczeta.cli import main
+from cycliczeta.cli import build_parser, main
+from cycliczeta.decompose import weak_orders
+from cycliczeta.model import Shape, build_constraints_S_i, build_constraints_S_ij
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,6 +91,9 @@ def test_eval_parse_error_exit_3(capsys):
     assert code == 3  # no --N / --N-list
     code, _, _ = run(capsys, "eval", "--kind", "mzf", "--s", "zz", "--N", "10")
     assert code == 3
+    for kind, s in (("mzf", "2;;3"), ("mt", "2;;1,1")):  # an empty block
+        code, _, err = run(capsys, "eval", "--kind", kind, "--s", s, "--N", "10")
+        assert code == 3 and "empty block" in err
     code, _, _ = run(capsys, "eval", "--kind", "nope", "--s", "2", "--N", "10")
     assert code == 3
     # A position out of range is a usage error even when s lies outside W.
@@ -154,6 +160,19 @@ def test_domain_inside_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["inside"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["domain", "--shape", "2,1", "--s", "1.5;2.5,1.5"],
+    ["eval", "--kind", "theorem", "--shape", "2,1", "--s", "1.5;2.5,1.5", "--N", "10"],
+    ["domain", "--shape", "1,1", "--s", "1.5;;1.6"],
+    ["domain", "--shape", "2,1", "--s", "1.5,2.5"],
+])
+def test_misblocked_arguments_exit_3(capsys, argv):
+    """Only a ';'-free list of the shape's total depth is re-blocked."""
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("parse error:")
 
 
 @pytest.mark.parametrize("arg", ["nan", "1e400"])
@@ -461,18 +480,9 @@ def test_table1_internal_invariant_exit_5(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_relations_zero_row_budget_exit_4(tmp_path, capsys):
-    out_file = tmp_path / "r.json"
-    code, _, err = run(capsys, "relations", "--weight", "5", "--family", "cyclic",
-                       "--budget-max-rows", "0", "--out", str(out_file))
-    assert code == 4
-    assert "exceed the budget 0" in err
-    assert not out_file.exists()
-
-
 @pytest.mark.parametrize("argv", [
     ["table1", "--max-weight", "4", "--budget-max-weight", "-1"],
-    ["relations", "--weight", "5", "--family", "cyclic", "--budget-max-rows", "-1",
+    ["relations", "--weight", "5", "--family", "cyclic", "--budget-max-weight", "-1",
      "--out", "unused.json"],
     ["eval", "--kind", "mzf", "--s", "2", "--N", "10", "--budget-max-n", "-1"],
 ])
@@ -532,6 +542,21 @@ def test_decompose_examples(capsys):
     )
     assert code == 0
     assert "z(3)" in out
+
+
+@pytest.mark.parametrize("cs, argv", [
+    (build_constraints_S_ij(Shape((1,)), 1, 1),
+     ["--shape", "1", "--set", "S_ij", "--i", "1", "--j", "1", "--exponents", "n1_1:1,n:2"]),
+    (build_constraints_S_i(Shape((1,)), 1),
+     ["--shape", "1", "--set", "S_i", "--i", "1", "--exponents", "n1_1:2 n:1"]),
+    (build_constraints_S_i(Shape((2, 2, 2)), 2),
+     ["--shape", "2,2,2", "--set", "S_i", "--i", "2", "--exponents",
+      "n1_1:2,n1_2:2,n2_1:2,n2_2:2,n3_1:2,n3_2:2,n:2"]),
+], ids=["readme", "1-S_i", "2,2,2-S_i"])
+def test_decompose_reports_the_number_of_weak_orders(capsys, cs, argv):
+    code, out, _ = run(capsys, "decompose", *argv)
+    assert code == 0
+    assert json.loads(out)["weak_orders"] == len(weak_orders(cs))
 
 
 def test_decompose_non_admissible_exit_5(capsys):
@@ -594,6 +619,18 @@ def test_decompose_bad_exponents_exit_3(capsys, exponents, message):
     )
     assert code == 3 and out == ""
     assert err.startswith("parse error:") and message in err
+
+
+def test_decompose_count_grid_too_large_exit_4(capsys, monkeypatch):
+    # 2^27 points pass the point limit, but the grid would take 3.25 GiB.
+    def indices(*args, **kwargs):
+        raise AssertionError("the oracle grid was allocated")
+
+    monkeypatch.setattr(np, "indices", indices)
+    code, out, err = run(capsys, "decompose", "--shape", "27", "--set", "S",
+                         "--count", "--N", "2")
+    assert code == 4 and out == ""
+    assert err == "budget exceeded: oracle grid too large\n"
 
 
 def test_decompose_count_negative_n_exit_3(capsys):
@@ -694,16 +731,24 @@ OPTIONS = {
              ("--variant", st.sampled_from(["1", "2", "diff", "h1", "h2", "3"]))],
     "domain": [("--shape", SHAPE), ("--s", COMPLEX)],
     "relations": [("--weight", WEIGHT), ("--family", FAMILY), ("--out", PATH),
-                  ("--budget-max-weight", WEIGHT), ("--budget-max-rows", INT),
-                  ("--cache-dir", PATH)],
+                  ("--budget-max-weight", WEIGHT), ("--cache-dir", PATH)],
     "rank": [("--in", PATH)],
     "table1": [("--max-weight", WEIGHT), ("--families", FAMILY),
-               ("--budget-max-weight", WEIGHT), ("--budget-max-rows", INT)],
+               ("--budget-max-weight", WEIGHT)],
     "decompose": [("--shape", SHAPE), ("--set", st.sampled_from(["S", "S_i", "S_ij", "T_i", "U"])),
                   ("--i", INT), ("--j", INT), ("--exponents", EXPONENTS), ("--count", None),
                   ("--N", INT)],
 }
 COMMON = [("--format", st.sampled_from(["json", "csv", "text", "xml"]))]
+
+
+def test_fuzzed_options_are_the_parser_flags():
+    """Every subcommand and flag the parser defines is fuzzed, and no other."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    defined = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, sp in sub.choices.items()}
+    fuzzed = {name: {flag for flag, _ in opts + COMMON} for name, opts in OPTIONS.items()}
+    assert fuzzed == defined
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

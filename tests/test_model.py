@@ -56,6 +56,14 @@ def test_args_roundtrip():
     assert IntArgs.parse(str(k)) == k
     with pytest.raises(ParseError):
         ComplexArgs.parse("1.5+0.5i", shape=Shape((2,)))
+    # A ';'-free list of the shape's total depth is read block by block.
+    assert ComplexArgs.parse("1.5+0.5i,2.5+0i,3-1i", Shape((2, 1))) == s
+    assert IntArgs.parse("1,2,3", Shape((2, 1))) == k
+    for cls in (ComplexArgs, IntArgs):
+        for text, shape in (("1;;2", None), ("1;", None), ("", None), ("1,2", Shape((1, 2, 1))),
+                            ("1;2,3", Shape((2, 1))), ("1;;2", Shape((1, 1)))):
+            with pytest.raises(ParseError):
+                cls.parse(text, shape)
     with pytest.raises(ValueError):
         IntArgs(Shape((2,)), (0, 2))
 
