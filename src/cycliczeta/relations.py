@@ -17,7 +17,8 @@ engine (`decompose._part_counts`), and each relation builds one
 combination once, unsorted.
 
 The rank is certified modularly: Gauss-Jordan elimination of the distinct
-rows modulo primes below 2^31 (int64 numpy rows) gives a lower bound, and
+rows modulo primes below 2^26 (int64 numpy rows, reduced lazily; later
+primes reduce only the first one's pivot rows) gives a lower bound, and
 integer kernel vectors recovered from the reduced rows by CRT and rational
 reconstruction, checked exactly against every row, give the matching upper
 bound.  Fraction-free elimination on big integers (`_rank_bareiss`) and
@@ -26,6 +27,7 @@ elimination modulo a big prime (`_rank_mod`) are kept as test oracles.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -363,9 +365,9 @@ def _is_prime_below_2_32(n: int) -> bool:
 
 
 def _primes() -> Iterable[int]:
-    """Primes below 2^31, largest first, found on demand; a product of two
-    residues fits in int64."""
-    for n in range(2**31 - 1, 2, -2):
+    """Primes below 2^26, largest first, found on demand; an int64 entry
+    takes about 2^11 unreduced updates by a product of two residues."""
+    for n in range(2**26 - 1, 2, -2):
         if _is_prime_below_2_32(n):
             yield n
 
@@ -380,37 +382,46 @@ def _distinct_rows(matrix: RelationMatrix) -> list[dict[int, int]]:
 
 
 def _rref_mod(rows: list[dict[int, int]], ncols: int, p: int):
-    """Gauss-Jordan elimination modulo a prime p < 2^31, one pivot row at a
-    time against every row that has a nonzero entry in its column.
+    """Gauss-Jordan elimination modulo a prime p < 2^31 with delayed
+    reduction: only the pivot column (which gives the pivot and the row
+    factors) and the normalised pivot row are reduced mod p, and the update
+    of every other row by one pivot, f * piv with both factors in [0, p),
+    lowers an entry by less than (p - 1)^2.  From [0, p), entries stay
+    above -2^63 for floor(2^63 / (p - 1)^2) such updates, so the whole block
+    is reduced every floor((2^63 - p) / (p - 1)^2) - 1 pivots (2047 for the
+    primes just below 2^26, 1 for 2^31 - 1) and once at the end.
 
-    Returns the rank, the pivot columns and the reduced rows (rank x ncols
-    int64 residues in [0, p))."""
+    Returns the rank, the pivot columns, the reduced rows (rank x ncols
+    int64 residues in [0, p)) and the input index of each pivot row."""
     a = np.zeros((len(rows), ncols), dtype=np.int64)
     for i, row in enumerate(rows):
         a[i, list(row)] = [v % p for v in row.values()]
+    where = list(range(len(rows)))
+    every = (2**63 - p) // (p - 1) ** 2 - 1
     rank = 0
     pivots = []
     for c in range(ncols):
-        nz = np.flatnonzero(a[rank:, c])
+        f = a[:, c] % p
+        nz = np.flatnonzero(f[rank:])
         if not nz.size:
             continue
         k = rank + int(nz[0])
         if k != rank:
             a[[rank, k]] = a[[k, rank]]
-        piv = a[rank, c:] * pow(int(a[rank, c]), -1, p) % p
+            f[[rank, k]] = f[[k, rank]]
+            where[rank], where[k] = where[k], where[rank]
+        piv = a[rank, c:] % p * pow(int(f[rank]), -1, p) % p
         a[rank, c:] = piv
-        f = a[:, c].copy()
         f[rank] = 0
         hit = np.flatnonzero(f)
-        block = a[hit, c:]
-        block -= f[hit, None] * piv
-        block %= p
-        a[hit, c:] = block
+        a[hit, c:] -= f[hit, None] * piv
         pivots.append(c)
         rank += 1
+        if rank % every == 0:
+            a %= p
         if rank == len(rows):
             break
-    return rank, pivots, a[:rank]
+    return rank, pivots, a[:rank] % p, where[:rank]
 
 
 def _rational_reconstruction(u: int, m: int) -> tuple[int, int] | None:
@@ -486,18 +497,22 @@ def _check_kernel(rows: list[dict[int, int]], free: list[int],
 
 def rank_exact(matrix: RelationMatrix) -> int:
     """Rank over the rationals, certified from eliminations modulo primes
-    below 2^31 (no floating point, no big-integer elimination).
+    below 2^26 (no floating point, no big-integer elimination).
 
     The distinct rows are reduced modulo each prime in turn.  A rank r mod p
     proves rank >= r: the pivot minor is a nonzero integer.  The reduced
     rows' free-column entries, combined over the primes by CRT, give by
     rational reconstruction one integer kernel vector per free column;
-    checking M y = 0 exactly proves rank <= r.  A prime whose pivot columns
-    differ from the kept ones has a lower rank or a lexicographically later
-    pivot list when it is unlucky; the better of the two is kept and the CRT
-    restarts from it.  Primes are added while reconstruction or the check
-    fails; once their product exceeds 2 H^2 (H the Hadamard bound on every
-    minor, so every reduced entry is a/b with |a|, b <= H),
+    checking M y = 0 exactly against every row proves rank <= r.  A prime
+    whose pivot columns differ from the kept ones has a lower rank or a
+    lexicographically later pivot list when it is unlucky; the better of the
+    two is kept and the CRT restarts from it.  Once a prime is kept, later
+    primes reduce only its pivot rows, which span the row space whenever r
+    is the rank, so their reduced rows are the same; after a failed check
+    (the kept prime was unlucky and its pivot rows miss rank) every later
+    prime reduces all rows again.  Primes are added while reconstruction or
+    the check fails; once their product exceeds 2 H^2 (H the Hadamard bound
+    on every minor, so every reduced entry is a/b with |a|, b <= H),
     InternalInvariantError is raised."""
     rows = _distinct_rows(matrix)
     ncols = len(matrix.symbols)
@@ -506,13 +521,15 @@ def rank_exact(matrix: RelationMatrix) -> int:
     norms = sorted((max(1, sum(v * v for v in row.values())) for row in rows), reverse=True)
     bound = 2 * math.prod(norms[:min(len(rows), ncols)])
     best = None
+    sub = list(range(len(rows)))  # the input rows the next prime reduces
     for p in _primes():
-        rank, pivots, rref = _rref_mod(rows, ncols, p)
+        rank, pivots, rref, where = _rref_mod([rows[i] for i in sub], ncols, p)
         key = (-rank, pivots)
         if best is not None and key > best:
             continue  # an unlucky prime
         if best is None or key < best:
             best, m = key, p
+            sub = [sub[i] for i in where]
             pivot_set = set(pivots)
             free = [c for c in range(ncols) if c not in pivot_set]
             residues = rref[:, free].tolist()
@@ -527,7 +544,7 @@ def rank_exact(matrix: RelationMatrix) -> int:
                 _check_kernel(rows, free, kernel)
                 return rank
             except InternalInvariantError:
-                pass
+                sub = list(range(len(rows)))
         if m > bound:
             raise InternalInvariantError(
                 f"no kernel certificate for rank {rank} with a CRT modulus above 2H^2"
@@ -617,7 +634,22 @@ def relation_set_loads(data: str | bytes) -> RelationMatrix:
     and nesting too deep to decode) or not a relation set raises
     ParseError, and so does any symbol, column or coefficient that would
     change on conversion: every symbol must be distinct and read back as
-    written, since the rank takes each column as a different symbol."""
+    written, since the rank takes each column as a different symbol.
+
+    The parse builds only acyclic lists, dicts and tuples (about 170k at
+    weight 10), so it runs with the cyclic garbage collector paused: its
+    full collections there would find nothing.  The caller's collector
+    state is restored on return and on error."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _relation_set(data)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _relation_set(data: str | bytes) -> RelationMatrix:
     try:
         obj = json.loads(data.decode() if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:

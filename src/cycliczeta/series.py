@@ -81,6 +81,10 @@ from .model import (
 )
 
 COUPLED_CUTOFF_CAP = 5000
+# Coupled chains are summed one weak order at a time: a system with coupled
+# pieces may have at most this many (929 for shape (2,2,2), 60663 for
+# (2,2,2,2)).
+COUPLED_ORDER_CAP = 5000
 CHAIN_CUTOFF_CAP = 20_000_000
 # The double series is O(N log N) per cutoff, but its peak memory grows by
 # about 180 bytes per N (210 MiB at 1e6).
@@ -342,12 +346,24 @@ def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
     and each coupling that allows ties, where its two variables share a
     level, are sums over the order-filter DAG of cs; a coupling across two
     levels is summed per weak order, each coupled chain once at the largest
-    cutoff.  tiles may be shared by systems evaluated at the same
-    cutoffs."""
+    cutoff; a coupled system with more than COUPLED_ORDER_CAP weak orders
+    raises BudgetError before anything is summed.  tiles may be shared by
+    systems evaluated at the same cutoffs."""
     vs, steps = _filter_steps(cs)
     idx = {v: t for t, v in enumerate(vs)}
     es = [complex(exps.get(v, 0)) for v in vs]
     coupled = [(coeff, cp) for coeff, cp in pieces if cp is not None]
+    if coupled:
+        # Every weak order is one path from the full filter to 0, and rest
+        # masks are smaller than theirs, so one pass in mask order counts
+        # them.
+        paths = {0: 1}
+        for mask in sorted(steps):
+            paths[mask] = sum(paths[rest] for _, rest in steps[mask])
+        orders = paths[max(steps)]
+        if orders > COUPLED_ORDER_CAP:
+            raise BudgetError(f"coupled system with {orders} weak orders exceeds "
+                              f"the cap {COUPLED_ORDER_CAP}")
     plain = sum(coeff for coeff, cp in pieces if cp is None)
     walks = [(plain, None)] if plain != 0 else []
     walks += [(coeff, (1 << idx[cp.var_a] | 1 << idx[cp.var_b], cp.tie))

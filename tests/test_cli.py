@@ -112,6 +112,20 @@ def test_eval_budget_exit_4(capsys):
     assert code == 4
 
 
+def test_eval_theorem_weak_order_cap_exit_4(capsys):
+    import time
+
+    # every S_ij system of (2,2,2,2) has 60663 weak orders, of (2,2,2) 929
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--kind", "theorem", "--shape", "2,2,2,2",
+                         "--s", "1.5,2.5;1.5,2.5;1.5,2.5;1.5,2.5", "--N", "10")
+    assert code == 4 and out == "" and "60663 weak orders" in err
+    assert time.perf_counter() - start < 10
+    code, out, _ = run(capsys, "eval", "--kind", "theorem", "--shape", "2,2,2",
+                       "--s", "1.5,2.5;1.5,2.5;1.5,2.5", "--N", "10")
+    assert code == 0 and json.loads(out)["cutoff"] == 10
+
+
 @pytest.mark.parametrize("argv, want", [
     (["--N", "10000"], 0),
     (["--N", "1000001"], 4),

@@ -6,7 +6,13 @@ import pytest
 
 from cycliczeta import decompose, relations
 from cycliczeta.decompose import Composition, SymbolCombination, decompose_to_mzv
-from cycliczeta.errors import BudgetError, DomainError, InternalInvariantError, NonAdmissibleError
+from cycliczeta.errors import (
+    BudgetError,
+    DomainError,
+    InternalInvariantError,
+    NonAdmissibleError,
+    ParseError,
+)
 from cycliczeta.model import (
     EXTRA,
     Constraint,
@@ -310,13 +316,15 @@ def test_rank_weight5_cyclic_is_5():
     assert family_rank(5, "cyclic") == 5
 
 
-def _rank_fraction_oracle(rows):
-    """Independent rank computation over exact rationals."""
+def _fraction_rref(rows):
+    """The pivot columns and reduced rows of Gauss-Jordan elimination over
+    exact rationals."""
     from fractions import Fraction
 
     m = [[Fraction(x) for x in r] for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     rank = 0
+    pivots = []
     for col in range(ncols):
         piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
@@ -324,17 +332,23 @@ def _rank_fraction_oracle(rows):
         m[rank], m[piv] = m[piv], m[rank]
         inv = 1 / m[rank][col]
         m[rank] = [x * inv for x in m[rank]]
-        for r in range(rank + 1, nrows):
+        for r in range(nrows):
             f = m[r][col]
-            if f:
+            if f and r != rank:
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return pivots, m[:rank]
 
 
-def test_rank_fuzz_against_fraction_oracle():
+def _rank_fraction_oracle(rows):
+    """Independent rank computation over exact rationals."""
+    return len(_fraction_rref(rows)[0])
+
+
+def _fuzz_matrices():
     import random
 
     rng = random.Random(99)
@@ -352,6 +366,11 @@ def test_rank_fuzz_against_fraction_oracle():
             rows.append(
                 [sum(c * b[t] for c, b in zip(coeffs, base)) for t in range(ncols)]
             )
+        yield rows
+
+
+def test_rank_fuzz_against_fraction_oracle():
+    for rows in _fuzz_matrices():
         want = _rank_fraction_oracle(rows)
         assert _rank_bareiss([list(r) for r in rows]) == want
         for p in ((1 << 61) - 1, (1 << 64) - 59):
@@ -367,28 +386,29 @@ def _matrix(rows):
                           None, [None] * len(rows))
 
 
-# A prime of the elimination's list divides the first matrix's determinant,
-# so the first prime sees rank 1; the second has an entry far outside int64
-# and one row that is the sum of two others; the third's reduced row holds
-# (2^250 + 1) / 2^250, whose reconstruction needs more than 16 primes.
+# The 16 largest primes below 2^26.
+PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763,
+          67108757, 67108753, 67108747, 67108739, 67108729,
+          67108721, 67108709, 67108693, 67108669, 67108667,
+          67108661)
+
+
+# The first prime of the elimination divides the first matrix's determinant,
+# so it sees rank 1 from the second row alone; the second has an entry far
+# outside int64 and one row that is the sum of two others; the third's
+# reduced row holds (2^250 + 1) / 2^250, whose reconstruction needs more
+# than 16 primes.
 HARD_MATRICES = {  # name: (rows, rank)
-    "unlucky-prime": ([[2**31 - 1, 0], [0, 1]], 2),
+    "unlucky-prime": ([[PRIMES[0], 0], [0, 1]], 2),
     "huge-entry": ([[2**80, 3, 0, 1], [5, -7, 2, 0], [2**80 + 5, -4, 2, 1], [0, 1, 1, 1]], 3),
     "wide-fraction": ([[2**250, 2**250 + 1]], 1),
 }
 
 
-# The 16 largest primes below 2^31.
-PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-          2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
-          2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
-          2147483249)
-
-
 def test_primes_continue_past_the_literal_list():
     primes = list(itertools.islice(relations._primes(), len(PRIMES) + 20))
     assert tuple(primes[:len(PRIMES)]) == PRIMES
-    assert all(a > b for a, b in zip(primes, primes[1:])) and primes[0] < 2**31
+    assert all(a > b for a, b in zip(primes, primes[1:])) and primes[0] < 2**26
     gaps = range(primes[-1], PRIMES[-1])
     trial = [n for n in gaps if all(n % q for q in range(2, math.isqrt(n) + 1))]
     assert primes[len(PRIMES):] == sorted(trial, reverse=True)
@@ -425,7 +445,7 @@ def _certificate(rows):
     distinct = relations._distinct_rows(matrix)
     ncols = matrix.shape[1]
     p = PRIMES[0]
-    rank, pivots, rref = relations._rref_mod(distinct, ncols, p)
+    rank, pivots, rref, _ = relations._rref_mod(distinct, ncols, p)
     free = [c for c in range(ncols) if c not in pivots]
     kernel = relations._kernel_vectors(rref[:, free].tolist(), p, pivots, free, ncols)
     return distinct, pivots, free, kernel
@@ -453,15 +473,83 @@ def test_rank_exact_raises_when_a_pivot_is_dropped(monkeypatch):
 
     def drop_last_pivot(rows, ncols, p):
         primes.append(p)
-        rank, pivots, rref = rref_mod(rows, ncols, p)
-        return rank - 1, pivots[:-1], rref[:-1]
+        rank, pivots, rref, where = rref_mod(rows, ncols, p)
+        return rank - 1, pivots[:-1], rref[:-1], where[:-1]
 
     monkeypatch.setattr(relations, "_rref_mod", drop_last_pivot)
     rows = dense(relation_matrix(generate_relations(5, "cyclic")))
     with pytest.raises(InternalInvariantError, match="2H"):
         rank_exact(_matrix(rows))
-    # the pivot minors are small: the bound is reached within the first 16 primes
-    assert 1 <= len(primes) < len(PRIMES)
+    # the pivot minors are small: 2H^2 has 25 bits, so the first 26-bit
+    # prime already passes it
+    assert primes == [PRIMES[0]]
+
+
+def _spy_rref_mod(monkeypatch):
+    """Record the rows each prime reduces and what it returns."""
+    rref_mod = relations._rref_mod
+    calls = []
+
+    def spy(rows, ncols, p):
+        out = rref_mod(rows, ncols, p)
+        calls.append((rows, out))
+        return out
+
+    monkeypatch.setattr(relations, "_rref_mod", spy)
+    return calls
+
+
+# Computed cyclic ranks, as table1 reports them.  From w6 on, 2H^2 exceeds
+# one prime, so a second prime can run (at w5 it has 25 bits).
+CYCLIC_RANKS = {6: 11, 7: 25, 8: 52, 9: 110}
+
+
+@pytest.mark.parametrize("weight", sorted(CYCLIC_RANKS))
+def test_later_primes_reduce_only_the_pivot_rows(monkeypatch, weight):
+    calls = _spy_rref_mod(monkeypatch)
+    kernel_vectors = relations._kernel_vectors
+    # one reconstruction "fails", as when the modulus is still too small
+    failed = []
+    monkeypatch.setattr(relations, "_kernel_vectors",
+                        lambda *a: failed.append(1) if not failed else kernel_vectors(*a))
+    matrix = relation_matrix(generate_relations(weight, "cyclic"))
+    distinct = relations._distinct_rows(matrix)
+    assert rank_exact(matrix) == CYCLIC_RANKS[weight] and len(calls) == 2
+    (first, (r1, piv1, _, where)), (second, (r2, piv2, _, _)) = calls
+    assert first == distinct and len(where) == r1
+    assert second == [distinct[i] for i in where]
+    # the pivot rows span the row space, so the second prime finds the same
+    # rank and pivots
+    assert (r2, piv2) == (r1, piv1)
+
+
+def test_unlucky_prime_falls_back_to_all_rows(monkeypatch):
+    calls = _spy_rref_mod(monkeypatch)
+    rows, rank = HARD_MATRICES["unlucky-prime"]
+    assert rank_exact(_matrix(rows)) == _rank_fraction_oracle(rows) == rank
+    # the first prime keeps only the second row, whose kernel vector fails
+    # the check against the first, so the next prime reduces both rows again
+    (first, (r1, _, _, where)), (second, (r2, _, _, _)) = calls
+    assert (r1, where, r2) == (1, [1], 2)
+    assert len(first) == len(second) == 2
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, PRIMES[0]])
+def test_rref_mod_matches_fraction_elimination(p):
+    # 2^31 - 1 reduces the block after every pivot, PRIMES[0] only at the
+    # end; the w7 rows take 25 pivots, enough to wrap int64 without the
+    # reductions at 2^31 - 1
+    w7 = dense(relation_matrix(generate_relations(7, "cyclic")))
+    for rows in [*_fuzz_matrices(), w7]:
+        distinct = relations._distinct_rows(_matrix(rows))
+        ncols = len(rows[0])
+        rank, pivots, rref, where = relations._rref_mod(distinct, ncols, p)
+        dense_rows = [[row.get(c, 0) for c in range(ncols)] for row in distinct]
+        want_pivots, want_rref = _fraction_rref(dense_rows)
+        assert (rank, pivots) == (len(want_pivots), want_pivots)
+        assert rref.tolist() == [[x.numerator * pow(x.denominator, -1, p) % p for x in r]
+                                 for r in want_rref]
+        assert _rank_fraction_oracle([dense_rows[i] for i in where]) == rank
 
 
 def _points(cs, n):
@@ -652,6 +740,32 @@ def test_relation_set_roundtrip():
     assert (m.weight, m.family) == (4, "cyclic") and matrix.family is None
     assert (m.symbols, m.rows, m.provenances) == (matrix.symbols, matrix.rows, matrix.provenances)
     assert relation_set_loads(data.decode()) == m
+
+
+@pytest.mark.parametrize("bad", [
+    None,  # a valid set
+    "{",  # not JSON
+    '{"symbols": ["2"], "rows": [{"entries": [[0, "+1"]]}]}',  # a bad coefficient
+])
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_relation_set_loads_restores_the_collector(monkeypatch, bad, was_enabled):
+    import gc
+
+    good = relation_set_dumps(4, "cyclic", relation_matrix(generate_relations(4, "cyclic")))
+    seen = []
+    parse = relations._relation_set
+    monkeypatch.setattr(relations, "_relation_set",
+                        lambda data: seen.append(gc.isenabled()) or parse(data))
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        if bad is None:
+            assert relation_set_loads(good).weight == 4
+        else:
+            with pytest.raises(ParseError):
+                relation_set_loads(bad)
+        assert seen == [False] and gc.isenabled() is was_enabled
+    finally:
+        gc.enable()
 
 
 @pytest.mark.slow

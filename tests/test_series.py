@@ -473,6 +473,25 @@ def test_budget_cap():
         eval_zeta_tilde(s, 1, 1, 1, TruncationPlan(100, refinements=(50, 100_000)))
 
 
+def test_coupled_weak_order_cap_counts_the_weak_orders(monkeypatch):
+    # the path count of the filter DAG is the number of weak orders, and
+    # the cap refuses a coupled system only above it
+    s = ComplexArgs.parse("1.5,2.5;1.5", Shape((2, 1)))
+    orders = max(len(list(weak_orders(build_constraints_S_ij(s.shape, i, j))))
+                 for i, j in ((1, 1), (1, 2), (2, 1)))
+    assert orders == 11
+    monkeypatch.setattr(series, "COUPLED_ORDER_CAP", orders)
+    eval_theorem_residual(s, 10)
+    monkeypatch.setattr(series, "COUPLED_ORDER_CAP", orders - 1)
+    with pytest.raises(BudgetError, match="11 weak orders"):
+        eval_theorem_residual(s, 10)
+    with pytest.raises(BudgetError, match="11 weak orders"):
+        eval_zeta_tilde(s, 2, 1, "diff", 10)
+    # a system without coupled pieces is never refused
+    monkeypatch.setattr(series, "COUPLED_ORDER_CAP", 0)
+    eval_zeta_C(s, 10)
+
+
 def test_report_serialization():
     rep = eval_mzf([2.0], TruncationPlan(100, refinements=(50, 100)))
     obj = rep.to_json_obj()
