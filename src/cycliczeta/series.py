@@ -9,12 +9,13 @@ vector per filter and one multiply per edge, not one chain per weak order.
 A term may couple two variables, through the pole factor
 a^p / (b^q (b - a)) or a harmonic-range factor.  Where the two share a
 level, the coupling is one more walk, restricted to such levels and with
-its tie factor on them.  Across levels the weak orders are enumerated, and
-every coupling is a short sum of separable cell terms
-coeff * L(u) * R(w) * K(w - u) over value pairs u < w, with K a Toeplitz
-kernel (1/d, 1 or H(d - 1); see couplings.py); the plain levels between
-the coupled pair split into separable prefix sums by Chen's identity.  So a
-coupled chain is a few real Toeplitz tile products of fixed shape,
+its tie factor on them.  Across levels every coupling is a short sum of
+separable cell terms coeff * L(u) * R(w) * K(w - u) over value pairs
+u < w, with K a Toeplitz kernel (1/d, 1 or H(d - 1); see couplings.py); the
+plain levels between the coupled pair split into separable prefix sums by
+Chen's identity at a cut filter, and the paths through one cut share one
+row.  So the coupled part of a system is one walk of the same DAG and one
+real Toeplitz tile product per kernel, of fixed shape
 (rows x 256) @ (256 x 256), in a fixed order: no transcendental or complex
 division per cell, and bit-reproducible results.  The double series
 sum m^-a n^-b (m + n)^-c is one convolution per cutoff, taken with real
@@ -25,8 +26,8 @@ most n, so every evaluator makes one pass at its largest cutoff and reads
 the value at each smaller cutoff (the refinements and N/2) off that pass;
 each is bit-identical to a separate evaluation at that cutoff.  The walks
 are streamed over value segments, each filter carrying its sums into the
-next, so their memory does not grow with N.  The coupled chains keep one
-power of each level's summed exponent.
+next, so their memory does not grow with N.  The coupled walk holds its
+vectors over all values 1..N at once.
 
 The harmonic-form evaluators sum the extra variable analytically into a
 harmonic-range factor and truncate only the outer variables, so at finite
@@ -65,7 +66,9 @@ from .couplings import (
     pole_coupling,
     toeplitz_rows,
 )
-from .decompose import _filter_steps, weak_orders
+from .decompose import _filter_steps
+# Unused here, but perfbench/tracing.py wraps this binding until the library counts its own calls.
+from .decompose import weak_orders  # noqa: F401
 from .errors import BudgetError, DomainError, InternalInvariantError
 from .model import (
     EXTRA,
@@ -81,9 +84,10 @@ from .model import (
 )
 
 COUPLED_CUTOFF_CAP = 5000
-# Coupled chains are summed one weak order at a time: a system with coupled
-# pieces may have at most this many (929 for shape (2,2,2), 60663 for
-# (2,2,2,2)).
+# A system with coupled pieces may have at most this many weak orders (929
+# for shape (2,2,2), 60663 for (2,2,2,2)).  A refusal policy, no longer the
+# cost driver: the coupled sum walks the cut filters of the order-filter
+# DAG (48 over the S_ij systems of (2,2,2)), not the weak orders.
 COUPLED_ORDER_CAP = 5000
 CHAIN_CUTOFF_CAP = 20_000_000
 # The double series is O(N log N) per cutoff, but its peak memory grows by
@@ -200,6 +204,20 @@ def _shift_prefix(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _add(runs: dict, key, g: np.ndarray):
+    """Add g into runs[key] (a new array, so no stored vector changes)."""
+    runs[key] = g if key not in runs else runs[key] + g
+
+
+def _product(power: Callable[[complex], np.ndarray],
+             members: Sequence[complex]) -> np.ndarray:
+    """The product of the members' power vectors in order (none: ones)."""
+    g = power(members[0] if members else 0)
+    for e in members[1:]:
+        g = g * power(e)
+    return g
+
+
 def _path(levels: Sequence[Sequence[int]]) -> dict:
     """The steps, in `_filter_steps` format, of the one path through the
     given levels of variable indices, bottom to top."""
@@ -261,14 +279,12 @@ def _chain_plain(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
                 carries[mask] = pre[-1]
                 pre = pre[:-1]
             for members, rest, tied in out:
-                g = power(members[0] if members else 0)
-                for e in members[1:]:
-                    g = g * power(e)
+                g = _product(power, members)
                 if tied:
                     g = g * factor
                 if pre is not None:
                     g = g * pre
-                runs[rest] = g if rest not in runs else runs[rest] + g
+                _add(runs, rest, g)
         sink = runs.get(0)
         for k, n in enumerate(cutoffs):
             if n > s0 and sink is not None:
@@ -294,6 +310,9 @@ def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
     row's columns are weighted by (-1)^k R B_k.  The first n entries are
     bit-identical to a call at cutoff n.  The levels above q run as a
     prefix chain over the column sums.
+
+    The evaluators sum their coupled chains by `_coupled_sink` instead;
+    this one-chain form is the reference the tests check that walk against.
     """
     t = len(exps)
     run = None
@@ -339,31 +358,37 @@ def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
     return run
 
 
+def _check_orders(cs: ConstraintSystem):
+    """Refuse a coupled system with more than COUPLED_ORDER_CAP weak orders.
+    Every weak order is one path from the full filter to 0, and rest masks
+    are smaller than theirs, so one pass in mask order counts them."""
+    _, steps = _filter_steps(cs)
+    paths = {0: 1}
+    for mask in sorted(steps):
+        paths[mask] = sum(paths[rest] for _, rest in steps[mask])
+    orders = paths[max(steps)]
+    if orders > COUPLED_ORDER_CAP:
+        raise BudgetError(f"coupled system with {orders} weak orders exceeds "
+                          f"the cap {COUPLED_ORDER_CAP}")
+
+
 def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
                  tiles: Callable[[Kernel, int], np.ndarray] | None = None
                  ) -> list[complex]:
     """The constrained sum at every cutoff (all >= 1).  The uncoupled part
     and each coupling that allows ties, where its two variables share a
-    level, are sums over the order-filter DAG of cs; a coupling across two
-    levels is summed per weak order, each coupled chain once at the largest
-    cutoff; a coupled system with more than COUPLED_ORDER_CAP weak orders
-    raises BudgetError before anything is summed.  tiles may be shared by
-    systems evaluated at the same cutoffs."""
+    level, are sums over the order-filter DAG of cs; the couplings across
+    two levels are one cut-filter walk of that DAG (`_coupled_sink`), once
+    at the largest cutoff; a coupled system with more than
+    COUPLED_ORDER_CAP weak orders raises BudgetError before anything is
+    summed.  tiles may be shared by systems evaluated at the same
+    cutoffs."""
     vs, steps = _filter_steps(cs)
     idx = {v: t for t, v in enumerate(vs)}
     es = [complex(exps.get(v, 0)) for v in vs]
     coupled = [(coeff, cp) for coeff, cp in pieces if cp is not None]
     if coupled:
-        # Every weak order is one path from the full filter to 0, and rest
-        # masks are smaller than theirs, so one pass in mask order counts
-        # them.
-        paths = {0: 1}
-        for mask in sorted(steps):
-            paths[mask] = sum(paths[rest] for _, rest in steps[mask])
-        orders = paths[max(steps)]
-        if orders > COUPLED_ORDER_CAP:
-            raise BudgetError(f"coupled system with {orders} weak orders exceeds "
-                              f"the cap {COUPLED_ORDER_CAP}")
+        _check_orders(cs)
     plain = sum(coeff for coeff, cp in pieces if cp is None)
     walks = [(plain, None)] if plain != 0 else []
     walks += [(coeff, (1 << idx[cp.var_a] | 1 << idx[cp.var_b], cp.tie))
@@ -374,31 +399,144 @@ def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
     if not coupled:
         return totals
 
-    top = max(cutoffs)
+    sink = _coupled_sink(vs, steps, es, coupled, max(cutoffs), tiles or kernel_tiles())
+    if sink is None:
+        return totals
+    return [a + complex(sink[:n].sum()) for a, n in zip(totals, cutoffs)]
+
+
+def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
+                  top: int, tiles: Callable[[Kernel, int], np.ndarray]
+                  ) -> Optional[np.ndarray]:
+    """The sink run over 1..top of the coupled pieces [(coeff, coupling)]
+    with their pairs on two levels: entry w-1 sums the paths of the filter
+    DAG whose top level takes the value w (None if there is none).
+
+    The couplings of one pair a < b merge, oriented so that `below` puts a
+    on the lower level.  A filter holds both, one or neither of the pair.
+    On every path the lower of the two is placed by an edge out of a
+    both-filter (at value u) and the upper by an edge out of a one-filter
+    (at w); the levels between are the neither-edges of a one-filter path.
+    Chen's identity splits those mid levels at every filter C of that path,
+        sum_{u < x_1 < ... < x_m < w} = sum_k (-1)^k A_k(u) B_k(w),
+    A_k over u >= x_1 >= ... >= x_k >= 1 and B_k over x_{k+1} < ... < x_m < w,
+    and the Toeplitz product is linear, so the paths are regrouped by that
+    cut filter C:
+    1. the lower walk runs the plain walk over both-filters and sends each
+       placing edge g * (strict prefix of its run) to lowp[target];
+    2. row_C = sum_T lowp[T] h_T, with h_C = 1 and, walking back,
+       h_F = sum over edges F -> F' of -cumsum(g h_F'), which is
+       sum_k (-1)^k A_k; the variable still in C picks below or above;
+    3. every term coeff L(u) R(w) K(w - u) sends coeff L row_C through one
+       `toeplitz_rows` call per kernel, and col_C = sum of y R;
+    4. the upper walk from C carries B = 1, g, g * (strict prefix of B),
+       ... and the edge that places the other variable adds
+       g * col_C * (strict prefix of B) to the plain run of its target;
+    5. one plain walk, shared by every pair, takes those runs to the sink.
+    Powers are over [1..top], a level's vector the product of its members'
+    in index order; every step is elementwise, a cumsum or a Toeplitz
+    product, so the first n entries are those of a call at cutoff n.
+    """
+    idx = {v: t for t, v in enumerate(vs)}
+    pairs: dict[tuple[int, int], tuple[list[Term], list[Term], list[bool]]] = {}
+    for coeff, cp in coupled:
+        a, b = idx[cp.var_a], idx[cp.var_b]
+        below, above = ([t._replace(coeff=coeff * t.coeff) for t in terms]
+                        for terms in (cp.below, cp.above))
+        if a > b:
+            a, b, below, above = b, a, above, below
+        lo, hi, tie_ok = pairs.setdefault((a, b), ([], [], []))
+        lo += below
+        hi += above
+        tie_ok.append(cp.allow_tie)
+
     power = _power_table(top)
-    tiles = tiles or kernel_tiles()
-    for osp in weak_orders(cs):
-        level_of = {v: l for l, lvl in enumerate(osp.levels) for v in lvl}
-        groups: dict[tuple[int, int], list[Term]] = {}
-        for coeff, cp in coupled:
-            la, lb = level_of[cp.var_a], level_of[cp.var_b]
-            if la == lb:
-                if not cp.allow_tie:
-                    raise InternalInvariantError(
-                        f"singular coupling between tied variables {cp.var_a}, {cp.var_b}"
-                    )
-                continue
-            terms = cp.below if la < lb else cp.above
-            if terms:
-                groups.setdefault((min(la, lb), max(la, lb)), []).extend(
-                    t._replace(coeff=coeff * t.coeff) for t in terms
-                )
-        # Coupled chains take one power of each level's summed exponent.
-        level_exps = [sum((es[idx[v]] for v in lvl), 0j) for lvl in osp.levels]
-        for (p, q), terms in sorted(groups.items()):
-            run = _chain_coupled(level_exps, top, p, q, terms, power, tiles)
-            totals = [a + complex(run[:n].sum()) for a, n in zip(totals, cutoffs)]
-    return totals
+    vals = np.arange(1, top + 1, dtype=np.float64)
+    vecs: dict[tuple[int, ...], np.ndarray] = {}
+    live = {0}
+    for mask in sorted(steps):
+        if any(rest in live for _, rest in steps[mask]):
+            live.add(mask)
+    order = sorted(live, reverse=True)  # every edge goes to a later mask
+    edges = {mask: [(lvl, rest) for lvl, rest in steps.get(mask, ()) if rest in live]
+             for mask in order}
+
+    def vec(lvl: tuple[int, ...]) -> np.ndarray:
+        g = vecs.get(lvl)
+        if g is None:
+            g = vecs[lvl] = _product(power, [es[t] for t in lvl if es[t] != 0])
+        return g
+
+    def walk(runs: dict, masks):
+        """Pop the run of each mask in turn and yield (mask, rest, g) per
+        edge: the level's vector times the run's strict prefix sums (a run
+        of None is all ones)."""
+        for mask in masks:
+            if mask in runs:
+                pre = runs.pop(mask)
+                pre = None if pre is None else _shift_prefix(pre)
+                for lvl, rest in edges[mask]:
+                    yield mask, rest, mul(vec(lvl), pre)
+
+    groups: dict[Kernel, list] = {}  # kernel -> [(row, right, (a, b, cut))]
+    cuts_of = {}
+    for (a, b), (below, above, tie_ok) in pairs.items():
+        pair = 1 << a | 1 << b
+        # 1. the lower walk
+        runs: dict[int, Optional[np.ndarray]] = {max(steps): None}
+        lowp: dict[int, np.ndarray] = {}
+        for mask, rest, g in walk(runs, order):
+            placed = mask & ~rest & pair
+            if placed != pair:
+                _add(lowp if placed else runs, rest, g)
+            elif not all(tie_ok):
+                raise InternalInvariantError(
+                    f"singular coupling between tied variables {vs[a]}, {vs[b]}")
+        # the cut filters: those reached from lowp by neither-edges
+        cuts = set(lowp)
+        for mask in order:
+            if mask in cuts:
+                cuts.update(rest for _, rest in edges[mask] if not mask & ~rest & pair)
+        cuts = cuts_of[a, b] = sorted(cuts)
+        sides = [[(t.kernel, t.coeff * t.left(vals) if t.left else t.coeff,
+                   t.right and t.right(vals)) for t in side] for side in (below, above)]
+        # 2. the rows of every cut filter
+        for k, cut in enumerate(cuts):
+            h: dict[int, Optional[np.ndarray]] = {cut: None}  # None: 1
+            for mask in cuts[k + 1:]:
+                acc = None
+                for lvl, rest in edges[mask]:
+                    if rest in h:
+                        t = np.cumsum(mul(vec(lvl), h[rest]))
+                        acc = -t if acc is None else acc - t
+                if acc is not None:
+                    h[mask] = acc
+            row = sum(mul(low, h[target]) for target, low in lowp.items() if target in h)
+            for kernel, left, right in sides[0 if cut >> b & 1 else 1]:
+                groups.setdefault(kernel, []).append((left * row, right, (a, b, cut)))
+
+    # 3. one Toeplitz product per kernel
+    cols: dict[tuple[int, int, int], np.ndarray] = {}
+    for kernel, group in groups.items():
+        ys = toeplitz_rows([x for x, _, _ in group], kernel, tiles)
+        for y, (_, right, key) in zip(ys, group):
+            _add(cols, key, mul(y, right))
+
+    # 4. the upper walks, one per cut filter
+    upper: dict[int, np.ndarray] = {}
+    for (a, b, cut), col in cols.items():
+        pair = 1 << a | 1 << b
+        mids: dict[int, Optional[np.ndarray]] = {cut: None}  # None: B = 1
+        for mask, rest, g in walk(mids, reversed(cuts_of[a, b])):
+            if mask & ~rest & pair:
+                _add(upper, rest, g * col)
+            else:
+                _add(mids, rest, g)
+
+    # 5. the plain walk to the sink
+    for _, rest, g in walk(upper, order[:-1]):
+        _add(upper, rest, g)
+    return upper.get(0)
 
 
 def _check_budget(plan: TruncationPlan, cap: int, max_cutoff: int | None):
@@ -557,6 +695,9 @@ def eval_theorem_residual(s: ComplexArgs, plan, *,
             tilde.append(
                 (build_constraints_S_ij(shape, i, j), _tilde_pieces(s, i, j, "diff"))
             )
+    # Refuse an over-cap system before any sum.
+    for cs, _ in tilde:
+        _check_orders(cs)
     cees = [build_constraints_S_i(shape, i) for i in range(1, shape.d + 1)]
     exps_t = _block_exponents(s, extra=0)
     exps_c = _block_exponents(s, extra=1)

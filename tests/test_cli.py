@@ -126,6 +126,21 @@ def test_eval_theorem_weak_order_cap_exit_4(capsys):
     assert code == 0 and json.loads(out)["cutoff"] == 10
 
 
+def test_eval_theorem_refuses_an_over_cap_system_before_any_sum(capsys, monkeypatch):
+    """Shape (3,2,1,1) has five S_ij systems under the cap (1289-2121 weak
+    orders) and one above it (6185): the call exits 4 before summing any."""
+    from cycliczeta import series
+
+    def never(*args, **kwargs):
+        raise AssertionError("summed before the cap was checked")
+
+    monkeypatch.setattr(series, "toeplitz_rows", never)
+    monkeypatch.setattr(series, "_chain_plain", never)
+    code, out, err = run(capsys, "eval", "--kind", "theorem", "--shape", "3,2,1,1",
+                         "--s", "1.2,1.1,2.3;1.4,2.5;1.6;1.7", "--N", "1000")
+    assert code == 4 and out == "" and "6185 weak orders" in err
+
+
 @pytest.mark.parametrize("argv, want", [
     (["--N", "10000"], 0),
     (["--N", "1000001"], 4),
@@ -701,22 +716,22 @@ def test_traced_table1_reports_every_per_layer_metric_finite():
     assert DECLARED - RUN_METRICS <= set(got["metrics"])
 
 
-@pytest.mark.parametrize("args, orders", [
-    (("--kind", "zeta-c", "--shape", "2,2", "--s", "1.2+0.1i,2.2-0.2i;1.5+0.3i,2.5",
-      "--i", "1"), False),
-    (("--kind", "theorem", "--shape", "2,1", "--s", "1.2+0.1i,2.2-0.2i;1.5+0.3i"), True),
+@pytest.mark.parametrize("args", [
+    ("--kind", "zeta-c", "--shape", "2,2", "--s", "1.2+0.1i,2.2-0.2i;1.5+0.3i,2.5",
+     "--i", "1"),
+    ("--kind", "theorem", "--shape", "2,1", "--s", "1.2+0.1i,2.2-0.2i;1.5+0.3i"),
 ], ids=["zeta-c", "theorem"])
-def test_traced_eval_reports_every_series_metric_finite(args, orders):
+def test_traced_eval_reports_every_series_metric_finite(args):
     """The series paths under the tracer: every series.* name is present,
     the wrapped bindings are called through the module, and the CLI output
-    is still the evaluation report.  Plain sums walk the order-filter DAG,
-    so only the theorem's coupled chains enumerate weak orders."""
+    is still the evaluation report.  Plain and coupled sums both walk the
+    order-filter DAG, so no series path enumerates weak orders."""
     got = run_traced("eval", *args, "--N-list", "50,100")
     metrics = got["metrics"]
     assert {n for n in DECLARED if n.startswith("series.")} <= set(metrics)
     for name in ("series.chain_plain_calls", "series.pow_vec_calls"):
         assert metrics[name] > 0, name
-    assert (metrics["series.orders_evaluated"] > 0) == orders
+    assert metrics["series.orders_evaluated"] == 0
     result = json.loads(got["out"])
     assert result["cutoff"] == 100 and len(result["refinements"]) == 2
 

@@ -959,6 +959,125 @@ def test_coupled_engine_matches_reference():
                 assert err <= 1e-11 * np.sum(np.abs(want)), (t, p, q, mix, n, err)
 
 
+# --- the coupled DAG walk against the per-weak-order route -------------------
+
+
+def reference_coupled_system(cs, exps, pieces, cutoffs):
+    """The sum over cs by the per-weak-order route: the plain and tied parts
+    as `_eval_system` walks them, and every weak order's coupled chain for
+    each pair on two levels through `series._chain_coupled`, each level one
+    power of its summed exponent."""
+    vs, steps = decompose._filter_steps(cs)
+    es = [complex(exps.get(v, 0)) for v in vs]
+    totals = [0j] * len(cutoffs)
+    for coeff, cp in pieces:
+        if cp is None or cp.allow_tie:
+            tie = cp and (1 << vs.index(cp.var_a) | 1 << vs.index(cp.var_b), cp.tie)
+            totals = [a + coeff * v for a, v in
+                      zip(totals, series._chain_plain(steps, es, cutoffs, tie))]
+    top = max(cutoffs)
+    power, tiles = series._power_table(top), couplings.kernel_tiles()
+    for osp in weak_orders(cs):
+        level_of = {v: l for l, lvl in enumerate(osp.levels) for v in lvl}
+        groups = {}
+        for coeff, cp in pieces:
+            if cp is None or level_of[cp.var_a] == level_of[cp.var_b]:
+                continue
+            la, lb = level_of[cp.var_a], level_of[cp.var_b]
+            terms = cp.below if la < lb else cp.above
+            groups.setdefault((min(la, lb), max(la, lb)), []).extend(
+                t._replace(coeff=coeff * t.coeff) for t in terms)
+        level_exps = [sum((complex(exps.get(v, 0)) for v in lvl), 0j) for lvl in osp.levels]
+        for (p, q), terms in sorted(groups.items()):
+            if terms:
+                run = series._chain_coupled(level_exps, top, p, q, terms, power, tiles)
+                totals = [a + complex(run[:n].sum()) for a, n in zip(totals, cutoffs)]
+    return totals
+
+
+def coupled_systems(args):
+    """(system, exponents, pieces) of every S_ij with the 'diff', 1 and 2
+    pieces and of every harmonic-form system (variants 1 and 2: GAP and ONE
+    kernels, ties) of the arguments' shape; pieces(top) builds the pieces
+    for the largest cutoff top, which the harmonic tables need."""
+    shape = args.shape
+    for i, j in shape.positions():
+        cs = build_constraints_S_ij(shape, i, j)
+        for variant in ("diff", 1, 2):
+            yield cs, series._block_exponents(args, extra=0), \
+                lambda top, v=variant, i=i, j=j: series._tilde_pieces(args, i, j, v)
+        for variant in (1, 2):
+            cs_h, va, vb, coupling = series._tilde_harmonic_setup(args, i, j, variant)
+            yield cs_h, series._block_exponents(args), \
+                lambda top, c=coupling, a=va, b=vb: [(1.0, c(a, b, couplings.harmonic_table(top)))]
+
+
+DAG_CUTOFFS = (1, 2, 255, 256, 257, 520)
+
+
+@pytest.mark.parametrize("depths", [range(1, 5),
+                                    pytest.param(range(5, 6), marks=pytest.mark.slow)],
+                         ids=["depth<=4", "depth5"])
+def test_coupled_walk_matches_weak_order_route_on_every_small_shape(depths):
+    """Every S_ij and harmonic-form system of every shape of the given total
+    depths: the cut-filter walk agrees with the sum of the per-weak-order
+    coupled chains at cutoffs around the 256-value tile edges to 1e-12 of
+    the largest value (a sum that is 0 in exact arithmetic, as at small
+    cutoffs, may come out as a rounding residue), and conjugating every
+    argument conjugates it exactly."""
+    top = DAG_CUTOFFS[-1]
+    for depth in depths:
+        for blocks in compositions(depth):
+            shape = Shape(blocks)
+            args = ComplexArgs(shape, tuple(1.2 + 0.15 * k + (0.3j if k % 2 else -0.2j)
+                                            for k in range(depth)))
+            conj = zip(coupled_systems(args), coupled_systems(args.conjugate()))
+            for (cs, exps, pieces), (_, exps_c, pieces_c) in conj:
+                got = series._eval_system(cs, exps, pieces(top), DAG_CUTOFFS)
+                want = reference_coupled_system(cs, exps, pieces(top), DAG_CUTOFFS)
+                scale = max(abs(w) for w in want)
+                assert all(abs(v - w) <= 1e-12 * scale for v, w in zip(got, want)), \
+                    (blocks, cs, got, want)
+                flipped = series._eval_system(cs, exps_c, pieces_c(top), DAG_CUTOFFS)
+                assert all(v == w.conjugate() for v, w in zip(got, flipped)), (blocks, cs)
+
+
+def cut_filters(cs, va, vb):
+    """The filters of cs that hold exactly one of va, vb."""
+    vs, steps = decompose._filter_steps(cs)
+    pair = 1 << vs.index(va) | 1 << vs.index(vb)
+    return sum(1 for mask in steps if bin(mask & pair).count("1") == 1)
+
+
+def test_coupled_sum_is_one_toeplitz_product_per_kernel(monkeypatch):
+    """The design, guarded by counting calls rather than by timing: a
+    coupled system makes one `toeplitz_rows` call per kernel, whose rows
+    number at most 2 x (cut filters) x (terms), not one per weak order."""
+    calls = []
+    real = series.toeplitz_rows
+
+    def spy(rows, kernel, tiles):
+        calls.append((len(rows), kernel))
+        return real(rows, kernel, tiles)
+
+    monkeypatch.setattr(series, "toeplitz_rows", spy)
+    s = ComplexArgs.parse("1.2+0.1i,2.2;1.5-0.2i,2.5+0.3i;1.3,2.1-0.1i", Shape((2, 2, 2)))
+    cuts = []
+    for i, j in s.shape.positions():
+        calls.clear()
+        eval_zeta_tilde(s, i, j, "diff", 300)
+        cuts.append(cut_filters(build_constraints_S_ij(s.shape, i, j), B(i, j), EXTRA))
+        assert [kernel for _, kernel in calls] == [couplings.POLE]
+        assert calls[0][0] <= 2 * cuts[-1] * 2
+    assert sum(cuts) == 48
+    # the theorem at N = 500 sums 5574 coupled chains as 6 products
+    calls.clear()
+    rep = eval_theorem_residual(s, TruncationPlan(500, refinements=(250, 500)))
+    assert len(calls) == 6 and sum(rows for rows, _ in calls) <= 2 * sum(cuts) * 2
+    (_, _, _, wide), (_, _, _, fine) = rep.refinements
+    assert 0 < fine < wide
+
+
 def brute_mordell_tornheim(s1, s2, s3, n):
     return sum(m ** -s1 * k ** -s2 * (m + k) ** -s3
                for m in range(1, n + 1) for k in range(1, n + 1))
