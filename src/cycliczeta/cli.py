@@ -376,6 +376,7 @@ def cmd_rank(args) -> int:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     matrix = rel_mod.relation_set_loads(data)
+    del data  # the file's bytes are not held while the rank is computed
     rank = rel_mod.rank_exact(matrix)
     if args.format == "json":
         _emit(json.dumps({"rank": rank, "rows": matrix.shape[0],

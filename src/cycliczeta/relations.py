@@ -14,24 +14,23 @@ the reference table of independent relation counts.
 Relations are accumulated on plain part tuples from the decomposition
 engine (`decompose._part_counts`), and each relation builds one
 `SymbolCombination` at the end.  `relation_matrix` indexes each distinct
-combination once, unsorted.
+combination once, by increasing column.
 
-The rank is certified modularly: Gauss-Jordan elimination of the distinct
-rows modulo primes below 2^26 (int64 numpy rows, reduced lazily; later
-primes reduce only the first one's pivot rows) gives a lower bound, and
-integer kernel vectors recovered from the reduced rows by CRT and rational
-reconstruction, checked exactly against every row, give the matching upper
-bound.  Fraction-free elimination on big integers (`_rank_bareiss`) and
+The rank is certified modularly (`rank_exact`) from one integer block of
+the distinct rows.  Big-integer Bareiss elimination (`_rank_bareiss`) and
 elimination modulo a big prime (`_rank_mod`) are kept as test oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
+import itertools
 import json
 import math
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -263,7 +262,7 @@ def relation_matrix(rels: Sequence[Relation]) -> RelationMatrix:
     if len(weights) > 1:
         raise ValueError(f"relations mix symbol weights {weights}")
     col = {comp: t for t, comp in enumerate(symbols)}
-    entries = {key: [(col[comp], c) for comp, c in co.items()] for key, co in combos.items()}
+    entries = {key: sorted((col[comp], c) for comp, c in co.items()) for key, co in combos.items()}
     return RelationMatrix(tuple(symbols), [dict(entries[id(r.combo)]) for r in rels],
                           weights[0] if weights else None, [r.provenance for r in rels])
 
@@ -374,29 +373,50 @@ def _primes() -> Iterable[int]:
 
 def _distinct_rows(matrix: RelationMatrix) -> list[dict[int, int]]:
     """Every distinct row, first occurrences in generator order (repeated
-    rows do not change the rank)."""
-    seen: dict[frozenset, dict[int, int]] = {}
+    rows do not change the rank), keyed by its columns and coefficients in
+    order: generated and written rows list columns in increasing order."""
+    seen: dict[tuple, dict[int, int]] = {}
     for row in matrix.rows:
-        seen.setdefault(frozenset(row.items()), row)
+        seen.setdefault((tuple(row), tuple(row.values())), row)
     return list(seen.values())
 
 
-def _rref_mod(rows: list[dict[int, int]], ncols: int, p: int):
-    """Gauss-Jordan elimination modulo a prime p < 2^31 with delayed
-    reduction: only the pivot column (which gives the pivot and the row
-    factors) and the normalised pivot row are reduced mod p, and the update
-    of every other row by one pivot, f * piv with both factors in [0, p),
-    lowers an entry by less than (p - 1)^2.  From [0, p), entries stay
-    above -2^63 for floor(2^63 / (p - 1)^2) such updates, so the whole block
-    is reduced every floor((2^63 - p) / (p - 1)^2) - 1 pivots (2047 for the
-    primes just below 2^26, 1 for 2^31 - 1) and once at the end.
+def _block(rows: list[dict[int, int]], ncols: int) -> np.ndarray:
+    """The rows as one dense array, which the elimination, the Hadamard
+    bound and the kernel check all read: int64 when every squared row norm
+    fits in int64, otherwise Python integers (dtype object)."""
+    values = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    top = max(map(abs, values), default=0)
+    dtype = np.int64 if top * top * ncols < 1 << 63 else object
+    block = np.zeros((len(rows), ncols), dtype)
+    block[np.repeat(np.arange(len(rows)), [len(row) for row in rows]),
+          np.fromiter(itertools.chain.from_iterable(rows), np.intp)] = np.array(values, dtype)
+    return block
 
-    Returns the rank, the pivot columns, the reduced rows (rank x ncols
-    int64 residues in [0, p)) and the input index of each pivot row."""
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        a[i, list(row)] = [v % p for v in row.values()]
-    where = list(range(len(rows)))
+
+def _hadamard_square(block: np.ndarray) -> int:
+    """H^2 for H the Hadamard bound on every minor of the block: the product
+    of its largest min(rows, columns) squared row norms, each at least 1."""
+    norms = sorted(np.einsum("ij,ij->i", block, block).tolist(), reverse=True)
+    return math.prod(max(1, x) for x in norms[:min(block.shape)])
+
+
+def _rref_mod(block: np.ndarray, sub: list[int], p: int):
+    """Gauss-Jordan elimination of the block's rows sub modulo a prime p <
+    2^31 with delayed reduction: only the pivot column (the pivot and the
+    row factors) and the normalised pivot row are reduced at each pivot,
+    and an update f * piv with both factors in [0, p) lowers an entry by
+    less than (p - 1)^2, so from [0, p) an entry stays above -2^63 for
+    floor(2^63 / (p - 1)^2) updates.  The whole block is reduced every
+    floor((2^63 - p) / (p - 1)^2) - 1 pivots (2047 just below 2^26, 1 at
+    2^31 - 1) and at the end.  Returns the rank, the pivot columns, the
+    reduced rows (rank x ncols residues in [0, p)) and each pivot row's
+    index in sub."""
+    a = block[sub]
+    a %= p  # in place: one copy of the rows, reduced
+    a = a.astype(np.int64, copy=False)
+    nrows, ncols = a.shape
+    where = list(range(nrows))
     every = (2**63 - p) // (p - 1) ** 2 - 1
     rank = 0
     pivots = []
@@ -419,7 +439,7 @@ def _rref_mod(rows: list[dict[int, int]], ncols: int, p: int):
         rank += 1
         if rank % every == 0:
             a %= p
-        if rank == len(rows):
+        if rank == nrows:
             break
     return rank, pivots, a[:rank] % p, where[:rank]
 
@@ -440,21 +460,32 @@ def _rational_reconstruction(u: int, m: int) -> tuple[int, int] | None:
     return r1, t1
 
 
-def _kernel_vectors(residues: list[list[int]], m: int, pivots: list[int],
+def _kernel_vectors(columns: list[list[int]], m: int, pivots: list[int],
                     free: list[int], ncols: int) -> list[list[int]] | None:
     """One integer vector per free column c from the reduced rows' entries
-    R[i, c] at the free columns, known modulo m: d * R[i, c] at the i-th
-    pivot column, -d at c and 0 at every other free column, with d the
-    common denominator.  None if some entry has no rational reconstruction."""
+    R[i, c] in that column, known modulo m: d * R[i, c] at the i-th pivot
+    column, -d at c and 0 at every other free column, with d the common
+    denominator; None if some entry has no rational reconstruction.  With
+    d the lcm so far (prime to m), an entry u is read as a/d, a = u d mod m
+    in (-m/2, m/2]; in lowest terms within Wang's bounds, that is u's one
+    reconstruction, else u is reconstructed alone and d becomes the lcm."""
+    half = m >> 1  # m is odd, so (u d + half) % m - half is in [-half, half]
+    bound = math.isqrt(half)
     kernel = []
-    for j, c in enumerate(free):
-        fracs = []
-        for res in residues:
-            frac = _rational_reconstruction(res[j], m)
-            if frac is None:
-                return None
-            fracs.append(frac)
-        d = math.lcm(*(b for _, b in fracs))
+    for column, c in zip(columns, free):
+        d, fracs = 1, []
+        for u in column:
+            a, b = (u * d + half) % m - half, d
+            if b > bound or not -bound <= a <= bound:
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+                if b > bound or not -bound <= a <= bound:
+                    frac = _rational_reconstruction(u, m)
+                    if frac is None:
+                        return None
+                    a, b = frac
+                    d = math.lcm(d, b)
+            fracs.append((a, b))
         y = [0] * ncols
         for col, (a, b) in zip(pivots, fracs):
             y[col] = a * (d // b)
@@ -463,14 +494,13 @@ def _kernel_vectors(residues: list[list[int]], m: int, pivots: list[int],
     return kernel
 
 
-def _check_kernel(rows: list[dict[int, int]], free: list[int],
-                  kernel: list[list[int]]) -> None:
+def _check_kernel(block: np.ndarray, free: list[int], kernel: list[list[int]]) -> None:
     """Raise InternalInvariantError unless the vectors prove rank <= ncols -
-    len(free): every row times every vector is exactly 0, and on the free
+    len(free): the block times every vector is exactly 0, and on the free
     columns the vectors form a diagonal with nonzero entries, so they are
-    independent.  The products run in int64 only when the largest row
-    1-norm times the largest vector entry is below 2^63, otherwise in
-    Python integers."""
+    independent.  The product runs in Python integers unless the block is
+    int64 and ncols times its largest entry times the largest vector entry,
+    which bounds every partial sum, is below 2^63."""
     for c, y in zip(free, kernel):
         if not y[c] or any(y[e] for e in free if e != c):
             raise InternalInvariantError(
@@ -478,18 +508,12 @@ def _check_kernel(rows: list[dict[int, int]], free: list[int],
             )
     if not kernel:
         return
-    norm1 = max(sum(abs(v) for v in row.values()) for row in rows)
-    if norm1 * max(abs(x) for y in kernel for x in y) < 1 << 63:
-        a = np.zeros((len(rows), len(kernel[0])), dtype=np.int64)
-        for i, row in enumerate(rows):
-            a[i, list(row)] = list(row.values())
-        bad = np.argwhere(a @ np.array(kernel, dtype=np.int64).T)
-        first = tuple(bad[0]) if bad.size else None
-    else:
-        first = next(((i, j) for j, y in enumerate(kernel) for i, row in enumerate(rows)
-                      if sum(v * y[c] for c, v in row.items())), None)
-    if first is not None:
-        i, j = first
+    top = max(abs(x) for y in kernel for x in y) * max(-int(block.min()), int(block.max()))
+    if block.dtype == object or top * block.shape[1] >= 1 << 63:
+        block = block.astype(object)
+    bad = np.argwhere(block @ np.array(kernel, block.dtype).T)
+    if bad.size:
+        i, j = bad[0]
         raise InternalInvariantError(
             f"row {i} times the kernel vector for column {free[j]} is not 0"
         )
@@ -499,11 +523,12 @@ def rank_exact(matrix: RelationMatrix) -> int:
     """Rank over the rationals, certified from eliminations modulo primes
     below 2^26 (no floating point, no big-integer elimination).
 
-    The distinct rows are reduced modulo each prime in turn.  A rank r mod p
-    proves rank >= r: the pivot minor is a nonzero integer.  The reduced
-    rows' free-column entries, combined over the primes by CRT, give by
-    rational reconstruction one integer kernel vector per free column;
-    checking M y = 0 exactly against every row proves rank <= r.  A prime
+    The distinct rows are read once into one block, and each prime reduces
+    rows of it.  A rank r mod p proves rank >= r: the pivot minor is a
+    nonzero integer.  The reduced rows' free-column entries, combined over
+    the primes by CRT, give by rational reconstruction (`_kernel_vectors`)
+    one integer kernel vector per free column; checking that the block
+    times each is exactly 0 proves rank <= r.  A prime
     whose pivot columns differ from the kept ones has a lower rank or a
     lexicographically later pivot list when it is unlucky; the better of the
     two is kept and the CRT restarts from it.  Once a prime is kept, later
@@ -518,12 +543,12 @@ def rank_exact(matrix: RelationMatrix) -> int:
     ncols = len(matrix.symbols)
     if not rows or not ncols:
         return 0
-    norms = sorted((max(1, sum(v * v for v in row.values())) for row in rows), reverse=True)
-    bound = 2 * math.prod(norms[:min(len(rows), ncols)])
+    block = _block(rows, ncols)
+    bound = 2 * _hadamard_square(block)
     best = None
-    sub = list(range(len(rows)))  # the input rows the next prime reduces
+    sub = list(range(len(rows)))  # the block rows the next prime reduces
     for p in _primes():
-        rank, pivots, rref, where = _rref_mod([rows[i] for i in sub], ncols, p)
+        rank, pivots, rref, where = _rref_mod(block, sub, p)
         key = (-rank, pivots)
         if best is not None and key > best:
             continue  # an unlucky prime
@@ -532,16 +557,16 @@ def rank_exact(matrix: RelationMatrix) -> int:
             sub = [sub[i] for i in where]
             pivot_set = set(pivots)
             free = [c for c in range(ncols) if c not in pivot_set]
-            residues = rref[:, free].tolist()
+            residues = rref[:, free].T.tolist()
         else:
             inv = pow(m, -1, p)
             residues = [[x + m * ((y - x) * inv % p) for x, y in zip(xs, ys)]
-                        for xs, ys in zip(residues, rref[:, free].tolist())]
+                        for xs, ys in zip(residues, rref[:, free].T.tolist())]
             m *= p
         kernel = _kernel_vectors(residues, m, pivots, free, ncols)
         if kernel is not None:
             try:
-                _check_kernel(rows, free, kernel)
+                _check_kernel(block, free, kernel)
                 return rank
             except InternalInvariantError:
                 sub = list(range(len(rows)))
@@ -592,33 +617,47 @@ def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
 # ---------------------------------------------------------------------------
 
 
+# The layout json.dumps(obj, indent=2) gives a relation set, whose settings
+# block names the one derivation family (stored sets and their checksums
+# include it).
+_SET = ('{\n  "weight": %s,\n  "family": %s,\n  "symbols": %s,\n  "rows": %s,\n'
+        '  "settings": {\n    "include_d1_derivation": true,\n    "schema": 1\n  }\n}\n')
+_ROW = ('    {\n      "provenance": {\n        "family": %s,\n        "shape": %s,\n'
+        '        "k": %s\n      },\n      "entries": %s\n    }')
+_ENTRY = '        [\n          %d,\n          "%s"\n        ]'
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]" if items else "[]"
+
+
 def relation_set_dumps(weight: int, family: str, matrix: RelationMatrix) -> bytes:
-    """The relation-set file of a generated matrix: indented JSON and a
-    final newline."""
-    rows = []
-    for row, prov in zip(matrix.rows, matrix.provenances):
-        entry = {
-            "provenance": {
-                "family": prov.family,
-                "shape": str(prov.shape),
-                "k": str(prov.args),
-            },
-            "entries": [[c, str(row[c])] for c in sorted(row)],
-        }
-        rows.append(entry)
-    # The settings block names the one derivation family; stored sets and
-    # their checksums include it.
-    obj = {
-        "weight": weight,
-        "family": family,
-        "symbols": [str(c) for c in matrix.symbols],
-        "rows": rows,
-        "settings": {"include_d1_derivation": True, "schema": 1},
-    }
-    return (json.dumps(obj, indent=2) + "\n").encode()
+    """The relation-set file of a generated matrix: the bytes json.dumps
+    (indent=2) writes for it, and a final newline, laid out here directly
+    (the json module indents in pure Python).  Each row lists its entries
+    by increasing column, each coefficient as its decimal string."""
+    q = encode_basestring_ascii
+    rows = [_ROW % (q(prov.family), q(str(prov.shape)), q(str(prov.args)),
+                    _json_list([_ENTRY % (c, row[c]) for c in sorted(row)], 6))
+            for row, prov in zip(matrix.rows, matrix.provenances)]
+    symbols = [f"    {q(str(c))}" for c in matrix.symbols]
+    return (_SET % (json.dumps(weight), json.dumps(family), _json_list(symbols, 2),
+                    _json_list(rows, 2))).encode()
 
 
 _COEFFICIENT_CHARS = re.compile(r"[0-9-]*")
+
+
+class _Coefficients(dict):
+    """int() of each distinct coefficient string of one file, taken once;
+    `bad` is set by one holding more than ASCII digits and '-'."""
+
+    bad = False
+
+    def __missing__(self, text: str) -> int:
+        self.bad |= not _COEFFICIENT_CHARS.fullmatch(text)
+        value = self[text] = int(text)
+        return value
 
 
 def _string(v) -> str:
@@ -661,25 +700,19 @@ def _relation_set(data: str | bytes) -> RelationMatrix:
                              "them (comma-separated positive integers)")
         rows = []
         provs: list[Provenance | None] = []
+        ints, shape_of = _Coefficients(), functools.cache(Shape.parse)
         for i, row in enumerate(obj["rows"]):
             # Anything but distinct int columns and coefficients as str()
-            # writes them would change silently on conversion: int() also
-            # reads '+', spaces, underscores and non-ASCII digits.  The
-            # coefficients are checked by one match per row.
+            # writes them would change silently on conversion.
             entries = row["entries"]
-            rows.append({c: int(v) for c, v in entries if type(c) is int and type(v) is str})
-            if (len(rows[-1]) != len(entries)
-                    or not _COEFFICIENT_CHARS.fullmatch("".join([v for _, v in entries]))):
+            rows.append({c: ints[v] for c, v in entries if type(c) is int and type(v) is str})
+            if len(rows[-1]) != len(entries) or ints.bad:
                 raise ParseError(f"row {i}: columns must be distinct integers and "
                                  "coefficients strings of ASCII digits with an optional '-'")
-            p = row.get("provenance")
-            if p:
-                shape = Shape.parse(_string(p["shape"]))
-                provs.append(
-                    Provenance(p["family"], shape, IntArgs.parse(_string(p["k"]), shape))
-                )
-            else:
-                provs.append(None)
+            if p := row.get("provenance"):
+                shape = shape_of(_string(p["shape"]))
+                p = Provenance(p["family"], shape, IntArgs.parse(_string(p["k"]), shape))
+            provs.append(p or None)
         weight, family = obj.get("weight"), obj.get("family")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad relation-set object: {exc}") from None

@@ -285,6 +285,20 @@ def test_rank_entries_that_would_change_on_load_exit_3(tmp_path, capsys, entries
                    "coefficients strings of ASCII digits with an optional '-'\n")
 
 
+@pytest.mark.parametrize("rows, column", [
+    ([[[0, "1"], [-1, "1"]]], -1),
+    ([[[0, "1"], [2, "1"]]], 2),
+    # the first column out of range, rows and entries in file order
+    ([[[0, "1"]], [[1, "1"], [5, "2"], [-3, "1"]], [[7, "1"]]], 5),
+], ids=["negative", "past-the-symbols", "first-in-file-order"])
+def test_rank_column_out_of_range_exit_3(tmp_path, capsys, rows, column):
+    f = tmp_path / "set.json"
+    f.write_text(json.dumps({"weight": 3, "family": "cyclic", "symbols": ["1,2", "3"],
+                             "rows": [{"entries": entries} for entries in rows]}))
+    code, out, err = run(capsys, "rank", "--in", f.as_posix())
+    assert (code, out, err) == (3, "", f"parse error: column index {column} out of range\n")
+
+
 @pytest.mark.parametrize("symbols", [["3", "3"], ["3", "0_3"], ["1, 2", "3"], ["+3", "1,2"]],
                          ids=["repeated", "underscore", "space", "plus-sign"])
 def test_rank_repeated_or_non_canonical_symbols_exit_3(tmp_path, capsys, symbols):

@@ -1,7 +1,10 @@
+import gzip
 import itertools
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cycliczeta import decompose, relations
@@ -42,6 +45,9 @@ from cycliczeta.relations import (
     _rank_mod,
 )
 from cycliczeta.series import combo_partial_sum
+
+
+STORED_W10 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "relations-w10-cyclic.json.gz"
 
 
 def C(*parts):
@@ -303,13 +309,13 @@ def test_rank_exact_drops_repeated_rows(monkeypatch):
     seen = []
     rref_mod = relations._rref_mod
     monkeypatch.setattr(relations, "_rref_mod",
-                        lambda rows, ncols, p: seen.append(rows) or rref_mod(rows, ncols, p))
+                        lambda block, sub, p: seen.append(block[sub].tolist())
+                        or rref_mod(block, sub, p))
     rels = generate_relations(5, "cyclic")
     doubled = relation_matrix(rels + rels[::-1])
     assert rank_exact(doubled) == 5
     first_seen = list(dict.fromkeys(tuple(r) for r in dense(relation_matrix(rels))))
-    ncols = doubled.shape[1]
-    assert [tuple(row.get(c, 0) for c in range(ncols)) for row in seen[0]] == first_seen
+    assert [tuple(row) for row in seen[0]] == first_seen
 
 
 def test_rank_weight5_cyclic_is_5():
@@ -369,13 +375,15 @@ def _fuzz_matrices():
         yield rows
 
 
-def test_rank_fuzz_against_fraction_oracle():
+def test_rank_fuzz_against_fraction_oracle(monkeypatch):
+    agree = _spy_kernel_vectors(monkeypatch)
     for rows in _fuzz_matrices():
         want = _rank_fraction_oracle(rows)
         assert _rank_bareiss([list(r) for r in rows]) == want
         for p in ((1 << 61) - 1, (1 << 64) - 59):
             assert _rank_mod(rows, p) == want
         assert rank_exact(_matrix(rows)) == want
+    assert agree and all(agree)
 
 
 def _matrix(rows):
@@ -438,42 +446,145 @@ def test_rank_cli_unlucky_prime_and_huge_entries(name, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == str(_rank_fraction_oracle(rows))
 
 
+def _kernel_vectors_per_entry(columns, m, pivots, free, ncols):
+    """The per-entry route to the kernel vectors: every entry reconstructed
+    on its own, d the lcm of all of a column's denominators."""
+    kernel = []
+    for column, c in zip(columns, free):
+        fracs = []
+        for u in column:
+            frac = relations._rational_reconstruction(u, m)
+            if frac is None:
+                return None
+            fracs.append(frac)
+        d = math.lcm(*(b for _, b in fracs))
+        y = [0] * ncols
+        for col, (a, b) in zip(pivots, fracs):
+            y[col] = a * (d // b)
+        y[c] = -d
+        kernel.append(y)
+    return kernel
+
+
+def _spy_kernel_vectors(monkeypatch):
+    """Compare every reconstruction with the per-entry route; the list
+    collects one bool per call."""
+    fast = relations._kernel_vectors
+    agree = []
+
+    def spy(*args):
+        out = fast(*args)
+        agree.append(out == _kernel_vectors_per_entry(*args))
+        return out
+
+    monkeypatch.setattr(relations, "_kernel_vectors", spy)
+    return agree
+
+
+CELLS = [f"{fam}-w{w}" for w in range(3, 9) for fam in relations.FAMILIES]
+
+
+@pytest.mark.parametrize("case", CELLS + sorted(HARD_MATRICES) + ["fuzz"])
+def test_certificate_matches_the_per_entry_route(monkeypatch, case):
+    if case == "fuzz":  # zero rows and low ranks
+        matrices = [_matrix(rows) for rows in _fuzz_matrices()]
+    elif case in HARD_MATRICES:
+        matrices = [_matrix(HARD_MATRICES[case][0])]
+    else:
+        fam, w = case.split("-w")
+        matrices = [relation_matrix(generate_relations(int(w), fam))]
+    agree = _spy_kernel_vectors(monkeypatch)
+    for matrix in matrices:
+        rank = rank_exact(matrix)
+        distinct = relations._distinct_rows(matrix)
+        ncols = matrix.shape[1]
+        assert rank == _rank_bareiss([[row.get(c, 0) for c in range(ncols)] for row in distinct])
+        norms = sorted((max(1, sum(v * v for v in row.values())) for row in distinct),
+                       reverse=True)
+        block = relations._block(distinct, ncols)
+        assert relations._hadamard_square(block) == math.prod(norms[:min(len(distinct), ncols)])
+    assert agree and all(agree)
+
+
+def test_kernel_vectors_reconstruct_a_growing_denominator():
+    # entries 1/2, 1/3, 5/6 and 7 in one column: the running denominator
+    # grows 1 -> 2 -> 6, and 5/6 and 7 are read from it without a new
+    # reconstruction
+    p = PRIMES[0]
+    column = [x * pow(y, -1, p) % p for x, y in ((1, 2), (1, 3), (5, 6), (7, 1))]
+    calls = []
+    wang = relations._rational_reconstruction
+    args = ([column], p, [0, 1, 2, 3], [4], 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "_rational_reconstruction", lambda u, m: calls.append(u) or wang(u, m))
+        assert relations._kernel_vectors(*args) == [[3, 2, 5, 42, -6]]
+    assert calls == column[:2]
+    assert _kernel_vectors_per_entry(*args) == [[3, 2, 5, 42, -6]]
+    # an entry with no reconstruction leaves no vector
+    u = next(u for u in itertools.count(p // 3) if relations._rational_reconstruction(u, p) is None)
+    assert relations._kernel_vectors([column + [u]], p, [0, 1, 2, 3, 5], [4], 6) is None
+
+
 def _certificate(rows):
-    """The kernel vectors of the distinct rows from one prime, with their
-    free columns."""
+    """The block of the distinct rows and their kernel vectors from one
+    prime, with the pivot and free columns."""
     matrix = _matrix(rows)
     distinct = relations._distinct_rows(matrix)
     ncols = matrix.shape[1]
+    block = relations._block(distinct, ncols)
     p = PRIMES[0]
-    rank, pivots, rref, _ = relations._rref_mod(distinct, ncols, p)
+    rank, pivots, rref, _ = relations._rref_mod(block, list(range(len(distinct))), p)
     free = [c for c in range(ncols) if c not in pivots]
-    kernel = relations._kernel_vectors(rref[:, free].tolist(), p, pivots, free, ncols)
-    return distinct, pivots, free, kernel
+    kernel = relations._kernel_vectors(rref[:, free].T.tolist(), p, pivots, free, ncols)
+    return block, pivots, free, kernel
 
 
 def test_check_kernel_rejects_corrupted_vector():
     rows = dense(relation_matrix(generate_relations(6, "cyclic")))
-    distinct, pivots, free, kernel = _certificate(rows)
-    assert kernel and len(free) == len(rows[0]) - 11
-    relations._check_kernel(distinct, free, kernel)
-    for c in (pivots[0], free[0]):
-        bad = [list(y) for y in kernel]
-        bad[0][c] += 1
-        with pytest.raises(InternalInvariantError, match="is not 0"):
-            relations._check_kernel(distinct, free, bad)
-    # the zero vector solves every row but proves nothing
-    zero = [[0] * len(rows[0])] + kernel[1:]
-    with pytest.raises(InternalInvariantError, match="not diagonal"):
-        relations._check_kernel(distinct, free, zero)
+    block, pivots, free, kernel = _certificate(rows)
+    assert kernel and len(free) == len(rows[0]) - 11 and block.dtype == np.int64
+    # the int64 product and the Python-integer one
+    for b in (block, block.astype(object)):
+        relations._check_kernel(b, free, kernel)
+        for c in (pivots[0], free[0]):
+            bad = [list(y) for y in kernel]
+            bad[0][c] += 1
+            with pytest.raises(InternalInvariantError, match="is not 0"):
+                relations._check_kernel(b, free, bad)
+        # the zero vector solves every row but proves nothing
+        zero = [[0] * len(rows[0])] + kernel[1:]
+        with pytest.raises(InternalInvariantError, match="not diagonal"):
+            relations._check_kernel(b, free, zero)
+
+
+def test_check_kernel_leaves_int64_before_a_product_wraps():
+    # 2^30 * 2^34 - 2^30 * 2^35 = -2^64, which int64 arithmetic wraps to 0
+    block = relations._block([{0: 2**30, 1: 2**30}], 2)
+    assert block.dtype == np.int64
+    with pytest.raises(InternalInvariantError, match="is not 0"):
+        relations._check_kernel(block, [1], [[2**34, -(2**35)]])
+
+
+def test_block_is_int64_only_while_squared_row_norms_fit():
+    # an entry of 2^31 over 2 columns makes top^2 * ncols = 2^63
+    for top, ncols, dtype in [(2**31 - 1, 2, np.int64), (2**31, 2, object),
+                              (-(2**31), 2, object), (2**31, 1, np.int64),
+                              (2**63, 1, object), (2**80, 4, object)]:
+        rows = [{0: top}, {ncols - 1: -1}]
+        block = relations._block(rows, ncols)
+        assert block.dtype == dtype, (top, ncols)
+        assert block.tolist() == [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        assert all(type(x) is int for x in block.ravel().tolist())
+        assert relations._hadamard_square(block) == top * top
 
 
 def test_rank_exact_raises_when_a_pivot_is_dropped(monkeypatch):
     rref_mod = relations._rref_mod
     primes = []
 
-    def drop_last_pivot(rows, ncols, p):
+    def drop_last_pivot(block, sub, p):
         primes.append(p)
-        rank, pivots, rref, where = rref_mod(rows, ncols, p)
+        rank, pivots, rref, where = rref_mod(block, sub, p)
         return rank - 1, pivots[:-1], rref[:-1], where[:-1]
 
     monkeypatch.setattr(relations, "_rref_mod", drop_last_pivot)
@@ -486,12 +597,14 @@ def test_rank_exact_raises_when_a_pivot_is_dropped(monkeypatch):
 
 
 def _spy_rref_mod(monkeypatch):
-    """Record the rows each prime reduces and what it returns."""
+    """Record the rows each prime reduces, as read from the block, and what
+    it returns."""
     rref_mod = relations._rref_mod
     calls = []
 
-    def spy(rows, ncols, p):
-        out = rref_mod(rows, ncols, p)
+    def spy(block, sub, p):
+        rows = block[sub].tolist()
+        out = rref_mod(block, sub, p)
         calls.append((rows, out))
         return out
 
@@ -501,23 +614,36 @@ def _spy_rref_mod(monkeypatch):
 
 # Computed cyclic ranks, as table1 reports them.  From w6 on, 2H^2 exceeds
 # one prime, so a second prime can run (at w5 it has 25 bits).
-CYCLIC_RANKS = {6: 11, 7: 25, 8: 52, 9: 110}
+CYCLIC_RANKS = {6: 11, 7: 25, 8: 52, 9: 110, 10: 227}
+
+
+def _cyclic_matrix(weight):
+    """The cyclic relation matrix of a weight; w10 is read from the stored
+    benchmark set (587 distinct rows over 256 symbols)."""
+    if weight < 10:
+        return relation_matrix(generate_relations(weight, "cyclic"))
+    with gzip.open(STORED_W10) as f:
+        return relation_set_loads(f.read())
 
 
 @pytest.mark.parametrize("weight", sorted(CYCLIC_RANKS))
 def test_later_primes_reduce_only_the_pivot_rows(monkeypatch, weight):
     calls = _spy_rref_mod(monkeypatch)
     kernel_vectors = relations._kernel_vectors
-    # one reconstruction "fails", as when the modulus is still too small
+    # one reconstruction "fails", as when the modulus is still too small (at
+    # w10 the first prime's modulus is too small for the kernel's fractions)
     failed = []
     monkeypatch.setattr(relations, "_kernel_vectors",
                         lambda *a: failed.append(1) if not failed else kernel_vectors(*a))
-    matrix = relation_matrix(generate_relations(weight, "cyclic"))
-    distinct = relations._distinct_rows(matrix)
+    matrix = _cyclic_matrix(weight)
+    ncols = matrix.shape[1]
+    distinct = [[row.get(c, 0) for c in range(ncols)] for row in relations._distinct_rows(matrix)]
     assert rank_exact(matrix) == CYCLIC_RANKS[weight] and len(calls) == 2
     (first, (r1, piv1, _, where)), (second, (r2, piv2, _, _)) = calls
     assert first == distinct and len(where) == r1
     assert second == [distinct[i] for i in where]
+    if weight == 10:
+        assert (len(first), len(second)) == (587, 227)
     # the pivot rows span the row space, so the second prime finds the same
     # rank and pivots
     assert (r2, piv2) == (r1, piv1)
@@ -543,13 +669,24 @@ def test_rref_mod_matches_fraction_elimination(p):
     for rows in [*_fuzz_matrices(), w7]:
         distinct = relations._distinct_rows(_matrix(rows))
         ncols = len(rows[0])
-        rank, pivots, rref, where = relations._rref_mod(distinct, ncols, p)
+        block = relations._block(distinct, ncols)
         dense_rows = [[row.get(c, 0) for c in range(ncols)] for row in distinct]
+        assert block.dtype == np.int64 and block.tolist() == dense_rows
         want_pivots, want_rref = _fraction_rref(dense_rows)
+        want = [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in want_rref]
+        # the Python-integer block reduces to the same residues
+        for b in (block, block.astype(object)):
+            rank, pivots, rref, where = relations._rref_mod(b, list(range(len(distinct))), p)
+            assert (rank, pivots) == (len(want_pivots), want_pivots)
+            assert rref.dtype == np.int64 and rref.tolist() == want
+            assert _rank_fraction_oracle([dense_rows[i] for i in where]) == rank
+        # a sub-list reduces those rows of the block alone
+        sub = list(range(len(distinct)))[::-2]
+        rank, pivots, rref, _ = relations._rref_mod(block, sub, p)
+        want_pivots, want_rref = _fraction_rref([dense_rows[i] for i in sub])
         assert (rank, pivots) == (len(want_pivots), want_pivots)
         assert rref.tolist() == [[x.numerator * pow(x.denominator, -1, p) % p for x in r]
                                  for r in want_rref]
-        assert _rank_fraction_oracle([dense_rows[i] for i in where]) == rank
 
 
 def _points(cs, n):
@@ -766,6 +903,34 @@ def test_relation_set_loads_restores_the_collector(monkeypatch, bad, was_enabled
         assert seen == [False] and gc.isenabled() is was_enabled
     finally:
         gc.enable()
+
+
+def _json_dumps_route(weight, family, matrix):
+    """The relation-set file as json.dumps(indent=2) writes it."""
+    rows = [{"provenance": {"family": prov.family, "shape": str(prov.shape), "k": str(prov.args)},
+             "entries": [[c, str(row[c])] for c in sorted(row)]}
+            for row, prov in zip(matrix.rows, matrix.provenances)]
+    obj = {"weight": weight, "family": family, "symbols": [str(c) for c in matrix.symbols],
+           "rows": rows, "settings": {"include_d1_derivation": True, "schema": 1}}
+    return (json.dumps(obj, indent=2) + "\n").encode()
+
+
+def _dumps_cases():
+    for w in range(3, 8):
+        for fam in relations.FAMILIES:
+            yield w, fam, relation_matrix(generate_relations(w, fam))
+    yield 3, "cyclic", relation_matrix([])
+    k = IntArgs.parse("2;1,2")
+    huge = RelationMatrix((C(1, 4), C(5)), [{0: 2**80 + 1, 1: -(2**81)}, {}, {1: 3, 0: -1}], 5,
+                          [Provenance("cyclic", k.shape, k)] * 3)
+    yield 5, "cyclic", huge
+
+
+def test_relation_set_dumps_matches_json_dumps():
+    for weight, family, matrix in _dumps_cases():
+        data = relation_set_dumps(weight, family, matrix)
+        assert data == _json_dumps_route(weight, family, matrix), (weight, family)
+        assert relation_set_loads(data).rows == matrix.rows
 
 
 @pytest.mark.slow
