@@ -10,8 +10,10 @@ the constraint poset and returns plain part tuples with their counts;
 `decompose_to_mzv` checks its input and wraps that result as a
 `SymbolCombination`, and relation generation sums the tuples itself.  The
 series evaluators walk the same order filters (`_filter_steps`) for their
-plain and coupled sums.  The weak orders themselves are enumerated only for
-`decompose` output.
+plain and coupled sums.  The weak orders themselves are enumerated only to
+name the one that makes a decomposition non-admissible
+(`_raise_non_admissible`); `decompose` output counts them from the
+combination.
 Completeness and disjointness of the split are exactly testable against a
 brute-force lattice-point count, which this module also provides.
 """

@@ -255,15 +255,17 @@ class RelationMatrix:
 
 def relation_matrix(rels: Sequence[Relation]) -> RelationMatrix:
     # Relations of one rotation orbit share their combination object, so
-    # each distinct one is indexed once; every row is still its own dict.
+    # each distinct one is indexed once and its rows share one dict (no
+    # reader mutates a row).
     combos = {id(r.combo): r.combo.coefficients() for r in rels}
     symbols = sorted(set().union(*combos.values()), key=Composition.sort_key)
     weights = sorted({comp.weight for comp in symbols})
     if len(weights) > 1:
         raise ValueError(f"relations mix symbol weights {weights}")
     col = {comp: t for t, comp in enumerate(symbols)}
-    entries = {key: sorted((col[comp], c) for comp, c in co.items()) for key, co in combos.items()}
-    return RelationMatrix(tuple(symbols), [dict(entries[id(r.combo)]) for r in rels],
+    entries = {key: dict(sorted((col[comp], c) for comp, c in co.items()))
+               for key, co in combos.items()}
+    return RelationMatrix(tuple(symbols), [entries[id(r.combo)] for r in rels],
                           weights[0] if weights else None, [r.provenance for r in rels])
 
 

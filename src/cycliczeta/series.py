@@ -8,26 +8,27 @@ Its plain part walks the order-filter DAG of the system
 vector per filter and one multiply per edge, not one chain per weak order.
 A term may couple two variables, through the pole factor
 a^p / (b^q (b - a)) or a harmonic-range factor.  Where the two share a
-level, the coupling is one more walk, restricted to such levels and with
-its tie factor on them.  Across levels every coupling is a short sum of
-separable cell terms coeff * L(u) * R(w) * K(w - u) over value pairs
-u < w, with K a Toeplitz kernel (1/d, 1 or H(d - 1); see couplings.py); the
-plain levels between the coupled pair split into separable prefix sums by
-Chen's identity at a cut filter, and the paths through one cut share one
-row.  So the coupled part of a system is one walk of the same DAG and one
-real Toeplitz tile product per kernel, of fixed shape
-(rows x 256) @ (256 x 256), in a fixed order: no transcendental or complex
-division per cell, and bit-reproducible results.  The double series
-sum m^-a n^-b (m + n)^-c is one convolution per cutoff, taken with real
-transforms of the real and imaginary parts.
+level, the coupled walk puts the coupling's tie factor on the edge that
+places both and hands its run on to the plain walk to the sink.  Across
+levels every coupling is a short sum of separable cell terms
+coeff * L(u) * R(w) * K(w - u) over value pairs u < w, with K a Toeplitz
+kernel (1/d, 1 or H(d - 1); see couplings.py); the plain levels between
+the coupled pair split into separable prefix sums by Chen's identity at a
+cut filter, and the paths through one cut share one row.  So the coupled
+part of a system is one walk of the same DAG and one real Toeplitz tile
+product per kernel, of fixed shape (rows x 256) @ (256 x 256), in a fixed
+order: no transcendental or complex division per cell, and
+bit-reproducible results.  The double series sum m^-a n^-b (m + n)^-c is
+one convolution per cutoff, taken with real transforms of the real and
+imaginary parts.
 
 A box truncation at n keeps exactly the terms whose largest value is at
-most n, so every evaluator makes one pass at its largest cutoff and reads
-the value at each smaller cutoff (the refinements and N/2) off that pass;
-each is bit-identical to a separate evaluation at that cutoff.  The walks
-are streamed over value segments, each filter carrying its sums into the
-next, so their memory does not grow with N.  The coupled walk holds its
-vectors over all values 1..N at once.
+most n, so every evaluator but the double series makes one pass at its
+largest cutoff and reads the value at each smaller cutoff (the refinements
+and N/2) off that pass; each is bit-identical to a separate evaluation at
+that cutoff.  The plain walks are streamed over value segments, each
+filter carrying its sums into the next, so their memory does not grow
+with N.  The coupled walk holds its vectors over all values 1..N at once.
 
 The harmonic-form evaluators sum the extra variable analytically into a
 harmonic-range factor and truncate only the outer variables, so at finite
@@ -229,62 +230,68 @@ def _path(levels: Sequence[Sequence[int]]) -> dict:
     return steps
 
 
+def _live_edges(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
+                exps: Sequence[complex]) -> dict:
+    """The edges of steps on some path to the sink 0, by source from the
+    largest mask down: {mask: [(members, rest), ...]}, members the level's
+    nonzero exponents in index order."""
+    live, edges = {0}, {}
+    for mask in sorted(steps):
+        out = [(tuple(exps[t] for t in lvl if exps[t] != 0), rest)
+               for lvl, rest in steps[mask] if rest in live]
+        if out:
+            live.add(mask)
+            edges[mask] = out
+    return dict(reversed(edges.items()))
+
+
+def _walk(edges: dict, runs: dict, vec: Callable[[tuple], np.ndarray], carries: dict):
+    """Pop the run of each source of edges in turn and yield (mask, rest, g)
+    per edge: vec(members) times the run's strict prefix sums (a run of None
+    is all ones), seeded by carries.get(mask, 0), which then keeps their
+    total, so walks over consecutive value segments sum as one."""
+    for mask, out in edges.items():
+        if mask not in runs:
+            continue
+        pre = run = runs.pop(mask)
+        if run is not None:
+            pre = np.empty(len(run) + 1, run.dtype)
+            pre[0] = carries.get(mask, 0)
+            pre[1:] = run
+            np.cumsum(pre, out=pre)
+            carries[mask] = pre[-1]
+            pre = pre[:-1]
+        for members, rest in out:
+            yield mask, rest, mul(vec(members), pre)
+
+
 def _chain_plain(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
-                 exps: Sequence[complex], cutoffs: Sequence[int],
-                 tie: Optional[tuple[int, Callable]] = None) -> list[complex]:
+                 exps: Sequence[complex], cutoffs: Sequence[int]) -> list[complex]:
     """For every cutoff n, the sum over the paths of a DAG of order filters,
     given as `decompose._filter_steps` gives it ({mask: ((level indices,
     rest mask), ...)}, from the largest mask down to 0), of the sum over
     1 <= x_1 < ... < x_t <= n of prod_l prod_{i in level l} x_l^(-exps[i]).
-    tie = (pair mask, fn) keeps the paths on which the pair shares a level
-    and puts fn(x) on that level.
 
     One pass at the largest cutoff, streamed over value segments, each with
     one table of single-exponent powers.  A level's vector is the product of
     its members' vectors in index order (empty: ones), so conjugation stays
-    exact.  Filters are visited from the source down; each sums the runs of
-    its in-edges, and its strict prefix sums, seeded by the carry of all
-    smaller values, have the bits of one sequential sum.  An edge multiplies
-    its level's vector by its source's prefix sums.  The value at n adds,
-    segment by segment, the sum of the sink's run up to n.
+    exact.  Each segment is one `_walk` from the source down, whose carries
+    give every filter's prefix sums the bits of one sequential sum.  The
+    value at n adds, segment by segment, the sum of the sink's run up to n.
     """
-    pair, fn = tie or (0, None)
-    # The edges on some path to the sink, source first; with a tie, those
-    # whose level holds both of the pair or neither.
-    live, edges = {0}, []
-    for mask in sorted(steps):
-        out = [([exps[t] for t in lvl if exps[t] != 0], rest, (mask & ~rest & pair) != 0)
-               for lvl, rest in steps[mask]
-               if rest in live and (mask & ~rest & pair) in (0, pair)]
-        if out:
-            live.add(mask)
-            edges.insert(0, (mask, out))
+    edges = _live_edges(steps, exps)
     top = max(cutoffs, default=0)
     carries: dict[int, complex] = {}
     totals = [0j] * len(cutoffs)
     for s0 in range(0, top, _SEGMENT):
         s1 = min(s0 + _SEGMENT, top)
         power = _power_table(s1, s0)
-        factor = fn and fn(np.arange(s0 + 1, s1 + 1, dtype=np.float64))
         runs: dict[int, Optional[np.ndarray]] = {max(steps): None}  # None: all ones
-        for mask, out in edges:
-            if mask not in runs:
-                continue
-            pre = run = runs.pop(mask)
-            if run is not None:
-                pre = np.empty(len(run) + 1, run.dtype)
-                pre[0] = carries.get(mask, 0)
-                pre[1:] = run
-                np.cumsum(pre, out=pre)
-                carries[mask] = pre[-1]
-                pre = pre[:-1]
-            for members, rest, tied in out:
-                g = _product(power, members)
-                if tied:
-                    g = g * factor
-                if pre is not None:
-                    g = g * pre
-                _add(runs, rest, g)
+        for _, rest, g in _walk(edges, runs, lambda members: _product(power, members), carries):
+            _add(runs, rest, g)
+            # Drop g before the walk makes the next edge's vector, so that
+            # vector can reuse g's block instead of new pages.
+            del g
         sink = runs.get(0)
         for k, n in enumerate(cutoffs):
             if n > s0 and sink is not None:
@@ -376,26 +383,21 @@ def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
                  tiles: Callable[[Kernel, int], np.ndarray] | None = None
                  ) -> list[complex]:
     """The constrained sum at every cutoff (all >= 1).  The uncoupled part
-    and each coupling that allows ties, where its two variables share a
-    level, are sums over the order-filter DAG of cs; the couplings across
-    two levels are one cut-filter walk of that DAG (`_coupled_sink`), once
-    at the largest cutoff; a coupled system with more than
-    COUPLED_ORDER_CAP weak orders raises BudgetError before anything is
-    summed.  tiles may be shared by systems evaluated at the same
-    cutoffs."""
+    is a sum over the order-filter DAG of cs; the coupled pieces, on two
+    levels or tied on one, are one cut-filter walk of that DAG
+    (`_coupled_sink`), once at the largest cutoff; a coupled system with
+    more than COUPLED_ORDER_CAP weak orders raises BudgetError before
+    anything is summed.  tiles may be shared by systems evaluated at the
+    same cutoffs."""
     vs, steps = _filter_steps(cs)
-    idx = {v: t for t, v in enumerate(vs)}
     es = [complex(exps.get(v, 0)) for v in vs]
     coupled = [(coeff, cp) for coeff, cp in pieces if cp is not None]
     if coupled:
         _check_orders(cs)
     plain = sum(coeff for coeff, cp in pieces if cp is None)
-    walks = [(plain, None)] if plain != 0 else []
-    walks += [(coeff, (1 << idx[cp.var_a] | 1 << idx[cp.var_b], cp.tie))
-              for coeff, cp in coupled if cp.allow_tie]
     totals = [0j] * len(cutoffs)
-    for coeff, tie in walks:
-        totals = [a + coeff * v for a, v in zip(totals, _chain_plain(steps, es, cutoffs, tie))]
+    if plain != 0:
+        totals = [a + plain * v for a, v in zip(totals, _chain_plain(steps, es, cutoffs))]
     if not coupled:
         return totals
 
@@ -408,13 +410,14 @@ def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
 def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
                   top: int, tiles: Callable[[Kernel, int], np.ndarray]
                   ) -> Optional[np.ndarray]:
-    """The sink run over 1..top of the coupled pieces [(coeff, coupling)]
-    with their pairs on two levels: entry w-1 sums the paths of the filter
-    DAG whose top level takes the value w (None if there is none).
+    """The sink run over 1..top of the coupled pieces [(coeff, coupling)]:
+    entry w-1 sums the paths of the filter DAG whose top level takes the
+    value w (None if there is none).
 
     The couplings of one pair a < b merge, oriented so that `below` puts a
     on the lower level.  A filter holds both, one or neither of the pair.
-    On every path the lower of the two is placed by an edge out of a
+    On every path either one edge out of a both-filter places the pair on
+    one level, or the lower of the two is placed by an edge out of a
     both-filter (at value u) and the upper by an edge out of a one-filter
     (at w); the levels between are the neither-edges of a one-filter path.
     Chen's identity splits those mid levels at every filter C of that path,
@@ -422,8 +425,11 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
     A_k over u >= x_1 >= ... >= x_k >= 1 and B_k over x_{k+1} < ... < x_m < w,
     and the Toeplitz product is linear, so the paths are regrouped by that
     cut filter C:
-    1. the lower walk runs the plain walk over both-filters and sends each
-       placing edge g * (strict prefix of its run) to lowp[target];
+    1. the lower walk runs the plain walk over both-filters; an edge that
+       places one of the pair sends its g to lowp[target], and an edge that
+       places both sends g times the sum of coeff * tie(x) over the pair's
+       couplings to the plain run of its target (a coupling singular on
+       ties raises InternalInvariantError there);
     2. row_C = sum_T lowp[T] h_T, with h_C = 1 and, walking back,
        h_F = sum over edges F -> F' of -cumsum(g h_F'), which is
        sum_k (-1)^k A_k; the variable still in C picks below or above;
@@ -433,71 +439,60 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
        ... and the edge that places the other variable adds
        g * col_C * (strict prefix of B) to the plain run of its target;
     5. one plain walk, shared by every pair, takes those runs to the sink.
-    Powers are over [1..top], a level's vector the product of its members'
-    in index order; every step is elementwise, a cumsum or a Toeplitz
-    product, so the first n entries are those of a call at cutoff n.
+    Every walk is a `_walk` of the same live edges over [1..top], with one
+    memo of level vectors, each the product of its members' powers in
+    index order; every step is elementwise, a cumsum or a Toeplitz product,
+    so the first n entries are those of a call at cutoff n.
     """
     idx = {v: t for t, v in enumerate(vs)}
-    pairs: dict[tuple[int, int], tuple[list[Term], list[Term], list[bool]]] = {}
+    pairs: dict[tuple[int, int], tuple[list[Term], list[Term], list]] = {}
     for coeff, cp in coupled:
         a, b = idx[cp.var_a], idx[cp.var_b]
         below, above = ([t._replace(coeff=coeff * t.coeff) for t in terms]
                         for terms in (cp.below, cp.above))
         if a > b:
             a, b, below, above = b, a, above, below
-        lo, hi, tie_ok = pairs.setdefault((a, b), ([], [], []))
+        lo, hi, ties = pairs.setdefault((a, b), ([], [], []))
         lo += below
         hi += above
-        tie_ok.append(cp.allow_tie)
+        ties.append((coeff, cp))
 
     power = _power_table(top)
     vals = np.arange(1, top + 1, dtype=np.float64)
-    vecs: dict[tuple[int, ...], np.ndarray] = {}
-    live = {0}
-    for mask in sorted(steps):
-        if any(rest in live for _, rest in steps[mask]):
-            live.add(mask)
-    order = sorted(live, reverse=True)  # every edge goes to a later mask
-    edges = {mask: [(lvl, rest) for lvl, rest in steps.get(mask, ()) if rest in live]
-             for mask in order}
+    edges = _live_edges(steps, es)
+    vecs: dict[tuple, np.ndarray] = {}
 
-    def vec(lvl: tuple[int, ...]) -> np.ndarray:
-        g = vecs.get(lvl)
+    def vec(members: tuple) -> np.ndarray:
+        g = vecs.get(members)
         if g is None:
-            g = vecs[lvl] = _product(power, [es[t] for t in lvl if es[t] != 0])
+            g = vecs[members] = _product(power, members)
         return g
 
-    def walk(runs: dict, masks):
-        """Pop the run of each mask in turn and yield (mask, rest, g) per
-        edge: the level's vector times the run's strict prefix sums (a run
-        of None is all ones)."""
-        for mask in masks:
-            if mask in runs:
-                pre = runs.pop(mask)
-                pre = None if pre is None else _shift_prefix(pre)
-                for lvl, rest in edges[mask]:
-                    yield mask, rest, mul(vec(lvl), pre)
-
     groups: dict[Kernel, list] = {}  # kernel -> [(row, right, (a, b, cut))]
-    cuts_of = {}
-    for (a, b), (below, above, tie_ok) in pairs.items():
+    upper: dict[int, np.ndarray] = {}  # plain runs past the pair, for step 5
+    for (a, b), (below, above, ties) in pairs.items():
         pair = 1 << a | 1 << b
         # 1. the lower walk
         runs: dict[int, Optional[np.ndarray]] = {max(steps): None}
         lowp: dict[int, np.ndarray] = {}
-        for mask, rest, g in walk(runs, order):
+        tie = None
+        for mask, rest, g in _walk(edges, runs, vec, {}):
             placed = mask & ~rest & pair
             if placed != pair:
                 _add(lowp if placed else runs, rest, g)
-            elif not all(tie_ok):
-                raise InternalInvariantError(
-                    f"singular coupling between tied variables {vs[a]}, {vs[b]}")
+                continue
+            if tie is None:
+                if not all(cp.allow_tie for _, cp in ties):
+                    raise InternalInvariantError(
+                        f"singular coupling between tied variables {vs[a]}, {vs[b]}")
+                tie = sum(coeff * cp.tie(vals) for coeff, cp in ties)
+            _add(upper, rest, g * tie)
         # the cut filters: those reached from lowp by neither-edges
         cuts = set(lowp)
-        for mask in order:
+        for mask, out in edges.items():
             if mask in cuts:
-                cuts.update(rest for _, rest in edges[mask] if not mask & ~rest & pair)
-        cuts = cuts_of[a, b] = sorted(cuts)
+                cuts.update(rest for _, rest in out if not mask & ~rest & pair)
+        cuts = sorted(cuts)
         sides = [[(t.kernel, t.coeff * t.left(vals) if t.left else t.coeff,
                    t.right and t.right(vals)) for t in side] for side in (below, above)]
         # 2. the rows of every cut filter
@@ -505,9 +500,9 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
             h: dict[int, Optional[np.ndarray]] = {cut: None}  # None: 1
             for mask in cuts[k + 1:]:
                 acc = None
-                for lvl, rest in edges[mask]:
+                for members, rest in edges[mask]:
                     if rest in h:
-                        t = np.cumsum(mul(vec(lvl), h[rest]))
+                        t = np.cumsum(mul(vec(members), h[rest]))
                         acc = -t if acc is None else acc - t
                 if acc is not None:
                     h[mask] = acc
@@ -523,18 +518,17 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
             _add(cols, key, mul(y, right))
 
     # 4. the upper walks, one per cut filter
-    upper: dict[int, np.ndarray] = {}
     for (a, b, cut), col in cols.items():
         pair = 1 << a | 1 << b
         mids: dict[int, Optional[np.ndarray]] = {cut: None}  # None: B = 1
-        for mask, rest, g in walk(mids, reversed(cuts_of[a, b])):
+        for mask, rest, g in _walk(edges, mids, vec, {}):
             if mask & ~rest & pair:
                 _add(upper, rest, g * col)
             else:
                 _add(mids, rest, g)
 
     # 5. the plain walk to the sink
-    for _, rest, g in walk(upper, order[:-1]):
+    for _, rest, g in _walk(edges, upper, vec, {}):
         _add(upper, rest, g)
     return upper.get(0)
 

@@ -37,3 +37,31 @@ def test_every_export_has_a_reader():
             reads |= _reads(path)
     assert len(exports) > 40
     assert [name for name in exports if name not in reads] == []
+
+
+def _definitions(path: Path):
+    """The names a module defines at its top level: functions, classes and
+    assigned names."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_definition_has_a_reader():
+    """Each top-level definition in the package is read in the package (an
+    export counts) or named by perfbench/tracing.py, which wraps some
+    helpers by name: a helper that a change leaves orphaned fails here."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    reads = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
+             for a in node.names}
+    reads = reads.union(*map(_reads, PACKAGE.glob("*.py")))
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    wrapped = {n.value for n in ast.walk(tracing)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    defined = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+               for name in _definitions(path)]
+    assert len(defined) > 150
+    assert [d for d in defined if d[1] not in reads | wrapped] == []

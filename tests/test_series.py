@@ -492,6 +492,28 @@ def test_coupled_weak_order_cap_counts_the_weak_orders(monkeypatch):
     eval_zeta_C(s, 10)
 
 
+def test_dag_path_count_is_the_number_of_weak_orders(monkeypatch):
+    """The path count by which `_check_orders` refuses a coupled system is
+    its number of weak orders on every S, S_i, S_ij and T_i system of total
+    depth <= 4."""
+    systems = []
+    for depth in range(1, 5):
+        for blocks in compositions(depth):
+            shape = Shape(blocks)
+            systems += [build_constraints_S(shape)]
+            systems += [build_constraints_S_i(shape, i) for i in range(1, shape.d + 1)]
+            systems += [build_constraints_T_i(shape, i) for i in range(1, shape.d + 1)]
+            systems += [build_constraints_S_ij(shape, i, j) for i, j in shape.positions()]
+    assert len(systems) == 128
+    for cs in systems:
+        orders = len(weak_orders(cs))
+        monkeypatch.setattr(series, "COUPLED_ORDER_CAP", orders)
+        series._check_orders(cs)
+        monkeypatch.setattr(series, "COUPLED_ORDER_CAP", orders - 1)
+        with pytest.raises(BudgetError, match=f"with {orders} weak orders"):
+            series._check_orders(cs)
+
+
 def test_report_serialization():
     rep = eval_mzf([2.0], TruncationPlan(100, refinements=(50, 100)))
     obj = rep.to_json_obj()
@@ -757,8 +779,7 @@ def test_plain_chains_match_summed_exponent_route(s):
 
 def test_tied_chains_match_summed_exponent_route():
     """mzf-style chains with tied and empty levels given as one-path steps,
-    a tie restricting a DAG to the paths that tie its pair, and their
-    conjugates."""
+    and their conjugates."""
     a, b, c = 1.5 + 0.4j, 0.6 - 0.3j, 1.3 + 0.2j
     ns = ORACLE_PLAN.refinements
     for levels in ([(a, b), (c,)], [(a,), (b, c)], [(), (c, a, b)], [(b,), (), (a, c)]):
@@ -767,17 +788,6 @@ def test_tied_chains_match_summed_exponent_route():
         assert_close(got, reference_chain_plain([(levels, None)], ns)[0])
         flipped = series._chain_plain(steps, [e.conjugate() for e in exps], ns)
         assert all(v == w.conjugate() for v, w in zip(got, flipped))
-
-    # the free system on three variables, with x_0 = x_2 weighted by 1/x
-    cs = ConstraintSystem(Shape((3,)), False, ())
-    vs, steps = decompose._filter_steps(cs)
-    exps = [a, b, c]
-    got = series._chain_plain(steps, exps, ns, (0b101, lambda x: 1 / x))
-    chains = [([[exps[vs.index(v)] for v in lvl] for lvl in osp.levels], (l, lambda x: 1 / x))
-              for osp in weak_orders(cs) for l, lvl in enumerate(osp.levels)
-              if {vs[0], vs[2]} <= set(lvl)]
-    assert len(chains) == 3
-    assert_close(got, [sum(col) for col in zip(*reference_chain_plain(chains, ns))])
 
 
 def compositions(n):
@@ -963,43 +973,44 @@ def test_coupled_engine_matches_reference():
 
 
 def reference_coupled_system(cs, exps, pieces, cutoffs):
-    """The sum over cs by the per-weak-order route: the plain and tied parts
-    as `_eval_system` walks them, and every weak order's coupled chain for
-    each pair on two levels through `series._chain_coupled`, each level one
-    power of its summed exponent."""
-    vs, steps = decompose._filter_steps(cs)
-    es = [complex(exps.get(v, 0)) for v in vs]
-    totals = [0j] * len(cutoffs)
-    for coeff, cp in pieces:
-        if cp is None or cp.allow_tie:
-            tie = cp and (1 << vs.index(cp.var_a) | 1 << vs.index(cp.var_b), cp.tie)
-            totals = [a + coeff * v for a, v in
-                      zip(totals, series._chain_plain(steps, es, cutoffs, tie))]
+    """The sum over cs by the per-weak-order route, each level one power of
+    its summed exponent: the plain part and every coupling that ties its
+    pair on one level by `reference_chain_plain`, the tie factor as the
+    weight of that level, and every weak order's coupled chain for each
+    pair on two levels through `series._chain_coupled`."""
     top = max(cutoffs)
     power, tiles = series._power_table(top), couplings.kernel_tiles()
+    totals, chains, coeffs = [0j] * len(cutoffs), [], []
     for osp in weak_orders(cs):
         level_of = {v: l for l, lvl in enumerate(osp.levels) for v in lvl}
+        levels = [[exps[v] for v in lvl if exps.get(v, 0) != 0] for lvl in osp.levels]
         groups = {}
         for coeff, cp in pieces:
             if cp is None or level_of[cp.var_a] == level_of[cp.var_b]:
+                chains.append((levels, cp and (level_of[cp.var_a], cp.tie)))
+                coeffs.append(coeff)
                 continue
             la, lb = level_of[cp.var_a], level_of[cp.var_b]
             terms = cp.below if la < lb else cp.above
             groups.setdefault((min(la, lb), max(la, lb)), []).extend(
                 t._replace(coeff=coeff * t.coeff) for t in terms)
-        level_exps = [sum((complex(exps.get(v, 0)) for v in lvl), 0j) for lvl in osp.levels]
+        level_exps = [sum(lvl, 0j) for lvl in levels]
         for (p, q), terms in sorted(groups.items()):
             if terms:
                 run = series._chain_coupled(level_exps, top, p, q, terms, power, tiles)
                 totals = [a + complex(run[:n].sum()) for a, n in zip(totals, cutoffs)]
+    for coeff, row in zip(coeffs, reference_chain_plain(chains, cutoffs)):
+        totals = [a + coeff * v for a, v in zip(totals, row)]
     return totals
 
 
 def coupled_systems(args):
     """(system, exponents, pieces) of every S_ij with the 'diff', 1 and 2
     pieces and of every harmonic-form system (variants 1 and 2: GAP and ONE
-    kernels, ties) of the arguments' shape; pieces(top) builds the pieces
-    for the largest cutoff top, which the harmonic tables need."""
+    kernels, ties) of the arguments' shape, the latter also with a second,
+    reversed coupling of the same pair, so that a tie sums two factors;
+    pieces(top) builds the pieces for the largest cutoff top, which the
+    harmonic tables need."""
     shape = args.shape
     for i, j in shape.positions():
         cs = build_constraints_S_ij(shape, i, j)
@@ -1008,24 +1019,40 @@ def coupled_systems(args):
                 lambda top, v=variant, i=i, j=j: series._tilde_pieces(args, i, j, v)
         for variant in (1, 2):
             cs_h, va, vb, coupling = series._tilde_harmonic_setup(args, i, j, variant)
-            yield cs_h, series._block_exponents(args), \
-                lambda top, c=coupling, a=va, b=vb: [(1.0, c(a, b, couplings.harmonic_table(top)))]
+            for extra in ((), ((-0.75, couplings.harmonic_wrap_1),)):
+                yield cs_h, series._block_exponents(args), \
+                    lambda top, c=coupling, a=va, b=vb, extra=extra: [
+                        (1.0, c(a, b, couplings.harmonic_table(top))),
+                        *((k, e(b, a, couplings.harmonic_table(top))) for k, e in extra)]
 
 
 DAG_CUTOFFS = (1, 2, 255, 256, 257, 520)
 
 
-@pytest.mark.parametrize("depths", [range(1, 5),
-                                    pytest.param(range(5, 6), marks=pytest.mark.slow)],
+@pytest.mark.parametrize("depths, tied_systems",
+                         [(range(1, 5), 116),
+                          pytest.param(range(5, 6), 188, marks=pytest.mark.slow)],
                          ids=["depth<=4", "depth5"])
-def test_coupled_walk_matches_weak_order_route_on_every_small_shape(depths):
+def test_coupled_walk_matches_weak_order_route_on_every_small_shape(monkeypatch, depths,
+                                                                   tied_systems):
     """Every S_ij and harmonic-form system of every shape of the given total
     depths: the cut-filter walk agrees with the sum of the per-weak-order
-    coupled chains at cutoffs around the 256-value tile edges to 1e-12 of
-    the largest value (a sum that is 0 in exact arithmetic, as at small
-    cutoffs, may come out as a rounding residue), and conjugating every
-    argument conjugates it exactly."""
-    top = DAG_CUTOFFS[-1]
+    coupled and tied chains at cutoffs around the 256-value tile edges to
+    1e-12 of the largest value (a sum that is 0 in exact arithmetic, as at
+    small cutoffs, may come out as a rounding residue), and conjugating
+    every argument conjugates it exactly.  The walk reaches a tie edge with
+    a nonzero tie factor exactly on the systems where some weak order ties
+    the pair with a nonzero factor, and tied_systems systems do."""
+    factors = []
+    real_tie = couplings.Coupling.tie
+
+    def spy(cp, x):
+        f = real_tie(cp, x)
+        factors.append(bool(np.any(f != 0)))
+        return f
+
+    monkeypatch.setattr(couplings.Coupling, "tie", spy)
+    top, tied = DAG_CUTOFFS[-1], 0
     for depth in depths:
         for blocks in compositions(depth):
             shape = Shape(blocks)
@@ -1033,13 +1060,19 @@ def test_coupled_walk_matches_weak_order_route_on_every_small_shape(depths):
                                             for k in range(depth)))
             conj = zip(coupled_systems(args), coupled_systems(args.conjugate()))
             for (cs, exps, pieces), (_, exps_c, pieces_c) in conj:
+                factors.clear()
                 got = series._eval_system(cs, exps, pieces(top), DAG_CUTOFFS)
+                walk_tied = any(factors)
+                factors.clear()
                 want = reference_coupled_system(cs, exps, pieces(top), DAG_CUTOFFS)
+                assert walk_tied == any(factors), (blocks, cs)
+                tied += walk_tied
                 scale = max(abs(w) for w in want)
                 assert all(abs(v - w) <= 1e-12 * scale for v, w in zip(got, want)), \
                     (blocks, cs, got, want)
                 flipped = series._eval_system(cs, exps_c, pieces_c(top), DAG_CUTOFFS)
                 assert all(v == w.conjugate() for v, w in zip(got, flipped)), (blocks, cs)
+    assert tied == tied_systems
 
 
 def cut_filters(cs, va, vb):
