@@ -14,9 +14,12 @@ per-value factors L and R and a kernel K of the distance d = w - u only:
 So summing a row x over u < w is a product with the Toeplitz matrix
 T[u, w] = K(w - u), taken over fixed 256 x 256 tiles (toeplitz_rows).
 
-Complex powers v^e are computed as exp(e log v) with the real log of a
+`cpow` computes complex powers v^e as exp(e log v) with the real log of a
 positive integer; the sine/cosine are taken at |Im e| log v so that
-conjugating the exponent conjugates the result exactly.
+conjugating the exponent conjugates the result exactly.  It is the direct
+route and the oracle: the plain walks of series.py take the powers of
+values above 2^14 from binomial series around anchors every 16 values
+(`series._pow_vec`), with c^e for each anchor c from cpow.
 """
 
 from __future__ import annotations

@@ -34,9 +34,16 @@ The harmonic-form evaluators sum the extra variable analytically into a
 harmonic-range factor and truncate only the outer variables, so at finite
 N they differ from the direct path; the two agree in the limit.
 
-Complex powers n^(-s) are computed as exp(-s log n) with the real log of a
-positive integer; the sine/cosine are taken at |Im s| log n so that
-conjugating every argument conjugates the result exactly.  Products of
+Complex powers n^(-s) of n up to 2^14 are computed as exp(-s log n) with
+the real log of a positive integer (`couplings.cpow`).  Above 2^14,
+n^(-s) = c^(-s) (1 + u)^(-s) with an anchor c every 16 values and
+u = (n - c)/c <= 15/16385: c^(-s) by cpow, (1 + u)^(-s) by its binomial
+series in real Horner steps, cut at the least degree whose proven tail
+bound is below 2^-56; an exponent that needs more than 7 terms takes cpow
+for every value.  The rule depends only on n and s, so a power has the same
+bits in every segment and table.  Both routes take the sine/cosine and the
+series at |Im s| and negate the imaginary part, so that conjugating every
+argument conjugates the result exactly.  Products of
 powers are taken in variable order, never in an order of their values,
 which conjugation could change, so they stay exact under conjugation too.
 
@@ -50,7 +57,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -97,6 +104,17 @@ MT_CUTOFF_CAP = 1_000_000
 # Plain sums are streamed over segments of this many values; a walk keeps
 # one pending vector per filter it has reached (18 for (2,2,2) S_1).
 _SEGMENT = 1 << 14
+# Powers of values above _ANCHOR_FROM come from anchors every _GROUP values
+# (`_pow_vec`); _U_MAX bounds the offset u = (v - c)/c from the anchor c.  A
+# segment that starts at a multiple of _ANCHOR_FROM splits into whole groups.
+_ANCHOR_FROM = 1 << 14
+_GROUP = 16
+_U_MAX = (_GROUP - 1) / (_ANCHOR_FROM + 1)
+# The binomial series of (1 + u)^-s is cut where its tail is below
+# _SERIES_TOL.  _MAX_DEGREE bounds the work per value: an exponent that needs
+# more terms (|s| past about 30) takes cpow for every value.
+_SERIES_TOL = 2.0 ** -56
+_MAX_DEGREE = 7
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +193,171 @@ def _as_plan(plan) -> TruncationPlan:
 # ---------------------------------------------------------------------------
 
 
-def _pow_vec(n_max: int, s: complex, start: int = 0) -> np.ndarray:
-    """[start+1..n_max]^(-s)."""
-    return cpow(np.arange(start + 1, n_max + 1, dtype=np.float64), -complex(s))
+@lru_cache(maxsize=1024)
+def _binomial_series(s: complex) -> Optional[tuple[complex, ...]]:
+    """binom(e, k) for k = 0..K, the coefficients of (1 + u)^e for the
+    exponent e = -s taken at |Im s|, with K >= 1 the least degree whose tail
+    is below _SERIES_TOL relative to (1 + u)^e for every 0 <= u <= _U_MAX;
+    None for real s, and where that needs a degree past _MAX_DEGREE.
+
+    With a_{k+1} = a_k (e - k)/(k + 1) and |e - k| <= |e| + k, every ratio
+    |a_{k+1}/a_k| past a_{K+1} is at most q = max(1, (|e| + K + 1)/(K + 2)),
+    so the tail is at most |a_{K+1}| U^{K+1} / (1 - qU), and
+    |(1 + u)^e| = (1 + u)^Re e is at least (1 + U)^min(Re e, 0)."""
+    s = complex(s)
+    if not s.imag:
+        return None
+    e = complex(-s.real, abs(s.imag))
+    coeffs = [1 + 0j]
+    for k in range(_MAX_DEGREE + 1):
+        a = coeffs[-1] * (e - k) / (k + 1)
+        rho = _U_MAX * max(1.0, (abs(e) + k + 1) / (k + 2))
+        if k and rho < 1 and (abs(a) * _U_MAX ** (k + 1) / (1 - rho)
+                              * (1 + _U_MAX) ** max(-e.real, 0.0)) < _SERIES_TOL:
+            return tuple(coeffs)
+        coeffs.append(a)
+    return None
 
 
-def _power_table(n_max: int, start: int = 0) -> Callable[[complex], np.ndarray]:
-    """Memoised e -> [start+1..n_max]^(-e)."""
+class _PowerWork:
+    """Work and output vectors of the anchored route for ranges of up to
+    `size` values, shared by every range a walk takes in turn, so no range
+    pays fresh pages for them: the offsets u, the real and imaginary Horner
+    accumulators, and one output vector per exponent.  The output vectors of
+    exps are made here, before the walk makes any vector of its own; others
+    at their first use.  A range's powers are written over the last range's,
+    so a walk drops one range's powers before it asks for the next."""
+
+    def __init__(self, size: int, exps: Sequence[complex] = ()):
+        self.groups = size // _GROUP + 2  # the most groups `size` values touch
+        self.u, self.re, self.im = (np.empty((self.groups, _GROUP)) for _ in range(3))
+        self.outs: dict[complex, np.ndarray] = {}
+        for s in exps:
+            if _binomial_series(s) is not None:
+                self.out(s)
+
+    def out(self, s: complex) -> np.ndarray:
+        """The output vector of exponent s."""
+        buf = self.outs.get(s)
+        if buf is None:
+            buf = self.outs[s] = np.empty((self.groups, _GROUP), dtype=np.complex128)
+        return buf
+
+
+class _Grid(NamedTuple):
+    """The values lo+1..hi of a range, all above _ANCHOR_FROM, in whole
+    groups of _GROUP from the anchor `first`: value first + _GROUP g + j has
+    anchor c_g = first + _GROUP g and offset u[g, j] = j / c_g."""
+
+    lo: int
+    hi: int
+    first: int
+    u: np.ndarray
+    work: _PowerWork
+
+
+def _grid(n_max: int, start: int, work: Optional[_PowerWork] = None) -> Optional[_Grid]:
+    """The anchored part of [start+1..n_max] (None if empty), its vectors
+    taken from work when given."""
+    lo = max(start, _ANCHOR_FROM)
+    if n_max <= lo:
+        return None
+    first = lo + 1 - lo % _GROUP
+    groups = -(-(n_max - first + 1) // _GROUP)
+    work = work or _PowerWork(n_max - lo)
+    anchors = first + _GROUP * np.arange(groups, dtype=np.float64)
+    u = work.u[:groups]
+    np.divide(np.arange(_GROUP, dtype=np.float64), anchors[:, None], out=u)
+    return _Grid(lo, n_max, first, u, work)
+
+
+def _horner(acc: np.ndarray, u: np.ndarray, coeffs: Sequence[float]):
+    """acc = sum_k coeffs[k] u^k (degree >= 1) by Horner's rule, in place."""
+    np.multiply(u, coeffs[-1], out=acc)
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= u
+    if coeffs[0]:
+        acc += coeffs[0]
+
+
+def _anchored(grid: _Grid, e: complex, coeffs: Sequence[complex],
+              out: np.ndarray) -> np.ndarray:
+    """[grid.lo+1..grid.hi]^e for Im e >= 0, coeffs the binomial series of
+    (1 + u)^e, written into out (of u's shape or more groups): c^e (1 + u)^e
+    per value, c^e by cpow, (1 + u)^e by real Horner steps on the real and
+    imaginary parts, and their complex product in real steps."""
+    u = grid.u
+    groups = len(u)
+    re, im, out = grid.work.re[:groups], grid.work.im[:groups], out[:groups]
+    _horner(re, u, [c.real for c in coeffs])
+    _horner(im, u, [c.imag for c in coeffs])
+    anchors = cpow(grid.first + _GROUP * np.arange(groups, dtype=np.float64), e)
+    ar, ai = anchors.real[:, None], anchors.imag[:, None]
+    o_re, o_im = out.real, out.imag
+    np.multiply(re, ar, out=o_re)
+    np.multiply(im, ai, out=o_im)
+    o_re -= o_im
+    np.multiply(im, ar, out=o_im)
+    re *= ai
+    o_im += re
+    skip = grid.lo + 1 - grid.first
+    return out.reshape(-1)[skip:skip + grid.hi - grid.lo]
+
+
+def _pow_vec(n_max: int, s: complex, start: int = 0,
+             grid: Optional[_Grid] = None) -> np.ndarray:
+    """[start+1..n_max]^(-s), grid the range's `_grid` (made here if None).
+
+    Values up to _ANCHOR_FROM take cpow, and so does every value when s is
+    real or `_binomial_series` has no degree for it.  Above, v^(-s) is
+    c^(-s) (1 + u)^(-s) with the anchor c = v - ((v - 1) mod _GROUP) and
+    u = (v - c)/c; the rule depends only on (v, s), so a value's power has
+    the same bits in every range.  Both routes work at |Im s| and negate
+    the imaginary part, so conjugating s conjugates the result exactly."""
+    e = -complex(s)
+    coeffs = _binomial_series(s)
+    if coeffs is None or n_max <= _ANCHOR_FROM:
+        return cpow(np.arange(start + 1, n_max + 1, dtype=np.float64), e)
+    if grid is None and n_max - start > _SEGMENT:
+        # A long range without a table: one segment at a time through one
+        # work set, so the work vectors do not grow with the range.
+        work, out = _PowerWork(_SEGMENT), np.empty(n_max - start, dtype=np.complex128)
+        for a in range(start, n_max, _SEGMENT):
+            b = min(a + _SEGMENT, n_max)
+            out[a - start:b - start] = _pow_vec(b, s, a, _grid(b, a, work))
+        return out
+    grid = grid or _grid(n_max, start)
+    # A range from below _ANCHOR_FROM has cpow's values first; its anchored
+    # part then starts a group, and both go in one fresh vector.
+    head = grid.lo - start
+    if head:
+        full = np.empty(head + grid.u.size, dtype=np.complex128)
+        full[:head] = cpow(np.arange(start + 1, grid.lo + 1, dtype=np.float64), e)
+        buf = full[head:].reshape(grid.u.shape)
+    else:
+        buf = grid.work.out(s)
+    out = _anchored(grid, complex(e.real, abs(e.imag)), coeffs, buf)
+    if e.imag < 0:
+        np.subtract(0.0, out.imag, out=out.imag)
+    return full[:n_max - start] if head else out
+
+
+def _power_table(n_max: int, start: int = 0,
+                 work: Optional[_PowerWork] = None) -> Callable[[complex], np.ndarray]:
+    """Memoised e -> [start+1..n_max]^(-e).  Every exponent shares one
+    `_grid` of the range, made at the first that needs it, its work vectors
+    taken from work when given."""
     table: dict[complex, np.ndarray] = {}
+    grid = None
 
     def power(e: complex) -> np.ndarray:
+        nonlocal grid
         g = table.get(e)
         if g is None:
-            g = table[e] = _pow_vec(n_max, e, start)
+            if grid is None and n_max > _ANCHOR_FROM and _binomial_series(e):
+                grid = _grid(n_max, start, work)
+            g = table[e] = _pow_vec(n_max, e, start, grid)
         return g
 
     return power
@@ -253,11 +423,12 @@ def _walk(edges: dict, runs: dict, vec: Callable[[tuple], np.ndarray], carries: 
     for mask, out in edges.items():
         if mask not in runs:
             continue
-        pre = run = runs.pop(mask)
-        if run is not None:
-            pre = np.empty(len(run) + 1, run.dtype)
+        pre = runs.pop(mask)
+        if pre is not None:
+            run, pre = pre, np.empty(len(pre) + 1, pre.dtype)
             pre[0] = carries.get(mask, 0)
             pre[1:] = run
+            del run  # free the run before the edges make their vectors
             np.cumsum(pre, out=pre)
             carries[mask] = pre[-1]
             pre = pre[:-1]
@@ -273,22 +444,34 @@ def _chain_plain(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
     1 <= x_1 < ... < x_t <= n of prod_l prod_{i in level l} x_l^(-exps[i]).
 
     One pass at the largest cutoff, streamed over value segments, each with
-    one table of single-exponent powers.  A level's vector is the product of
-    its members' vectors in index order (empty: ones), so conjugation stays
-    exact.  Each segment is one `_walk` from the source down, whose carries
-    give every filter's prefix sums the bits of one sequential sum.  The
-    value at n adds, segment by segment, the sum of the sink's run up to n.
+    one table of single-exponent powers; the tables share one `_PowerWork`,
+    as each segment's vectors are dropped before the next.  A level's
+    vector is the product of its members' vectors in index order (empty:
+    ones), so conjugation stays exact.  Each segment is one `_walk` from the
+    source down, whose carries give every filter's prefix sums the bits of
+    one sequential sum.  The value at n adds, segment by segment, the sum of
+    the sink's run up to n.
     """
     edges = _live_edges(steps, exps)
     top = max(cutoffs, default=0)
     carries: dict[int, complex] = {}
     totals = [0j] * len(cutoffs)
+    work = _PowerWork(min(_SEGMENT, top), exps if top > _ANCHOR_FROM else ())
+    source = max(steps)
     for s0 in range(0, top, _SEGMENT):
         s1 = min(s0 + _SEGMENT, top)
-        power = _power_table(s1, s0)
-        runs: dict[int, Optional[np.ndarray]] = {max(steps): None}  # None: all ones
-        for _, rest, g in _walk(edges, runs, lambda members: _product(power, members), carries):
-            _add(runs, rest, g)
+        power = _power_table(s1, s0, work)
+        runs: dict[int, Optional[np.ndarray]] = {source: None}  # None: all ones
+        # Runs this walk made, so it may add into them in place; an edge out
+        # of the source yields a level vector itself, which the table keeps.
+        own: set[int] = set()
+        for mask, rest, g in _walk(edges, runs, lambda members: _product(power, members), carries):
+            if rest in own:
+                runs[rest] += g
+            else:
+                if rest in runs or mask != source:
+                    own.add(rest)
+                _add(runs, rest, g)
             # Drop g before the walk makes the next edge's vector, so that
             # vector can reuse g's block instead of new pages.
             del g

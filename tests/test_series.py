@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -1126,3 +1127,106 @@ def test_mordell_tornheim_matches_double_loop():
         assert v == mt(n).value, n
     assert rep.residual == abs(rep.value - mt(30).value)
     assert abs(mt(45).value - brute_mordell_tornheim(s1, s2, s3, 45)) <= 1e-13
+
+
+# --- powers above 2^14: the anchored binomial route --------------------------
+
+# The complex exponents of the chains-plain benchmark at its recorded seed.
+BENCH_EXPONENTS = (1.2 - 0.170805j, 2.2 + 0.060846j, 1.5 - 0.030827j, 2.5 + 0.230842j,
+                   1.2 + 0.402149j, 2.2 + 0.018633j, 1.5 + 0.494844j,
+                   1.5 - 0.071391j, 1.5 - 0.047714j, 2.0 - 0.429558j)
+
+
+def cpow_range(n_max, s, start=0):
+    return couplings.cpow(np.arange(start + 1, n_max + 1, dtype=np.float64), -complex(s))
+
+
+@pytest.mark.parametrize("start, n_max", [
+    (16000, 16500),        # straddles 2^14
+    (0, 20000),            # from 1, straddling
+    (16390, 17001),        # a start inside a group
+    (16384, 16391),        # a partial last group
+    (16384, 16385),        # one value, the first anchor
+    (20000, 20001),        # one value inside a group
+    (3_983_616, 4_000_000),  # the top segment of a 4e6 chain
+])
+def test_anchored_powers_match_cpow(start, n_max):
+    """Above 2^14 every power is within 4e-15 relative of the cpow oracle,
+    for the benchmark's exponents and their conjugates."""
+    for s in BENCH_EXPONENTS:
+        assert series._binomial_series(s) is not None
+        for t in (s, s.conjugate()):
+            got, want = series._pow_vec(n_max, t, start), cpow_range(n_max, t, start)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15, (t, start, n_max)
+
+
+@pytest.mark.parametrize("s", [2 + 1e300j, 40 + 30j])
+def test_large_exponents_fall_back_to_cpow(s):
+    """An exponent whose series tail cannot be bounded within the degree
+    cap takes cpow for every value, bit for bit, and warns of nothing."""
+    assert series._binomial_series(s) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (s, s.conjugate()):
+            assert np.array_equal(series._pow_vec(20000, t), cpow_range(20000, t))
+
+
+@pytest.mark.parametrize("segment", [series._SEGMENT, 1 << 12, 4099])
+def test_segment_powers_equal_one_table(segment):
+    """A power has the same bits in every table: segment tables sharing one
+    work set, one table over 1..top, one range taken segment by segment
+    without a table, and a single-value range."""
+    top = 40000
+    whole = series._power_table(top)
+    for s in BENCH_EXPONENTS[:4]:
+        assert np.array_equal(series._pow_vec(top, s), whole(s))
+    work = series._PowerWork(segment)
+    for s0 in range(0, top, segment):
+        s1 = min(s0 + segment, top)
+        power = series._power_table(s1, s0, work)
+        for s in BENCH_EXPONENTS[:4] + (1.0, 2.5 - 1e300j):
+            assert np.array_equal(power(s), whole(s)[s0:s1]), (s, s0)
+    for v in (16384, 16385, 16400, 39999):
+        assert series._pow_vec(v, BENCH_EXPONENTS[3], v - 1)[0] == whole(BENCH_EXPONENTS[3])[v - 1]
+
+
+@pytest.mark.parametrize("segment", [None, 1 << 12])
+def test_refinements_above_anchor_start_equal_single_cutoff_calls(monkeypatch, segment):
+    """Cutoffs at and past 2^14, read off one pass, are bit-identical to
+    single-cutoff calls, with default and smaller segments."""
+    if segment is not None:
+        monkeypatch.setattr(series, "_SEGMENT", segment)
+    ns = (16384, 16385, 40000)
+    for fn in (lambda p: eval_mzf([1.5 + 0.4j, 1.5 - 0.2j, 2.0 - 0.43j], p),
+               lambda p: eval_zeta_C_i(SHAPE_21, 1, p)):
+        rep = fn(TruncationPlan(ns[-1], refinements=ns))
+        for n, v in rep.refinements:
+            assert v == fn(n).value, n
+        assert rep.residual == abs(rep.value - fn(ns[-1] // 2).value)
+
+
+def test_conjugation_exact_above_anchor_start():
+    s = SHAPE_21
+    plan = TruncationPlan(40000, refinements=(16385, 40000))
+    for fn in (lambda a: eval_mzf([a[(1, 1)], a[(1, 2)], a[(2, 1)]], plan),
+               lambda a: eval_zeta_C(a, plan),
+               lambda a: eval_zeta_C_i(a, 2, plan)):
+        r1, r2 = fn(s), fn(s.conjugate())
+        assert r1.value == r2.value.conjugate()
+        assert all(v == w.conjugate() for (_, v), (_, w) in zip(r1.refinements, r2.refinements))
+
+
+def test_harmonic_relation_check_above_anchor_start():
+    """The four pieces still tile the product box: powers of one value are
+    the same in every chain, so the defect stays at rounding level."""
+    for s1, s2 in ((2.0, 3.0 + 1.0j), (1.5 + 0.4j, 2.0 - 0.3j), (1.2 + 0.17j, 2.5 - 0.23j)):
+        assert harmonic_relation_check(s1, s2, 50000) < 1e-14
+
+
+def test_mordell_tornheim_above_anchor_start():
+    """Its power vectors reach 2 * 10^4; the value stays within 1e-12 of the
+    direct route's (1.3165349957447054 - 0.2671214216141384i)."""
+    got = eval_mordell_tornheim(1.5 + 0.4j, 0.8 - 0.3j, 1.2 + 0.2j, 10000).value
+    want = 1.3165349957447054 - 0.2671214216141384j
+    assert abs(got - want) <= 1e-12 * abs(want)
