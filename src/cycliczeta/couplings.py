@@ -17,9 +17,12 @@ T[u, w] = K(w - u), taken over fixed 256 x 256 tiles (toeplitz_rows).
 `cpow` computes complex powers v^e as exp(e log v) with the real log of a
 positive integer; the sine/cosine are taken at |Im e| log v so that
 conjugating the exponent conjugates the result exactly.  It is the direct
-route and the oracle: the plain walks of series.py take the powers of
-values above 2^14 from binomial series around anchors every 16 values
-(`series._pow_vec`), with c^e for each anchor c from cpow.
+route and the oracle.  `series._pow_vec` takes the powers of values above
+2^14 from binomial series around anchors every 16 values, with c^e for
+each anchor c from cpow; its callers are the plain walks
+(`series._chain_plain`), the coupled walks' power tables
+(`series._coupled_sink`, past cutoff 2^14) and the double series
+(`series.eval_mordell_tornheim`, whose vectors reach 2N, so past N = 8192).
 """
 
 from __future__ import annotations

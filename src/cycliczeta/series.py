@@ -41,9 +41,11 @@ u = (n - c)/c <= 15/16385: c^(-s) by cpow, (1 + u)^(-s) by its binomial
 series in real Horner steps, cut at the least degree whose proven tail
 bound is below 2^-56; an exponent that needs more than 7 terms takes cpow
 for every value.  The rule depends only on n and s, so a power has the same
-bits in every segment and table.  Both routes take the sine/cosine and the
-series at |Im s| and negate the imaginary part, so that conjugating every
-argument conjugates the result exactly.  Products of
+bits in every segment and table.  A plain walk's segment past 2^14 writes
+its powers into work vectors shared by every segment (`_PowerWork`); any
+other range gets one fresh vector.  Both routes take the sine/cosine and
+the series at |Im s| and negate the imaginary part, so that conjugating
+every argument conjugates the result exactly.  Products of
 powers are taken in variable order, never in an order of their values,
 which conjugation could change, so they stay exact under conjugation too.
 
@@ -54,10 +56,11 @@ series) with DomainError; the double series only warns.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -225,12 +228,16 @@ class _PowerWork:
     pays fresh pages for them: the offsets u, the real and imaginary Horner
     accumulators, and one output vector per exponent.  The output vectors of
     exps are made here, before the walk makes any vector of its own; others
-    at their first use.  A range's powers are written over the last range's,
-    so a walk drops one range's powers before it asks for the next."""
+    at their first use.  Made at first use instead, they put the peak RSS
+    of the `chains-plain` benchmark up by 0.13 MiB (2-vCPU host, 4 of 4
+    paired runs).  A range's powers are written over the last range's, so
+    a walk drops one range's powers before it asks for the next."""
 
     def __init__(self, size: int, exps: Sequence[complex] = ()):
+        self.size = size
         self.groups = size // _GROUP + 2  # the most groups `size` values touch
         self.u, self.re, self.im = (np.empty((self.groups, _GROUP)) for _ in range(3))
+        self.layout = None  # (first anchor, groups) of the offsets in u
         self.outs: dict[complex, np.ndarray] = {}
         for s in exps:
             if _binomial_series(s) is not None:
@@ -244,33 +251,6 @@ class _PowerWork:
         return buf
 
 
-class _Grid(NamedTuple):
-    """The values lo+1..hi of a range, all above _ANCHOR_FROM, in whole
-    groups of _GROUP from the anchor `first`: value first + _GROUP g + j has
-    anchor c_g = first + _GROUP g and offset u[g, j] = j / c_g."""
-
-    lo: int
-    hi: int
-    first: int
-    u: np.ndarray
-    work: _PowerWork
-
-
-def _grid(n_max: int, start: int, work: Optional[_PowerWork] = None) -> Optional[_Grid]:
-    """The anchored part of [start+1..n_max] (None if empty), its vectors
-    taken from work when given."""
-    lo = max(start, _ANCHOR_FROM)
-    if n_max <= lo:
-        return None
-    first = lo + 1 - lo % _GROUP
-    groups = -(-(n_max - first + 1) // _GROUP)
-    work = work or _PowerWork(n_max - lo)
-    anchors = first + _GROUP * np.arange(groups, dtype=np.float64)
-    u = work.u[:groups]
-    np.divide(np.arange(_GROUP, dtype=np.float64), anchors[:, None], out=u)
-    return _Grid(lo, n_max, first, u, work)
-
-
 def _horner(acc: np.ndarray, u: np.ndarray, coeffs: Sequence[float]):
     """acc = sum_k coeffs[k] u^k (degree >= 1) by Horner's rule, in place."""
     np.multiply(u, coeffs[-1], out=acc)
@@ -281,18 +261,25 @@ def _horner(acc: np.ndarray, u: np.ndarray, coeffs: Sequence[float]):
         acc += coeffs[0]
 
 
-def _anchored(grid: _Grid, e: complex, coeffs: Sequence[complex],
-              out: np.ndarray) -> np.ndarray:
-    """[grid.lo+1..grid.hi]^e for Im e >= 0, coeffs the binomial series of
-    (1 + u)^e, written into out (of u's shape or more groups): c^e (1 + u)^e
-    per value, c^e by cpow, (1 + u)^e by real Horner steps on the real and
-    imaginary parts, and their complex product in real steps."""
-    u = grid.u
-    groups = len(u)
-    re, im, out = grid.work.re[:groups], grid.work.im[:groups], out[:groups]
+def _anchored(work: _PowerWork, lo: int, hi: int, e: complex,
+              coeffs: Sequence[complex], out: np.ndarray) -> np.ndarray:
+    """[lo+1..hi]^e for _ANCHOR_FROM <= lo < hi and Im e >= 0, coeffs the
+    binomial series of (1 + u)^e, written into out (a `work.out` vector) in
+    whole groups of _GROUP from the anchor `first`: value first + _GROUP g + j
+    is c^e (1 + u)^e with c = first + _GROUP g and u = j / c, c^e by cpow,
+    (1 + u)^e by real Horner steps on the real and imaginary parts, their
+    product in real steps.  work keeps u for the next exponent of the range."""
+    first = lo + 1 - lo % _GROUP
+    groups = -(-(hi - first + 1) // _GROUP)
+    anchors = first + _GROUP * np.arange(groups, dtype=np.float64)
+    u = work.u[:groups]
+    if work.layout != (first, groups):
+        np.divide(np.arange(_GROUP, dtype=np.float64), anchors[:, None], out=u)
+        work.layout = (first, groups)
+    re, im, out = work.re[:groups], work.im[:groups], out[:groups]
     _horner(re, u, [c.real for c in coeffs])
     _horner(im, u, [c.imag for c in coeffs])
-    anchors = cpow(grid.first + _GROUP * np.arange(groups, dtype=np.float64), e)
+    anchors = cpow(anchors, e)
     ar, ai = anchors.real[:, None], anchors.imag[:, None]
     o_re, o_im = out.real, out.imag
     np.multiply(re, ar, out=o_re)
@@ -301,13 +288,14 @@ def _anchored(grid: _Grid, e: complex, coeffs: Sequence[complex],
     np.multiply(im, ar, out=o_im)
     re *= ai
     o_im += re
-    skip = grid.lo + 1 - grid.first
-    return out.reshape(-1)[skip:skip + grid.hi - grid.lo]
+    skip = lo + 1 - first
+    return out.reshape(-1)[skip:skip + hi - lo]
 
 
 def _pow_vec(n_max: int, s: complex, start: int = 0,
-             grid: Optional[_Grid] = None) -> np.ndarray:
-    """[start+1..n_max]^(-s), grid the range's `_grid` (made here if None).
+             work: Optional[_PowerWork] = None) -> np.ndarray:
+    """[start+1..n_max]^(-s): in work's output vector of s when the range
+    starts at or above _ANCHOR_FROM and fits work, else in a fresh vector.
 
     Values up to _ANCHOR_FROM take cpow, and so does every value when s is
     real or `_binomial_series` has no degree for it.  Above, v^(-s) is
@@ -319,45 +307,33 @@ def _pow_vec(n_max: int, s: complex, start: int = 0,
     coeffs = _binomial_series(s)
     if coeffs is None or n_max <= _ANCHOR_FROM:
         return cpow(np.arange(start + 1, n_max + 1, dtype=np.float64), e)
-    if grid is None and n_max - start > _SEGMENT:
-        # A long range without a table: one segment at a time through one
-        # work set, so the work vectors do not grow with the range.
-        work, out = _PowerWork(_SEGMENT), np.empty(n_max - start, dtype=np.complex128)
-        for a in range(start, n_max, _SEGMENT):
-            b = min(a + _SEGMENT, n_max)
-            out[a - start:b - start] = _pow_vec(b, s, a, _grid(b, a, work))
-        return out
-    grid = grid or _grid(n_max, start)
-    # A range from below _ANCHOR_FROM has cpow's values first; its anchored
-    # part then starts a group, and both go in one fresh vector.
-    head = grid.lo - start
-    if head:
-        full = np.empty(head + grid.u.size, dtype=np.complex128)
-        full[:head] = cpow(np.arange(start + 1, grid.lo + 1, dtype=np.float64), e)
-        buf = full[head:].reshape(grid.u.shape)
+    up = complex(e.real, abs(e.imag))
+    if work is not None and start >= _ANCHOR_FROM and n_max - start <= work.size:
+        out = _anchored(work, start, n_max, up, coeffs, work.out(s))
     else:
-        buf = grid.work.out(s)
-    out = _anchored(grid, complex(e.real, abs(e.imag)), coeffs, buf)
+        # cpow up to _ANCHOR_FROM, then one segment at a time, so the work
+        # set does not grow with the range
+        lo = max(start, _ANCHOR_FROM)
+        out = np.empty(n_max - start, dtype=np.complex128)
+        out[:lo - start] = cpow(np.arange(start + 1, lo + 1, dtype=np.float64), up)
+        work = _PowerWork(min(_SEGMENT, n_max - lo))
+        for a in range(lo, n_max, _SEGMENT):
+            b = min(a + _SEGMENT, n_max)
+            out[a - start:b - start] = _anchored(work, a, b, up, coeffs, work.out(s))
     if e.imag < 0:
         np.subtract(0.0, out.imag, out=out.imag)
-    return full[:n_max - start] if head else out
+    return out
 
 
 def _power_table(n_max: int, start: int = 0,
                  work: Optional[_PowerWork] = None) -> Callable[[complex], np.ndarray]:
-    """Memoised e -> [start+1..n_max]^(-e).  Every exponent shares one
-    `_grid` of the range, made at the first that needs it, its work vectors
-    taken from work when given."""
+    """Memoised e -> `_pow_vec(n_max, e, start, work)`."""
     table: dict[complex, np.ndarray] = {}
-    grid = None
 
     def power(e: complex) -> np.ndarray:
-        nonlocal grid
         g = table.get(e)
         if g is None:
-            if grid is None and n_max > _ANCHOR_FROM and _binomial_series(e):
-                grid = _grid(n_max, start, work)
-            g = table[e] = _pow_vec(n_max, e, start, grid)
+            g = table[e] = _pow_vec(n_max, e, start, work)
         return g
 
     return power
@@ -400,19 +376,15 @@ def _path(levels: Sequence[Sequence[int]]) -> dict:
     return steps
 
 
-def _live_edges(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
-                exps: Sequence[complex]) -> dict:
-    """The edges of steps on some path to the sink 0, by source from the
-    largest mask down: {mask: [(members, rest), ...]}, members the level's
-    nonzero exponents in index order."""
-    live, edges = {0}, {}
-    for mask in sorted(steps):
-        out = [(tuple(exps[t] for t in lvl if exps[t] != 0), rest)
-               for lvl, rest in steps[mask] if rest in live]
-        if out:
-            live.add(mask)
-            edges[mask] = out
-    return dict(reversed(edges.items()))
+def _edges(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
+           exps: Sequence[complex]) -> dict:
+    """The edges of steps by source from the largest mask down:
+    {mask: [(members, rest), ...]}, members the level's nonzero exponents in
+    index order.  Every filter has a step (the minimal class of what remains
+    is a level), so every edge is on some path to the sink 0."""
+    return {mask: [(tuple(exps[t] for t in lvl if exps[t] != 0), rest)
+                   for lvl, rest in steps[mask]]
+            for mask in sorted(steps, reverse=True)}
 
 
 def _walk(edges: dict, runs: dict, vec: Callable[[tuple], np.ndarray], carries: dict):
@@ -452,7 +424,7 @@ def _chain_plain(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
     one sequential sum.  The value at n adds, segment by segment, the sum of
     the sink's run up to n.
     """
-    edges = _live_edges(steps, exps)
+    edges = _edges(steps, exps)
     top = max(cutoffs, default=0)
     carries: dict[int, complex] = {}
     totals = [0j] * len(cutoffs)
@@ -622,7 +594,7 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
        ... and the edge that places the other variable adds
        g * col_C * (strict prefix of B) to the plain run of its target;
     5. one plain walk, shared by every pair, takes those runs to the sink.
-    Every walk is a `_walk` of the same live edges over [1..top], with one
+    Every walk is a `_walk` of the same `_edges` over [1..top], with one
     memo of level vectors, each the product of its members' powers in
     index order; every step is elementwise, a cumsum or a Toeplitz product,
     so the first n entries are those of a call at cutoff n.
@@ -642,7 +614,7 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
 
     power = _power_table(top)
     vals = np.arange(1, top + 1, dtype=np.float64)
-    edges = _live_edges(steps, es)
+    edges = _edges(steps, es)
     vecs: dict[tuple, np.ndarray] = {}
 
     def vec(members: tuple) -> np.ndarray:
@@ -734,11 +706,17 @@ def _make_report(evalfn: Callable[[tuple[int, ...]], Sequence[complex]],
     at = dict(zip(ns, evalfn(ns)))
     at[0] = 0j
     value = at[plan.cutoff]
-    refs = None
-    if plan.refinements is not None:
-        refs = [(n, at[n]) for n in plan.refinements]
-    return EvalReport(value=value, cutoff=plan.cutoff, residual=abs(value - at[half]),
-                      refinements=refs)
+    residual = abs(value - at[half])
+    _check_finite(plan.cutoff, residual, *at.values())
+    refs = None if plan.refinements is None else [(n, at[n]) for n in plan.refinements]
+    return EvalReport(value=value, cutoff=plan.cutoff, residual=residual, refinements=refs)
+
+
+def _check_finite(n: int, *values: complex):
+    """Refuse a report at cutoff n with a value or residual that is not
+    finite: NaN and infinity are not JSON."""
+    if not all(map(cmath.isfinite, values)):
+        raise InternalInvariantError(f"non-finite value or residual at cutoff {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -866,12 +844,8 @@ def eval_theorem_residual(s: ComplexArgs, plan, *,
     shape = s.shape
     _require(w_inequalities(s), "W")
     _check_budget(plan, COUPLED_CUTOFF_CAP, max_cutoff)
-    tilde = []
-    for i in range(1, shape.d + 1):
-        for j in range(1, shape.r[i - 1] + 1):
-            tilde.append(
-                (build_constraints_S_ij(shape, i, j), _tilde_pieces(s, i, j, "diff"))
-            )
+    tilde = [(build_constraints_S_ij(shape, i, j), _tilde_pieces(s, i, j, "diff"))
+             for i, j in shape.positions()]
     # Refuse an over-cap system before any sum.
     for cs, _ in tilde:
         _check_orders(cs)
@@ -888,6 +862,7 @@ def eval_theorem_residual(s: ComplexArgs, plan, *,
     for cs in cees:
         rhs = [a + v for a, v in zip(rhs, _eval_system(cs, exps_c, [(1.0, None)], ns))]
     at = {n: (ln, rn) for n, ln, rn in zip(ns, lhs, rhs)}
+    _check_finite(plan.cutoff, *(abs(ln - rn) for ln, rn in at.values()))
     lhs, rhs = at[plan.cutoff]
     refs = None
     if plan.refinements is not None:

@@ -45,6 +45,29 @@ def test_eval_mzf_domain_exit_2(capsys):
     assert "Re(s(1,1))" in err
 
 
+HUGE = "1e308+1e308i"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "mzf", "--s", HUGE],
+    ["--kind", "theorem", "--shape", "1", "--s", HUGE],
+    ["--kind", "zeta-c", "--shape", "1", "--s", HUGE, "--format", "csv"],
+    ["--kind", "zeta-c", "--shape", "2", "--s", f"{HUGE},2.5", "--i", "1"],
+    ["--kind", "zeta-tilde", "--shape", "2", "--s", f"{HUGE},2.5", "--i", "1", "--j", "1",
+     "--variant", "diff"],
+    ["--kind", "zeta-tilde", "--shape", "2", "--s", f"{HUGE},2.5", "--i", "1", "--j", "1",
+     "--variant", "h1", "--format", "text"],
+    ["--kind", "mt", "--s", f"{HUGE},{HUGE},{HUGE}", "--format", "text"],
+], ids=["mzf", "theorem", "zeta-c-csv", "zeta-c-i", "zeta-tilde", "zeta-tilde-h1", "mt-text"])
+def test_eval_non_finite_exit_5(capsys, argv):
+    """A value or residual that is not finite is refused, not printed as NaN."""
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "eval", *argv, "--N", "10")
+    assert code == 5 and out == ""
+    assert err.startswith("internal error:") and "cutoff" in err
+    assert "Traceback" not in err
+
+
 def test_eval_theorem_refinements(capsys):
     code, out, _ = run(
         capsys, "eval", "--kind", "theorem", "--shape", "1", "--s", "3+0i",

@@ -493,18 +493,38 @@ def test_coupled_weak_order_cap_counts_the_weak_orders(monkeypatch):
     eval_zeta_C(s, 10)
 
 
-def test_dag_path_count_is_the_number_of_weak_orders(monkeypatch):
-    """The path count by which `_check_orders` refuses a coupled system is
-    its number of weak orders on every S, S_i, S_ij and T_i system of total
-    depth <= 4."""
+def small_systems(depths):
+    """The S, S_i, T_i and S_ij systems of every shape of the given total depths."""
     systems = []
-    for depth in range(1, 5):
+    for depth in depths:
         for blocks in compositions(depth):
             shape = Shape(blocks)
             systems += [build_constraints_S(shape)]
             systems += [build_constraints_S_i(shape, i) for i in range(1, shape.d + 1)]
             systems += [build_constraints_T_i(shape, i) for i in range(1, shape.d + 1)]
             systems += [build_constraints_S_ij(shape, i, j) for i, j in shape.positions()]
+    return systems
+
+
+def test_every_filter_has_a_step():
+    """Every filter of the order-filter DAG of every S, S_i, T_i and S_ij
+    system of total depth <= 5 has a next level, so every edge is on a path
+    to the sink and `_edges` keeps them all."""
+    systems, filters = small_systems(range(1, 6)), 0
+    assert len(systems) == 320
+    for cs in systems:
+        _, steps = decompose._filter_steps(cs)
+        assert all(steps.values()), cs
+        assert all(rest in steps for out in steps.values() for _, rest in out if rest)
+        filters += len(steps)
+    assert filters == 2466
+
+
+def test_dag_path_count_is_the_number_of_weak_orders(monkeypatch):
+    """The path count by which `_check_orders` refuses a coupled system is
+    its number of weak orders on every S, S_i, S_ij and T_i system of total
+    depth <= 4."""
+    systems = small_systems(range(1, 5))
     assert len(systems) == 128
     for cs in systems:
         orders = len(weak_orders(cs))
@@ -1159,6 +1179,19 @@ def test_anchored_powers_match_cpow(start, n_max):
             got, want = series._pow_vec(n_max, t, start), cpow_range(n_max, t, start)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15, (t, start, n_max)
+
+
+@pytest.mark.parametrize("segment", [None, 4099])
+@pytest.mark.parametrize("start, n_max", [(0, 40000), (16390, 50001)])
+def test_fresh_vector_conjugation_exact(monkeypatch, segment, start, n_max):
+    """A range no work set serves (from below 2^14, or longer than a
+    segment) is one fresh vector, and conjugating s conjugates it exactly."""
+    if segment is not None:
+        monkeypatch.setattr(series, "_SEGMENT", segment)
+    for s in BENCH_EXPONENTS:
+        got, flipped = series._pow_vec(n_max, s, start), series._pow_vec(n_max, s.conjugate(), start)
+        assert got.shape == (n_max - start,)
+        assert np.array_equal(got, flipped.conjugate()), (s, start, n_max)
 
 
 @pytest.mark.parametrize("s", [2 + 1e300j, 40 + 30j])
