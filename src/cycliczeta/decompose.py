@@ -10,10 +10,11 @@ the constraint poset and returns plain part tuples with their counts;
 `decompose_to_mzv` checks its input and wraps that result as a
 `SymbolCombination`, and relation generation sums the tuples itself.  The
 series evaluators walk the same order filters (`_filter_steps`) for their
-plain and coupled sums.  The weak orders themselves are enumerated only to
-name the one that makes a decomposition non-admissible
-(`_raise_non_admissible`); `decompose` output counts them from the
-combination.
+plain and coupled sums.  The engine's recursion also names the first weak
+order that makes a decomposition non-admissible, so no caller enumerates
+the weak orders; `decompose` output counts them from the combination.
+Building the filters is the only place where the size of a system is
+bounded (`LEVEL_CAP`).
 Completeness and disjointness of the split are exactly testable against a
 brute-force lattice-point count, which this module also provides.
 """
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, InternalInvariantError, NonAdmissibleError, ParseError
+from .errors import BudgetError, NonAdmissibleError, ParseError
 from .model import ConstraintSystem, REL_LT, VarId
 
 
@@ -165,6 +166,13 @@ class OrderedSetPartition:
         return "".join("(" + " ".join(str(v) for v in lvl) + ")" for lvl in self.levels)
 
 
+# The most candidate levels `_filter_steps` tries for one system.  The count
+# is the build's own work and bounds the edges of the DAG, so it bounds every
+# walk of it too: 14593 for the largest system of shape (4,4,4,4), at most
+# 2492 for every shape of total depth <= 9 (weights up to 11).
+LEVEL_CAP = 1 << 14
+
+
 @lru_cache(maxsize=None)
 def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
     """The variables of cs and, for every order filter reachable by peeling
@@ -175,6 +183,8 @@ def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
     subset of the currently minimal variables, closed under non-strict
     in-edges; subsets are tried in binary-counter order over the sorted
     candidate list, which fixes the order of the weak orders across runs.
+    A system whose filters need more than LEVEL_CAP candidate levels in
+    all raises BudgetError, before the filter past the cap is tried.
     """
     vs = cs.variables
     n = len(vs)
@@ -188,11 +198,17 @@ def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
             weak_in[idx[c.rhs]] |= 1 << idx[c.lhs]
     steps: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
     todo = [(1 << n) - 1]
+    tried = 0
     while todo:
         remaining = todo.pop()
         if remaining in steps:
             continue
         cand = [t for t in range(n) if remaining >> t & 1 and not strict_in[t] & remaining]
+        tried += (1 << len(cand)) - 1
+        if tried > LEVEL_CAP:
+            raise BudgetError(
+                f"the order filters of the {n}-variable system on shape {cs.shape} "
+                f"need more than {LEVEL_CAP} candidate levels (the cap)")
         out = []
         for mask in range(1, 1 << len(cand)):
             level = need = 0
@@ -253,23 +269,31 @@ def _part_counts(cs: ConstraintSystem, exps: Sequence[int]) -> dict[tuple[int, .
 
     The weak orders are counted, not built: a memoised recursion over the
     order filters maps each filter to the multiset of part tuples of its
-    completions, each level's part being the sum of its exponents.
+    completions, each level's part being the sum of its exponents.  It takes
+    the steps depth-first in canonical order and memoises a filter only once
+    all its completions are admissible, so the first non-admissible step it
+    meets lies on the first non-admissible weak order in canonical order:
+    the path to that step, then the first step of each later filter.
     """
     vs, steps = _filter_steps(cs)
     memo: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}
+    path: list[tuple[int, ...]] = []  # the levels from the source to this filter
 
     def completions(remaining: int) -> dict[tuple[int, ...], int]:
-        got = memo.get(remaining)
-        if got is None:
-            got = {}
-            for lvl, rest in steps[remaining]:
-                part = sum(exps[t] for t in lvl)
-                if part < 1 or (part < 2 and not rest):
-                    _raise_non_admissible(cs, dict(zip(vs, exps)))
-                for tail, n in completions(rest).items():
-                    key = (part,) + tail
-                    got[key] = got.get(key, 0) + n
-            memo[remaining] = got
+        got: dict[tuple[int, ...], int] = {}
+        for lvl, rest in steps[remaining]:
+            part = sum(exps[t] for t in lvl)
+            if part < 1 or (part < 2 and not rest):
+                _raise_non_admissible(vs, steps, exps, path + [lvl], rest)
+            tails = memo.get(rest)
+            if tails is None:
+                path.append(lvl)
+                tails = completions(rest)
+                path.pop()
+            for tail, n in tails.items():
+                key = (part,) + tail
+                got[key] = got.get(key, 0) + n
+        memo[remaining] = got
         return got
 
     return completions((1 << len(vs)) - 1)
@@ -286,19 +310,20 @@ def _combination(counts: Mapping[tuple[int, ...], int]) -> SymbolCombination:
     return SymbolCombination({_composition(parts): c for parts, c in counts.items()})
 
 
-def _raise_non_admissible(cs: ConstraintSystem, exponents: Mapping[VarId, int]):
-    """Raise for the first weak order, in canonical order, with a part < 1
-    or a last part < 2.  Every filter step lies on some weak order, so a bad
-    step found by the recursion always has one."""
-    for osp in weak_orders(cs):
-        parts = tuple(sum(int(exponents[v]) for v in lvl) for lvl in osp.levels)
-        if any(p < 1 for p in parts) or parts[-1] < 2:
-            raise NonAdmissibleError(
-                f"weak order {osp} yields non-admissible parts {parts}",
-                partition=osp,
-                parts=parts,
-            )
-    raise InternalInvariantError("non-admissible filter step on no weak order")
+def _raise_non_admissible(vs: Sequence[VarId], steps: Mapping[int, Sequence],
+                          exps: Sequence[int], levels: list[tuple[int, ...]], rest: int):
+    """Raise for the weak order that takes the given levels of variable
+    indices and then, from the filter rest, the first step of each filter."""
+    while rest:
+        lvl, rest = steps[rest][0]
+        levels.append(lvl)
+    osp = OrderedSetPartition(tuple(tuple(vs[t] for t in lvl) for lvl in levels))
+    parts = tuple(sum(exps[t] for t in lvl) for lvl in levels)
+    raise NonAdmissibleError(
+        f"weak order {osp} yields non-admissible parts {parts}",
+        partition=osp,
+        parts=parts,
+    )
 
 
 ORACLE_CUTOFF_CAP = 30

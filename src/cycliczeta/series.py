@@ -95,11 +95,6 @@ from .model import (
 )
 
 COUPLED_CUTOFF_CAP = 5000
-# A system with coupled pieces may have at most this many weak orders (929
-# for shape (2,2,2), 60663 for (2,2,2,2)).  A refusal policy, no longer the
-# cost driver: the coupled sum walks the cut filters of the order-filter
-# DAG (48 over the S_ij systems of (2,2,2)), not the weak orders.
-COUPLED_ORDER_CAP = 5000
 CHAIN_CUTOFF_CAP = 20_000_000
 # The double series is O(N log N) per cutoff, but its peak memory grows by
 # about 180 bytes per N (210 MiB at 1e6).
@@ -226,25 +221,19 @@ class _PowerWork:
     """Work and output vectors of the anchored route for ranges of up to
     `size` values, shared by every range a walk takes in turn, so no range
     pays fresh pages for them: the offsets u, the real and imaginary Horner
-    accumulators, and one output vector per exponent.  The output vectors of
-    exps are made here, before the walk makes any vector of its own; others
-    at their first use.  Made at first use instead, they put the peak RSS
-    of the `chains-plain` benchmark up by 0.13 MiB (2-vCPU host, 4 of 4
-    paired runs).  A range's powers are written over the last range's, so
-    a walk drops one range's powers before it asks for the next."""
+    accumulators, and one output vector per exponent, made at its first
+    use.  A range's powers are written over the last range's, so a walk
+    drops one range's powers before it asks for the next."""
 
-    def __init__(self, size: int, exps: Sequence[complex] = ()):
+    def __init__(self, size: int):
         self.size = size
         self.groups = size // _GROUP + 2  # the most groups `size` values touch
         self.u, self.re, self.im = (np.empty((self.groups, _GROUP)) for _ in range(3))
         self.layout = None  # (first anchor, groups) of the offsets in u
         self.outs: dict[complex, np.ndarray] = {}
-        for s in exps:
-            if _binomial_series(s) is not None:
-                self.out(s)
 
     def out(self, s: complex) -> np.ndarray:
-        """The output vector of exponent s."""
+        """The output vector of exponent s, made at its first use."""
         buf = self.outs.get(s)
         if buf is None:
             buf = self.outs[s] = np.empty((self.groups, _GROUP), dtype=np.complex128)
@@ -428,7 +417,7 @@ def _chain_plain(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
     top = max(cutoffs, default=0)
     carries: dict[int, complex] = {}
     totals = [0j] * len(cutoffs)
-    work = _PowerWork(min(_SEGMENT, top), exps if top > _ANCHOR_FROM else ())
+    work = _PowerWork(min(_SEGMENT, top))
     source = max(steps)
     for s0 in range(0, top, _SEGMENT):
         s1 = min(s0 + _SEGMENT, top)
@@ -520,35 +509,17 @@ def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
     return run
 
 
-def _check_orders(cs: ConstraintSystem):
-    """Refuse a coupled system with more than COUPLED_ORDER_CAP weak orders.
-    Every weak order is one path from the full filter to 0, and rest masks
-    are smaller than theirs, so one pass in mask order counts them."""
-    _, steps = _filter_steps(cs)
-    paths = {0: 1}
-    for mask in sorted(steps):
-        paths[mask] = sum(paths[rest] for _, rest in steps[mask])
-    orders = paths[max(steps)]
-    if orders > COUPLED_ORDER_CAP:
-        raise BudgetError(f"coupled system with {orders} weak orders exceeds "
-                          f"the cap {COUPLED_ORDER_CAP}")
-
-
 def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
                  tiles: Callable[[Kernel, int], np.ndarray] | None = None
                  ) -> list[complex]:
     """The constrained sum at every cutoff (all >= 1).  The uncoupled part
     is a sum over the order-filter DAG of cs; the coupled pieces, on two
     levels or tied on one, are one cut-filter walk of that DAG
-    (`_coupled_sink`), once at the largest cutoff; a coupled system with
-    more than COUPLED_ORDER_CAP weak orders raises BudgetError before
-    anything is summed.  tiles may be shared by systems evaluated at the
-    same cutoffs."""
+    (`_coupled_sink`), once at the largest cutoff.  tiles may be shared by
+    systems evaluated at the same cutoffs."""
     vs, steps = _filter_steps(cs)
     es = [complex(exps.get(v, 0)) for v in vs]
     coupled = [(coeff, cp) for coeff, cp in pieces if cp is not None]
-    if coupled:
-        _check_orders(cs)
     plain = sum(coeff for coeff, cp in pieces if cp is None)
     totals = [0j] * len(cutoffs)
     if plain != 0:
@@ -846,10 +817,10 @@ def eval_theorem_residual(s: ComplexArgs, plan, *,
     _check_budget(plan, COUPLED_CUTOFF_CAP, max_cutoff)
     tilde = [(build_constraints_S_ij(shape, i, j), _tilde_pieces(s, i, j, "diff"))
              for i, j in shape.positions()]
-    # Refuse an over-cap system before any sum.
-    for cs, _ in tilde:
-        _check_orders(cs)
     cees = [build_constraints_S_i(shape, i) for i in range(1, shape.d + 1)]
+    # Refuse a system over the DAG cap before any sum.
+    for cs in [cs for cs, _ in tilde] + cees:
+        _filter_steps(cs)
     exps_t = _block_exponents(s, extra=0)
     exps_c = _block_exponents(s, extra=1)
 

@@ -135,33 +135,42 @@ def test_eval_budget_exit_4(capsys):
     assert code == 4
 
 
-def test_eval_theorem_weak_order_cap_exit_4(capsys):
+def test_eval_and_decompose_dag_cap_exit_4(capsys):
     import time
 
-    # every S_ij system of (2,2,2,2) has 60663 weak orders, of (2,2,2) 929
-    start = time.perf_counter()
-    code, out, err = run(capsys, "eval", "--kind", "theorem", "--shape", "2,2,2,2",
-                         "--s", "1.5,2.5;1.5,2.5;1.5,2.5;1.5,2.5", "--N", "10")
-    assert code == 4 and out == "" and "60663 weak orders" in err
-    assert time.perf_counter() - start < 10
-    code, out, _ = run(capsys, "eval", "--kind", "theorem", "--shape", "2,2,2",
-                       "--s", "1.5,2.5;1.5,2.5;1.5,2.5", "--N", "10")
+    # the S_i systems of (2,2,2,2) try 949 candidate levels: accepted
+    code, out, _ = run(capsys, "eval", "--kind", "theorem", "--shape", "2,2,2,2",
+                       "--s", "1.5,2.5;1.5,2.5;1.5,2.5;1.5,2.5", "--N", "10")
     assert code == 0 and json.loads(out)["cutoff"] == 10
+    # the S system of (7,7,7,7,7,7) is refused while its DAG is built
+    shape = "7,7,7,7,7,7"
+    args = ";".join([",".join(["2"] * 7)] * 6)
+    exps = ",".join(f"n{i}_{j}:2" for i in range(1, 7) for j in range(1, 8))
+    for argv in (["eval", "--kind", "zeta-c", "--shape", shape, "--s", args, "--N", "10"],
+                 ["decompose", "--shape", shape, "--set", "S", "--exponents", exps]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == "" and "candidate levels" in err, argv
+        assert time.perf_counter() - start < 5
 
 
 def test_eval_theorem_refuses_an_over_cap_system_before_any_sum(capsys, monkeypatch):
-    """Shape (3,2,1,1) has five S_ij systems under the cap (1289-2121 weak
-    orders) and one above it (6185): the call exits 4 before summing any."""
-    from cycliczeta import series
+    """The S_ij systems of shape (3,2,1,1) try at most 302 candidate levels
+    and its S_i systems up to 358: with the cap between, the call exits 4
+    before summing any."""
+    from cycliczeta import decompose, series
 
     def never(*args, **kwargs):
         raise AssertionError("summed before the cap was checked")
 
+    monkeypatch.setattr(decompose, "LEVEL_CAP", 302)
     monkeypatch.setattr(series, "toeplitz_rows", never)
     monkeypatch.setattr(series, "_chain_plain", never)
+    decompose._filter_steps.cache_clear()  # DAGs built under the real cap
     code, out, err = run(capsys, "eval", "--kind", "theorem", "--shape", "3,2,1,1",
                          "--s", "1.2,1.1,2.3;1.4,2.5;1.6;1.7", "--N", "1000")
-    assert code == 4 and out == "" and "6185 weak orders" in err
+    assert code == 4 and out == ""
+    assert "shape 3,2,1,1 need more than 302 candidate levels" in err
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -632,6 +641,23 @@ def test_decompose_non_admissible_exit_5(capsys):
     )
     assert code == 5
     assert "partition" in err
+
+
+def test_decompose_non_admissible_without_enumerating_weak_orders(capsys):
+    """(3,3,3,3) S has 9483013 weak orders; the first one in canonical
+    order is reported without enumerating them."""
+    import time
+
+    exps = ",".join(f"n{i}_{j}:{0 if (i, j) == (1, 1) else 2}"
+                    for i in range(1, 5) for j in range(1, 4))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--shape", "3,3,3,3", "--set", "S",
+                         "--exponents", exps)
+    assert time.perf_counter() - start < 5
+    osp = "(n1_1)(n1_2)(n2_1)(n2_2)(n2_3)(n3_1)(n3_2)(n3_3)(n4_1)(n1_3)(n4_2)(n4_3)"
+    assert code == 5 and out == ""
+    assert err == (f"non-admissible symbol: weak order {osp} yields non-admissible "
+                   f"parts (0, {', '.join(['2'] * 11)}) (partition {osp})\n")
 
 
 def test_decompose_count_mode(capsys):

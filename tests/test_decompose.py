@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from cycliczeta import decompose
 from cycliczeta.errors import BudgetError, NonAdmissibleError
 from cycliczeta.decompose import (
     Composition,
@@ -294,6 +295,49 @@ def test_filter_recursion_matches_weak_order_counting():
                 assert (ei.value.partition.levels, ei.value.parts) == bad
                 rejected += 1
     assert admissible > 200 and rejected > 200
+
+
+def scan_first_non_admissible(cs, exps):
+    """The weak-order scan that named a non-admissible decomposition before
+    the engine's recursion did, kept as the oracle: the first weak order in
+    canonical order with a part < 1 or a last part < 2, and its parts (None
+    if there is none)."""
+    for osp in weak_orders(cs):
+        parts = tuple(sum(exps[v] for v in lvl) for lvl in osp.levels)
+        if min(parts) < 1 or parts[-1] < 2:
+            return osp, parts
+    return None
+
+
+def test_non_admissible_search_matches_the_weak_order_scan():
+    rng = random.Random(4099)
+    rejected = 0
+    for cs in SYSTEMS:
+        for lo, hi in ((0, 1), (0, 2), (0, 2), (1, 2), (1, 2), (1, 3)):
+            exps = {v: rng.randint(lo, hi) for v in cs.variables}
+            first = scan_first_non_admissible(cs, exps)
+            if first is None:
+                decompose_to_mzv(cs, exps)
+                continue
+            with pytest.raises(NonAdmissibleError) as ei:
+                decompose_to_mzv(cs, exps)
+            osp, parts = first
+            assert (ei.value.partition, ei.value.parts) == first, (str(cs), exps)
+            assert str(ei.value) == f"weak order {osp} yields non-admissible parts {parts}"
+            rejected += 1
+    assert len(SYSTEMS) * 6 == 1920 and rejected > 1000
+
+
+def test_filter_steps_refuse_past_the_level_cap(monkeypatch):
+    # the S_1 system of shape (2,2) tries 39 candidate levels over its 9 filters
+    cs = build_constraints_S_i(Shape((2, 2)), 1)
+    exps = {v: 2 for v in cs.variables}
+    decompose._filter_steps.cache_clear()
+    monkeypatch.setattr(decompose, "LEVEL_CAP", 38)
+    with pytest.raises(BudgetError, match="5-variable system on shape 2,2 need more than 38"):
+        decompose_to_mzv(cs, exps)
+    monkeypatch.setattr(decompose, "LEVEL_CAP", 39)
+    assert sum(decompose_to_mzv(cs, exps).coefficients().values()) == len(weak_orders(cs))
 
 
 def test_non_admissible_reports_first_weak_order():

@@ -474,25 +474,6 @@ def test_budget_cap():
         eval_zeta_tilde(s, 1, 1, 1, TruncationPlan(100, refinements=(50, 100_000)))
 
 
-def test_coupled_weak_order_cap_counts_the_weak_orders(monkeypatch):
-    # the path count of the filter DAG is the number of weak orders, and
-    # the cap refuses a coupled system only above it
-    s = ComplexArgs.parse("1.5,2.5;1.5", Shape((2, 1)))
-    orders = max(len(list(weak_orders(build_constraints_S_ij(s.shape, i, j))))
-                 for i, j in ((1, 1), (1, 2), (2, 1)))
-    assert orders == 11
-    monkeypatch.setattr(series, "COUPLED_ORDER_CAP", orders)
-    eval_theorem_residual(s, 10)
-    monkeypatch.setattr(series, "COUPLED_ORDER_CAP", orders - 1)
-    with pytest.raises(BudgetError, match="11 weak orders"):
-        eval_theorem_residual(s, 10)
-    with pytest.raises(BudgetError, match="11 weak orders"):
-        eval_zeta_tilde(s, 2, 1, "diff", 10)
-    # a system without coupled pieces is never refused
-    monkeypatch.setattr(series, "COUPLED_ORDER_CAP", 0)
-    eval_zeta_C(s, 10)
-
-
 def small_systems(depths):
     """The S, S_i, T_i and S_ij systems of every shape of the given total depths."""
     systems = []
@@ -518,21 +499,6 @@ def test_every_filter_has_a_step():
         assert all(rest in steps for out in steps.values() for _, rest in out if rest)
         filters += len(steps)
     assert filters == 2466
-
-
-def test_dag_path_count_is_the_number_of_weak_orders(monkeypatch):
-    """The path count by which `_check_orders` refuses a coupled system is
-    its number of weak orders on every S, S_i, S_ij and T_i system of total
-    depth <= 4."""
-    systems = small_systems(range(1, 5))
-    assert len(systems) == 128
-    for cs in systems:
-        orders = len(weak_orders(cs))
-        monkeypatch.setattr(series, "COUPLED_ORDER_CAP", orders)
-        series._check_orders(cs)
-        monkeypatch.setattr(series, "COUPLED_ORDER_CAP", orders - 1)
-        with pytest.raises(BudgetError, match=f"with {orders} weak orders"):
-            series._check_orders(cs)
 
 
 def test_report_serialization():
