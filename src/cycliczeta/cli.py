@@ -290,14 +290,23 @@ def _atomic_write(path: Path, data: bytes):
         raise
 
 
+def _generator_digest() -> str:
+    """sha256 over the sources that relation generation and
+    `relation_set_dumps` run."""
+    h = hashlib.sha256()
+    for name in ("model.py", "decompose.py", "relations.py"):
+        h.update(hashlib.sha256((Path(__file__).parent / name).read_bytes()).digest())
+    return h.hexdigest()
+
+
 def _cache_path(args) -> Path | None:
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     if not cache_dir:
         return None
-    # The code versions are part of the key, so sets cached by older code
-    # are never read back.
+    # The package version and a digest of the generator's code are part of
+    # the key, so sets cached by older code are never read back.
     key = json.dumps(
-        {"version": __version__, "generator": rel_mod.GENERATOR_VERSION,
+        {"version": __version__, "generator": _generator_digest(),
          "weight": args.weight, "family": args.family},
         sort_keys=True,
     )

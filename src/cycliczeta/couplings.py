@@ -1,5 +1,5 @@
 """Couplings between two summation variables as separable cell terms, and
-the Toeplitz tile products that sum them.
+the Toeplitz products that sum them.
 
 A coupling is a factor f(a, b) of the values of two variables of a chain.
 Over the value pairs u < w of the two coupled levels, every coupling the
@@ -12,7 +12,10 @@ per-value factors L and R and a kernel K of the distance d = w - u only:
   number as L or R.
 
 So summing a row x over u < w is a product with the Toeplitz matrix
-T[u, w] = K(w - u), taken over fixed 256 x 256 tiles (toeplitz_rows).
+T[u, w] = K(w - u), and `toeplitz_rows` alone knows how each kernel is
+summed: 1/d over fixed 256 x 256 tiles, K = 1 as the strict prefix sum of
+the rows, and H(d - 1) = sum over u < t < w of 1/(t - u) as the strict
+prefix sum of the 1/d product.
 
 `cpow` computes complex powers v^e as exp(e log v) with the real log of a
 positive integer; the sine/cosine are taken at |Im e| log v so that
@@ -27,7 +30,7 @@ each anchor c from cpow; its callers are the plain walks
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -72,17 +75,16 @@ def harmonic_table(n_max: int) -> np.ndarray:
 
 
 class Kernel(NamedTuple):
-    """K(d) of the distance d = w - u: at(n) is K(1..n); at_zero is K(0),
-    taken on ties (None where the kernel is singular there)."""
+    """K(d) of the distance d = w - u, summed by `toeplitz_rows`; at_zero
+    is K(0), taken on ties (None where the kernel is singular there)."""
 
-    at: Callable[[int], np.ndarray]
     at_zero: Optional[float]
 
 
-POLE = Kernel(lambda n: 1.0 / np.arange(1, n + 1, dtype=np.float64), None)
-ONE = Kernel(np.ones, 1.0)
+POLE = Kernel(None)  # 1/d
+ONE = Kernel(1.0)
 # H(d - 1): the harmonic range strictly between u and w.
-GAP = Kernel(lambda n: harmonic_table(n - 1), 0.0)
+GAP = Kernel(0.0)
 
 
 class Term(NamedTuple):
@@ -141,75 +143,81 @@ def pole_coupling(num_var: VarId, den_var: VarId, num_exp: complex,
                     (Term(-1.0, den, num, POLE),))
 
 
-# Harmonic-range couplings of a = va and b = vb, with hn = H(0..N) at the
-# largest cutoff N >= a, b.
+# Harmonic-range couplings of a = va and b = vb.
 
 
-def _harmonic_value(hn: np.ndarray, shift: int) -> Callable:
-    """v -> H(v - shift)."""
-    return lambda v: hn[v.astype(np.int64) - shift]
+def _harmonic_value(shift: int) -> Callable:
+    """v -> H(v - shift), from the harmonic table up to the largest v."""
+    return lambda v: harmonic_table(int(v.max()))[v.astype(np.int64) - shift]
 
 
-def harmonic_gap(va: VarId, vb: VarId, hn: np.ndarray) -> Coupling:
+def harmonic_gap(va: VarId, vb: VarId) -> Coupling:
     """H(b - a - 1), and 0 when a >= b - 1: H(d - 1) below, 0 above."""
     return Coupling(va, vb, (Term(1.0, None, None, GAP),), ())
 
 
-def harmonic_wrap_1(va: VarId, vb: VarId, hn: np.ndarray) -> Coupling:
+def harmonic_wrap_1(va: VarId, vb: VarId) -> Coupling:
     """H(max(b, a - 1)) - H(max(a - b - 1, 0)): H(w) below,
     H(w - 1) - H(d - 1) above."""
-    return Coupling(va, vb, (Term(1.0, None, _harmonic_value(hn, 0), ONE),),
-                    (Term(1.0, None, _harmonic_value(hn, 1), ONE),
+    return Coupling(va, vb, (Term(1.0, None, _harmonic_value(0), ONE),),
+                    (Term(1.0, None, _harmonic_value(1), ONE),
                      Term(-1.0, None, None, GAP)))
 
 
-def harmonic_wrap_2(va: VarId, vb: VarId, hn: np.ndarray) -> Coupling:
+def harmonic_wrap_2(va: VarId, vb: VarId) -> Coupling:
     """H(a - 1) - H(max(a - b - 1, 0)): H(u - 1) below,
     H(w - 1) - H(d - 1) above."""
-    return Coupling(va, vb, (Term(1.0, _harmonic_value(hn, 1), None, ONE),),
-                    (Term(1.0, None, _harmonic_value(hn, 1), ONE),
+    return Coupling(va, vb, (Term(1.0, _harmonic_value(1), None, ONE),),
+                    (Term(1.0, None, _harmonic_value(1), ONE),
                      Term(-1.0, None, None, GAP)))
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz tile products
+# Toeplitz products
 # ---------------------------------------------------------------------------
 
 
-def kernel_tiles() -> Callable[[Kernel, int], np.ndarray]:
-    """Memoised (K, nb) -> the nb tiles of the Toeplitz matrix
-    T[i, c] = K(c - i) for c > i (0 otherwise) over nb tiles of values:
-    tile k holds T[a, 256 k + b] for a, b < 256, which is also the block
-    (I, I + k) for every row tile I."""
-    table: dict[tuple[Kernel, int], np.ndarray] = {}
-
-    def tiles(kernel: Kernel, nb: int) -> np.ndarray:
-        t = table.get((kernel, nb))
-        if t is None:
-            size = nb * TILE
-            # kv[d + 255] = K(d) for d in -255..size-1, zero for d <= 0
-            kv = np.zeros(size + TILE - 1)
-            kv[TILE:] = kernel.at(size - 1)
-            win = np.lib.stride_tricks.sliding_window_view(kv, TILE)
-            start = TILE * np.arange(nb)[:, None] + (TILE - 1) - np.arange(TILE)
-            t = table[(kernel, nb)] = win[start]
-        return t
-
-    return tiles
+@lru_cache(maxsize=1)
+def _pole_tiles(nb: int) -> np.ndarray:
+    """The nb tiles of the Toeplitz matrix T[i, c] = 1/(c - i) for c > i
+    (0 otherwise), read-only: tile k holds T[a, 256 k + b] for a, b < 256,
+    which is also the block (I, I + k) for every row tile I.  Tile k does
+    not depend on nb, and one stack (512 KiB per tile) is kept between
+    calls, as every product of one evaluation has the same nb."""
+    size = nb * TILE
+    # kv[d + 255] = 1/d for d in -255..size-1, zero for d <= 0
+    kv = np.zeros(size + TILE - 1)
+    kv[TILE:] = 1.0 / np.arange(1, size, dtype=np.float64)
+    win = np.lib.stride_tricks.sliding_window_view(kv, TILE)
+    start = TILE * np.arange(nb)[:, None] + (TILE - 1) - np.arange(TILE)
+    t = win[start]
+    t.flags.writeable = False
+    return t
 
 
-def toeplitz_rows(rows: list[np.ndarray], kernel: Kernel,
-                  tiles: Callable[[Kernel, int], np.ndarray]) -> np.ndarray:
+def _shift_prefix(c: np.ndarray) -> np.ndarray:
+    """Strict prefix sums of c along its last axis, in value order."""
+    out = np.empty_like(c)
+    out[..., 0] = 0
+    np.cumsum(c[..., :-1], axis=-1, out=out[..., 1:])
+    return out
+
+
+def toeplitz_rows(rows: list[np.ndarray], kernel: Kernel) -> np.ndarray:
     """y_i(w) = sum over u < w of x_i(u) K(w - u) for complex rows x_i over
     the values 1..n.
 
-    The real and imaginary parts are rows of one real matrix, zero past n
-    up to whole tiles, and go through fixed (rows x 256) @ (256 x 256) tile
-    products in row-tile order.  Every product has the same shape at any n
-    and values past n only meet zeros left of the diagonal, so the first m
-    columns are bit-identical to a call on the rows cut at m.  Negating an
-    input part negates its output part exactly.
+    K = 1 is the strict prefix sum of the rows, and K = H(d - 1) the
+    strict prefix sum of the 1/d product.  For 1/d the real and imaginary
+    parts are rows of one real matrix, zero past n up to whole tiles, and
+    go through fixed (rows x 256) @ (256 x 256) tile products in row-tile
+    order.  Every product has the same shape at any n and values past n
+    only meet zeros left of the diagonal, and prefix sums run in value
+    order, so the first m columns are bit-identical to a call on the rows
+    cut at m.  Negating an input part negates its output part exactly.
     """
+    if kernel == ONE:
+        return _shift_prefix(np.array(rows, dtype=complex))
     r, n = len(rows), len(rows[0])
     nb = -(-n // TILE)
     flat = np.zeros((2 * r, nb * TILE))
@@ -217,7 +225,7 @@ def toeplitz_rows(rows: list[np.ndarray], kernel: Kernel,
         flat[i, :n] = x.real
         flat[r + i, :n] = x.imag
     xs = np.ascontiguousarray(flat.reshape(2 * r, nb, TILE).transpose(1, 0, 2))
-    tk = tiles(kernel, nb)
+    tk = _pole_tiles(nb)
     out = np.empty_like(xs)
     for J in range(nb):
         acc = xs[0] @ tk[J]
@@ -227,4 +235,4 @@ def toeplitz_rows(rows: list[np.ndarray], kernel: Kernel,
     ys = out.transpose(1, 0, 2).reshape(2 * r, nb * TILE)[:, :n]
     y = np.empty((r, n), dtype=complex)
     y.real, y.imag = ys[:r], ys[r:]
-    return y
+    return y if kernel == POLE else _shift_prefix(y)

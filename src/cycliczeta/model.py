@@ -171,10 +171,9 @@ class _BlockArgs:
         block by block in shape."""
         blocks = []
         for b in text.split(";"):
-            entries = [cls._parse_entry(e) for e in b.split(",") if e.strip()]
-            if not entries:
+            if not b.strip():
                 raise ParseError(f"empty block in {text!r}")
-            blocks.append(entries)
+            blocks.append([cls._parse_entry(e) for e in b.split(",")])
         inferred = Shape(tuple(len(b) for b in blocks))
         if shape is not None and shape != inferred:
             if len(blocks) > 1 or inferred.total_depth != shape.total_depth:

@@ -57,10 +57,6 @@ HARD_MAX_WEIGHT = 11
 # Default weight budget of the rank table and the CLI.
 MAX_WEIGHT_BUDGET = 8
 
-# Bumped whenever a change to relation generation could change a relation
-# set, so that cached sets from older code are never served.
-GENERATOR_VERSION = 2
-
 
 @dataclass(frozen=True)
 class Provenance:

@@ -15,12 +15,13 @@ coeff * L(u) * R(w) * K(w - u) over value pairs u < w, with K a Toeplitz
 kernel (1/d, 1 or H(d - 1); see couplings.py); the plain levels between
 the coupled pair split into separable prefix sums by Chen's identity at a
 cut filter, and the paths through one cut share one row.  So the coupled
-part of a system is one walk of the same DAG and one real Toeplitz tile
-product per kernel, of fixed shape (rows x 256) @ (256 x 256), in a fixed
-order: no transcendental or complex division per cell, and
-bit-reproducible results.  The double series sum m^-a n^-b (m + n)^-c is
-one convolution per cutoff, taken with real transforms of the real and
-imaginary parts.
+part of a system is one walk of the same DAG and one `toeplitz_rows` call
+per kernel: 1/d is a real tile product of fixed shape
+(rows x 256) @ (256 x 256) in a fixed order, 1 a prefix sum, and H(d - 1)
+a prefix sum of the 1/d product.  There is no transcendental or complex
+division per cell, and results are bit-reproducible.  The double series
+sum m^-a n^-b (m + n)^-c is one convolution per cutoff, taken with real
+transforms of the real and imaginary parts.
 
 A box truncation at n keeps exactly the terms whose largest value is at
 most n, so every evaluator but the double series makes one pass at its
@@ -67,12 +68,11 @@ import numpy as np
 from .couplings import (
     Kernel,
     Term,
+    _shift_prefix,
     cpow,
     harmonic_gap,
-    harmonic_table,
     harmonic_wrap_1,
     harmonic_wrap_2,
-    kernel_tiles,
     mul,
     pole_coupling,
     toeplitz_rows,
@@ -333,13 +333,6 @@ def _power_table(n_max: int, start: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def _shift_prefix(c: np.ndarray) -> np.ndarray:
-    out = np.empty_like(c)
-    out[0] = 0
-    np.cumsum(c[:-1], out=out[1:])
-    return out
-
-
 def _add(runs: dict, key, g: np.ndarray):
     """Add g into runs[key] (a new array, so no stored vector changes)."""
     runs[key] = g if key not in runs else runs[key] + g
@@ -445,19 +438,18 @@ def _chain_plain(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
 
 def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
                    members: Sequence[Term],
-                   power: Callable[[complex], np.ndarray],
-                   tiles: Callable[[Kernel, int], np.ndarray]) -> np.ndarray:
+                   power: Callable[[complex], np.ndarray]) -> np.ndarray:
     """Coupled chain by top value: entry w-1 is the sum over the chains
     whose top level takes the value w.  Levels p < q carry the cell terms
     coeff L(u) R(w) K(w - u) summed over value pairs u < w; the levels
     below p, between p and q, and above q are plain.  power(e) is
-    [1..n_max]^(-e) and tiles(K, nb) the Toeplitz tiles of K.
+    [1..n_max]^(-e).
 
     The m levels between p and q split by Chen's identity,
         sum_{u < x_1 < ... < x_m < w} = sum_k (-1)^k A_k(u) B_k(w),
     with A_k(u) over u >= x_1 >= ... >= x_k >= 1 and B_k(w) over
     x_{k+1} < ... < x_m < w, so every term is separable: its rows
-    coeff g_a L A_k go through the Toeplitz tile products of K, and each
+    coeff g_a L A_k go through one `toeplitz_rows` call per kernel, and each
     row's columns are weighted by (-1)^k R B_k.  The first n entries are
     bit-identical to a call at cutoff n.  The levels above q run as a
     prefix chain over the column sums.
@@ -498,7 +490,7 @@ def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
 
     col = np.zeros(n_max, dtype=complex)
     for kernel, group in groups.items():
-        ys = toeplitz_rows([x for x, _, _ in group], kernel, tiles)
+        ys = toeplitz_rows([x for x, _, _ in group], kernel)
         for y, (_, weight, odd) in zip(ys, group):
             y = mul(y, weight)
             col = col - y if odd else col + y
@@ -509,14 +501,11 @@ def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
     return run
 
 
-def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
-                 tiles: Callable[[Kernel, int], np.ndarray] | None = None
-                 ) -> list[complex]:
+def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int]) -> list[complex]:
     """The constrained sum at every cutoff (all >= 1).  The uncoupled part
     is a sum over the order-filter DAG of cs; the coupled pieces, on two
     levels or tied on one, are one cut-filter walk of that DAG
-    (`_coupled_sink`), once at the largest cutoff.  tiles may be shared by
-    systems evaluated at the same cutoffs."""
+    (`_coupled_sink`), once at the largest cutoff."""
     vs, steps = _filter_steps(cs)
     es = [complex(exps.get(v, 0)) for v in vs]
     coupled = [(coeff, cp) for coeff, cp in pieces if cp is not None]
@@ -527,15 +516,14 @@ def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int],
     if not coupled:
         return totals
 
-    sink = _coupled_sink(vs, steps, es, coupled, max(cutoffs), tiles or kernel_tiles())
+    sink = _coupled_sink(vs, steps, es, coupled, max(cutoffs))
     if sink is None:
         return totals
     return [a + complex(sink[:n].sum()) for a, n in zip(totals, cutoffs)]
 
 
 def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
-                  top: int, tiles: Callable[[Kernel, int], np.ndarray]
-                  ) -> Optional[np.ndarray]:
+                  top: int) -> Optional[np.ndarray]:
     """The sink run over 1..top of the coupled pieces [(coeff, coupling)]:
     entry w-1 sums the paths of the filter DAG whose top level takes the
     value w (None if there is none).
@@ -560,7 +548,8 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
        h_F = sum over edges F -> F' of -cumsum(g h_F'), which is
        sum_k (-1)^k A_k; the variable still in C picks below or above;
     3. every term coeff L(u) R(w) K(w - u) sends coeff L row_C through one
-       `toeplitz_rows` call per kernel, and col_C = sum of y R;
+       `toeplitz_rows` call per kernel (a tile product for 1/d, a prefix
+       sum for 1 and for H(d - 1)), and col_C = sum of y R;
     4. the upper walk from C carries B = 1, g, g * (strict prefix of B),
        ... and the edge that places the other variable adds
        g * col_C * (strict prefix of B) to the plain run of its target;
@@ -639,7 +628,7 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
     # 3. one Toeplitz product per kernel
     cols: dict[tuple[int, int, int], np.ndarray] = {}
     for kernel, group in groups.items():
-        ys = toeplitz_rows([x for x, _, _ in group], kernel, tiles)
+        ys = toeplitz_rows([x for x, _, _ in group], kernel)
         for y, (_, right, key) in zip(ys, group):
             _add(cols, key, mul(y, right))
 
@@ -777,11 +766,8 @@ def eval_zeta_tilde_harmonic(s: ComplexArgs, i: int, j: int, variant, plan,
     cs, va, vb, coupling = _tilde_harmonic_setup(s, i, j, variant)
     exps = _block_exponents(s)
 
-    def evalfn(ns: tuple[int, ...]) -> list[complex]:
-        pieces = [(1.0, coupling(va, vb, harmonic_table(ns[-1])))]
-        return _eval_system(cs, exps, pieces, ns)
-
-    return _make_report(evalfn, plan)
+    pieces = [(1.0, coupling(va, vb))]
+    return _make_report(lambda ns: _eval_system(cs, exps, pieces, ns), plan)
 
 
 def eval_zeta_C_i(s: ComplexArgs, i: int, plan, *, max_cutoff: int | None = None) -> EvalReport:
@@ -825,10 +811,9 @@ def eval_theorem_residual(s: ComplexArgs, plan, *,
     exps_c = _block_exponents(s, extra=1)
 
     ns = tuple(sorted({plan.cutoff, *(plan.refinements or ())}))
-    tiles = kernel_tiles()
     lhs = [0j] * len(ns)
     for cs, pieces in tilde:
-        lhs = [a + v for a, v in zip(lhs, _eval_system(cs, exps_t, pieces, ns, tiles))]
+        lhs = [a + v for a, v in zip(lhs, _eval_system(cs, exps_t, pieces, ns))]
     rhs = [0j] * len(ns)
     for cs in cees:
         rhs = [a + v for a, v in zip(rhs, _eval_system(cs, exps_c, [(1.0, None)], ns))]

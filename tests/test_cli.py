@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycliczeta import cli as cli_mod
 from cycliczeta import relations as rel_mod
 from cycliczeta.cli import build_parser, main
 from cycliczeta.decompose import weak_orders
@@ -117,6 +118,9 @@ def test_eval_parse_error_exit_3(capsys):
     for kind, s in (("mzf", "2;;3"), ("mt", "2;;1,1")):  # an empty block
         code, _, err = run(capsys, "eval", "--kind", kind, "--s", s, "--N", "10")
         assert code == 3 and "empty block" in err
+    for s in ("2,,3", "2,", " ,2"):  # a blank entry
+        code, out, err = run(capsys, "eval", "--kind", "mzf", "--s", s, "--N", "10")
+        assert (code, out) == (3, "") and "bad complex entry" in err
     code, _, _ = run(capsys, "eval", "--kind", "nope", "--s", "2", "--N", "10")
     assert code == 3
     # A position out of range is a usage error even when s lies outside W.
@@ -424,8 +428,9 @@ def test_relations_cache_skips_sets_from_older_code(tmp_path, capsys, monkeypatc
     cache, out_file, fresh = tmp_path / "cache", tmp_path / "w4.json", tmp_path / "fresh.json"
     assert run(capsys, "relations", "--weight", "4", "--family", "cyclic",
                "--out", str(fresh))[0] == 0
-    # A well-formed set written by an older generator, which differs.
-    monkeypatch.setattr(rel_mod, "GENERATOR_VERSION", rel_mod.GENERATOR_VERSION - 1)
+    # A well-formed set written by older generator code, which differs.
+    older = hashlib.sha256(b"older generator sources").hexdigest()
+    monkeypatch.setattr(cli_mod, "_generator_digest", lambda: older)
     assert _cached_relations(capsys, cache, out_file)[0] is False
     [stale] = cache.glob("relations-*.json")
     obj = json.loads(stale.read_text())

@@ -879,6 +879,20 @@ def test_relation_set_roundtrip():
     assert relation_set_loads(data.decode()) == m
 
 
+@pytest.mark.parametrize("k", ["1,,2", "1,2,", " ,1,2"])
+def test_relation_set_loads_refuses_a_blank_argument_entry(k):
+    """A provenance "k" with a blank entry is refused, not read as the
+    arguments without it ("1,,2" is not (1, 2))."""
+    obj = json.loads(relation_set_dumps(4, "cyclic",
+                                        relation_matrix(generate_relations(4, "cyclic"))))
+    prov = obj["rows"][1]["provenance"]
+    assert (prov["shape"], prov["k"]) == ("2", "1,2")
+    assert relation_set_loads(json.dumps(obj)).provenances[1].args == IntArgs.parse("1,2")
+    prov["k"] = k
+    with pytest.raises(ParseError, match="bad integer entry"):
+        relation_set_loads(json.dumps(obj))
+
+
 @pytest.mark.parametrize("bad", [
     None,  # a valid set
     "{",  # not JSON

@@ -879,22 +879,22 @@ def pole_cell(ne, de):
     return lambda a, b: couplings.cpow(a, ne) * couplings.cpow(b, -de) / (b - a)
 
 
-def gap_cell(hn):
-    return lambda a, b: hn[np.maximum(b - a - 1, 0).astype(np.int64)]
+def harmonic(k):
+    """H(k) elementwise over an array of integers k >= 0."""
+    k = k.astype(np.int64)
+    return couplings.harmonic_table(int(k.max()))[k]
 
 
-def wrap1_cell(hn):
-    def fn(a, b):
-        ai, bi = a.astype(np.int64), b.astype(np.int64)
-        return hn[np.maximum(bi, ai - 1)] - hn[np.maximum(ai - bi - 1, 0)]
-    return fn
+def gap_cell(a, b):
+    return harmonic(np.maximum(b - a - 1, 0))
 
 
-def wrap2_cell(hn):
-    def fn(a, b):
-        ai, bi = a.astype(np.int64), b.astype(np.int64)
-        return hn[ai - 1] - hn[np.maximum(ai - bi - 1, 0)]
-    return fn
+def wrap1_cell(a, b):
+    return harmonic(np.maximum(b, a - 1)) - harmonic(np.maximum(a - b - 1, 0))
+
+
+def wrap2_cell(a, b):
+    return harmonic(a - 1) - harmonic(np.maximum(a - b - 1, 0))
 
 
 COUPLED_CUTOFFS = (1, 2, 255, 256, 257, 511, 512, 513, 700)
@@ -905,7 +905,7 @@ def random_exponent(rng):
                    rng.choice([0.0, rng.uniform(-1.0, 1.0)]))
 
 
-def random_coupling(rng, kind, hn):
+def random_coupling(rng, kind):
     """(engine coupling, oracle cell factor f(a, b)) of one kind."""
     a, b = B(1, 1), B(1, 2)
     if kind == "pole":
@@ -914,7 +914,7 @@ def random_coupling(rng, kind, hn):
     make, cell = {"gap": (couplings.harmonic_gap, gap_cell),
                   "wrap1": (couplings.harmonic_wrap_1, wrap1_cell),
                   "wrap2": (couplings.harmonic_wrap_2, wrap2_cell)}[kind]
-    return make(a, b, hn), cell(hn)
+    return make(a, b), cell
 
 
 def oriented(coeff, coupling, cell, below):
@@ -937,23 +937,43 @@ def test_coupled_engine_matches_reference():
             for mix in kinds + [None]:
                 n = COUPLED_CUTOFFS[case % len(COUPLED_CUTOFFS)]
                 case += 1
-                hn = couplings.harmonic_table(n)
                 exps = [complex(rng.uniform(0.5, 2.5), rng.uniform(-1, 1))
                         for _ in range(t)]
                 terms, members = [], []
                 for kind, below in [mix] if mix else kinds:
                     coeff = 1.0 if mix else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                    coupling, cell = random_coupling(rng, kind, hn)
+                    coupling, cell = random_coupling(rng, kind)
                     ts, member = oriented(coeff, coupling, cell, below)
                     terms += ts
                     members.append(member)
-                got = series._chain_coupled(exps, n, p, q, terms,
-                                            series._power_table(n),
-                                            couplings.kernel_tiles())
+                got = series._chain_coupled(exps, n, p, q, terms, series._power_table(n))
                 want = reference_chain_coupled(exps, n, p, q, members,
                                                series._power_table(n))
                 err = np.max(np.abs(got - want))
                 assert err <= 1e-11 * np.sum(np.abs(want)), (t, p, q, mix, n, err)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
+@pytest.mark.parametrize("kernel, at", [(couplings.POLE, lambda d: 1.0 / d),
+                                        (couplings.ONE, np.ones_like),
+                                        (couplings.GAP, lambda d: harmonic(d - 1))],
+                         ids=["pole", "one", "gap"])
+def test_toeplitz_rows_matches_dense_product(kernel, at, n):
+    """`toeplitz_rows` against the dense product with T[u, w] = K(w - u) for
+    u < w (0 otherwise); its first m columns are bit-identical to a call on
+    the rows cut at m, and conjugated rows give exactly conjugated output."""
+    rng = np.random.default_rng(n)
+    rows = list(rng.uniform(-1, 1, (3, n)) + 1j * rng.uniform(-1, 1, (3, n)))
+    d = np.arange(n)[None, :] - np.arange(n)[:, None]
+    dense = np.where(d > 0, at(np.maximum(d, 1).astype(np.float64)), 0.0)
+    got = couplings.toeplitz_rows(rows, kernel)
+    bound = np.abs(np.array(rows)) @ dense
+    assert np.all(np.abs(got - np.array(rows) @ dense) <= 1e-13 * bound)
+    for m in {1, max(n // 2, 1), max(n - 1, 1)}:
+        cut = couplings.toeplitz_rows([x[:m] for x in rows], kernel)
+        assert np.array_equal(cut, got[:, :m]), m
+    flipped = couplings.toeplitz_rows([x.conj() for x in rows], kernel)
+    assert np.array_equal(flipped, got.conj())
 
 
 # --- the coupled DAG walk against the per-weak-order route -------------------
@@ -966,7 +986,7 @@ def reference_coupled_system(cs, exps, pieces, cutoffs):
     weight of that level, and every weak order's coupled chain for each
     pair on two levels through `series._chain_coupled`."""
     top = max(cutoffs)
-    power, tiles = series._power_table(top), couplings.kernel_tiles()
+    power = series._power_table(top)
     totals, chains, coeffs = [0j] * len(cutoffs), [], []
     for osp in weak_orders(cs):
         level_of = {v: l for l, lvl in enumerate(osp.levels) for v in lvl}
@@ -984,7 +1004,7 @@ def reference_coupled_system(cs, exps, pieces, cutoffs):
         level_exps = [sum(lvl, 0j) for lvl in levels]
         for (p, q), terms in sorted(groups.items()):
             if terms:
-                run = series._chain_coupled(level_exps, top, p, q, terms, power, tiles)
+                run = series._chain_coupled(level_exps, top, p, q, terms, power)
                 totals = [a + complex(run[:n].sum()) for a, n in zip(totals, cutoffs)]
     for coeff, row in zip(coeffs, reference_chain_plain(chains, cutoffs)):
         totals = [a + coeff * v for a, v in zip(totals, row)]
@@ -995,22 +1015,18 @@ def coupled_systems(args):
     """(system, exponents, pieces) of every S_ij with the 'diff', 1 and 2
     pieces and of every harmonic-form system (variants 1 and 2: GAP and ONE
     kernels, ties) of the arguments' shape, the latter also with a second,
-    reversed coupling of the same pair, so that a tie sums two factors;
-    pieces(top) builds the pieces for the largest cutoff top, which the
-    harmonic tables need."""
+    reversed coupling of the same pair, so that a tie sums two factors."""
     shape = args.shape
     for i, j in shape.positions():
         cs = build_constraints_S_ij(shape, i, j)
         for variant in ("diff", 1, 2):
-            yield cs, series._block_exponents(args, extra=0), \
-                lambda top, v=variant, i=i, j=j: series._tilde_pieces(args, i, j, v)
+            yield (cs, series._block_exponents(args, extra=0),
+                   series._tilde_pieces(args, i, j, variant))
         for variant in (1, 2):
             cs_h, va, vb, coupling = series._tilde_harmonic_setup(args, i, j, variant)
             for extra in ((), ((-0.75, couplings.harmonic_wrap_1),)):
-                yield cs_h, series._block_exponents(args), \
-                    lambda top, c=coupling, a=va, b=vb, extra=extra: [
-                        (1.0, c(a, b, couplings.harmonic_table(top))),
-                        *((k, e(b, a, couplings.harmonic_table(top))) for k, e in extra)]
+                yield (cs_h, series._block_exponents(args),
+                       [(1.0, coupling(va, vb)), *((k, e(vb, va)) for k, e in extra)])
 
 
 DAG_CUTOFFS = (1, 2, 255, 256, 257, 520)
@@ -1039,7 +1055,7 @@ def test_coupled_walk_matches_weak_order_route_on_every_small_shape(monkeypatch,
         return f
 
     monkeypatch.setattr(couplings.Coupling, "tie", spy)
-    top, tied = DAG_CUTOFFS[-1], 0
+    tied = 0
     for depth in depths:
         for blocks in compositions(depth):
             shape = Shape(blocks)
@@ -1048,16 +1064,16 @@ def test_coupled_walk_matches_weak_order_route_on_every_small_shape(monkeypatch,
             conj = zip(coupled_systems(args), coupled_systems(args.conjugate()))
             for (cs, exps, pieces), (_, exps_c, pieces_c) in conj:
                 factors.clear()
-                got = series._eval_system(cs, exps, pieces(top), DAG_CUTOFFS)
+                got = series._eval_system(cs, exps, pieces, DAG_CUTOFFS)
                 walk_tied = any(factors)
                 factors.clear()
-                want = reference_coupled_system(cs, exps, pieces(top), DAG_CUTOFFS)
+                want = reference_coupled_system(cs, exps, pieces, DAG_CUTOFFS)
                 assert walk_tied == any(factors), (blocks, cs)
                 tied += walk_tied
                 scale = max(abs(w) for w in want)
                 assert all(abs(v - w) <= 1e-12 * scale for v, w in zip(got, want)), \
                     (blocks, cs, got, want)
-                flipped = series._eval_system(cs, exps_c, pieces_c(top), DAG_CUTOFFS)
+                flipped = series._eval_system(cs, exps_c, pieces_c, DAG_CUTOFFS)
                 assert all(v == w.conjugate() for v, w in zip(got, flipped)), (blocks, cs)
     assert tied == tied_systems
 
@@ -1072,13 +1088,14 @@ def cut_filters(cs, va, vb):
 def test_coupled_sum_is_one_toeplitz_product_per_kernel(monkeypatch):
     """The design, guarded by counting calls rather than by timing: a
     coupled system makes one `toeplitz_rows` call per kernel, whose rows
-    number at most 2 x (cut filters) x (terms), not one per weak order."""
+    number at most 2 x (cut filters) x (terms), not one per weak order, and
+    the 1/d tile stack is built at most once per evaluation."""
     calls = []
     real = series.toeplitz_rows
 
-    def spy(rows, kernel, tiles):
+    def spy(rows, kernel):
         calls.append((len(rows), kernel))
-        return real(rows, kernel, tiles)
+        return real(rows, kernel)
 
     monkeypatch.setattr(series, "toeplitz_rows", spy)
     s = ComplexArgs.parse("1.2+0.1i,2.2;1.5-0.2i,2.5+0.3i;1.3,2.1-0.1i", Shape((2, 2, 2)))
@@ -1092,10 +1109,19 @@ def test_coupled_sum_is_one_toeplitz_product_per_kernel(monkeypatch):
     assert sum(cuts) == 48
     # the theorem at N = 500 sums 5574 coupled chains as 6 products
     calls.clear()
+    couplings._pole_tiles.cache_clear()
     rep = eval_theorem_residual(s, TruncationPlan(500, refinements=(250, 500)))
     assert len(calls) == 6 and sum(rows for rows, _ in calls) <= 2 * sum(cuts) * 2
+    assert couplings._pole_tiles.cache_info().misses == 1
     (_, _, _, wide), (_, _, _, fine) = rep.refinements
     assert 0 < fine < wide
+    # a wrap-variant harmonic system: a prefix sum for 1 and one for the
+    # 1/d product of H(d - 1), which builds the stack once
+    calls.clear()
+    couplings._pole_tiles.cache_clear()
+    eval_zeta_tilde_harmonic(s, 1, 2, 1, TruncationPlan(600, refinements=(300, 600)))
+    assert sorted(kernel for _, kernel in calls) == [couplings.GAP, couplings.ONE]
+    assert couplings._pole_tiles.cache_info().misses == 1
 
 
 def brute_mordell_tornheim(s1, s2, s3, n):
