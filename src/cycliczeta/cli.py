@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--N-list", dest="n_list", default=None)
     ev.add_argument("--i", type=int, default=None)
     ev.add_argument("--j", type=int, default=None)
-    ev.add_argument("--variant", default="diff",
+    ev.add_argument("--variant", default=None,
                     choices=("1", "2", "diff", "h1", "h2"))
     ev.add_argument("--budget-max-n", type=budget, default=None)
     formats(ev, "json", "csv", "text")
@@ -171,9 +171,17 @@ def _report_csv(rep: series.EvalReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+# The flags each eval kind reads besides --s, the cutoffs and --format.
+_EVAL_FLAGS = {"mzf": (), "mt": (), "zeta-tilde": ("shape", "i", "j", "variant"),
+               "zeta-c": ("shape", "i"), "theorem": ("shape",)}
+
+
 def cmd_eval(args) -> int:
-    plan = _plan_from_args(args)
     kind = args.kind
+    for flag in ("shape", "i", "j", "variant"):
+        if getattr(args, flag) is not None and flag not in _EVAL_FLAGS[kind]:
+            raise ParseError(f"--kind {kind} does not read --{flag}")
+    plan = _plan_from_args(args)
     if kind == "mzf":
         rep = series.eval_mzf(ComplexArgs.parse(args.s).values, plan,
                               max_cutoff=args.budget_max_n)
@@ -188,13 +196,14 @@ def cmd_eval(args) -> int:
             if kind == "zeta-tilde":
                 if args.i is None or args.j is None:
                     raise ParseError("--kind zeta-tilde needs --i and --j")
-                if args.variant in ("h1", "h2"):
+                variant = args.variant or "diff"
+                if variant in ("h1", "h2"):
                     rep = series.eval_zeta_tilde_harmonic(
-                        s, args.i, args.j, int(args.variant[1]), plan,
+                        s, args.i, args.j, int(variant[1]), plan,
                         max_cutoff=args.budget_max_n)
                 else:
                     rep = series.eval_zeta_tilde(
-                        s, args.i, args.j, args.variant, plan,
+                        s, args.i, args.j, variant, plan,
                         max_cutoff=args.budget_max_n)
             elif kind == "zeta-c":
                 if args.i is not None:
@@ -399,7 +408,7 @@ def cmd_table1(args) -> int:
     # A --max-weight below 3 is passed on as the one weight, which table1
     # refuses.
     weights = range(min(3, args.max_weight), args.max_weight + 1)
-    families = list(args.families or rel_mod.FAMILIES)
+    families = list(dict.fromkeys(args.families or rel_mod.FAMILIES))
     table = rel_mod.table1(weights, families, max_weight_budget=args.budget_max_weight)
 
     if args.format == "json":

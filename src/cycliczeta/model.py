@@ -97,6 +97,13 @@ class Constraint:
 # ---------------------------------------------------------------------------
 
 
+def _check_text(text: str, what: str):
+    """Refuse text that is not ASCII or holds '_': int() and complex() read
+    '_' digit groups and the digits of other scripts, which str never writes."""
+    if not text.isascii() or "_" in text:
+        raise ParseError(f"bad {what} {text!r}: only ASCII text without '_' is read")
+
+
 @dataclass(frozen=True)
 class Shape:
     """Block structure (d; r_1, ..., r_d) with d = len(r)."""
@@ -139,6 +146,7 @@ class Shape:
 
     @classmethod
     def parse(cls, text: str) -> "Shape":
+        _check_text(text, "shape")
         try:
             return cls(tuple(int(p) for p in text.split(",")))
         except (ValueError, TypeError) as exc:
@@ -169,6 +177,7 @@ class _BlockArgs:
         """The blocks of text, which must have the structure of shape if one
         is given; a ';'-free comma list of shape.total_depth entries is read
         block by block in shape."""
+        _check_text(text, "arguments")
         blocks = []
         for b in text.split(";"):
             if not b.strip():

@@ -17,8 +17,9 @@ engine (`decompose._part_counts`), and each relation builds one
 combination once, by increasing column.
 
 The rank is certified modularly (`rank_exact`) from one integer block of
-the distinct rows.  Big-integer Bareiss elimination (`_rank_bareiss`) and
-elimination modulo a big prime (`_rank_mod`) are kept as test oracles.
+the distinct rows.  Big-integer Bareiss elimination (`_rank_bareiss`) is
+kept as a test oracle; `_rank_mod` is the rank `_rref_mod` gives modulo
+one prime.
 """
 
 from __future__ import annotations
@@ -311,32 +312,8 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
 
 
 def _rank_mod(rows: list[list[int]], p: int) -> int:
-    m = [[x % p for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        mp = [x * inv % p for x in m[rank]]
-        m[rank] = mp
-        for r in range(rank + 1, nrows):
-            fr = m[r][col]
-            if fr:
-                mr = m[r]
-                for c in range(col, ncols):
-                    mr[c] = (mr[c] - fr * mp[c]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank of the integer rows modulo a prime p < 2^31 (`_rref_mod`)."""
+    return _rref_mod(np.array(rows, dtype=object), list(range(len(rows))), p)[0] if rows else 0
 
 
 def _is_prime_below_2_32(n: int) -> bool:

@@ -66,9 +66,9 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .couplings import (
+    Coupling,
     Kernel,
     Term,
-    _shift_prefix,
     cpow,
     harmonic_gap,
     harmonic_wrap_1,
@@ -437,68 +437,20 @@ def _chain_plain(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
 
 
 def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
-                   members: Sequence[Term],
-                   power: Callable[[complex], np.ndarray]) -> np.ndarray:
+                   members: Sequence[Term]) -> np.ndarray:
     """Coupled chain by top value: entry w-1 is the sum over the chains
-    whose top level takes the value w.  Levels p < q carry the cell terms
-    coeff L(u) R(w) K(w - u) summed over value pairs u < w; the levels
-    below p, between p and q, and above q are plain.  power(e) is
-    [1..n_max]^(-e).
+    1 <= x_0 < ... < x_{t-1} = w, level l of exponent exps[l], of the cell
+    terms members between levels p < q.
 
-    The m levels between p and q split by Chen's identity,
-        sum_{u < x_1 < ... < x_m < w} = sum_k (-1)^k A_k(u) B_k(w),
-    with A_k(u) over u >= x_1 >= ... >= x_k >= 1 and B_k(w) over
-    x_{k+1} < ... < x_m < w, so every term is separable: its rows
-    coeff g_a L A_k go through one `toeplitz_rows` call per kernel, and each
-    row's columns are weighted by (-1)^k R B_k.  The first n entries are
-    bit-identical to a call at cutoff n.  The levels above q run as a
-    prefix chain over the column sums.
-
-    The evaluators sum their coupled chains by `_coupled_sink` instead;
-    this one-chain form is the reference the tests check that walk against.
+    The one-chain view of `_coupled_sink`: the walk over the one path of
+    levels 0..t-1, with the members as the `below` terms of one coupling
+    of placeholder variables on levels p and q.
     """
-    t = len(exps)
-    run = None
-    for l in range(p):
-        g = power(exps[l])
-        run = g if run is None else g * _shift_prefix(run)
-    g_a = mul(power(exps[p]), None if run is None else _shift_prefix(run))
-
-    mids = [power(exps[l]) for l in range(p + 1, q)]
-    lows: list[Optional[np.ndarray]] = [None]  # A_0 = 1
-    for k in range(1, len(mids) + 1):
-        acc = np.cumsum(mids[k - 1])
-        for g in reversed(mids[:k - 1]):
-            acc = np.cumsum(g * acc)
-        lows.append(acc)
-    highs: list[Optional[np.ndarray]] = []
-    for k in range(len(mids)):
-        acc = mids[k]
-        for g in mids[k + 1:]:
-            acc = g * _shift_prefix(acc)
-        highs.append(_shift_prefix(acc))
-    highs.append(None)  # B_m = 1
-
-    vals = np.arange(1, n_max + 1, dtype=np.float64)
-    groups: dict[Kernel, list] = {}
-    for term in members:
-        x = mul(term.coeff * g_a, term.left and term.left(vals))
-        right = term.right and term.right(vals)
-        for k, (low, high) in enumerate(zip(lows, highs)):
-            groups.setdefault(term.kernel, []).append(
-                (mul(x, low), mul(right, high), k % 2))
-
-    col = np.zeros(n_max, dtype=complex)
-    for kernel, group in groups.items():
-        ys = toeplitz_rows([x for x, _, _ in group], kernel)
-        for y, (_, weight, odd) in zip(ys, group):
-            y = mul(y, weight)
-            col = col - y if odd else col + y
-
-    run = power(exps[q]) * col
-    for l in range(q + 1, t):
-        run = power(exps[l]) * _shift_prefix(run)
-    return run
+    vs = [VarId.block(1, l + 1) for l in range(len(exps))]
+    coupling = Coupling(vs[p], vs[q], tuple(members), ())
+    sink = _coupled_sink(vs, _path([(l,) for l in range(len(exps))]), exps,
+                         [(1.0, coupling)], n_max)
+    return np.zeros(n_max, complex) if sink is None else sink
 
 
 def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int]) -> list[complex]:

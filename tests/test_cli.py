@@ -131,6 +131,28 @@ def test_eval_parse_error_exit_3(capsys):
         assert code == 3 and "out of range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "mzf", "--s", "1_0"],
+    ["--kind", "mzf", "--s", "\u0663"],
+    ["--kind", "zeta-c", "--shape", "1_0", "--s", "2"],
+    ["--kind", "zeta-c", "--shape", "\u0661", "--s", "2"],
+], ids=["s-underscore", "s-arabic-indic", "shape-underscore", "shape-arabic-indic"])
+def test_eval_underscore_or_non_ascii_exit_3(capsys, argv):
+    """int() and complex() read '_' digit groups and other scripts' digits,
+    which are refused."""
+    code, out, err = run(capsys, "eval", *argv, "--N", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: bad ") and "only ASCII text without '_'" in err
+
+
+def test_eval_zeta_tilde_variant_defaults_to_diff(capsys):
+    argv = ["eval", "--kind", "zeta-tilde", "--shape", "2", "--s", "1.5,2.5",
+            "--i", "1", "--j", "1", "--N", "50"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--variant", "diff") == (0, out, "")
+
+
 def test_eval_budget_exit_4(capsys):
     code, _, err = run(
         capsys, "eval", "--kind", "zeta-tilde", "--shape", "1", "--s", "3+0i",
@@ -578,6 +600,18 @@ def test_table1_max_weight_below_3_exit_3(capsys):
     assert "below the smallest weight 3" in err
 
 
+def test_table1_repeated_family_is_computed_once(capsys, monkeypatch):
+    calls = []
+    generate = rel_mod.generate_relations
+    monkeypatch.setattr(rel_mod, "generate_relations",
+                        lambda w, f, **kw: calls.append((w, f)) or generate(w, f, **kw))
+    code, out, _ = run(capsys, "table1", "--max-weight", "4", "--format", "csv",
+                       "--families", "cyclic", "csf", "cyclic")
+    assert code == 0
+    assert out.splitlines() == ["weight,cyclic,csf,all_relations(ref)", "3,1,1,1", "4,2,2,3"]
+    assert calls == [(3, "cyclic"), (3, "csf"), (4, "cyclic"), (4, "csf")]
+
+
 def test_table1_csv(capsys):
     code, out, _ = run(capsys, "table1", "--max-weight", "4", "--format", "csv")
     assert code == 0
@@ -596,6 +630,14 @@ def test_table1_csv(capsys):
     ["relations", "--weight", "3", "--family", "derivation", "--out", "unused.json",
      "--include-d1-derivation", "true"],
     ["table1", "--max-weight", "4", "--include-d1-derivation", "true"],
+    # flags eval reads for some kinds but not for the one given
+    ["eval", "--kind", "mzf", "--s", "2", "--N", "10", "--shape", "5"],
+    ["eval", "--kind", "mt", "--s", "2,1,1", "--N", "10", "--i", "1"],
+    ["eval", "--kind", "zeta-c", "--shape", "2", "--s", "1.5,2.5", "--N", "10", "--j", "1"],
+    ["eval", "--kind", "zeta-c", "--shape", "2", "--s", "1.5,2.5", "--N", "10",
+     "--variant", "diff"],
+    ["eval", "--kind", "theorem", "--shape", "1", "--s", "3", "--N", "10", "--variant", "h1"],
+    ["eval", "--kind", "theorem", "--shape", "1", "--s", "3", "--N", "10", "--i", "1"],
 ])
 def test_flags_the_subcommand_does_not_read_exit_3(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -50,6 +50,13 @@ def _definitions(path: Path):
             yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
+def _traced_names() -> set[str]:
+    """The strings perfbench/tracing.py holds: the bindings it wraps by name."""
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    return {n.value for n in ast.walk(tracing)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
 def test_every_definition_has_a_reader():
     """Each top-level definition in the package is read in the package (an
     export counts) or named by perfbench/tracing.py, which wraps some
@@ -58,10 +65,28 @@ def test_every_definition_has_a_reader():
     reads = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
              for a in node.names}
     reads = reads.union(*map(_reads, PACKAGE.glob("*.py")))
-    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
-    wrapped = {n.value for n in ast.walk(tracing)
-               if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    wrapped = _traced_names()
     defined = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
                for name in _definitions(path)]
     assert len(defined) > 150
     assert [d for d in defined if d[1] not in reads | wrapped] == []
+
+
+def test_every_import_is_read():
+    """Each name a module of the package imports is read in that module,
+    or is a binding perfbench/tracing.py wraps by name; the imports of
+    `__init__.py` are its exports, and `__future__` imports are flags."""
+    wrapped = _traced_names()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        reads = _reads(path)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for a in node.names:
+                    name = a.asname or a.name.split(".")[0]
+                    if name not in reads | wrapped:
+                        unread.append((path.stem, name))
+    assert unread == []

@@ -68,6 +68,18 @@ def test_args_roundtrip():
         IntArgs(Shape((2,)), (0, 2))
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "1,\uff12", "2_1"])
+def test_parse_refuses_underscores_and_non_ascii(text):
+    """int() and complex() read '_' digit groups and other scripts' digits,
+    which str never writes; spaces around ASCII entries still parse."""
+    for parse in (Shape.parse, IntArgs.parse, ComplexArgs.parse):
+        with pytest.raises(ParseError, match="only ASCII text without '_'"):
+            parse(text)
+    assert Shape.parse(" 2, 1") == Shape((2, 1))
+    assert IntArgs.parse(" 1, 2 ;3") == IntArgs.parse("1,2;3")
+    assert ComplexArgs.parse(" 1.5 + 0.5i , 2") == ComplexArgs.parse("1.5+0.5i,2")
+
+
 # --- constraint constructors (instantiated spec examples) ------------------
 
 

@@ -301,7 +301,7 @@ def test_rank_small_matrices():
     assert _rank_bareiss([[1, -1]]) == 1
     assert _rank_bareiss([[0, 0], [0, 0]]) == 0
     assert _rank_bareiss([[2, 4, 1], [1, 2, 0], [3, 6, 1]]) == 2
-    for p in ((1 << 61) - 1, (1 << 64) - 59):
+    for p in itertools.islice(relations._primes(), 2):
         assert _rank_mod([[2, 4, 1], [1, 2, 0], [3, 6, 1]], p) == 2
 
 
@@ -380,7 +380,7 @@ def test_rank_fuzz_against_fraction_oracle(monkeypatch):
     for rows in _fuzz_matrices():
         want = _rank_fraction_oracle(rows)
         assert _rank_bareiss([list(r) for r in rows]) == want
-        for p in ((1 << 61) - 1, (1 << 64) - 59):
+        for p in itertools.islice(relations._primes(), 2):
             assert _rank_mod(rows, p) == want
         assert rank_exact(_matrix(rows)) == want
     assert agree and all(agree)
@@ -877,6 +877,18 @@ def test_relation_set_roundtrip():
     assert (m.weight, m.family) == (4, "cyclic") and matrix.family is None
     assert (m.symbols, m.rows, m.provenances) == (matrix.symbols, matrix.rows, matrix.provenances)
     assert relation_set_loads(data.decode()) == m
+
+
+@pytest.mark.parametrize("k", ["\u0663", "1_0"])
+def test_relation_set_loads_refuses_a_non_ascii_or_underscore_argument(k):
+    """A provenance "k" that int() reads but str() never writes ("\u0663"
+    would load as 3) is refused."""
+    obj = json.loads(relation_set_dumps(4, "cyclic",
+                                        relation_matrix(generate_relations(4, "cyclic"))))
+    prov = next(row["provenance"] for row in obj["rows"] if row["provenance"]["shape"] == "1")
+    prov["k"] = k
+    with pytest.raises(ParseError, match="only ASCII text without '_'"):
+        relation_set_loads(json.dumps(obj))
 
 
 @pytest.mark.parametrize("k", ["1,,2", "1,2,", " ,1,2"])

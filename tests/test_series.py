@@ -823,7 +823,7 @@ def reference_chain_coupled(exps, n_max, p, q, members, power):
     fn(u, w) the cell factor over value arrays, u < w.  The cells are
     evaluated in chunks of 256 rows and summed column by column; the levels
     between p and q enter as an explicit (rows x N) prefix-sum matrix."""
-    shift = series._shift_prefix
+    shift = couplings._shift_prefix
     run = None
     for l in range(p):
         g = power(exps[l])
@@ -946,7 +946,7 @@ def test_coupled_engine_matches_reference():
                     ts, member = oriented(coeff, coupling, cell, below)
                     terms += ts
                     members.append(member)
-                got = series._chain_coupled(exps, n, p, q, terms, series._power_table(n))
+                got = series._chain_coupled(exps, n, p, q, terms)
                 want = reference_chain_coupled(exps, n, p, q, members,
                                                series._power_table(n))
                 err = np.max(np.abs(got - want))
@@ -986,7 +986,6 @@ def reference_coupled_system(cs, exps, pieces, cutoffs):
     weight of that level, and every weak order's coupled chain for each
     pair on two levels through `series._chain_coupled`."""
     top = max(cutoffs)
-    power = series._power_table(top)
     totals, chains, coeffs = [0j] * len(cutoffs), [], []
     for osp in weak_orders(cs):
         level_of = {v: l for l, lvl in enumerate(osp.levels) for v in lvl}
@@ -1004,7 +1003,7 @@ def reference_coupled_system(cs, exps, pieces, cutoffs):
         level_exps = [sum(lvl, 0j) for lvl in levels]
         for (p, q), terms in sorted(groups.items()):
             if terms:
-                run = series._chain_coupled(level_exps, top, p, q, terms, power)
+                run = series._chain_coupled(level_exps, top, p, q, terms)
                 totals = [a + complex(run[:n].sum()) for a, n in zip(totals, cutoffs)]
     for coeff, row in zip(coeffs, reference_chain_plain(chains, cutoffs)):
         totals = [a + coeff * v for a, v in zip(totals, row)]
