@@ -54,6 +54,19 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """The type of every integer flag: an optional sign and ASCII digits,
+    with surrounding spaces (int() also reads '_' digit groups and the
+    digits of other scripts)."""
+    if not _INT.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(
+            f"bad integer {text!r}: only an optional sign and ASCII digits are read")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="cycliczeta", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -62,7 +75,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--format", choices=choices, default="json")
 
     def budget(text: str) -> int:
-        value = int(text)
+        value = _int(text)
         if value < 0:
             raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
         return value
@@ -72,10 +85,11 @@ def build_parser() -> _Parser:
                     choices=("mzf", "zeta-tilde", "zeta-c", "mt", "theorem"))
     ev.add_argument("--shape", default=None)
     ev.add_argument("--s", required=True)
-    ev.add_argument("--N", type=int, default=None)
-    ev.add_argument("--N-list", dest="n_list", default=None)
-    ev.add_argument("--i", type=int, default=None)
-    ev.add_argument("--j", type=int, default=None)
+    ev.add_argument("--N", type=_int, default=None)
+    ev.add_argument("--N-list", dest="n_list", default=None,
+                    type=lambda text: tuple(map(_int, text.split(","))))
+    ev.add_argument("--i", type=_int, default=None)
+    ev.add_argument("--j", type=_int, default=None)
     ev.add_argument("--variant", default=None,
                     choices=("1", "2", "diff", "h1", "h2"))
     ev.add_argument("--budget-max-n", type=budget, default=None)
@@ -87,7 +101,7 @@ def build_parser() -> _Parser:
     formats(dm, "json", "text")
 
     rl = sub.add_parser("relations", help="generate a relation set file")
-    rl.add_argument("--weight", type=int, required=True)
+    rl.add_argument("--weight", type=_int, required=True)
     rl.add_argument("--family", required=True, choices=rel_mod.FAMILIES)
     rl.add_argument("--out", required=True)
     rl.add_argument("--budget-max-weight", type=budget, default=rel_mod.MAX_WEIGHT_BUDGET)
@@ -99,7 +113,7 @@ def build_parser() -> _Parser:
     formats(rk, "json", "text")
 
     tb = sub.add_parser("table1", help="independent-relation counts per weight")
-    tb.add_argument("--max-weight", type=int, required=True)
+    tb.add_argument("--max-weight", type=_int, required=True)
     tb.add_argument("--families", nargs="*", default=list(rel_mod.FAMILIES),
                     choices=rel_mod.FAMILIES)
     tb.add_argument("--budget-max-weight", type=budget, default=rel_mod.MAX_WEIGHT_BUDGET)
@@ -109,11 +123,11 @@ def build_parser() -> _Parser:
     dc.add_argument("--shape", required=True)
     dc.add_argument("--set", dest="setname", required=True,
                     choices=("S", "S_i", "S_ij", "T_i"))
-    dc.add_argument("--i", type=int, default=None)
-    dc.add_argument("--j", type=int, default=None)
+    dc.add_argument("--i", type=_int, default=None)
+    dc.add_argument("--j", type=_int, default=None)
     dc.add_argument("--exponents", default=None)
     dc.add_argument("--count", action="store_true")
-    dc.add_argument("--N", type=int, default=None)
+    dc.add_argument("--N", type=_int, default=None)
     formats(dc, "json", "text")
     return p
 
@@ -128,14 +142,7 @@ def _emit(text: str):
 
 
 def _plan_from_args(args) -> series.TruncationPlan:
-    refinements = None
-    if args.n_list:
-        try:
-            refinements = tuple(int(x) for x in args.n_list.split(","))
-        except ValueError:
-            raise ParseError(f"bad --N-list {args.n_list!r}") from None
-        if not refinements:
-            raise ParseError("--N-list is empty")
+    refinements = args.n_list
     cutoff = args.N if args.N is not None else (refinements[-1] if refinements else None)
     if cutoff is None:
         raise ParseError("one of --N or --N-list is required")
@@ -159,11 +166,16 @@ def _report_text(rep: series.EvalReport) -> str:
     return "\n".join(lines)
 
 
-def _report_csv(rep: series.EvalReport) -> str:
-    rows = ["N,re,im"]
-    for n, v in rep.refinements or [(rep.cutoff, rep.value)]:
-        rows.append(f"{n},{v.real!r},{v.imag!r}")
-    return "\n".join(rows)
+def _theorem_text(rep: series.TheoremReport) -> str:
+    lines = [
+        f"lhs = {rep.lhs!r}",
+        f"rhs = {rep.rhs!r}",
+        f"residual = {rep.residual!r}  (N = {rep.cutoff})",
+    ]
+    if rep.refinements:
+        for n, _, _, q in rep.refinements:
+            lines.append(f"  N={n}: residual {q!r}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +193,14 @@ def cmd_eval(args) -> int:
     for flag in ("shape", "i", "j", "variant"):
         if getattr(args, flag) is not None and flag not in _EVAL_FLAGS[kind]:
             raise ParseError(f"--kind {kind} does not read --{flag}")
-    plan = _plan_from_args(args)
+    plan, cap = _plan_from_args(args), {"max_cutoff": args.budget_max_n}
     if kind == "mzf":
-        rep = series.eval_mzf(ComplexArgs.parse(args.s).values, plan,
-                              max_cutoff=args.budget_max_n)
+        rep = series.eval_mzf(ComplexArgs.parse(args.s).values, plan, **cap)
     elif kind == "mt":
         vals = ComplexArgs.parse(args.s).values
         if len(vals) != 3:
             raise ParseError("--kind mt needs exactly three arguments")
-        rep = series.eval_mordell_tornheim(*vals, plan, max_cutoff=args.budget_max_n)
+        rep = series.eval_mordell_tornheim(*vals, plan, **cap)
     else:
         s = _parse_args_with_shape(args)
         try:
@@ -198,50 +209,34 @@ def cmd_eval(args) -> int:
                     raise ParseError("--kind zeta-tilde needs --i and --j")
                 variant = args.variant or "diff"
                 if variant in ("h1", "h2"):
-                    rep = series.eval_zeta_tilde_harmonic(
-                        s, args.i, args.j, int(variant[1]), plan,
-                        max_cutoff=args.budget_max_n)
+                    rep = series.eval_zeta_tilde_harmonic(s, args.i, args.j, int(variant[1]),
+                                                          plan, **cap)
                 else:
-                    rep = series.eval_zeta_tilde(
-                        s, args.i, args.j, variant, plan,
-                        max_cutoff=args.budget_max_n)
+                    rep = series.eval_zeta_tilde(s, args.i, args.j, variant, plan, **cap)
+            elif kind == "zeta-c" and args.i is not None:
+                rep = series.eval_zeta_C_i(s, args.i, plan, **cap)
             elif kind == "zeta-c":
-                if args.i is not None:
-                    rep = series.eval_zeta_C_i(s, args.i, plan, max_cutoff=args.budget_max_n)
-                else:
-                    rep = series.eval_zeta_C(s, plan, max_cutoff=args.budget_max_n)
+                rep = series.eval_zeta_C(s, plan, **cap)
             else:  # theorem
-                rep = series.eval_theorem_residual(s, plan, max_cutoff=args.budget_max_n)
+                rep = series.eval_theorem_residual(s, plan, **cap)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
-    if kind == "theorem":
-        if args.format == "json":
-            _emit(json.dumps(rep.to_json_obj(), indent=2))
-        elif args.format == "csv":
-            rows = ["N,lhs_re,lhs_im,rhs_re,rhs_im,residual"]
-            for n, l, r, q in rep.refinements or [
-                (rep.cutoff, rep.lhs, rep.rhs, rep.residual)
-            ]:
-                rows.append(f"{n},{l.real!r},{l.imag!r},{r.real!r},{r.imag!r},{q!r}")
-            _emit("\n".join(rows))
-        else:
-            lines = [
-                f"lhs = {rep.lhs!r}",
-                f"rhs = {rep.rhs!r}",
-                f"residual = {rep.residual!r}  (N = {rep.cutoff})",
-            ]
-            if rep.refinements:
-                for n, _, _, q in rep.refinements:
-                    lines.append(f"  N={n}: residual {q!r}")
-            _emit("\n".join(lines))
-        return 0
+    obj = rep.to_json_obj()
+    theorem = kind == "theorem"
     if args.format == "json":
-        _emit(json.dumps(rep.to_json_obj(), indent=2))
+        _emit(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        _emit(_report_csv(rep))
+        # a header and, per cutoff, the numbers of the JSON report
+        if theorem:
+            head = "N,lhs_re,lhs_im,rhs_re,rhs_im,residual"
+            at_cutoff = [*obj["lhs"], *obj["rhs"], obj["residual"]]
+        else:
+            head, at_cutoff = "N,re,im", obj["value"]
+        rows = obj.get("refinements") or [[obj["cutoff"], *at_cutoff]]
+        _emit("\n".join([head, *(",".join(map(repr, row)) for row in rows)]))
     else:
-        _emit(_report_text(rep))
+        _emit(_theorem_text(rep) if theorem else _report_text(rep))
     return 0
 
 
@@ -444,18 +439,16 @@ def cmd_table1(args) -> int:
     return 0
 
 
-_EXP_VALUE = re.compile(r"[+-]?[0-9]+")
-
-
 def _parse_exponents(text: str, variables) -> dict[VarId, int]:
-    """key:value entries separated by commas or spaces: each key names one
-    variable of the system (n or n<i>_<j>) exactly once, each value is an
-    optional sign and ASCII digits, and every variable gets a value."""
+    """key:value entries separated by commas or spaces, no entry blank:
+    each key names one variable of the system (n or n<i>_<j>) exactly once,
+    each value is an optional sign and ASCII digits, and every variable
+    gets a value."""
     names = {str(v): v for v in variables}
     out: dict[VarId, int] = {}
-    for tok in re.split(r"[,\s]+", text.strip()):
+    for tok in re.split(r"\s*,\s*|\s+", text.strip()):
         if not tok:
-            continue
+            raise ParseError(f"blank exponent entry in {text!r}")
         key, sep, val = tok.partition(":")
         if not sep:
             raise ParseError(f"bad exponent entry {tok!r} (expected key:value)")
@@ -464,7 +457,7 @@ def _parse_exponents(text: str, variables) -> dict[VarId, int]:
             raise ParseError(f"bad exponent key {key!r} (the variables are {', '.join(names)})")
         if var in out:
             raise ParseError(f"exponent of {var} given twice")
-        if not _EXP_VALUE.fullmatch(val):
+        if not _INT.fullmatch(val):
             raise ParseError(f"bad exponent value {val!r}")
         out[var] = int(val)
         if out[var] < 0:
@@ -477,29 +470,33 @@ def _parse_exponents(text: str, variables) -> dict[VarId, int]:
     return out
 
 
+# The position flags each decompose --set reads; --count also reads --N,
+# and without it --exponents is read.
+_SET_FLAGS = {"S": (), "S_i": ("i",), "T_i": ("i",), "S_ij": ("i", "j")}
+
+
 def cmd_decompose(args) -> int:
+    reads = _SET_FLAGS[args.setname] + (("N",) if args.count else ("exponents",))
+    for flag in ("i", "j", "N", "exponents"):
+        given = getattr(args, flag) is not None
+        if given != (flag in reads):
+            mode = "--count" if args.count else "without --count"
+            raise ParseError(f"decompose --set {args.setname} {mode} "
+                             f"{'does not read' if given else 'needs'} --{flag}")
     shape = Shape.parse(args.shape)
     try:
         if args.setname == "S":
             cs = build_constraints_S(shape)
         elif args.setname == "S_i":
-            if args.i is None:
-                raise ParseError("--set S_i needs --i")
             cs = build_constraints_S_i(shape, args.i)
         elif args.setname == "S_ij":
-            if args.i is None or args.j is None:
-                raise ParseError("--set S_ij needs --i and --j")
             cs = build_constraints_S_ij(shape, args.i, args.j)
         else:
-            if args.i is None:
-                raise ParseError("--set T_i needs --i")
             cs = build_constraints_T_i(shape, args.i)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
     if args.count:
-        if args.N is None:
-            raise ParseError("--count needs --N")
         if args.N < 0:
             raise ParseError(f"--N must be >= 0, got {args.N}")
         n = count_lattice_points(cs, args.N)
@@ -510,8 +507,6 @@ def cmd_decompose(args) -> int:
             _emit(str(n))
         return 0
 
-    if args.exponents is None:
-        raise ParseError("--exponents is required unless --count is given")
     exps = _parse_exponents(args.exponents, cs.variables)
     combo = decompose_to_mzv(cs, exps)
     # Each weak order adds 1 to the coefficient of one symbol.

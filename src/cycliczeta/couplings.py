@@ -35,8 +35,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .model import VarId
-
 # Values are summed in tiles of this many rows and columns.
 TILE = 256
 
@@ -98,13 +96,14 @@ class Term(NamedTuple):
 
 
 class Coupling(NamedTuple):
-    """A factor tying the values of two variables.  `below` holds its cell
-    terms where var_a takes the smaller value u and var_b the larger w;
-    `above` where var_b takes u and var_a takes w.  On a tie the factor is
-    `below` at distance 0, and a kernel singular there refuses ties."""
+    """A factor tying the values of the variables at positions var_a and
+    var_b of `ConstraintSystem.variables`.  `below` holds its cell terms
+    where var_a takes the smaller value u and var_b the larger w; `above`
+    where var_b takes u and var_a takes w.  On a tie the factor is `below`
+    at distance 0, and a kernel singular there refuses ties."""
 
-    var_a: VarId
-    var_b: VarId
+    var_a: int
+    var_b: int
     below: tuple[Term, ...]
     above: tuple[Term, ...]
 
@@ -134,7 +133,7 @@ def mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 
-def pole_coupling(num_var: VarId, den_var: VarId, num_exp: complex,
+def pole_coupling(num_var: int, den_var: int, num_exp: complex,
                   den_exp: complex) -> Coupling:
     """The factor a^num_exp / (b^den_exp (b - a)) on a = num_var,
     b = den_var.  Singular on ties."""
@@ -143,7 +142,7 @@ def pole_coupling(num_var: VarId, den_var: VarId, num_exp: complex,
                     (Term(-1.0, den, num, POLE),))
 
 
-# Harmonic-range couplings of a = va and b = vb.
+# Harmonic-range couplings of a = va and b = vb (positions).
 
 
 def _harmonic_value(shift: int) -> Callable:
@@ -151,12 +150,12 @@ def _harmonic_value(shift: int) -> Callable:
     return lambda v: harmonic_table(int(v.max()))[v.astype(np.int64) - shift]
 
 
-def harmonic_gap(va: VarId, vb: VarId) -> Coupling:
+def harmonic_gap(va: int, vb: int) -> Coupling:
     """H(b - a - 1), and 0 when a >= b - 1: H(d - 1) below, 0 above."""
     return Coupling(va, vb, (Term(1.0, None, None, GAP),), ())
 
 
-def harmonic_wrap_1(va: VarId, vb: VarId) -> Coupling:
+def harmonic_wrap_1(va: int, vb: int) -> Coupling:
     """H(max(b, a - 1)) - H(max(a - b - 1, 0)): H(w) below,
     H(w - 1) - H(d - 1) above."""
     return Coupling(va, vb, (Term(1.0, None, _harmonic_value(0), ONE),),
@@ -164,7 +163,7 @@ def harmonic_wrap_1(va: VarId, vb: VarId) -> Coupling:
                      Term(-1.0, None, None, GAP)))
 
 
-def harmonic_wrap_2(va: VarId, vb: VarId) -> Coupling:
+def harmonic_wrap_2(va: int, vb: int) -> Coupling:
     """H(a - 1) - H(max(a - b - 1, 0)): H(u - 1) below,
     H(w - 1) - H(d - 1) above."""
     return Coupling(va, vb, (Term(1.0, _harmonic_value(1), None, ONE),),

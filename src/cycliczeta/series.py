@@ -6,6 +6,9 @@ system, as the exact decomposer splits it, each a totally ordered chain.
 Its plain part walks the order-filter DAG of the system
 (`decompose._filter_steps`), on which every weak order is a path: one
 vector per filter and one multiply per edge, not one chain per weak order.
+As in the decomposer, a variable is its position in the system's
+variables (the block positions, then n): exponents are lists in that
+order, and a coupling names its two variables by position.
 A term may couple two variables, through the pole factor
 a^p / (b^q (b - a)) or a harmonic-range factor.  Where the two share a
 level, the coupled walk puts the coupling's tie factor on the edge that
@@ -82,10 +85,8 @@ from .decompose import _filter_steps
 from .decompose import weak_orders  # noqa: F401
 from .errors import BudgetError, DomainError, InternalInvariantError
 from .model import (
-    EXTRA,
     ComplexArgs,
     ConstraintSystem,
-    VarId,
     build_constraints_S,
     build_constraints_S_i,
     build_constraints_S_ij,
@@ -178,12 +179,6 @@ class TheoremReport:
                 for n, l, r, q in self.refinements
             ]
         return obj
-
-
-def _as_plan(plan) -> TruncationPlan:
-    if isinstance(plan, TruncationPlan):
-        return plan
-    return TruncationPlan(int(plan))
 
 
 # ---------------------------------------------------------------------------
@@ -444,22 +439,24 @@ def _chain_coupled(exps: Sequence[complex], n_max: int, p: int, q: int,
 
     The one-chain view of `_coupled_sink`: the walk over the one path of
     levels 0..t-1, with the members as the `below` terms of one coupling
-    of placeholder variables on levels p and q.
+    of the levels p and q.
     """
-    vs = [VarId.block(1, l + 1) for l in range(len(exps))]
-    coupling = Coupling(vs[p], vs[q], tuple(members), ())
-    sink = _coupled_sink(vs, _path([(l,) for l in range(len(exps))]), exps,
-                         [(1.0, coupling)], n_max)
+    sink = _coupled_sink(_path([(l,) for l in range(len(exps))]), exps,
+                         [(1.0, Coupling(p, q, tuple(members), ()))], n_max)
     return np.zeros(n_max, complex) if sink is None else sink
 
 
-def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int]) -> list[complex]:
-    """The constrained sum at every cutoff (all >= 1).  The uncoupled part
+def _eval_system(cs: ConstraintSystem, es: Sequence[complex], pieces,
+                 cutoffs: Sequence[int]) -> list[complex]:
+    """The constrained sum at every cutoff (all >= 1), with the exponents es
+    listed in the order of cs.variables (the block positions, then n), as
+    `decompose._part_counts` takes them, and the pieces [(coeff, coupling
+    or None)] coupling variables by those positions.  The uncoupled part
     is a sum over the order-filter DAG of cs; the coupled pieces, on two
     levels or tied on one, are one cut-filter walk of that DAG
     (`_coupled_sink`), once at the largest cutoff."""
-    vs, steps = _filter_steps(cs)
-    es = [complex(exps.get(v, 0)) for v in vs]
+    _, steps = _filter_steps(cs)
+    es = [complex(e) for e in es]
     coupled = [(coeff, cp) for coeff, cp in pieces if cp is not None]
     plain = sum(coeff for coeff, cp in pieces if cp is None)
     totals = [0j] * len(cutoffs)
@@ -468,14 +465,13 @@ def _eval_system(cs: ConstraintSystem, exps, pieces, cutoffs: Sequence[int]) -> 
     if not coupled:
         return totals
 
-    sink = _coupled_sink(vs, steps, es, coupled, max(cutoffs))
+    sink = _coupled_sink(steps, es, coupled, max(cutoffs))
     if sink is None:
         return totals
     return [a + complex(sink[:n].sum()) for a, n in zip(totals, cutoffs)]
 
 
-def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
-                  top: int) -> Optional[np.ndarray]:
+def _coupled_sink(steps, es: Sequence[complex], coupled, top: int) -> Optional[np.ndarray]:
     """The sink run over 1..top of the coupled pieces [(coeff, coupling)]:
     entry w-1 sums the paths of the filter DAG whose top level takes the
     value w (None if there is none).
@@ -511,10 +507,9 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
     index order; every step is elementwise, a cumsum or a Toeplitz product,
     so the first n entries are those of a call at cutoff n.
     """
-    idx = {v: t for t, v in enumerate(vs)}
     pairs: dict[tuple[int, int], tuple[list[Term], list[Term], list]] = {}
     for coeff, cp in coupled:
-        a, b = idx[cp.var_a], idx[cp.var_b]
+        a, b = cp.var_a, cp.var_b
         below, above = ([t._replace(coeff=coeff * t.coeff) for t in terms]
                         for terms in (cp.below, cp.above))
         if a > b:
@@ -551,7 +546,7 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
             if tie is None:
                 if not all(cp.allow_tie for _, cp in ties):
                     raise InternalInvariantError(
-                        f"singular coupling between tied variables {vs[a]}, {vs[b]}")
+                        f"singular coupling between the tied variables {a} and {b}")
                 tie = sum(coeff * cp.tie(vals) for coeff, cp in ties)
             _add(upper, rest, g * tie)
         # the cut filters: those reached from lowp by neither-edges
@@ -600,25 +595,33 @@ def _coupled_sink(vs: Sequence[VarId], steps, es: Sequence[complex], coupled,
     return upper.get(0)
 
 
-def _check_budget(plan: TruncationPlan, cap: int, max_cutoff: int | None):
-    """Refuse a plan past max_cutoff, or past cap when max_cutoff is None."""
-    if max_cutoff is not None:
-        cap = max_cutoff
-    top = max(plan.cutoff, *(plan.refinements or (1,)))
-    if top > cap:
-        raise BudgetError(f"cutoff {top} exceeds the enumeration cap {cap}")
+def _evaluate(plan, cap: int, max_cutoff: int | None,
+              evalfn: Callable[[tuple[int, ...]], Sequence],
+              half: bool = True) -> tuple[TruncationPlan, dict]:
+    """The plan (a bare cutoff is a plan without refinements) and
+    {n: value} at its cutoff, its refinements and, with half, cutoff // 2
+    when that is >= 1.  evalfn maps increasing cutoffs to their values; it
+    is called once, after a cutoff past max_cutoff (past cap when
+    max_cutoff is None) raises BudgetError."""
+    if not isinstance(plan, TruncationPlan):
+        plan = TruncationPlan(int(plan))
+    ns = {plan.cutoff, *(plan.refinements or ())}
+    cap = cap if max_cutoff is None else max_cutoff
+    if max(ns) > cap:
+        raise BudgetError(f"cutoff {max(ns)} exceeds the enumeration cap {cap}")
+    if half and plan.cutoff > 1:
+        ns.add(plan.cutoff // 2)
+    ns = tuple(sorted(ns))
+    return plan, dict(zip(ns, evalfn(ns)))
 
 
-def _make_report(evalfn: Callable[[tuple[int, ...]], Sequence[complex]],
-                 plan: TruncationPlan) -> EvalReport:
-    """evalfn maps increasing cutoffs (all >= 1) to their values; it is
-    asked once for the cutoff, its half and the refinements."""
-    half = plan.cutoff // 2
-    ns = tuple(sorted({plan.cutoff, *(plan.refinements or ()), *((half,) if half else ())}))
-    at = dict(zip(ns, evalfn(ns)))
-    at[0] = 0j
+def _make_report(plan, cap: int, max_cutoff: int | None,
+                 evalfn: Callable[[tuple[int, ...]], Sequence[complex]]) -> EvalReport:
+    """The report of `_evaluate`: the value at the cutoff, its distance
+    from the value at cutoff // 2 (0 at 0) and the refinements."""
+    plan, at = _evaluate(plan, cap, max_cutoff, evalfn)
     value = at[plan.cutoff]
-    residual = abs(value - at[half])
+    residual = abs(value - at.get(plan.cutoff // 2, 0j))
     _check_finite(plan.cutoff, residual, *at.values())
     refs = None if plan.refinements is None else [(n, at[n]) for n in plan.refinements]
     return EvalReport(value=value, cutoff=plan.cutoff, residual=residual, refinements=refs)
@@ -643,21 +646,14 @@ def _require(ineqs, domain: str):
         raise DomainError(f"arguments outside {domain}: {bad.describe()}")
 
 
-def _block_exponents(s: ComplexArgs, extra: complex | None = None):
-    exps: dict[VarId, complex] = {
-        VarId.block(i, j): s[(i, j)] for (i, j) in s.shape.positions()
-    }
-    if extra is not None:
-        exps[EXTRA] = extra
-    return exps
-
-
 def _tilde_pieces(s: ComplexArgs, i: int, j: int, variant) -> list:
-    r_i = s.shape.r[i - 1]
-    delta = 1 if j == r_i else 0
-    x = VarId.block(i, j)
-    c1 = pole_coupling(x, EXTRA, delta, delta)
-    c2 = pole_coupling(x, EXTRA, s[(i, j)], s[(i, j)])
+    """The pole couplings of the split series at (i, j), between the
+    position of (i, j) and that of n, which follows the block positions."""
+    shape = s.shape
+    delta = 1 if j == shape.r[i - 1] else 0
+    x, n = shape.offset(i, j), shape.total_depth
+    c1 = pole_coupling(x, n, delta, delta)
+    c2 = pole_coupling(x, n, s[(i, j)], s[(i, j)])
     if variant in (1, "1"):
         return [(1.0, c1)]
     if variant in (2, "2"):
@@ -674,34 +670,29 @@ def eval_zeta_tilde(s: ComplexArgs, i: int, j: int, variant, plan,
     variant 1 and 2 are the two halves; 'diff' is their termwise difference
     over the same index domain.
     """
-    plan = _as_plan(plan)
     cs = build_constraints_S_ij(s.shape, i, j)
     _require(w_inequalities(s), "W")
-    _check_budget(plan, COUPLED_CUTOFF_CAP, max_cutoff)
-    exps = _block_exponents(s, extra=0)
     pieces = _tilde_pieces(s, i, j, variant)
-    return _make_report(lambda ns: _eval_system(cs, exps, pieces, ns), plan)
+    return _make_report(plan, COUPLED_CUTOFF_CAP, max_cutoff,
+                        lambda ns: _eval_system(cs, [*s.values, 0], pieces, ns))
 
 
 def _tilde_harmonic_setup(s: ComplexArgs, i: int, j: int, variant):
-    """Outer system, coupled pair and harmonic coupling for the closed-form
-    path."""
+    """Outer system, the positions of the coupled pair and the harmonic
+    coupling for the closed-form path."""
     shape = s.shape
-    r_i = shape.r[i - 1]
+    r_i, at = shape.r[i - 1], shape.offset
     if variant in (1, "1"):
         if j < r_i:
-            return (build_constraints_S(shape), VarId.block(i, j),
-                    VarId.block(i, j + 1), harmonic_gap)
+            return build_constraints_S(shape), at(i, j), at(i, j + 1), harmonic_gap
         prev = shape.wrap_block(i - 1)
-        return (build_constraints_T_i(shape, i), VarId.block(prev, 1),
-                VarId.block(i, r_i), harmonic_wrap_1)
+        return build_constraints_T_i(shape, i), at(prev, 1), at(i, r_i), harmonic_wrap_1
     if variant in (2, "2"):
         if j == 1:
             nxt = shape.wrap_block(i + 1)
-            return (build_constraints_T_i(shape, nxt), VarId.block(i, 1),
-                    VarId.block(nxt, shape.r[nxt - 1]), harmonic_wrap_2)
-        return (build_constraints_S(shape), VarId.block(i, j - 1),
-                VarId.block(i, j), harmonic_gap)
+            return (build_constraints_T_i(shape, nxt), at(i, 1),
+                    at(nxt, shape.r[nxt - 1]), harmonic_wrap_2)
+        return build_constraints_S(shape), at(i, j - 1), at(i, j), harmonic_gap
     raise ValueError(f"harmonic path supports variants 1 and 2, not {variant!r}")
 
 
@@ -709,37 +700,28 @@ def eval_zeta_tilde_harmonic(s: ComplexArgs, i: int, j: int, variant, plan,
                              *, max_cutoff: int | None = None) -> EvalReport:
     """Closed-form path: the extra variable is summed analytically into a
     harmonic-range factor; only the outer chain is truncated at N."""
-    plan = _as_plan(plan)
-    shape = s.shape
-    if not (1 <= i <= shape.d and 1 <= j <= shape.r[i - 1]):
-        raise ValueError(f"position ({i},{j}) out of range for shape {shape}")
+    s.shape.offset(i, j)  # refuses a position out of range
     _require(w_inequalities(s), "W")
-    _check_budget(plan, COUPLED_CUTOFF_CAP, max_cutoff)
-    cs, va, vb, coupling = _tilde_harmonic_setup(s, i, j, variant)
-    exps = _block_exponents(s)
-
-    pieces = [(1.0, coupling(va, vb))]
-    return _make_report(lambda ns: _eval_system(cs, exps, pieces, ns), plan)
+    cs, a, b, coupling = _tilde_harmonic_setup(s, i, j, variant)
+    pieces = [(1.0, coupling(a, b))]
+    return _make_report(plan, COUPLED_CUTOFF_CAP, max_cutoff,
+                        lambda ns: _eval_system(cs, s.values, pieces, ns))
 
 
 def eval_zeta_C_i(s: ComplexArgs, i: int, plan, *, max_cutoff: int | None = None) -> EvalReport:
     """Truncated window series over S_i (extra variable with exponent 1)."""
-    plan = _as_plan(plan)
     cs = build_constraints_S_i(s.shape, i)
     _require(w_inequalities(s), "W")
-    _check_budget(plan, CHAIN_CUTOFF_CAP, max_cutoff)
-    exps = _block_exponents(s, extra=1)
-    return _make_report(lambda ns: _eval_system(cs, exps, [(1.0, None)], ns), plan)
+    return _make_report(plan, CHAIN_CUTOFF_CAP, max_cutoff,
+                        lambda ns: _eval_system(cs, [*s.values, 1], [(1.0, None)], ns))
 
 
 def eval_zeta_C(s: ComplexArgs, plan, *, max_cutoff: int | None = None) -> EvalReport:
     """Truncated series over the cyclic domain S (block variables only)."""
-    plan = _as_plan(plan)
     _require(w_inequalities(s), "W")
-    _check_budget(plan, CHAIN_CUTOFF_CAP, max_cutoff)
     cs = build_constraints_S(s.shape)
-    exps = _block_exponents(s)
-    return _make_report(lambda ns: _eval_system(cs, exps, [(1.0, None)], ns), plan)
+    return _make_report(plan, CHAIN_CUTOFF_CAP, max_cutoff,
+                        lambda ns: _eval_system(cs, s.values, [(1.0, None)], ns))
 
 
 def eval_theorem_residual(s: ComplexArgs, plan, *,
@@ -749,27 +731,23 @@ def eval_theorem_residual(s: ComplexArgs, plan, *,
     lhs sums the termwise differences over every position; rhs sums the
     window series over every block.
     """
-    plan = _as_plan(plan)
     shape = s.shape
     _require(w_inequalities(s), "W")
-    _check_budget(plan, COUPLED_CUTOFF_CAP, max_cutoff)
     tilde = [(build_constraints_S_ij(shape, i, j), _tilde_pieces(s, i, j, "diff"))
              for i, j in shape.positions()]
-    cees = [build_constraints_S_i(shape, i) for i in range(1, shape.d + 1)]
-    # Refuse a system over the DAG cap before any sum.
-    for cs in [cs for cs, _ in tilde] + cees:
-        _filter_steps(cs)
-    exps_t = _block_exponents(s, extra=0)
-    exps_c = _block_exponents(s, extra=1)
+    cees = [(build_constraints_S_i(shape, i), [(1.0, None)]) for i in range(1, shape.d + 1)]
 
-    ns = tuple(sorted({plan.cutoff, *(plan.refinements or ())}))
-    lhs = [0j] * len(ns)
-    for cs, pieces in tilde:
-        lhs = [a + v for a, v in zip(lhs, _eval_system(cs, exps_t, pieces, ns))]
-    rhs = [0j] * len(ns)
-    for cs in cees:
-        rhs = [a + v for a, v in zip(rhs, _eval_system(cs, exps_c, [(1.0, None)], ns))]
-    at = {n: (ln, rn) for n, ln, rn in zip(ns, lhs, rhs)}
+    def total(systems, extra: int, ns) -> list[complex]:
+        values = [_eval_system(cs, [*s.values, extra], pieces, ns) for cs, pieces in systems]
+        return [sum(col, 0j) for col in zip(*values)]
+
+    def sides(ns):
+        # Refuse a system over the DAG cap before any sum.
+        for cs, _ in tilde + cees:
+            _filter_steps(cs)
+        return list(zip(total(tilde, 0, ns), total(cees, 1, ns)))
+
+    plan, at = _evaluate(plan, COUPLED_CUTOFF_CAP, max_cutoff, sides, half=False)
     _check_finite(plan.cutoff, *(abs(ln - rn) for ln, rn in at.values()))
     lhs, rhs = at[plan.cutoff]
     refs = None
@@ -790,11 +768,10 @@ def eval_mzf(s: Sequence[complex], plan, *, max_cutoff: int | None = None) -> Ev
     vals = [complex(v) for v in s]
     if not vals:
         raise ValueError("empty argument list")
-    plan = _as_plan(plan)
     _require(ez_inequalities(vals), "the absolute-convergence domain")
-    _check_budget(plan, CHAIN_CUTOFF_CAP, max_cutoff)
     steps = _path([(t,) for t in range(len(vals))])
-    return _make_report(lambda ns: _chain_plain(steps, vals, ns), plan)
+    return _make_report(plan, CHAIN_CUTOFF_CAP, max_cutoff,
+                        lambda ns: _chain_plain(steps, vals, ns))
 
 
 def mzv_partial_sum(parts: Sequence[int], n_max: int) -> float:
@@ -819,7 +796,6 @@ def combo_partial_sum(combo, n_max: int) -> float:
 def eval_mordell_tornheim(s1: complex, s2: complex, s3: complex, plan,
                           *, max_cutoff: int | None = None) -> EvalReport:
     """Truncated double series sum_{m,n<=N} m^{-s1} n^{-s2} (m+n)^{-s3}."""
-    plan = _as_plan(plan)
     s1, s2, s3 = complex(s1), complex(s2), complex(s3)
     if not (
         (s1 + s3).real > 1 and (s2 + s3).real > 1 and (s1 + s2 + s3).real > 2
@@ -828,7 +804,6 @@ def eval_mordell_tornheim(s1: complex, s2: complex, s3: complex, plan,
             "double series may not converge absolutely for these exponents",
             stacklevel=2,
         )
-    _check_budget(plan, MT_CUTOFF_CAP, max_cutoff)
 
     def evalfn(n: int) -> complex:
         # conv[k - 2] = sum over m + n = k (m, n <= N) of m^-s1 n^-s2, from
@@ -843,7 +818,7 @@ def eval_mordell_tornheim(s1: complex, s2: complex, s3: complex, plan,
         conv.imag = np.fft.irfft(ar * bi + ai * br, size)[:size - 1]
         return complex((conv * _pow_vec(size, s3)[1:]).sum())
 
-    return _make_report(lambda ns: [evalfn(n) for n in ns], plan)
+    return _make_report(plan, MT_CUTOFF_CAP, max_cutoff, lambda ns: [evalfn(n) for n in ns])
 
 
 def harmonic_relation_check(s1: complex, s2: complex, n_max: int) -> float:

@@ -145,6 +145,34 @@ def test_eval_underscore_or_non_ascii_exit_3(capsys, argv):
     assert err.startswith("parse error: bad ") and "only ASCII text without '_'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--kind", "mzf", "--s", "2", "--N", "1_0"],
+    ["eval", "--kind", "mzf", "--s", "2", "--N", "\u0661\u0660"],
+    ["eval", "--kind", "mzf", "--s", "2", "--N-list", "1_0"],
+    ["eval", "--kind", "mzf", "--s", "2", "--N-list", "5,,10"],
+    ["eval", "--kind", "zeta-c", "--shape", "1,1", "--s", "2,2", "--i", "\u0662", "--N", "10"],
+    ["relations", "--weight", "3", "--family", "csf", "--out", "w3.json",
+     "--budget-max-weight", "1_0"],
+    ["table1", "--max-weight", "1_0"],
+], ids=["N-underscore", "N-arabic-indic", "N-list-underscore", "N-list-blank", "i-arabic-indic",
+        "budget-underscore", "max-weight-underscore"])
+def test_integer_flags_read_a_sign_and_ascii_digits_exit_3(capsys, tmp_path, monkeypatch, argv):
+    """int() reads '_' digit groups and other scripts' digits; every
+    integer flag and --N-list entry refuses them."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: argument --") and "bad integer" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_integer_flags_allow_a_sign_and_surrounding_spaces(capsys):
+    argv = ["eval", "--kind", "mzf", "--s", "2", "--N-list", "5,10"]
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    assert run(capsys, *argv[:-1], " 5, +10 ") == want
+
+
 def test_eval_zeta_tilde_variant_defaults_to_diff(capsys):
     argv = ["eval", "--kind", "zeta-tilde", "--shape", "2", "--s", "1.5,2.5",
             "--i", "1", "--j", "1", "--N", "50"]
@@ -648,6 +676,18 @@ def test_flags_the_subcommand_does_not_read_exit_3(capsys, argv):
 # --- decompose ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("argv", [
+    ["--set", "S", "--i", "1", "--exponents", "n1_1:1"],
+    ["--set", "S_i", "--i", "1", "--j", "1", "--exponents", "n1_1:1,n:2"],
+    ["--set", "S", "--exponents", "n1_1:1", "--N", "5"],
+    ["--set", "S", "--count", "--N", "3", "--exponents", "n1_1:1"],
+], ids=["S-i", "S_i-j", "exponents-N", "count-exponents"])
+def test_decompose_flags_its_set_or_mode_does_not_read_exit_3(capsys, argv):
+    code, out, err = run(capsys, "decompose", "--shape", "1", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: decompose --set") and " does not read --" in err
+
+
 def test_decompose_examples(capsys):
     code, out, _ = run(
         capsys, "decompose", "--shape", "1", "--set", "S_ij", "--i", "1", "--j", "1",
@@ -760,6 +800,19 @@ def test_decompose_bad_exponents_exit_3(capsys, exponents, message):
     assert err.startswith("parse error:") and message in err
 
 
+@pytest.mark.parametrize("exponents", ["n1_1:1,,n:2", ",n1_1:1 n:2,", "n1_1:1, ,n:2", ""])
+def test_decompose_blank_exponent_entry_exit_3(capsys, exponents):
+    argv = ["decompose", "--shape", "1", "--set", "S_ij", "--i", "1", "--j", "1", "--exponents"]
+    code, out, err = run(capsys, *argv, exponents)
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: blank exponent entry")
+    # entries separated by spaces, or by commas with spaces around them, parse
+    want = run(capsys, *argv, "n1_1:1,n:2")
+    assert want[0] == 0
+    for spaced in (" n1_1:1  n:2 ", "n1_1:1 , n:2"):
+        assert run(capsys, *argv, spaced) == want
+
+
 def test_decompose_count_grid_too_large_exit_4(capsys, monkeypatch):
     # 2^27 points pass the point limit, but the grid would take 3.25 GiB.
     def indices(*args, **kwargs):
@@ -848,16 +901,17 @@ def test_traced_eval_reports_every_series_metric_finite(args):
 
 # --- fuzzed argument lists ---------------------------------------------------
 
-INT = st.integers(-3, 50).map(str)
+INT = st.one_of(st.integers(-3, 50).map(str), st.sampled_from(["1_0", "\u0661\u0660", " 7 "]))
 WEIGHT = st.integers(-1, 5).map(str)
 JUNK = st.sampled_from(["", "x", "nan", "1e400", "2.5", "1,2", ";", "--"])
 SHAPE = st.sampled_from(["1", "2", "1,1", "2,1", "1;1", "0", "-1", "a"])
 COMPLEX = st.sampled_from(["2+0i", "1.5+0.5i", "3", "0.5", "1.5,2.5", "1.5;1.6",
                            "1.2,2.2;1.5", "2-1i,1,1", "1e400", "nan", "x", ""])
-N_LIST = st.lists(st.integers(-2, 50), max_size=3).map(lambda v: ",".join(map(str, v)))
+N_LIST = st.one_of(st.lists(st.integers(-2, 50), max_size=3).map(lambda v: ",".join(map(str, v))),
+                   st.sampled_from(["1_0", "\u0661\u0660", "5,,10", ",5", "5,"]))
 EXPONENTS = st.sampled_from(["n1_1:1,n:2", "n1_1:2 n:1", "n1_1:0,n2_1:0",
                              "n1_1:1,n1_2:2,n2_1:2,n:1", "n1_1:-1,n:2", "n0_1:1,n:2",
-                             "n:x", "q:1", ""])
+                             "n:x", "q:1", "", "n1_1:1,,n:2", ",n1_1:1 n:2,"])
 FAMILY = st.sampled_from(["csf", "derivation", "cyclic", "bogus"])
 # Paths inside the example's own directory: {tmp} is filled in per example.
 PATH = st.sampled_from(["{tmp}/set.json", "{tmp}/missing.json", "{tmp}/junk.json",

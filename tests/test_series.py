@@ -77,11 +77,13 @@ def brute_term_sum(cs, exps, n_max, pole=None):
 
 def constrained_sum(cs, exps, plan, pole=None):
     """The box-truncated sum over cs of prod v^-exps[v], times
-    num^p / (den^q (den - num)) for pole = (num, den, p, q)."""
+    num^p / (den^q (den - num)) for pole = (num, den, p, q); the engine
+    takes the exponents and the pole's variables by position."""
+    vs = cs.variables
+    coupling = pole and couplings.pole_coupling(vs.index(pole[0]), vs.index(pole[1]), *pole[2:])
     return series._make_report(
-        lambda ns: series._eval_system(
-            cs, exps, [(1.0, pole and couplings.pole_coupling(*pole))], ns),
-        series._as_plan(plan))
+        plan, math.inf, None,
+        lambda ns: series._eval_system(cs, [exps.get(v, 0) for v in vs], [(1.0, coupling)], ns))
 
 
 # --- generic engine vs. brute force -----------------------------------------
@@ -698,8 +700,10 @@ def reference_chain_plain(chains, cutoffs):
 
 
 def reference_system(cs, exps, cutoffs):
-    """The sum over cs by the reference route: every weak order one chain."""
-    chains = [([[exps[v] for v in lvl if exps.get(v, 0) != 0] for lvl in osp.levels], None)
+    """The sum over cs by the reference route: every weak order one chain;
+    exps are listed in the order of cs.variables."""
+    at = dict(zip(cs.variables, exps))
+    chains = [([[at[v] for v in lvl if at[v] != 0] for lvl in osp.levels], None)
               for osp in weak_orders(cs)]
     return [sum(col, 0j) for col in zip(*reference_chain_plain(chains, cutoffs))]
 
@@ -753,12 +757,12 @@ def test_plain_chains_match_summed_exponent_route(s):
     """The full and window series agree with the sum over their weak orders
     of the reference route to 1e-13 relative at every cutoff, and
     conjugating the arguments conjugates them exactly."""
-    cases = [(lambda a: eval_zeta_C(a, ORACLE_PLAN), build_constraints_S(s.shape), None)]
+    cases = [(lambda a: eval_zeta_C(a, ORACLE_PLAN), build_constraints_S(s.shape), ())]
     cases += [(lambda a, i=i: eval_zeta_C_i(a, i, ORACLE_PLAN),
-               build_constraints_S_i(s.shape, i), 1) for i in (1, 2)]
+               build_constraints_S_i(s.shape, i), (1,)) for i in (1, 2)]
     for fn, cs, extra in cases:
         r1, r2 = fn(s), fn(s.conjugate())
-        want = reference_system(cs, series._block_exponents(s, extra), ORACLE_PLAN.refinements)
+        want = reference_system(cs, [*s.values, *extra], ORACLE_PLAN.refinements)
         assert_close([v for _, v in r1.refinements], want)
         assert all(v == w.conjugate()
                    for (_, v), (_, w) in zip(r1.refinements, r2.refinements))
@@ -789,6 +793,27 @@ def compositions(n):
         yield tuple(blocks)
 
 
+def test_variables_are_the_block_positions_then_n():
+    """The convention both pipelines rely on, as they list exponents and
+    name coupled variables by position in cs.variables: for every shape of
+    total depth <= 5, S_ij and S_i hold the block positions in order and
+    then n, at position total_depth, and S and T_i the block positions."""
+    for depth in range(1, 6):
+        for blocks in compositions(depth):
+            shape = Shape(blocks)
+            block = tuple(shape.block_vars())
+            assert [block.index(B(i, j)) for i, j in shape.positions()] == \
+                [shape.offset(i, j) for i, j in shape.positions()]
+            assert build_constraints_S(shape).variables == block
+            for i in range(1, shape.d + 1):
+                assert build_constraints_T_i(shape, i).variables == block
+                assert build_constraints_S_i(shape, i).variables == (*block, EXTRA)
+                for j in range(1, shape.r[i - 1] + 1):
+                    cs = build_constraints_S_ij(shape, i, j)
+                    assert cs.variables == (*block, EXTRA)
+                    assert cs.variables[shape.total_depth] == EXTRA
+
+
 @pytest.mark.parametrize("depths", [range(1, 6),
                                     pytest.param(range(6, 7), marks=pytest.mark.slow)],
                          ids=["depth<=5", "depth6"])
@@ -804,13 +829,13 @@ def test_plain_sums_match_weak_order_route_on_every_small_shape(monkeypatch, dep
             shape = Shape(blocks)
             args = ComplexArgs(shape, tuple(1.1 + 0.15 * k + (0.3j if k % 2 else -0.2j)
                                             for k in range(depth)))
-            systems = [(build_constraints_S(shape), None)]
-            systems += [(build_constraints_S_i(shape, i), 1) for i in range(1, shape.d + 1)]
+            systems = [(build_constraints_S(shape), ())]
+            systems += [(build_constraints_S_i(shape, i), (1,)) for i in range(1, shape.d + 1)]
             for cs, extra in systems:
-                exps = series._block_exponents(args, extra)
+                exps = [*args.values, *extra]
                 got = series._eval_system(cs, exps, [(1.0, None)], ns)
                 assert_close(got, reference_system(cs, exps, ns))
-                conj = {v: complex(e).conjugate() for v, e in exps.items()}
+                conj = [complex(e).conjugate() for e in exps]
                 flipped = series._eval_system(cs, conj, [(1.0, None)], ns)
                 assert all(v == w.conjugate() for v, w in zip(got, flipped)), (blocks, cs)
 
@@ -907,7 +932,7 @@ def random_exponent(rng):
 
 def random_coupling(rng, kind):
     """(engine coupling, oracle cell factor f(a, b)) of one kind."""
-    a, b = B(1, 1), B(1, 2)
+    a, b = 0, 1
     if kind == "pole":
         ne, de = random_exponent(rng), random_exponent(rng)
         return couplings.pole_coupling(a, b, ne, de), pole_cell(ne, de)
@@ -987,9 +1012,10 @@ def reference_coupled_system(cs, exps, pieces, cutoffs):
     pair on two levels through `series._chain_coupled`."""
     top = max(cutoffs)
     totals, chains, coeffs = [0j] * len(cutoffs), [], []
+    at = {v: t for t, v in enumerate(cs.variables)}  # the positions the engine reads
     for osp in weak_orders(cs):
-        level_of = {v: l for l, lvl in enumerate(osp.levels) for v in lvl}
-        levels = [[exps[v] for v in lvl if exps.get(v, 0) != 0] for lvl in osp.levels]
+        level_of = {at[v]: l for l, lvl in enumerate(osp.levels) for v in lvl}
+        levels = [[exps[at[v]] for v in lvl if exps[at[v]] != 0] for lvl in osp.levels]
         groups = {}
         for coeff, cp in pieces:
             if cp is None or level_of[cp.var_a] == level_of[cp.var_b]:
@@ -1019,12 +1045,11 @@ def coupled_systems(args):
     for i, j in shape.positions():
         cs = build_constraints_S_ij(shape, i, j)
         for variant in ("diff", 1, 2):
-            yield (cs, series._block_exponents(args, extra=0),
-                   series._tilde_pieces(args, i, j, variant))
+            yield cs, [*args.values, 0], series._tilde_pieces(args, i, j, variant)
         for variant in (1, 2):
             cs_h, va, vb, coupling = series._tilde_harmonic_setup(args, i, j, variant)
             for extra in ((), ((-0.75, couplings.harmonic_wrap_1),)):
-                yield (cs_h, series._block_exponents(args),
+                yield (cs_h, list(args.values),
                        [(1.0, coupling(va, vb)), *((k, e(vb, va)) for k, e in extra)])
 
 
