@@ -15,6 +15,7 @@ byte-identical to cold runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -67,7 +68,11 @@ def _int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared by every
+    `main` call: parse_args keeps no state in it, and its defaults are
+    immutable."""
     p = _Parser(prog="cycliczeta", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -114,7 +119,7 @@ def build_parser() -> _Parser:
 
     tb = sub.add_parser("table1", help="independent-relation counts per weight")
     tb.add_argument("--max-weight", type=_int, required=True)
-    tb.add_argument("--families", nargs="*", default=list(rel_mod.FAMILIES),
+    tb.add_argument("--families", nargs="*", default=rel_mod.FAMILIES,
                     choices=rel_mod.FAMILIES)
     tb.add_argument("--budget-max-weight", type=budget, default=rel_mod.MAX_WEIGHT_BUDGET)
     formats(tb, "json", "csv", "text")

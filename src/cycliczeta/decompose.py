@@ -6,21 +6,22 @@ order) of the variable set compatible with the constraints: merge the
 exponents of tied variables and read off one symbol per partition.  The
 decomposition only needs how often each symbol occurs, so one engine
 (`_part_counts`) counts weak orders by a recursion over the order filters of
-the constraint poset and returns plain part tuples with their counts;
-`decompose_to_mzv` checks its input and wraps that result as a
-`SymbolCombination`, and relation generation sums the tuples itself.  The
-series evaluators walk the same order filters (`_filter_steps`) for their
-plain and coupled sums.  The engine's recursion also names the first weak
-order that makes a decomposition non-admissible, so no caller enumerates
-the weak orders; `decompose` output counts them from the combination.
-Building the filters is the only place where the size of a system is
-bounded (`LEVEL_CAP`).
+the constraint poset and returns each composition, as the bitmask of its
+partial sums, with its count; `decompose_to_mzv` checks its input and wraps
+that result as a `SymbolCombination`, and relation generation sums the
+masks itself.  The series evaluators walk the same order filters
+(`_filter_steps`) for their plain and coupled sums.  The engine's recursion
+also names the first weak order that makes a decomposition non-admissible,
+so no caller enumerates the weak orders; `decompose` output counts them from
+the combination.  Building the filters is the only place where the size of
+a system is bounded (`LEVEL_CAP`).
 Completeness and disjointness of the split are exactly testable against a
 brute-force lattice-point count, which this module also provides.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -204,21 +205,25 @@ def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
         if remaining in steps:
             continue
         cand = [t for t in range(n) if remaining >> t & 1 and not strict_in[t] & remaining]
-        tried += (1 << len(cand)) - 1
+        size = 1 << len(cand)
+        tried += size - 1
         if tried > LEVEL_CAP:
             raise BudgetError(
                 f"the order filters of the {n}-variable system on shape {cs.shape} "
                 f"need more than {LEVEL_CAP} candidate levels (the cap)")
+        # The level and need masks of a subset are those of the subset
+        # without its lowest bit, plus that bit's candidate.
+        levels = [0] * size
+        needs = [0] * size
         out = []
-        for mask in range(1, 1 << len(cand)):
-            level = need = 0
-            for pos, t in enumerate(cand):
-                if mask >> pos & 1:
-                    level |= 1 << t
-                    need |= weak_in[t]
+        for mask in range(1, size):
+            prev = mask & (mask - 1)
+            t = cand[(mask ^ prev).bit_length() - 1]
+            level = levels[mask] = levels[prev] | 1 << t
+            need = needs[mask] = needs[prev] | weak_in[t]
             if need & remaining & ~level:
                 continue
-            rest = remaining & ~level
+            rest = remaining ^ level
             out.append((tuple(t for t in cand if level >> t & 1), rest))
             if rest:
                 todo.append(rest)
@@ -262,27 +267,30 @@ def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> Sy
     return _combination(_part_counts(cs, [int(exponents[v]) for v in cs.variables]))
 
 
-def _part_counts(cs: ConstraintSystem, exps: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """The decomposition engine: each part tuple of the weak orders of cs and
-    how many weak orders read it, for nonnegative integer exponents listed
-    in the order of cs.variables (not checked here).
+def _part_counts(cs: ConstraintSystem, exps: Sequence[int]) -> dict[int, int]:
+    """The decomposition engine: each composition of the weak orders of cs,
+    as the mask of its partial sums (`_composition`), and how many weak
+    orders read it, for nonnegative integer exponents listed in the order of
+    cs.variables (not checked here).
 
     The weak orders are counted, not built: a memoised recursion over the
-    order filters maps each filter to the multiset of part tuples of its
-    completions, each level's part being the sum of its exponents.  It takes
-    the steps depth-first in canonical order and memoises a filter only once
-    all its completions are admissible, so the first non-admissible step it
-    meets lies on the first non-admissible weak order in canonical order:
-    the path to that step, then the first step of each later filter.
+    order filters maps each filter to the multiset of compositions of its
+    completions, each level's part being the sum of its exponents; part p
+    before the completion t is t << p | 1 << (p - 1).  It takes the steps
+    depth-first in canonical order and memoises a filter only once all its
+    completions are admissible, so the first non-admissible step it meets
+    lies on the first non-admissible weak order in canonical order: the path
+    to that step, then the first step of each later filter.
     """
     vs, steps = _filter_steps(cs)
-    memo: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}
+    exp = exps.__getitem__
+    memo: dict[int, dict[int, int]] = {0: {0: 1}}
     path: list[tuple[int, ...]] = []  # the levels from the source to this filter
 
-    def completions(remaining: int) -> dict[tuple[int, ...], int]:
-        got: dict[tuple[int, ...], int] = {}
+    def completions(remaining: int) -> dict[int, int]:
+        got: dict[int, int] = {}
         for lvl, rest in steps[remaining]:
-            part = sum(exps[t] for t in lvl)
+            part = sum(map(exp, lvl))
             if part < 1 or (part < 2 and not rest):
                 _raise_non_admissible(vs, steps, exps, path + [lvl], rest)
             tails = memo.get(rest)
@@ -290,8 +298,9 @@ def _part_counts(cs: ConstraintSystem, exps: Sequence[int]) -> dict[tuple[int, .
                 path.append(lvl)
                 tails = completions(rest)
                 path.pop()
+            top = 1 << (part - 1)
             for tail, n in tails.items():
-                key = (part,) + tail
+                key = tail << part | top
                 got[key] = got.get(key, 0) + n
         memo[remaining] = got
         return got
@@ -299,15 +308,30 @@ def _part_counts(cs: ConstraintSystem, exps: Sequence[int]) -> dict[tuple[int, .
     return completions((1 << len(vs)) - 1)
 
 
+def _mask(parts: Sequence[int]) -> int:
+    """The partial sums s of positive parts as a bitmask, bit s - 1 for each
+    (Stanley, Enumerative Combinatorics I, 1.2): the highest bit is bit
+    weight - 1."""
+    return sum(1 << (s - 1) for s in itertools.accumulate(parts))
+
+
 @lru_cache(maxsize=None)
-def _composition(parts: tuple[int, ...]) -> Composition:
-    return Composition(parts)
+def _composition(mask: int) -> Composition:
+    """The composition whose partial-sum mask (`_mask`) is mask."""
+    parts, prev = [], 0
+    while mask:
+        low = mask & -mask
+        s = low.bit_length()
+        parts.append(s - prev)
+        prev = s
+        mask ^= low
+    return Composition(tuple(parts))
 
 
-def _combination(counts: Mapping[tuple[int, ...], int]) -> SymbolCombination:
-    """The combination of part tuples and their coefficients; each symbol
-    is built once per process."""
-    return SymbolCombination({_composition(parts): c for parts, c in counts.items()})
+def _combination(counts: Mapping[int, int]) -> SymbolCombination:
+    """The combination of partial-sum masks and their coefficients; each
+    symbol is built once per process."""
+    return SymbolCombination({_composition(mask): c for mask, c in counts.items()})
 
 
 def _raise_non_admissible(vs: Sequence[VarId], steps: Mapping[int, Sequence],

@@ -22,7 +22,7 @@ singleton-block boundary Re >= 1 is non-strict, with plain IEEE comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -268,31 +268,38 @@ class ConstraintSystem:
     The constraint digraph may contain non-strict cycles (forced equalities)
     but never a cycle through a strict edge; such a system would be empty and
     the constructors never emit one (ad-hoc construction raises ValueError).
+    The variables (the block positions, then n) and the hash of the
+    canonical fields are computed once, since the decomposition caches are
+    keyed by the system.
     """
 
     shape: Shape
     has_extra_var: bool
     constraints: tuple[Constraint, ...]
+    variables: tuple[VarId, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cons = tuple(sorted(set(self.constraints), key=Constraint.sort_key))
         object.__setattr__(self, "constraints", cons)
-        allowed = set(self.shape.block_vars())
-        if self.has_extra_var:
-            allowed.add(EXTRA)
+        vs = tuple(self.shape.block_vars()) + ((EXTRA,) if self.has_extra_var else ())
+        object.__setattr__(self, "variables", vs)
+        allowed = set(vs)
         for c in cons:
             for v in (c.lhs, c.rhs):
                 if v not in allowed:
                     raise ValueError(f"variable {v} not valid for this system")
-        if _has_strict_cycle(self.variables, cons):
+        if _has_strict_cycle(vs, cons):
             raise ValueError("constraint digraph has a cycle through a strict edge")
+        object.__setattr__(self, "_hash", hash((self.shape, self.has_extra_var, cons)))
 
-    @property
-    def variables(self) -> tuple[VarId, ...]:
-        vs = list(self.shape.block_vars())
-        if self.has_extra_var:
-            vs.append(EXTRA)
-        return tuple(vs)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt on unpickling: the stored hash covers strings, whose hash
+        # differs between processes.
+        return (type(self), (self.shape, self.has_extra_var, self.constraints))
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(c) for c in self.constraints) + "}"

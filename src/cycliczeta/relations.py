@@ -11,7 +11,7 @@ families are generated by `cyclic_relation`.  Stacking the relations of
 one weight into an integer matrix and computing its exact rank reproduces
 the reference table of independent relation counts.
 
-Relations are accumulated on plain part tuples from the decomposition
+Relations are accumulated on the partial-sum bitmasks of the decomposition
 engine (`decompose._part_counts`), and each relation builds one
 `SymbolCombination` at the end.  `relation_matrix` indexes each distinct
 combination once, by increasing column.
@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .decompose import Composition, SymbolCombination, _combination, _part_counts
+from .decompose import Composition, SymbolCombination, _combination, _mask, _part_counts
 # Unused here, but perfbench/tracing.py wraps this binding until the library counts its own calls.
 from .decompose import decompose_to_mzv  # noqa: F401
 from .errors import BudgetError, DomainError, InternalInvariantError, NonAdmissibleError, ParseError
@@ -83,17 +83,17 @@ def cyclic_relation(k: IntArgs) -> Relation:
     over every block (extra exponent 1) is subtracted.  Every symbol has
     weight sum(k) + 1.  The variables of every S_ij and S_i system are the
     block positions in order, then n, so the exponents are passed to the
-    decomposition engine as plain lists and its part tuples summed.
+    decomposition engine as plain lists and its partial-sum masks summed.
     """
     if not is_integer_point_in_W(k):
         raise DomainError(f"integer point {k} lies outside W")
     shape = k.shape
     values = list(k.values)
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
 
     def add(cs, exps, sign):
-        for parts, c in _part_counts(cs, exps).items():
-            acc[parts] = acc.get(parts, 0) + sign * c
+        for mask, c in _part_counts(cs, exps).items():
+            acc[mask] = acc.get(mask, 0) + sign * c
 
     for i in range(1, shape.d + 1):
         r_i = shape.r[i - 1]
@@ -112,19 +112,18 @@ def cyclic_relation(k: IntArgs) -> Relation:
 
 def zeta_star_expand(c: Composition) -> SymbolCombination:
     """Expand a star symbol (non-strict chain) into strict-chain symbols by
-    merging adjacent parts in all 2^(t-1) ways, coefficient +1 each."""
+    merging adjacent parts in all 2^(t-1) ways, coefficient +1 each: a merge
+    drops partial sums, so the symbols are the submasks of the inner partial
+    sums with the weight kept (`decompose._mask`)."""
     if not c.admissible:
         raise NonAdmissibleError(f"star symbol ({c}) is not admissible", parts=c.parts)
-    parts = c.parts
-    acc: dict[tuple[int, ...], int] = {}
-    for mask in range(1 << (len(parts) - 1)):
-        merged = [parts[0]]
-        for pos in range(1, len(parts)):
-            if (mask >> (pos - 1)) & 1:
-                merged[-1] += parts[pos]
-            else:
-                merged.append(parts[pos])
-        acc[tuple(merged)] = 1
+    top = 1 << (c.weight - 1)
+    inner = _mask(c.parts) ^ top
+    acc = {top: 1}
+    sub = inner
+    while sub:
+        acc[sub | top] = 1
+        sub = (sub - 1) & inner
     return _combination(acc)
 
 

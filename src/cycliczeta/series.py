@@ -61,6 +61,7 @@ series) with DomainError; the double series only warns.
 from __future__ import annotations
 
 import cmath
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,19 +124,28 @@ _MAX_DEGREE = 7
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Box cutoff plus optional increasing refinement cutoffs."""
+    """Box cutoff plus optional increasing refinement cutoffs, each an
+    integer (anything operator.index reads; ValueError otherwise)."""
 
     cutoff: int
     refinements: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "cutoff", _cutoff(self.cutoff))
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
         if self.refinements is not None:
-            refs = tuple(int(n) for n in self.refinements)
+            refs = tuple(map(_cutoff, self.refinements))
             if any(b <= a for a, b in zip(refs, refs[1:])) or any(n < 1 for n in refs):
                 raise ValueError("refinements must be strictly increasing and >= 1")
             object.__setattr__(self, "refinements", refs)
+
+
+def _cutoff(n) -> int:
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"cutoffs must be integers, not {n!r}") from None
 
 
 @dataclass
@@ -604,7 +614,7 @@ def _evaluate(plan, cap: int, max_cutoff: int | None,
     is called once, after a cutoff past max_cutoff (past cap when
     max_cutoff is None) raises BudgetError."""
     if not isinstance(plan, TruncationPlan):
-        plan = TruncationPlan(int(plan))
+        plan = TruncationPlan(plan)
     ns = {plan.cutoff, *(plan.refinements or ())}
     cap = cap if max_cutoff is None else max_cutoff
     if max(ns) > cap:

@@ -935,6 +935,31 @@ OPTIONS = {
 COMMON = [("--format", st.sampled_from(["json", "csv", "text", "xml"]))]
 
 
+def test_main_shares_one_parser_and_carries_nothing_between_calls(capsys, monkeypatch):
+    """Calls of main in one process print what each would print with a
+    parser of its own, whatever the calls before set."""
+    runs = [
+        ("table1", "--max-weight", "5", "--budget-max-weight", "5", "--format", "csv"),
+        ("table1", "--max-weight", "5", "--budget-max-weight", "5"),
+        ("table1", "--max-weight", "5", "--families", "csf", "--format", "text",
+         "--budget-max-weight", "5"),
+        ("table1", "--max-weight", "4", "--format", "text"),
+        ("decompose", "--shape", "2,1", "--set", "S", "--count", "--N", "5", "--format", "text"),
+        ("decompose", "--shape", "2,1", "--set", "S_i", "--i", "1", "--exponents",
+         "n1_1:1,n1_2:2,n2_1:1,n:2"),
+        ("eval", "--kind", "mzf", "--s", "2", "--N-list", "10,20", "--format", "csv"),
+        ("eval", "--kind", "mzf", "--s", "2", "--N", "20"),
+        ("eval", "--kind", "mzf", "--s", "2", "--N", "20.5"),
+        ("table1", "--max-weight", "9"),
+    ]
+    assert build_parser() is build_parser()
+    shared = [run(capsys, *argv) for argv in runs]
+    monkeypatch.setattr(cli_mod, "build_parser", build_parser.__wrapped__)
+    assert [run(capsys, *argv) for argv in runs] == shared
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 0, 0, 3, 4]
+    assert shared[0][1] != shared[1][1]
+
+
 def test_fuzzed_options_are_the_parser_flags():
     """Every subcommand and flag the parser defines is fuzzed, and no other."""
     sub = next(a for a in build_parser()._actions if a.dest == "command")

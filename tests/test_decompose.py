@@ -328,6 +328,71 @@ def test_non_admissible_search_matches_the_weak_order_scan():
     assert len(SYSTEMS) * 6 == 1920 and rejected > 1000
 
 
+def reference_filter_steps(cs):
+    """The subset loop `_filter_steps` ran before each subset's level and
+    need masks came from the subset without its lowest bit, kept as the
+    oracle: every candidate is read for every subset tried."""
+    vs = cs.variables
+    n = len(vs)
+    idx = {v: t for t, v in enumerate(vs)}
+    strict_in, weak_in = [0] * n, [0] * n
+    for c in cs.constraints:
+        if c.rel == REL_LT:
+            strict_in[idx[c.rhs]] |= 1 << idx[c.lhs]
+        else:
+            weak_in[idx[c.rhs]] |= 1 << idx[c.lhs]
+    steps, todo = {}, [(1 << n) - 1]
+    while todo:
+        remaining = todo.pop()
+        if remaining in steps:
+            continue
+        cand = [t for t in range(n) if remaining >> t & 1 and not strict_in[t] & remaining]
+        out = []
+        for mask in range(1, 1 << len(cand)):
+            level = need = 0
+            for pos, t in enumerate(cand):
+                if mask >> pos & 1:
+                    level |= 1 << t
+                    need |= weak_in[t]
+            if need & remaining & ~level:
+                continue
+            rest = remaining & ~level
+            out.append((tuple(t for t in cand if level >> t & 1), rest))
+            if rest:
+                todo.append(rest)
+        steps[remaining] = tuple(out)
+    return vs, steps
+
+
+def test_filter_steps_match_the_subset_loop_up_to_depth_6():
+    systems = list(systems_up_to_depth(6))
+    for cs in systems:
+        vs, steps = decompose._filter_steps(cs)
+        want_vs, want = reference_filter_steps(cs)
+        assert vs == want_vs and list(steps.items()) == list(want.items()), str(cs)
+    assert len(systems) == 768
+
+
+def test_partial_sum_masks_round_trip():
+    # every mask below 2^11 is one composition of weight <= 11, read back
+    for mask in range(1, 1 << 11):
+        comp = decompose._composition(mask)
+        assert decompose._mask(comp.parts) == mask
+        assert comp.weight == mask.bit_length()
+        assert comp.depth == bin(mask).count("1")
+        assert comp.admissible == (comp.weight > 1 and not mask >> (comp.weight - 2) & 1)
+    for w in range(1, 8):
+        for cuts in itertools.product((0, 1), repeat=w - 1):
+            parts, run = [], 1
+            for cut in cuts:
+                if cut:
+                    parts.append(run)
+                    run = 0
+                run += 1
+            parts.append(run)
+            assert decompose._composition(decompose._mask(parts)).parts == tuple(parts)
+
+
 def test_filter_steps_refuse_past_the_level_cap(monkeypatch):
     # the S_1 system of shape (2,2) tries 39 candidate levels over its 9 filters
     cs = build_constraints_S_i(Shape((2, 2)), 1)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +217,19 @@ def test_constraints_canonically_sorted():
         "n1_1 <= n2_1",
         "n <= n1_1",
     ]
+
+
+
+def test_systems_hash_their_canonical_fields_and_rebuild_on_unpickling():
+    cs = build_constraints_S_ij(Shape((2, 1)), 1, 2)
+    same = ConstraintSystem(cs.shape, True, tuple(reversed(cs.constraints)))
+    assert same == cs and hash(same) == hash(cs) and same.variables == cs.variables
+    assert hash(cs) == hash((cs.shape, True, cs.constraints))
+    assert {cs: 1}[same] == 1
+    object.__setattr__(same, "_hash", hash(cs) + 1)  # a hash from another process
+    back = pickle.loads(pickle.dumps(same))
+    assert back == cs and hash(back) == hash(cs) and back.variables == cs.variables
+    assert repr(back) == repr(cs) and "_hash" not in repr(cs)
 
 
 # --- domain W --------------------------------------------------------------

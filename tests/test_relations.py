@@ -115,6 +115,36 @@ def test_zeta_star_expand_matches_chain_decomposition():
         assert zeta_star_expand(C(*parts)) == decompose_to_mzv(*_star_chain(parts)), parts
 
 
+def reference_star_expand(c):
+    """The merge loop `zeta_star_expand` ran before it took submasks of the
+    partial sums, kept as the oracle."""
+    parts, acc = c.parts, {}
+    for mask in range(1 << (len(parts) - 1)):
+        merged = [parts[0]]
+        for pos in range(1, len(parts)):
+            if (mask >> (pos - 1)) & 1:
+                merged[-1] += parts[pos]
+            else:
+                merged.append(parts[pos])
+        acc[Composition(tuple(merged))] = 1
+    return SymbolCombination(acc)
+
+
+def test_zeta_star_expand_matches_the_merge_loop_up_to_weight_11():
+    checked = 0
+    for w in range(1, 12):
+        for t in range(1, w + 1):
+            for parts in relations._compositions(w, t):
+                c = C(*parts)
+                if not c.admissible:
+                    with pytest.raises(NonAdmissibleError):
+                        zeta_star_expand(c)
+                    continue
+                assert zeta_star_expand(c) == reference_star_expand(c), parts
+                checked += 1
+    assert checked == 2**10 - 1
+
+
 def test_zeta_star_expand_counts_and_weight():
     import itertools
 

@@ -359,6 +359,17 @@ def test_mzf_examples():
         eval_mzf([], 100)
 
 
+def test_plans_read_integer_cutoffs_only():
+    for bad in (lambda: TruncationPlan(10.5), lambda: TruncationPlan(10, (2.5, 10)),
+                lambda: TruncationPlan("10"), lambda: eval_mzf([2.0], 10.9),
+                lambda: eval_mzf([2.0], TruncationPlan(10.0))):
+        with pytest.raises(ValueError, match="cutoffs must be integers"):
+            bad()
+    plan = TruncationPlan(np.int64(10), refinements=(np.int32(5), 10))
+    assert plan == TruncationPlan(10, (5, 10)) and type(plan.cutoff) is int
+    assert eval_mzf([2.0], np.int64(10)) == eval_mzf([2.0], 10)
+
+
 def test_mzv_partial_sum_matches_direct():
     want = sum(
         1.0 / (a * b**3) for b in range(1, 101) for a in range(1, b)
