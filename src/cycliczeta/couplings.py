@@ -21,8 +21,9 @@ prefix sum of the 1/d product.
 positive integer; the sine/cosine are taken at |Im e| log v so that
 conjugating the exponent conjugates the result exactly.  It is the direct
 route and the oracle.  `series._pow_vec` takes the powers of values above
-2^14 from binomial series around anchors every 16 values, with c^e for
-each anchor c from cpow; its callers are the plain walks
+2^14 from binomial series around anchors every 16 values, one fixed-shape
+real product per aligned block of 2^14 values, with c^e for each anchor c
+from cpow; its callers are the plain walks
 (`series._chain_plain`), the coupled walks' power tables
 (`series._coupled_sink`, past cutoff 2^14) and the double series
 (`series.eval_mordell_tornheim`, whose vectors reach 2N, so past N = 8192).

@@ -41,15 +41,22 @@ N they differ from the direct path; the two agree in the limit.
 Complex powers n^(-s) of n up to 2^14 are computed as exp(-s log n) with
 the real log of a positive integer (`couplings.cpow`).  Above 2^14,
 n^(-s) = c^(-s) (1 + u)^(-s) with an anchor c every 16 values and
-u = (n - c)/c <= 15/16385: c^(-s) by cpow, (1 + u)^(-s) by its binomial
-series in real Horner steps, cut at the least degree whose proven tail
-bound is below 2^-56; an exponent that needs more than 7 terms takes cpow
-for every value.  The rule depends only on n and s, so a power has the same
-bits in every segment and table.  A plain walk's segment past 2^14 writes
-its powers into work vectors shared by every segment (`_PowerWork`); any
-other range gets one fresh vector.  Both routes take the sine/cosine and
-the series at |Im s| and negate the imaginary part, so that conjugating
-every argument conjugates the result exactly.  Products of
+u = (n - c)/c <= 15/16385, with (1 + u)^(-s) by its binomial series, cut
+at the least degree whose proven tail bound is below 2^-56; an exponent
+that needs more than 7 terms takes cpow for every value.  As
+sum_k (a_k c^(-s) c^-k) j^k for n = c + j, the series of the 1024 groups
+of one aligned block of 2^14 values is one real product of fixed shape
+(1024 x 2m) @ (2m x 32): c^(-s) by cpow once per anchor, c^-k shared by
+every exponent of the block, a_k j^k a cached matrix, and the product
+written straight into the complex output.  A range that covers part of a
+block computes the whole block, so a power depends only on n and s and
+has the same bits in every segment and table (bits of the linked BLAS,
+the same with one or two OpenBLAS threads).  A plain walk's segment
+past 2^14 writes its powers into work vectors shared by every segment
+(`_PowerWork`); any other range gets one fresh vector.  Both routes take
+the sine/cosine and the series at |Im s| and negate the imaginary part
+(the product through the signs of its matrix), so that conjugating every
+argument conjugates the result exactly.  Products of
 powers are taken in variable order, never in an order of their values,
 which conjugation could change, so they stay exact under conjugation too.
 
@@ -105,11 +112,14 @@ MT_CUTOFF_CAP = 1_000_000
 # one pending vector per filter it has reached (18 for (2,2,2) S_1).
 _SEGMENT = 1 << 14
 # Powers of values above _ANCHOR_FROM come from anchors every _GROUP values
-# (`_pow_vec`); _U_MAX bounds the offset u = (v - c)/c from the anchor c.  A
-# segment that starts at a multiple of _ANCHOR_FROM splits into whole groups.
+# (`_pow_vec`); _U_MAX bounds the offset u = (v - c)/c from the anchor c.
+# They are computed in aligned blocks of _BLOCK values, _ROWS groups each,
+# whatever the segment: _ANCHOR_FROM is a multiple of _BLOCK.
 _ANCHOR_FROM = 1 << 14
 _GROUP = 16
 _U_MAX = (_GROUP - 1) / (_ANCHOR_FROM + 1)
+_BLOCK = 1 << 14
+_ROWS = _BLOCK // _GROUP
 # The binomial series of (1 + u)^-s is cut where its tail is below
 # _SERIES_TOL.  _MAX_DEGREE bounds the work per value: an exponent that needs
 # more terms (|s| past about 30) takes cpow for every value.
@@ -222,100 +232,124 @@ def _binomial_series(s: complex) -> Optional[tuple[complex, ...]]:
     return None
 
 
+@lru_cache(maxsize=1024)
+def _binomial_matrix(s: complex) -> Optional[np.ndarray]:
+    """The right operand of `_block` for the exponent e = -s taken at
+    |Im s| (None where `_binomial_series` is).  With a_0..a_{m-1} the
+    series' terms, it is the real (2m x 2 _GROUP) matrix that takes the row
+    (Re q_0..q_{m-1} | Im q_0..q_{m-1}) of q_k = c^e c^-k to the interleaved
+    real and imaginary parts of sum_k q_k a_k j^k = c^e (1 + j/c)^e for
+    j < _GROUP.  For Im(-s) < 0 its imaginary columns are negated, which
+    negates the imaginary part of the result exactly."""
+    coeffs = _binomial_series(s)
+    if coeffs is None:
+        return None
+    m = len(coeffs)
+    j = np.arange(_GROUP, dtype=np.float64)
+    a = np.array(coeffs)[:, None] * j ** np.arange(m)[:, None]
+    y = np.empty((2 * m, 2 * _GROUP))
+    y[:m, 0::2], y[:m, 1::2] = a.real, a.imag
+    y[m:, 0::2], y[m:, 1::2] = -a.imag, a.real
+    if complex(s).imag > 0:
+        y[:, 1::2] *= -1
+    y.flags.writeable = False
+    return y
+
+
 class _PowerWork:
-    """Work and output vectors of the anchored route for ranges of up to
-    `size` values, shared by every range a walk takes in turn, so no range
-    pays fresh pages for them: the offsets u, the real and imaginary Horner
-    accumulators, and one output vector per exponent, made at its first
-    use.  A range's powers are written over the last range's, so a walk
-    drops one range's powers before it asks for the next."""
+    """Work vectors of the anchored route, shared by every range a walk
+    takes in turn, so no range pays fresh pages for them: the anchors of one
+    block and their powers c^-k (kept for the next exponent of that block),
+    the left operand of the block product, one block for a range that
+    covers part of a block, and one output vector per exponent for ranges
+    of up to `size` values, made at its first use.  A range's powers are
+    written over the last range's, so a walk drops one range's powers
+    before it asks for the next."""
 
     def __init__(self, size: int):
         self.size = size
-        self.groups = size // _GROUP + 2  # the most groups `size` values touch
-        self.u, self.re, self.im = (np.empty((self.groups, _GROUP)) for _ in range(3))
-        self.layout = None  # (first anchor, groups) of the offsets in u
+        self.block = None  # the block whose anchors and c^-k are held
+        self.anchors = np.empty(_ROWS)
+        self.inv = np.empty((_MAX_DEGREE + 1, _ROWS))
+        self.lhs = np.empty(_ROWS * 2 * (_MAX_DEGREE + 1))
+        self.part: Optional[np.ndarray] = None
         self.outs: dict[complex, np.ndarray] = {}
 
     def out(self, s: complex) -> np.ndarray:
         """The output vector of exponent s, made at its first use."""
         buf = self.outs.get(s)
         if buf is None:
-            buf = self.outs[s] = np.empty((self.groups, _GROUP), dtype=np.complex128)
+            buf = self.outs[s] = np.empty(self.size, dtype=np.complex128)
         return buf
 
 
-def _horner(acc: np.ndarray, u: np.ndarray, coeffs: Sequence[float]):
-    """acc = sum_k coeffs[k] u^k (degree >= 1) by Horner's rule, in place."""
-    np.multiply(u, coeffs[-1], out=acc)
-    for c in coeffs[-2:0:-1]:
-        acc += c
-        acc *= u
-    if coeffs[0]:
-        acc += coeffs[0]
+def _block(work: _PowerWork, b: int, e: complex, y: np.ndarray, out: np.ndarray):
+    """The values b _BLOCK + 1 .. (b + 1) _BLOCK to the power -s into out,
+    for e = -s taken at |Im s| and y = `_binomial_matrix(s)`: one real
+    product of the fixed shape (_ROWS x 2m) @ (2m x 2 _GROUP) written as the
+    interleaved real and imaginary parts of out.  Row g is the group of
+    anchor c = b _BLOCK + 1 + _GROUP g: (Re q | Im q) with q_k = c^e c^-k,
+    c^e from cpow.  The row depends only on (b, s), and so do its bits."""
+    m = len(y) // 2
+    inv = work.inv
+    if work.block != b:
+        np.add(np.arange(_ROWS, dtype=np.float64) * _GROUP, b * _BLOCK + 1, out=work.anchors)
+        inv[0] = 1.0
+        np.divide(1.0, work.anchors, out=inv[1])
+        for k in range(2, _MAX_DEGREE + 1):
+            np.multiply(inv[k - 1], inv[1], out=inv[k])
+        work.block = b
+    p = cpow(work.anchors, e).view(np.float64).reshape(_ROWS, 2).T
+    lhs = work.lhs[:_ROWS * 2 * m].reshape(2, m, _ROWS)
+    np.multiply(inv[:m], p[:, None, :], out=lhs)
+    np.matmul(lhs.reshape(2 * m, _ROWS).T, y,
+              out=out.view(np.float64).reshape(_ROWS, 2 * _GROUP))
 
 
-def _anchored(work: _PowerWork, lo: int, hi: int, e: complex,
-              coeffs: Sequence[complex], out: np.ndarray) -> np.ndarray:
-    """[lo+1..hi]^e for _ANCHOR_FROM <= lo < hi and Im e >= 0, coeffs the
-    binomial series of (1 + u)^e, written into out (a `work.out` vector) in
-    whole groups of _GROUP from the anchor `first`: value first + _GROUP g + j
-    is c^e (1 + u)^e with c = first + _GROUP g and u = j / c, c^e by cpow,
-    (1 + u)^e by real Horner steps on the real and imaginary parts, their
-    product in real steps.  work keeps u for the next exponent of the range."""
-    first = lo + 1 - lo % _GROUP
-    groups = -(-(hi - first + 1) // _GROUP)
-    anchors = first + _GROUP * np.arange(groups, dtype=np.float64)
-    u = work.u[:groups]
-    if work.layout != (first, groups):
-        np.divide(np.arange(_GROUP, dtype=np.float64), anchors[:, None], out=u)
-        work.layout = (first, groups)
-    re, im, out = work.re[:groups], work.im[:groups], out[:groups]
-    _horner(re, u, [c.real for c in coeffs])
-    _horner(im, u, [c.imag for c in coeffs])
-    anchors = cpow(anchors, e)
-    ar, ai = anchors.real[:, None], anchors.imag[:, None]
-    o_re, o_im = out.real, out.imag
-    np.multiply(re, ar, out=o_re)
-    np.multiply(im, ai, out=o_im)
-    o_re -= o_im
-    np.multiply(im, ar, out=o_im)
-    re *= ai
-    o_im += re
-    skip = lo + 1 - first
-    return out.reshape(-1)[skip:skip + hi - lo]
+def _anchored(work: _PowerWork, lo: int, hi: int, e: complex, y: np.ndarray,
+              out: np.ndarray):
+    """[lo+1..hi]^(-s) for _ANCHOR_FROM <= lo < hi into out (e and y as in
+    `_block`), one `_block` per aligned block the range touches: a block the
+    range covers is written in place, a part of one is cut from the whole
+    block in work.part."""
+    for b in range(lo // _BLOCK, -(-hi // _BLOCK)):
+        b0, b1 = b * _BLOCK, (b + 1) * _BLOCK
+        if lo <= b0 and b1 <= hi:
+            _block(work, b, e, y, out[b0 - lo:b1 - lo])
+        else:
+            if work.part is None:
+                work.part = np.empty(_BLOCK, dtype=np.complex128)
+            _block(work, b, e, y, work.part)
+            a, z = max(lo, b0), min(hi, b1)
+            out[a - lo:z - lo] = work.part[a - b0:z - b0]
 
 
 def _pow_vec(n_max: int, s: complex, start: int = 0,
              work: Optional[_PowerWork] = None) -> np.ndarray:
     """[start+1..n_max]^(-s): in work's output vector of s when the range
-    starts at or above _ANCHOR_FROM and fits work, else in a fresh vector.
+    fits work, else in a fresh vector.
 
     Values up to _ANCHOR_FROM take cpow, and so does every value when s is
     real or `_binomial_series` has no degree for it.  Above, v^(-s) is
     c^(-s) (1 + u)^(-s) with the anchor c = v - ((v - 1) mod _GROUP) and
-    u = (v - c)/c; the rule depends only on (v, s), so a value's power has
-    the same bits in every range.  Both routes work at |Im s| and negate
-    the imaginary part, so conjugating s conjugates the result exactly."""
+    u = (v - c)/c, summed by the fixed-shape product of v's aligned block
+    (`_block`), whichever range asks; so a value's power depends only on
+    (v, s) and has the same bits in every range.  Both routes work at
+    |Im s| and negate the imaginary part (the product through the signs of
+    its matrix), so conjugating s conjugates the result exactly."""
     e = -complex(s)
-    coeffs = _binomial_series(s)
-    if coeffs is None or n_max <= _ANCHOR_FROM:
+    y = _binomial_matrix(s)
+    if y is None or n_max <= _ANCHOR_FROM:
         return cpow(np.arange(start + 1, n_max + 1, dtype=np.float64), e)
-    up = complex(e.real, abs(e.imag))
-    if work is not None and start >= _ANCHOR_FROM and n_max - start <= work.size:
-        out = _anchored(work, start, n_max, up, coeffs, work.out(s))
+    if work is not None and n_max - start <= work.size:
+        out = work.out(s)[:n_max - start]
     else:
-        # cpow up to _ANCHOR_FROM, then one segment at a time, so the work
-        # set does not grow with the range
-        lo = max(start, _ANCHOR_FROM)
         out = np.empty(n_max - start, dtype=np.complex128)
-        out[:lo - start] = cpow(np.arange(start + 1, lo + 1, dtype=np.float64), up)
-        work = _PowerWork(min(_SEGMENT, n_max - lo))
-        for a in range(lo, n_max, _SEGMENT):
-            b = min(a + _SEGMENT, n_max)
-            out[a - start:b - start] = _anchored(work, a, b, up, coeffs, work.out(s))
-    if e.imag < 0:
-        np.subtract(0.0, out.imag, out=out.imag)
+        work = work or _PowerWork(0)
+    lo = max(start, _ANCHOR_FROM)
+    if lo > start:
+        out[:lo - start] = cpow(np.arange(start + 1, lo + 1, dtype=np.float64), e)
+    _anchored(work, lo, n_max, complex(e.real, abs(e.imag)), y, out[lo - start:])
     return out
 
 

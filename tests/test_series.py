@@ -1,8 +1,12 @@
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from cycliczeta.series import (
     mzv_partial_sum,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854
 ZETA4 = math.pi**4 / 90
@@ -1188,6 +1193,38 @@ def cpow_range(n_max, s, start=0):
     return couplings.cpow(np.arange(start + 1, n_max + 1, dtype=np.float64), -complex(s))
 
 
+def _horner(acc, u, coeffs):
+    """acc = sum_k coeffs[k] u^k (degree >= 1) by Horner's rule, in place."""
+    np.multiply(u, coeffs[-1], out=acc)
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= u
+    if coeffs[0]:
+        acc += coeffs[0]
+
+
+def horner_range(n_max, s, start):
+    """The oracle of the block product: [start+1..n_max]^(-s) for values
+    above 2^14, each c^(-s) (1 + u)^(-s) with the binomial series summed by
+    real Horner steps on the real and imaginary parts, at |Im s| with the
+    imaginary part negated afterwards."""
+    coeffs = series._binomial_series(s)
+    e = -complex(s)
+    v = np.arange(start + 1, n_max + 1, dtype=np.float64)
+    c = v - (v - 1) % series._GROUP
+    u = (v - c) / c
+    re, im = np.empty_like(u), np.empty_like(u)
+    _horner(re, u, [a.real for a in coeffs])
+    _horner(im, u, [a.imag for a in coeffs])
+    p = couplings.cpow(c, complex(e.real, abs(e.imag)))
+    out = np.empty(len(v), dtype=np.complex128)
+    out.real = re * p.real - im * p.imag
+    out.imag = im * p.real + re * p.imag
+    if e.imag < 0:
+        np.subtract(0.0, out.imag, out=out.imag)
+    return out
+
+
 @pytest.mark.parametrize("start, n_max", [
     (16000, 16500),        # straddles 2^14
     (0, 20000),            # from 1, straddling
@@ -1196,23 +1233,45 @@ def cpow_range(n_max, s, start=0):
     (16384, 16385),        # one value, the first anchor
     (20000, 20001),        # one value inside a group
     (3_983_616, 4_000_000),  # the top segment of a 4e6 chain
+    (32760, 32800),        # straddles a block boundary
+    (16390, 40000),        # a start inside a group, a partial last block
+    (3_997_696, 4_000_000),  # the top block of a 4e6 chain
 ])
 def test_anchored_powers_match_cpow(start, n_max):
-    """Above 2^14 every power is within 4e-15 relative of the cpow oracle,
-    for the benchmark's exponents and their conjugates."""
+    """Above 2^14 every power is within 4e-15 relative of the cpow oracle
+    and within 6 ulps of the Horner oracle, for the benchmark's exponents
+    and their conjugates."""
+    lo = max(start, series._ANCHOR_FROM) - start
     for s in BENCH_EXPONENTS:
         assert series._binomial_series(s) is not None
         for t in (s, s.conjugate()):
             got, want = series._pow_vec(n_max, t, start), cpow_range(n_max, t, start)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15, (t, start, n_max)
+            horner = horner_range(n_max, t, start + lo)
+            assert np.all(np.abs(got[lo:] - horner) <= 6 * 2.0 ** -52 * np.abs(horner)), (t, start)
+
+
+def test_powers_match_40_digit_references():
+    """Both routes, cpow up to 2^14 and the block product above, read
+    within 1e-15 relative of 40-digit references on the benchmark's
+    exponents and their conjugates."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        for v in (100, 16384, 16385, (1 << 20) + 7, 3_999_999):
+            for s in BENCH_EXPONENTS:
+                for t in (s, s.conjugate()):
+                    got = complex(series._pow_vec(v, t, v - 1)[0])
+                    want = mpmath.power(v, -mpmath.mpc(t.real, t.imag))
+                    assert abs(mpmath.mpc(got.real, got.imag) - want) <= 1e-15 * abs(want), (v, t)
 
 
 @pytest.mark.parametrize("segment", [None, 4099])
 @pytest.mark.parametrize("start, n_max", [(0, 40000), (16390, 50001)])
 def test_fresh_vector_conjugation_exact(monkeypatch, segment, start, n_max):
-    """A range no work set serves (from below 2^14, or longer than a
-    segment) is one fresh vector, and conjugating s conjugates it exactly."""
+    """A range given no work set is one fresh vector, whatever _SEGMENT
+    is, and conjugating s conjugates it exactly."""
     if segment is not None:
         monkeypatch.setattr(series, "_SEGMENT", segment)
     for s in BENCH_EXPONENTS:
@@ -1233,12 +1292,14 @@ def test_large_exponents_fall_back_to_cpow(s):
 
 
 @pytest.mark.parametrize("segment", [series._SEGMENT, 1 << 12, 4099])
-def test_segment_powers_equal_one_table(segment):
-    """A power has the same bits in every table: segment tables sharing one
-    work set, one table over 1..top, one range taken segment by segment
-    without a table, and a single-value range."""
-    top = 40000
+def test_segment_powers_equal_one_table(monkeypatch, segment):
+    """A power has the same bits in every table and whatever _SEGMENT is:
+    segment tables sharing one work set, one table over 1..top, one range
+    taken segment by segment without a table, and single-value ranges, at
+    block edges too.  4099 does not divide the block of 2^14 values."""
+    top = 50000
     whole = series._power_table(top)
+    monkeypatch.setattr(series, "_SEGMENT", segment)
     for s in BENCH_EXPONENTS[:4]:
         assert np.array_equal(series._pow_vec(top, s), whole(s))
     work = series._PowerWork(segment)
@@ -1247,8 +1308,33 @@ def test_segment_powers_equal_one_table(segment):
         power = series._power_table(s1, s0, work)
         for s in BENCH_EXPONENTS[:4] + (1.0, 2.5 - 1e300j):
             assert np.array_equal(power(s), whole(s)[s0:s1]), (s, s0)
-    for v in (16384, 16385, 16400, 39999):
-        assert series._pow_vec(v, BENCH_EXPONENTS[3], v - 1)[0] == whole(BENCH_EXPONENTS[3])[v - 1]
+    for v in (16384, 16385, 16400, 32768, 32769, 39999, 49153):
+        for s in BENCH_EXPONENTS[2:4]:
+            assert series._pow_vec(v, s, v - 1)[0] == whole(s)[v - 1], (v, s)
+            assert series._pow_vec(v, s, v - 1, work)[0] == whole(s)[v - 1], (v, s)
+
+
+def test_powers_equal_bytes_with_one_and_two_blas_threads():
+    """A power vector and an `eval_mzf` value have the same bytes whether
+    the block products run on one BLAS thread or two."""
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from cycliczeta import series\n"
+        "h = hashlib.sha256(series._pow_vec(40000, 1.2 - 0.170805j, 16000).tobytes())\n"
+        "v = series.eval_mzf([1.5 + 0.4j, 1.5 - 0.2j, 2.0 - 0.43j], 40000).value\n"
+        "h.update(np.array([v]).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 @pytest.mark.parametrize("segment", [None, 1 << 12])
