@@ -489,15 +489,11 @@ def cmd_decompose(args) -> int:
             raise ParseError(f"decompose --set {args.setname} {mode} "
                              f"{'does not read' if given else 'needs'} --{flag}")
     shape = Shape.parse(args.shape)
+    # Built per call, so a builder rebound on this module is the one called.
+    build = {"S": build_constraints_S, "S_i": build_constraints_S_i,
+             "S_ij": build_constraints_S_ij, "T_i": build_constraints_T_i}[args.setname]
     try:
-        if args.setname == "S":
-            cs = build_constraints_S(shape)
-        elif args.setname == "S_i":
-            cs = build_constraints_S_i(shape, args.i)
-        elif args.setname == "S_ij":
-            cs = build_constraints_S_ij(shape, args.i, args.j)
-        else:
-            cs = build_constraints_T_i(shape, args.i)
+        cs = build(shape, *(getattr(args, flag) for flag in _SET_FLAGS[args.setname]))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -10,11 +10,12 @@ the constraint poset and returns each composition, as the bitmask of its
 partial sums, with its count; `decompose_to_mzv` checks its input and wraps
 that result as a `SymbolCombination`, and relation generation sums the
 masks itself.  The series evaluators walk the same order filters
-(`_filter_steps`) for their plain and coupled sums.  The engine's recursion
-also names the first weak order that makes a decomposition non-admissible,
-so no caller enumerates the weak orders; `decompose` output counts them from
-the combination.  Building the filters is the only place where the size of
-a system is bounded (`LEVEL_CAP`).
+(`_filter_steps`, built from the system's index masks) for their plain and
+coupled sums.  The engine's recursion also names the first weak order that
+makes a decomposition non-admissible, so no caller enumerates the weak
+orders; `decompose` output counts them from the combination.  Building the
+filters is the only place where the size of a system is bounded
+(`LEVEL_CAP`); `decompose_to_mzv` bounds the total exponent (`EXPONENT_CAP`).
 Completeness and disjointness of the split are exactly testable against a
 brute-force lattice-point count, which this module also provides.
 """
@@ -31,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BudgetError, NonAdmissibleError, ParseError
-from .model import ConstraintSystem, REL_LT, VarId
+from .model import ConstraintSystem, VarId
 
 
 @dataclass(frozen=True)
@@ -187,16 +188,8 @@ def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
     A system whose filters need more than LEVEL_CAP candidate levels in
     all raises BudgetError, before the filter past the cap is tried.
     """
-    vs = cs.variables
+    vs, strict_in, weak_in = cs.variables, cs.strict_in, cs.weak_in
     n = len(vs)
-    idx = {v: t for t, v in enumerate(vs)}
-    strict_in = [0] * n  # strict_in[w]: mask of the u with u < w
-    weak_in = [0] * n  # weak_in[w]: mask of the u with u <= w
-    for c in cs.constraints:
-        if c.rel == REL_LT:
-            strict_in[idx[c.rhs]] |= 1 << idx[c.lhs]
-        else:
-            weak_in[idx[c.rhs]] |= 1 << idx[c.lhs]
     steps: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
     todo = [(1 << n) - 1]
     tried = 0
@@ -252,11 +245,17 @@ def weak_orders(cs: ConstraintSystem) -> tuple[OrderedSetPartition, ...]:
     return tuple(out)
 
 
+# The largest total exponent `decompose_to_mzv` takes: every partial-sum
+# mask of a composition then stays below 2^EXPONENT_CAP (512 bytes).
+EXPONENT_CAP = 1 << 12
+
+
 def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> SymbolCombination:
     """Rewrite the sum over cs with the given nonnegative integer exponents
     as an exact combination of admissible symbols (one per weak order, with
     tied variables' exponents merged): the checked public form of
-    `_part_counts`.
+    `_part_counts`.  A total exponent above EXPONENT_CAP raises BudgetError
+    before the engine runs.
     """
     for v in cs.variables:
         if v not in exponents:
@@ -264,7 +263,10 @@ def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> Sy
     for v, e in exponents.items():
         if int(e) != e or e < 0:
             raise ValueError(f"exponent of {v} must be a nonnegative integer")
-    return _combination(_part_counts(cs, [int(exponents[v]) for v in cs.variables]))
+    exps = [int(exponents[v]) for v in cs.variables]
+    if sum(exps) > EXPONENT_CAP:
+        raise BudgetError(f"total exponent {sum(exps)} exceeds cap {EXPONENT_CAP}")
+    return _combination(_part_counts(cs, exps))
 
 
 def _part_counts(cs: ConstraintSystem, exps: Sequence[int]) -> dict[int, int]:
@@ -364,17 +366,15 @@ def count_lattice_points(cs: ConstraintSystem, n_max: int) -> int:
         raise BudgetError(f"oracle cutoff {n_max} exceeds cap {ORACLE_CUTOFF_CAP}")
     if n_max < 1:
         return 0
-    vs = list(cs.variables)
-    k = len(vs)
+    k = len(cs.variables)
     # The grid holds k-1 int16 rows and the mask one bool row, each of
     # n_max^(k-1) cells.
     if n_max**k > 5 * 10**8 or (2 * (k - 1) + 1) * n_max ** (k - 1) > 2**28:
         raise BudgetError("oracle grid too large")
-    idx = {v: t for t, v in enumerate(vs)}
-    cons = [(idx[c.lhs], c.rel == REL_LT, idx[c.rhs]) for c in cs.constraints]
-    if k == 1:
-        total = n_max
-        return total if not cons else 0
+    if k == 1:  # a constraint needs two variables
+        return n_max
+    cons = [(u, cs.strict_in[w] >> u & 1, w) for w in range(k) for u in range(k)
+            if (cs.strict_in[w] | cs.weak_in[w]) >> u & 1]
     grids = np.indices((n_max,) * (k - 1), dtype=np.int16).reshape(k - 1, -1)
     grids += 1
 

@@ -13,6 +13,12 @@ series evaluators and the exact decomposer:
   - S_i     : S plus the window  n_{i,1} <= n <= n_{i+1, r_{i+1}},
   - T_i     : S with the single cyclic link into block i removed.
 
+A constraint system is the one place where constraints become index masks:
+for each of its variables w (the block positions in (i, j) order, then n)
+it keeps the masks of the u with u < w and with u <= w, which the strict
+cycle check, the order filters and the lattice-point oracle read.  Its
+constraints are sorted by the positions of their variables, then relation.
+
 Membership tests for the convergence domains (the region W attached to a
 shape, and the absolute-convergence region of the plain nested series) are
 implemented exactly as printed: strict inequalities stay strict, and the
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ParseError
 
@@ -40,8 +46,9 @@ REL_LE = "<="
 class VarId:
     """A summation variable: block position (i, j), or the extra variable n.
 
-    The extra variable is encoded as (0, 0) and sorts after every block
-    variable (fixed total order used for canonical serialization).
+    The extra variable is encoded as (0, 0).  The canonical order of the
+    variables is that of `ConstraintSystem.variables`: the block positions
+    in (i, j) order, then n.
     """
 
     i: int
@@ -60,9 +67,6 @@ class VarId:
     @property
     def is_extra(self) -> bool:
         return self.i == 0
-
-    def sort_key(self):
-        return (1, 0, 0) if self.is_extra else (0, self.i, self.j)
 
     def __str__(self) -> str:
         return "n" if self.is_extra else f"n{self.i}_{self.j}"
@@ -84,9 +88,6 @@ class Constraint:
             raise ValueError(f"unknown relation {self.rel!r}")
         if self.lhs == self.rhs:
             raise ValueError("tautological constraint (lhs == rhs)")
-
-    def sort_key(self):
-        return (self.lhs.sort_key(), self.rhs.sort_key(), self.rel)
 
     def __str__(self) -> str:
         return f"{self.lhs} {self.rel} {self.rhs}"
@@ -264,33 +265,50 @@ class IntArgs(_BlockArgs):
 class ConstraintSystem:
     """A conjunction of strict/non-strict inequalities on a shape's variables.
 
-    Constraints are normalized to a canonical sorted, deduplicated tuple.
-    The constraint digraph may contain non-strict cycles (forced equalities)
-    but never a cycle through a strict edge; such a system would be empty and
-    the constructors never emit one (ad-hoc construction raises ValueError).
-    The variables (the block positions, then n) and the hash of the
-    canonical fields are computed once, since the decomposition caches are
-    keyed by the system.
+    Constraints are normalized to a deduplicated tuple in canonical order.
+    `strict_in[w]` and `weak_in[w]` are the masks of the positions u in
+    `variables` with u < w and u <= w.  The constraint digraph may contain
+    non-strict cycles (forced equalities) but never a cycle through a strict
+    edge; such a system would be empty and the constructors never emit one
+    (ad-hoc construction raises ValueError).  The variables, the masks and
+    the hash are computed once, since the decomposition caches are keyed by
+    the system.
     """
 
     shape: Shape
     has_extra_var: bool
     constraints: tuple[Constraint, ...]
     variables: tuple[VarId, ...] = field(init=False, repr=False, compare=False)
+    strict_in: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    weak_in: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cons = tuple(sorted(set(self.constraints), key=Constraint.sort_key))
-        object.__setattr__(self, "constraints", cons)
         vs = tuple(self.shape.block_vars()) + ((EXTRA,) if self.has_extra_var else ())
-        object.__setattr__(self, "variables", vs)
-        allowed = set(vs)
-        for c in cons:
-            for v in (c.lhs, c.rhs):
-                if v not in allowed:
-                    raise ValueError(f"variable {v} not valid for this system")
-        if _has_strict_cycle(vs, cons):
+        pos = {v: t for t, v in enumerate(vs)}
+        try:  # (u, w, rel) names a constraint, so no two constraints are compared
+            keyed = sorted({(pos[c.lhs], pos[c.rhs], c.rel, c) for c in self.constraints})
+        except KeyError as exc:
+            raise ValueError(f"variable {exc.args[0]} not valid for this system") from None
+        cons = tuple(c for *_, c in keyed)
+        n = len(vs)
+        strict_in, weak_in = [0] * n, [0] * n
+        for u, w, rel, _ in keyed:
+            (strict_in if rel == REL_LT else weak_in)[w] |= 1 << u
+        # Warshall's closure: below[w] becomes the mask of every u with a
+        # path u -> ... -> w.  A strict edge u < w lies on a cycle exactly
+        # when w is below u.
+        below = [a | b for a, b in zip(strict_in, weak_in)]
+        for k in range(n):
+            for w in range(n):
+                if below[w] >> k & 1:
+                    below[w] |= below[k]
+        if any(below[u] >> w & 1 for u, w, rel, _ in keyed if rel == REL_LT):
             raise ValueError("constraint digraph has a cycle through a strict edge")
+        object.__setattr__(self, "constraints", cons)
+        object.__setattr__(self, "variables", vs)
+        object.__setattr__(self, "strict_in", tuple(strict_in))
+        object.__setattr__(self, "weak_in", tuple(weak_in))
         object.__setattr__(self, "_hash", hash((self.shape, self.has_extra_var, cons)))
 
     def __hash__(self) -> int:
@@ -305,35 +323,6 @@ class ConstraintSystem:
         return "{" + ", ".join(str(c) for c in self.constraints) + "}"
 
 
-def _has_strict_cycle(variables: Iterable[VarId], cons: Sequence[Constraint]) -> bool:
-    # A strict edge lies on a cycle exactly when its head reaches its tail.
-    # At this size, one reachability set per variable (a search from each)
-    # is simpler than finding strongly connected components.
-    vs = list(variables)
-    idx = {v: k for k, v in enumerate(vs)}
-    n = len(vs)
-    adj = [[] for _ in range(n)]
-    for c in cons:
-        adj[idx[c.lhs]].append(idx[c.rhs])
-
-    reach = [set() for _ in range(n)]
-    for start in range(n):
-        seen = reach[start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    for c in cons:
-        if c.rel == REL_LT:
-            u, w = idx[c.lhs], idx[c.rhs]
-            if u in reach[w]:  # rhs reaches back to lhs -> cycle through this edge
-                return True
-    return False
-
-
 def _assemble(shape: Shape, strict: list[Constraint], weak: list[tuple[VarId, VarId]],
               has_extra: bool) -> ConstraintSystem:
     """Combine strict constraints with non-strict ones, dropping degenerates.
@@ -342,33 +331,33 @@ def _assemble(shape: Shape, strict: list[Constraint], weak: list[tuple[VarId, Va
     ordered pair already carries a strict constraint.
     """
     strict_pairs = {(c.lhs, c.rhs) for c in strict}
-    cons = list(strict)
-    for (u, v) in weak:
-        if u == v or (u, v) in strict_pairs:
-            continue
-        cons.append(Constraint(u, REL_LE, v))
+    cons = strict + [Constraint(u, REL_LE, v) for (u, v) in weak
+                     if u != v and (u, v) not in strict_pairs]
     return ConstraintSystem(shape, has_extra, tuple(cons))
 
 
 def _chain(shape: Shape) -> list[Constraint]:
-    out = []
-    for i in range(1, shape.d + 1):
-        for j in range(1, shape.r[i - 1]):
-            out.append(Constraint(VarId.block(i, j), REL_LT, VarId.block(i, j + 1)))
-    return out
+    return [Constraint(VarId.block(i, j), REL_LT, VarId.block(i, j + 1))
+            for i in range(1, shape.d + 1) for j in range(1, shape.r[i - 1])]
 
 
-def _cyclic_link(shape: Shape, a: int) -> tuple[VarId, VarId]:
-    """Link a: first index of block a is <= top index of block a+1 (wrapping)."""
-    b = shape.wrap_block(a + 1)
-    return (VarId.block(a, 1), VarId.block(b, shape.r[b - 1]))
+def _links(shape: Shape) -> list[tuple[VarId, VarId]]:
+    """The d cyclic links: link a (entry a - 1) bounds the first index of
+    block a by the top index of block a+1 (wrapping), so the link into block
+    i is entry i - 2, which is the last one for i = 1."""
+    tops = [VarId.block(b, shape.r[b - 1]) for b in range(1, shape.d + 1)]
+    return [(VarId.block(a, 1), tops[a % shape.d]) for a in range(1, shape.d + 1)]
+
+
+def _check_block(shape: Shape, i: int):
+    if not (1 <= i <= shape.d):
+        raise ValueError(f"block {i} out of range for shape {shape}")
 
 
 def build_constraints_S(shape: Shape) -> ConstraintSystem:
     """Cyclic domain on the block variables: in-block strict chains plus the
     d cross-block non-strict links."""
-    weak = [_cyclic_link(shape, a) for a in range(1, shape.d + 1)]
-    return _assemble(shape, _chain(shape), weak, has_extra=False)
+    return _assemble(shape, _chain(shape), _links(shape), has_extra=False)
 
 
 @lru_cache(maxsize=None)
@@ -381,46 +370,33 @@ def build_constraints_S_ij(shape: Shape, i: int, j: int) -> ConstraintSystem:
     variable n is pinned to the window n_{i,j} < n < n_{i,j+1}, the upper
     bound being absent for j = r_i.
     """
-    if not (1 <= i <= shape.d and 1 <= j <= shape.r[i - 1]):
-        raise ValueError(f"position ({i},{j}) out of range for shape {shape}")
-    r_i = shape.r[i - 1]
-    strict = _chain(shape)
-    strict.append(Constraint(VarId.block(i, j), REL_LT, EXTRA))
-    if j < r_i:
+    shape.offset(i, j)  # refuses a position out of range
+    strict = _chain(shape) + [Constraint(VarId.block(i, j), REL_LT, EXTRA)]
+    links = _links(shape)
+    if j < shape.r[i - 1]:
         strict.append(Constraint(EXTRA, REL_LT, VarId.block(i, j + 1)))
-    into_i = shape.wrap_block(i - 1)
-    weak: list[tuple[VarId, VarId]] = []
-    for a in range(1, shape.d + 1):
-        if a == into_i:
-            if j < r_i:
-                weak.append(_cyclic_link(shape, a))
-            else:
-                weak.append((VarId.block(a, 1), EXTRA))
-        else:
-            weak.append(_cyclic_link(shape, a))
-    return _assemble(shape, strict, weak, has_extra=True)
+    else:
+        links[i - 2] = (links[i - 2][0], EXTRA)
+    return _assemble(shape, strict, links, has_extra=True)
 
 
 @lru_cache(maxsize=None)
 def build_constraints_S_i(shape: Shape, i: int) -> ConstraintSystem:
-    """S plus the window n_{i,1} <= n <= n_{i+1, r_{i+1}} (wrapping)."""
-    if not (1 <= i <= shape.d):
-        raise ValueError(f"block {i} out of range for shape {shape}")
-    weak = [_cyclic_link(shape, a) for a in range(1, shape.d + 1)]
-    nxt = shape.wrap_block(i + 1)
-    weak.append((VarId.block(i, 1), EXTRA))
-    weak.append((EXTRA, VarId.block(nxt, shape.r[nxt - 1])))
-    return _assemble(shape, _chain(shape), weak, has_extra=True)
+    """S plus the window n_{i,1} <= n <= n_{i+1, r_{i+1}} (wrapping): the
+    two ends of link i with n between them."""
+    _check_block(shape, i)
+    links = _links(shape)
+    lo, hi = links[i - 1]
+    return _assemble(shape, _chain(shape), links + [(lo, EXTRA), (EXTRA, hi)], has_extra=True)
 
 
 def build_constraints_T_i(shape: Shape, i: int) -> ConstraintSystem:
     """S with the single cyclic link into block i removed (for i = 1 this is
     the closing link from block d)."""
-    if not (1 <= i <= shape.d):
-        raise ValueError(f"block {i} out of range for shape {shape}")
-    into_i = shape.wrap_block(i - 1)
-    weak = [_cyclic_link(shape, a) for a in range(1, shape.d + 1) if a != into_i]
-    return _assemble(shape, _chain(shape), weak, has_extra=False)
+    _check_block(shape, i)
+    links = _links(shape)
+    del links[i - 2]
+    return _assemble(shape, _chain(shape), links, has_extra=False)
 
 
 # ---------------------------------------------------------------------------

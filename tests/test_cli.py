@@ -825,6 +825,16 @@ def test_decompose_count_grid_too_large_exit_4(capsys, monkeypatch):
     assert err == "budget exceeded: oracle grid too large\n"
 
 
+@pytest.mark.parametrize("big", ["100000000000000000000", "4000000000"])
+def test_decompose_huge_exponent_exit_4(capsys, big):
+    """A total exponent above the cap is refused before the engine shifts a
+    partial-sum mask that far (an OverflowError, or gigabytes of masks)."""
+    code, out, err = run(capsys, "decompose", "--shape", "1", "--set", "S_ij", "--i", "1",
+                         "--j", "1", "--exponents", f"n1_1:{big},n:2")
+    assert (code, out) == (4, "")
+    assert err == f"budget exceeded: total exponent {int(big) + 2} exceeds cap 4096\n"
+
+
 def test_decompose_count_negative_n_exit_3(capsys):
     code, out, err = run(
         capsys, "decompose", "--shape", "1", "--set", "S_i", "--i", "1",
@@ -911,7 +921,8 @@ N_LIST = st.one_of(st.lists(st.integers(-2, 50), max_size=3).map(lambda v: ",".j
                    st.sampled_from(["1_0", "\u0661\u0660", "5,,10", ",5", "5,"]))
 EXPONENTS = st.sampled_from(["n1_1:1,n:2", "n1_1:2 n:1", "n1_1:0,n2_1:0",
                              "n1_1:1,n1_2:2,n2_1:2,n:1", "n1_1:-1,n:2", "n0_1:1,n:2",
-                             "n:x", "q:1", "", "n1_1:1,,n:2", ",n1_1:1 n:2,"])
+                             "n:x", "q:1", "", "n1_1:1,,n:2", ",n1_1:1 n:2,",
+                             "n1_1:100000000000000000000,n:2"])
 FAMILY = st.sampled_from(["csf", "derivation", "cyclic", "bogus"])
 # Paths inside the example's own directory: {tmp} is filled in per example.
 PATH = st.sampled_from(["{tmp}/set.json", "{tmp}/missing.json", "{tmp}/junk.json",

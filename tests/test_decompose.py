@@ -328,19 +328,28 @@ def test_non_admissible_search_matches_the_weak_order_scan():
     assert len(SYSTEMS) * 6 == 1920 and rejected > 1000
 
 
-def reference_filter_steps(cs):
-    """The subset loop `_filter_steps` ran before each subset's level and
-    need masks came from the subset without its lowest bit, kept as the
-    oracle: every candidate is read for every subset tried."""
-    vs = cs.variables
-    n = len(vs)
-    idx = {v: t for t, v in enumerate(vs)}
+def reference_masks(cs):
+    """The index masks read off the constraints' relations, as
+    `_filter_steps` derived them before the system kept its own:
+    strict_in[w] (weak_in[w]) holds the u with u < w (u <= w)."""
+    n = len(cs.variables)
+    idx = {v: t for t, v in enumerate(cs.variables)}
     strict_in, weak_in = [0] * n, [0] * n
     for c in cs.constraints:
         if c.rel == REL_LT:
             strict_in[idx[c.rhs]] |= 1 << idx[c.lhs]
         else:
             weak_in[idx[c.rhs]] |= 1 << idx[c.lhs]
+    return strict_in, weak_in
+
+
+def reference_filter_steps(cs):
+    """The subset loop `_filter_steps` ran before each subset's level and
+    need masks came from the subset without its lowest bit, kept as the
+    oracle: every candidate is read for every subset tried."""
+    vs = cs.variables
+    n = len(vs)
+    strict_in, weak_in = reference_masks(cs)
     steps, todo = {}, [(1 << n) - 1]
     while todo:
         remaining = todo.pop()
@@ -373,6 +382,13 @@ def test_filter_steps_match_the_subset_loop_up_to_depth_6():
     assert len(systems) == 768
 
 
+def test_system_masks_match_the_constraints_up_to_depth_7():
+    systems = list(systems_up_to_depth(7))
+    for cs in systems:
+        assert (list(cs.strict_in), list(cs.weak_in)) == reference_masks(cs), str(cs)
+    assert len(systems) == 1792
+
+
 def test_partial_sum_masks_round_trip():
     # every mask below 2^11 is one composition of weight <= 11, read back
     for mask in range(1, 1 << 11):
@@ -403,6 +419,15 @@ def test_filter_steps_refuse_past_the_level_cap(monkeypatch):
         decompose_to_mzv(cs, exps)
     monkeypatch.setattr(decompose, "LEVEL_CAP", 39)
     assert sum(decompose_to_mzv(cs, exps).coefficients().values()) == len(weak_orders(cs))
+
+
+def test_decompose_refuses_a_total_exponent_past_the_cap():
+    cs = build_constraints_S_ij(Shape((1,)), 1, 1)
+    top = decompose.EXPONENT_CAP
+    got = decompose_to_mzv(cs, {B(1, 1): top - 2, EXTRA: 2})
+    assert got == SymbolCombination({Composition((top - 2, 2)): 1})
+    with pytest.raises(BudgetError, match=f"total exponent {top + 1} exceeds cap {top}"):
+        decompose_to_mzv(cs, {B(1, 1): top - 1, EXTRA: 2})
 
 
 def test_non_admissible_reports_first_weak_order():

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +203,51 @@ def test_strict_cycle_rejected():
         )
 
 
+def has_strict_cycle_dfs(variables, cons):
+    """The strict-cycle check systems ran before they kept index masks, kept
+    as the oracle: one reachability set per variable, by a search from each;
+    a strict edge lies on a cycle exactly when its head reaches its tail."""
+    vs = list(variables)
+    idx = {v: k for k, v in enumerate(vs)}
+    adj = [[] for _ in vs]
+    for c in cons:
+        adj[idx[c.lhs]].append(idx[c.rhs])
+    reach = [set() for _ in vs]
+    for start, seen in enumerate(reach):
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return any(c.rel == "<" and idx[c.lhs] in reach[idx[c.rhs]] for c in cons)
+
+
+def test_strict_cycle_check_matches_the_search_oracle():
+    rng = random.Random(31)
+    rejected = 0
+    for _ in range(3000):
+        nv = rng.randint(3, 6)
+        extra = rng.random() < 0.5
+        sizes, left = [], nv - extra
+        while left:
+            sizes.append(rng.randint(1, left))
+            left -= sizes[-1]
+        shape = Shape(tuple(sizes))
+        vs = shape.block_vars() + [EXTRA] * extra
+        cons = [Constraint(u, rng.choice(["<", "<="]), w)
+                for u, w in (rng.sample(vs, 2) for _ in range(rng.randint(1, 2 * nv)))]
+        want = has_strict_cycle_dfs(vs, cons)
+        try:
+            ConstraintSystem(shape, extra, tuple(cons))
+        except ValueError as exc:
+            assert want and str(exc) == "constraint digraph has a cycle through a strict edge"
+            rejected += 1
+        else:
+            assert not want, [str(c) for c in cons]
+    assert 1000 < rejected < 2000
+
+
 def test_constraints_canonically_sorted():
     sh = Shape((1, 1))
     cs = ConstraintSystem(
@@ -218,6 +265,21 @@ def test_constraints_canonically_sorted():
         "n <= n1_1",
     ]
 
+
+def test_builder_systems_keep_their_canonical_text():
+    """The text of every S, S_i, T_i and S_ij system for every shape of total
+    depth <= 8, in a fixed order, is pinned by its sha256: a change to the
+    canonical constraint order or to a builder fails here."""
+    systems = []
+    for shape in all_shapes(8):
+        systems.append(build_constraints_S(shape))
+        for i in range(1, shape.d + 1):
+            systems += [build_constraints_S_i(shape, i), build_constraints_T_i(shape, i)]
+            systems += [build_constraints_S_ij(shape, i, j) for j in range(1, shape.r[i - 1] + 1)]
+    text = "\n".join(str(cs) for cs in systems)
+    assert len(systems) == 4096
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "36778c8dda632a74483303079dae359d288bcfbdfaf5d8e8bdfac434892eaaa6")
 
 
 def test_systems_hash_their_canonical_fields_and_rebuild_on_unpickling():
