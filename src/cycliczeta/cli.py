@@ -15,6 +15,7 @@ byte-identical to cold runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -44,6 +45,7 @@ from .model import (
     build_constraints_S_i,
     build_constraints_S_ij,
     build_constraints_T_i,
+    first_failure,
     w_inequalities,
 )
 
@@ -248,26 +250,14 @@ def cmd_eval(args) -> int:
 def cmd_domain(args) -> int:
     s = _parse_args_with_shape(args)
     qs = w_inequalities(s)
-    inside = all(q.ok for q in qs)
+    bad = first_failure(qs)
     if args.format == "json":
         _emit(json.dumps({
-            "inside": inside,
-            "inequalities": [
-                {
-                    "label": q.label,
-                    "value": q.value,
-                    "threshold": q.threshold,
-                    "strict": q.strict,
-                    "ok": q.ok,
-                }
-                for q in qs
-            ],
+            "inside": bad is None,
+            "inequalities": [{**dataclasses.asdict(q), "ok": q.ok} for q in qs],
         }, indent=2))
     else:
-        verdict = "inside W" if inside else "outside W"
-        first_bad = next((q for q in qs if not q.ok), None)
-        head = verdict if first_bad is None else f"{verdict}: {first_bad.describe()}"
-        lines = [head]
+        lines = ["inside W" if bad is None else f"outside W: {bad.describe()}"]
         for q in qs:
             lines.append(
                 ("  ok   " if q.ok else "  FAIL ")

@@ -360,7 +360,7 @@ def count_lattice_points(cs: ConstraintSystem, n_max: int) -> int:
 
     Brute force by full-box masking (independent of the weak-order split);
     n_max above ORACLE_CUTOFF_CAP, more than 5e8 points, or a grid and mask
-    above 256 MiB are refused.
+    above 256 MiB or numpy's limit on axes are refused.
     """
     if n_max > ORACLE_CUTOFF_CAP:
         raise BudgetError(f"oracle cutoff {n_max} exceeds cap {ORACLE_CUTOFF_CAP}")
@@ -368,8 +368,9 @@ def count_lattice_points(cs: ConstraintSystem, n_max: int) -> int:
         return 0
     k = len(cs.variables)
     # The grid holds k-1 int16 rows and the mask one bool row, each of
-    # n_max^(k-1) cells.
-    if n_max**k > 5 * 10**8 or (2 * (k - 1) + 1) * n_max ** (k - 1) > 2**28:
+    # n_max^(k-1) cells, in k axes (numpy 2 allows 64, numpy 1 32).
+    axes = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+    if k > axes or n_max**k > 5 * 10**8 or (2 * (k - 1) + 1) * n_max ** (k - 1) > 2**28:
         raise BudgetError("oracle grid too large")
     if k == 1:  # a constraint needs two variables
         return n_max

@@ -418,11 +418,8 @@ class WIneq:
         return self.value > self.threshold if self.strict else self.value >= self.threshold
 
     def describe(self) -> str:
-        op = ">" if self.strict else ">="
-        bad = "<=" if self.strict else "<"
-        if self.ok:
-            return f"{self.label} = {self.value:g} {op} {self.threshold:g}"
-        return f"{self.label} = {self.value:g} {bad} {self.threshold:g}"
+        rel = (">" if self.strict else ">=") if self.ok else ("<=" if self.strict else "<")
+        return f"{self.label} = {self.value:g} {rel} {self.threshold:g}"
 
 
 def w_inequalities(s: ComplexArgs) -> list[WIneq]:
@@ -456,8 +453,14 @@ def w_inequalities(s: ComplexArgs) -> list[WIneq]:
     return out
 
 
+def first_failure(ineqs: Sequence[WIneq]) -> WIneq | None:
+    """The first inequality that fails, or None: the one domain verdict (W,
+    or the absolute-convergence domain of the plain series)."""
+    return next((q for q in ineqs if not q.ok), None)
+
+
 def in_domain_W(s: ComplexArgs) -> bool:
-    return all(q.ok for q in w_inequalities(s))
+    return first_failure(w_inequalities(s)) is None
 
 
 def ez_inequalities(s: Sequence[complex]) -> list[WIneq]:

@@ -9,7 +9,8 @@ family), and the configurations of one block, or whose trailing blocks are
 singleton ones with entry 1, give the derivation family.  All three
 families are generated by `cyclic_relation`.  Stacking the relations of
 one weight into an integer matrix and computing its exact rank reproduces
-the reference table of independent relation counts.
+the reference table of independent relation counts.  Configurations, and
+their shapes, are compositions read off cut points (`_compositions`).
 
 Relations are accumulated on the partial-sum bitmasks of the decomposition
 engine (`decompose._part_counts`), and each relation builds one
@@ -144,44 +145,31 @@ def csf_relation(k: IntArgs) -> Relation:
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     """All tuples of `parts` positive integers summing to `total`, in
-    lexicographic order."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _all_shapes(max_depth: int) -> Iterable[Shape]:
-    for total in range(1, max_depth + 1):
-        for d in range(1, total + 1):
-            for r in _compositions(total, d):
-                yield Shape(r)
+    lexicographic order: the gaps between cut points 0 < c_1 < ... < total,
+    which are their partial sums (as in `decompose._mask`)."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
 def enumerate_family(weight: int, family: str) -> list[tuple[Shape, IntArgs]]:
     """All configurations of a family whose symbols have the given weight
     (exponent total weight - 1), ordered by d, then r, then k.  The
     derivation family takes every single-block shape and the shapes whose
-    trailing blocks are singletons."""
+    trailing blocks are singletons.  The shapes of d blocks are those of
+    total depth <= weight - 2: the compositions of weight - 1 into d + 1
+    parts with the last one dropped."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if weight < 3:
         raise ValueError("weight must be >= 3")
-    ktotal = weight - 1
     out: list[tuple[Shape, IntArgs]] = []
-    shapes = sorted(_all_shapes(weight - 2), key=lambda sh: (sh.d, sh.r))
-    for shape in shapes:
+    for shape in (Shape(r[:-1]) for d in range(1, weight - 1)
+                  for r in _compositions(weight - 1, d + 1)):
         if family == "csf" and not shape.all_singleton:
             continue
         if family == "derivation" and any(x != 1 for x in shape.r[1:]):
             continue
-        t = shape.total_depth
-        if ktotal < t:
-            continue
-        for vals in _compositions(ktotal, t):
+        for vals in _compositions(weight - 1, shape.total_depth):
             if family == "derivation" and any(v != 1 for v in vals[shape.r[0]:]):
                 continue
             k = IntArgs(shape, vals)

@@ -60,9 +60,11 @@ argument conjugates the result exactly.  Products of
 powers are taken in variable order, never in an order of their values,
 which conjugation could change, so they stay exact under conjugation too.
 
-Every block-model evaluator and `eval_mzf` refuse arguments outside their
-convergence domain (W, or the absolute-convergence domain of the plain
-series) with DomainError; the double series only warns.
+Every evaluator refuses in one order before it sums: a position out of
+range, a system past `decompose.LEVEL_CAP` (its DAG is built with it,
+`_sized`), arguments outside the convergence domain (W, or that of the
+plain series; DomainError), a cutoff past the budget.  The double series
+only warns about its domain.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ from .model import (
     build_constraints_S_ij,
     build_constraints_T_i,
     ez_inequalities,
+    first_failure,
     w_inequalities,
 )
 
@@ -685,9 +688,15 @@ def _check_finite(n: int, *values: complex):
 
 def _require(ineqs, domain: str):
     """Raise DomainError naming the first inequality that fails."""
-    bad = next((q for q in ineqs if not q.ok), None)
+    bad = first_failure(ineqs)
     if bad is not None:
         raise DomainError(f"arguments outside {domain}: {bad.describe()}")
+
+
+def _sized(cs: ConstraintSystem) -> ConstraintSystem:
+    """cs, its order-filter DAG built (BudgetError past `decompose.LEVEL_CAP`)."""
+    _filter_steps(cs)
+    return cs
 
 
 def _tilde_pieces(s: ComplexArgs, i: int, j: int, variant) -> list:
@@ -714,7 +723,7 @@ def eval_zeta_tilde(s: ComplexArgs, i: int, j: int, variant, plan,
     variant 1 and 2 are the two halves; 'diff' is their termwise difference
     over the same index domain.
     """
-    cs = build_constraints_S_ij(s.shape, i, j)
+    cs = _sized(build_constraints_S_ij(s.shape, i, j))
     _require(w_inequalities(s), "W")
     pieces = _tilde_pieces(s, i, j, variant)
     return _make_report(plan, COUPLED_CUTOFF_CAP, max_cutoff,
@@ -724,11 +733,11 @@ def eval_zeta_tilde(s: ComplexArgs, i: int, j: int, variant, plan,
 def _tilde_harmonic_setup(s: ComplexArgs, i: int, j: int, variant):
     """Outer system, the positions of the coupled pair and the harmonic
     coupling for the closed-form path."""
-    shape = s.shape
-    r_i, at = shape.r[i - 1], shape.offset
+    shape, at = s.shape, s.shape.offset
+    x, r_i = at(i, j), shape.r[i - 1]  # refuses a position out of range
     if variant in (1, "1"):
         if j < r_i:
-            return build_constraints_S(shape), at(i, j), at(i, j + 1), harmonic_gap
+            return build_constraints_S(shape), x, at(i, j + 1), harmonic_gap
         prev = shape.wrap_block(i - 1)
         return build_constraints_T_i(shape, i), at(prev, 1), at(i, r_i), harmonic_wrap_1
     if variant in (2, "2"):
@@ -736,7 +745,7 @@ def _tilde_harmonic_setup(s: ComplexArgs, i: int, j: int, variant):
             nxt = shape.wrap_block(i + 1)
             return (build_constraints_T_i(shape, nxt), at(i, 1),
                     at(nxt, shape.r[nxt - 1]), harmonic_wrap_2)
-        return build_constraints_S(shape), at(i, j - 1), at(i, j), harmonic_gap
+        return build_constraints_S(shape), at(i, j - 1), x, harmonic_gap
     raise ValueError(f"harmonic path supports variants 1 and 2, not {variant!r}")
 
 
@@ -744,9 +753,9 @@ def eval_zeta_tilde_harmonic(s: ComplexArgs, i: int, j: int, variant, plan,
                              *, max_cutoff: int | None = None) -> EvalReport:
     """Closed-form path: the extra variable is summed analytically into a
     harmonic-range factor; only the outer chain is truncated at N."""
-    s.shape.offset(i, j)  # refuses a position out of range
-    _require(w_inequalities(s), "W")
     cs, a, b, coupling = _tilde_harmonic_setup(s, i, j, variant)
+    _sized(cs)
+    _require(w_inequalities(s), "W")
     pieces = [(1.0, coupling(a, b))]
     return _make_report(plan, COUPLED_CUTOFF_CAP, max_cutoff,
                         lambda ns: _eval_system(cs, s.values, pieces, ns))
@@ -754,7 +763,7 @@ def eval_zeta_tilde_harmonic(s: ComplexArgs, i: int, j: int, variant, plan,
 
 def eval_zeta_C_i(s: ComplexArgs, i: int, plan, *, max_cutoff: int | None = None) -> EvalReport:
     """Truncated window series over S_i (extra variable with exponent 1)."""
-    cs = build_constraints_S_i(s.shape, i)
+    cs = _sized(build_constraints_S_i(s.shape, i))
     _require(w_inequalities(s), "W")
     return _make_report(plan, CHAIN_CUTOFF_CAP, max_cutoff,
                         lambda ns: _eval_system(cs, [*s.values, 1], [(1.0, None)], ns))
@@ -762,8 +771,8 @@ def eval_zeta_C_i(s: ComplexArgs, i: int, plan, *, max_cutoff: int | None = None
 
 def eval_zeta_C(s: ComplexArgs, plan, *, max_cutoff: int | None = None) -> EvalReport:
     """Truncated series over the cyclic domain S (block variables only)."""
+    cs = _sized(build_constraints_S(s.shape))
     _require(w_inequalities(s), "W")
-    cs = build_constraints_S(s.shape)
     return _make_report(plan, CHAIN_CUTOFF_CAP, max_cutoff,
                         lambda ns: _eval_system(cs, s.values, [(1.0, None)], ns))
 
@@ -776,22 +785,19 @@ def eval_theorem_residual(s: ComplexArgs, plan, *,
     window series over every block.
     """
     shape = s.shape
-    _require(w_inequalities(s), "W")
-    tilde = [(build_constraints_S_ij(shape, i, j), _tilde_pieces(s, i, j, "diff"))
+    tilde = [(_sized(build_constraints_S_ij(shape, i, j)), _tilde_pieces(s, i, j, "diff"))
              for i, j in shape.positions()]
-    cees = [(build_constraints_S_i(shape, i), [(1.0, None)]) for i in range(1, shape.d + 1)]
+    cees = [(_sized(build_constraints_S_i(shape, i)), [(1.0, None)])
+            for i in range(1, shape.d + 1)]
+    _require(w_inequalities(s), "W")
 
     def total(systems, extra: int, ns) -> list[complex]:
         values = [_eval_system(cs, [*s.values, extra], pieces, ns) for cs, pieces in systems]
         return [sum(col, 0j) for col in zip(*values)]
 
-    def sides(ns):
-        # Refuse a system over the DAG cap before any sum.
-        for cs, _ in tilde + cees:
-            _filter_steps(cs)
-        return list(zip(total(tilde, 0, ns), total(cees, 1, ns)))
-
-    plan, at = _evaluate(plan, COUPLED_CUTOFF_CAP, max_cutoff, sides, half=False)
+    plan, at = _evaluate(plan, COUPLED_CUTOFF_CAP, max_cutoff,
+                         lambda ns: list(zip(total(tilde, 0, ns), total(cees, 1, ns))),
+                         half=False)
     _check_finite(plan.cutoff, *(abs(ln - rn) for ln, rn in at.values()))
     lhs, rhs = at[plan.cutoff]
     refs = None
@@ -810,8 +816,6 @@ def eval_theorem_residual(s: ComplexArgs, plan, *,
 def eval_mzf(s: Sequence[complex], plan, *, max_cutoff: int | None = None) -> EvalReport:
     """Truncated nested series on a strict chain, via prefix-sum recursion."""
     vals = [complex(v) for v in s]
-    if not vals:
-        raise ValueError("empty argument list")
     _require(ez_inequalities(vals), "the absolute-convergence domain")
     steps = _path([(t,) for t in range(len(vals))])
     return _make_report(plan, CHAIN_CUTOFF_CAP, max_cutoff,

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -208,6 +210,21 @@ def test_eval_and_decompose_dag_cap_exit_4(capsys):
         assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("kind", ["zeta-c", "theorem"])
+@pytest.mark.parametrize("value", ["1.5", "0.5"], ids=["inside-W", "outside-W"])
+def test_eval_refuses_300_singleton_blocks_at_the_dag_cap_first(capsys, kind, value):
+    """The first system of 300 singleton blocks passes the DAG cap at once.
+    The cap is checked before the domain, whose 89701 inequalities take
+    seconds to label, so the call exits 4 at once, outside W too."""
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--kind", kind, "--shape", ",".join(["1"] * 300),
+                         "--s", ";".join([value] * 300), "--N", "10")
+    assert (code, out) == (4, "") and "candidate levels (the cap)" in err
+    assert time.perf_counter() - start < 1
+
+
 def test_eval_theorem_refuses_an_over_cap_system_before_any_sum(capsys, monkeypatch):
     """The S_ij systems of shape (3,2,1,1) try at most 302 candidate levels
     and its S_i systems up to 358: with the cap between, the call exits 4
@@ -288,6 +305,36 @@ def test_misblocked_arguments_exit_3(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("parse error:")
+
+
+def _domain_calls():
+    """domain calls, JSON and text, on every shape of total depth <= 5 with
+    arguments inside W (2.5), outside it (0.5), on the singleton boundary
+    (1) and three seeded draws."""
+    rng = random.Random(32)
+    for r in (r for d in range(1, 6) for r in itertools.product(range(1, 6), repeat=d)
+              if sum(r) <= 5):
+        draws = [[f"{rng.uniform(-0.5, 3):.6f}{rng.uniform(-1, 1):+.3f}i" for _ in range(sum(r))]
+                 for _ in range(3)]
+        for values in [[v] * sum(r) for v in ("2.5", "0.5", "1")] + draws:
+            blocks = itertools.accumulate(r, initial=0)
+            text = ";".join(",".join(values[a:b]) for a, b in itertools.pairwise(blocks))
+            for fmt in ("json", "text"):
+                yield ["domain", "--shape", ",".join(map(str, r)), f"--s={text}", "--format", fmt]
+
+
+DOMAIN_SHA256 = "7eb51f8bab367faba213e9476c2b16595b36985988aa70c5da15beab3ae6e7f1"
+
+
+def test_domain_output_is_pinned(capsys):
+    """The verdicts, inequalities and margins of 372 domain calls, pinned
+    byte for byte by the sha256 of their exit codes and outputs."""
+    h = hashlib.sha256()
+    for argv in _domain_calls():
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        h.update(f"{code}\0{out}\0".encode())
+    assert h.hexdigest() == DOMAIN_SHA256
 
 
 @pytest.mark.parametrize("arg", ["nan", "1e400"])
@@ -825,6 +872,14 @@ def test_decompose_count_grid_too_large_exit_4(capsys, monkeypatch):
     assert err == "budget exceeded: oracle grid too large\n"
 
 
+def test_decompose_count_grid_of_more_axes_than_numpy_allows_exit_4(capsys):
+    """65 variables pass the point limit at N = 1, but np.indices would need
+    65 axes."""
+    code, out, err = run(capsys, "decompose", "--shape", "65", "--set", "S",
+                         "--count", "--N", "1")
+    assert (code, out, err) == (4, "", "budget exceeded: oracle grid too large\n")
+
+
 @pytest.mark.parametrize("big", ["100000000000000000000", "4000000000"])
 def test_decompose_huge_exponent_exit_4(capsys, big):
     """A total exponent above the cap is refused before the engine shifts a
@@ -914,7 +969,7 @@ def test_traced_eval_reports_every_series_metric_finite(args):
 INT = st.one_of(st.integers(-3, 50).map(str), st.sampled_from(["1_0", "\u0661\u0660", " 7 "]))
 WEIGHT = st.integers(-1, 5).map(str)
 JUNK = st.sampled_from(["", "x", "nan", "1e400", "2.5", "1,2", ";", "--"])
-SHAPE = st.sampled_from(["1", "2", "1,1", "2,1", "1;1", "0", "-1", "a"])
+SHAPE = st.sampled_from(["1", "2", "1,1", "2,1", "1;1", "0", "-1", "a", "65"])
 COMPLEX = st.sampled_from(["2+0i", "1.5+0.5i", "3", "0.5", "1.5,2.5", "1.5;1.6",
                            "1.2,2.2;1.5", "2-1i,1,1", "1e400", "nan", "x", ""])
 N_LIST = st.one_of(st.lists(st.integers(-2, 50), max_size=3).map(lambda v: ",".join(map(str, v))),

@@ -1,3 +1,4 @@
+import functools
 import gzip
 import itertools
 import json
@@ -832,6 +833,102 @@ def test_numeric_zero_weight_le_6():
             v2 = abs(combo_partial_sum(rel.combo, 20_000))
             assert v1 < bound[w], rel.provenance
             assert v2 < v1 or v2 < 1e-10, rel.provenance
+
+
+# --- a 40-digit MZV oracle ---------------------------------------------------
+#
+# The iterated integral of zeta over 1 > t_1 > ... > t_n > 0, split at 1/2
+# (the Hoelder convolution with p = 2; Borwein, Bradley, Broadhurst and
+# Lisonek, Special values of multiple polylogarithms, Trans. AMS 353, 2001):
+# zeta(w) = sum_k L(rev_swap(w[:k])) L(w[k:]), with L(u) the multiple
+# polylogarithm of the word u at 1/2, each series converging like 2^-n.
+
+MZV_BITS = 160  # fraction bits of the fixed-point values
+MZV_TERMS = 180  # terms per series: the tail is below 2^-180 times a polylog factor
+
+
+@functools.lru_cache(maxsize=None)
+def polylog_half(word: tuple[int, ...]) -> int:
+    """2^MZV_BITS times the iterated integral from 0 to 1/2 of the word,
+    letters outermost first (0: dt/t, 1: dt/(1 - t)), empty or ending in 1:
+    for x0^(r_1 - 1) x1 ... x0^(r_l - 1) x1 that is the sum over
+    n_1 > ... > n_l >= 1 of 2^-n_1 / (n_1^r_1 ... n_l^r_l), cut at
+    n_1 <= MZV_TERMS.  Each step floors, so the error is a few thousand
+    units of 2^-MZV_BITS at most."""
+    rs, run = [], 1
+    for letter in word:
+        if letter:
+            rs.append(run)
+            run = 1
+        else:
+            run += 1
+    one = 1 << MZV_BITS
+    if not rs:
+        return one
+    below = [one] * (MZV_TERMS + 1)  # the sum over the inner variables below n
+    for r in reversed(rs[1:]):
+        acc, nxt = 0, [0] * (MZV_TERMS + 1)
+        for n in range(1, MZV_TERMS + 1):
+            nxt[n] = acc
+            acc += below[n] // n**r
+        below = nxt
+    return sum(below[n] // n ** rs[0] >> n for n in range(1, MZV_TERMS + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def mzv_fixed(parts: tuple[int, ...]) -> int:
+    """2^MZV_BITS times the symbol z(parts), smallest variable first (so the
+    last part, on the largest variable, is >= 2)."""
+    word = tuple(letter for p in reversed(parts) for letter in (0,) * (p - 1) + (1,))
+    return sum(polylog_half(tuple(1 - a for a in reversed(word[:k]))) * polylog_half(word[k:])
+               for k in range(len(word) + 1)) >> MZV_BITS
+
+
+def mzv_defect(combo) -> float:
+    """|sum c z| / sum |c| z of a combination, from the oracle's values."""
+    terms = [(c, mzv_fixed(comp.parts)) for comp, c in combo.items()]
+    return abs(sum(c * z for c, z in terms)) / sum(abs(c) * z for c, z in terms)
+
+
+def test_mzv_oracle_matches_pi_squared_over_6_and_duality():
+    import mpmath
+
+    with mpmath.workdps(60):
+        got = mpmath.mpf(mzv_fixed((2,))) / 2**MZV_BITS
+        assert abs(got - mpmath.pi**2 / 6) < mpmath.mpf("1e-40")
+        z3 = mpmath.mpf(mzv_fixed((3,))) / 2**MZV_BITS
+        assert abs(z3 - mpmath.zeta(3)) < mpmath.mpf("1e-40")
+    # z(1,2) = z(3) is duality, and the split at 1/2 takes a word's terms to
+    # its dual's in reverse, so the fixed-point integers are equal
+    assert mzv_fixed((1, 2)) == mzv_fixed((3,))
+    assert mzv_fixed((1, 1, 2)) == mzv_fixed((4,))
+
+
+def _check_relations_vanish(weights):
+    for w in weights:
+        for family in relations.FAMILIES:
+            combos = {id(rel.combo): rel for rel in generate_relations(w, family)}
+            assert combos, (w, family)
+            for rel in combos.values():
+                assert mzv_defect(rel.combo) < 1e-35, rel.provenance
+
+
+def test_every_relation_vanishes_at_40_digits_up_to_weight_9():
+    _check_relations_vanish(range(3, 10))
+
+
+@pytest.mark.slow
+def test_every_relation_vanishes_at_40_digits_at_weights_10_and_11():
+    _check_relations_vanish((10, 11))
+
+
+def test_mzv_oracle_sees_a_coefficient_off_by_one():
+    rel = generate_relations(9, "cyclic")[-1]
+    coeffs = dict(rel.combo.coefficients())
+    comp = min(coeffs, key=Composition.sort_key)
+    coeffs[comp] += 1
+    assert mzv_defect(rel.combo) < 1e-35
+    assert mzv_defect(SymbolCombination(coeffs)) > 1e-6
 
 
 def test_family_nesting_ranks():
