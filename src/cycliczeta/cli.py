@@ -249,6 +249,9 @@ def cmd_eval(args) -> int:
 
 def cmd_domain(args) -> int:
     s = _parse_args_with_shape(args)
+    # W's inequalities grow as d^2 with labels of up to d terms on an
+    # all-singleton shape, so the shape must pass the DAG cap of its S first.
+    series._sized(build_constraints_S(s.shape))
     qs = w_inequalities(s)
     bad = first_failure(qs)
     if args.format == "json":
@@ -334,13 +337,18 @@ def _cache_valid(data: bytes, weight: int, family: str) -> rel_mod.RelationMatri
     return matrix if (matrix.weight, matrix.family) == (weight, family) else None
 
 
+def _read(path: Path) -> bytes:
+    """The bytes of a file; an OSError is a ParseError."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def cmd_relations(args) -> int:
     cache = _cache_path(args)
     matrix = None
-    try:
-        data = cache.read_bytes() if cache is not None and cache.exists() else None
-    except OSError as exc:
-        raise ParseError(f"cannot read {cache}: {exc}") from None
+    data = _read(cache) if cache is not None and cache.exists() else None
     if data is not None:
         matrix = _cache_valid(data, args.weight, args.family)
         if matrix is None:
@@ -378,13 +386,9 @@ def cmd_relations(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    path = Path(args.infile)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    matrix = rel_mod.relation_set_loads(data)
-    del data  # the file's bytes are not held while the rank is computed
+    # No name holds the file's bytes, so the reader frees them once it has
+    # decoded them to text, before it decodes the JSON and the rank is computed.
+    matrix = rel_mod.relation_set_loads(_read(Path(args.infile)))
     rank = rel_mod.rank_exact(matrix)
     if args.format == "json":
         _emit(json.dumps({"rank": rank, "rows": matrix.shape[0],

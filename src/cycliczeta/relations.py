@@ -460,9 +460,19 @@ def _check_kernel(block: np.ndarray, free: list[int], kernel: list[list[int]]) -
     """Raise InternalInvariantError unless the vectors prove rank <= ncols -
     len(free): the block times every vector is exactly 0, and on the free
     columns the vectors form a diagonal with nonzero entries, so they are
-    independent.  The product runs in Python integers unless the block is
-    int64 and ncols times its largest entry times the largest vector entry,
-    which bounds every partial sum, is below 2^63."""
+    independent.
+
+    On an int64 block, with T = ncols times its largest entry (which bounds
+    every partial sum of the block times a vector of entries up to 1) and
+    b = min(62, 64 - bit length of T), each vector is split into signed
+    b-bit limbs, y = sum_t L_t 2^(b t) with L_t in [-2^(b-1), 2^(b-1)), so
+    the block times each limb is exact in int64; vectors that fit one limb
+    are one product.  The limb products P_t are recombined by carries, c_0 =
+    0 and c_{t+1} = (P_t + c_t) / 2^b: the product is 0 exactly when every
+    P_t + c_t has its low b bits zero and the last carry is 0 (P_t + c_t is
+    summed as its high and low parts, and |c_t| <= 2^(63-b) + 1, so it
+    stays in int64).  Below 24-bit limbs (T >= 2^40), and on an object
+    block, the product runs in Python integers (dtype object)."""
     for c, y in zip(free, kernel):
         if not y[c] or any(y[e] for e in free if e != c):
             raise InternalInvariantError(
@@ -470,10 +480,26 @@ def _check_kernel(block: np.ndarray, free: list[int], kernel: list[list[int]]) -
             )
     if not kernel:
         return
-    top = max(abs(x) for y in kernel for x in y) * max(-int(block.min()), int(block.max()))
-    if block.dtype == object or top * block.shape[1] >= 1 << 63:
-        block = block.astype(object)
-    bad = np.argwhere(block @ np.array(kernel, block.dtype).T)
+    bits = min(62, 64 - (max(-int(block.min()), int(block.max())) * block.shape[1]).bit_length())
+    top = max(abs(x) for y in kernel for x in y)
+    if block.dtype == object or bits < 24:
+        bad = block.astype(object) @ np.array(kernel, object).T
+    elif top < 1 << (bits - 1):
+        bad = block @ np.array(kernel, np.int64).T
+    else:
+        ys = np.array(kernel, np.int64 if top < 1 << 62 else object).T
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        carry = np.zeros((block.shape[0], len(kernel)), np.int64)
+        bad = carry != 0
+        while ys.any():
+            limb = (ys + half & mask) - half
+            ys = (ys - limb) >> bits
+            prod = block @ limb.astype(np.int64)
+            low = (prod & mask) + carry
+            bad |= (low & mask) != 0
+            carry = (prod >> bits) + (low >> bits)
+        bad |= carry != 0
+    bad = np.argwhere(bad)
     if bad.size:
         i, j = bad[0]
         raise InternalInvariantError(
@@ -611,15 +637,35 @@ _COEFFICIENT_CHARS = re.compile(r"[0-9-]*")
 
 
 class _Coefficients(dict):
-    """int() of each distinct coefficient string of one file, taken once;
-    `bad` is set by one holding more than ASCII digits and '-'."""
-
-    bad = False
+    """int() of each distinct coefficient string of one file that str()
+    writes back unchanged, taken once; any other string raises ValueError."""
 
     def __missing__(self, text: str) -> int:
-        self.bad |= not _COEFFICIENT_CHARS.fullmatch(text)
-        value = self[text] = int(text)
+        value = int(text)
+        if str(value) != text:
+            raise ValueError(text)
+        self[text] = value
         return value
+
+
+class _Row:
+    """The entries list of a row, converted as the decoder closed it: `row`
+    maps distinct int columns to coefficients str() wrote, so the list is
+    written back exactly wherever a caller could see it (repr and ==)."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: dict[int, int]):
+        self.row = row
+
+    def __repr__(self) -> str:
+        return repr(self._entries())
+
+    def __eq__(self, other) -> bool:
+        return self._entries() == other
+
+    def _entries(self) -> list:
+        return [[c, str(v)] for c, v in self.row.items()]
 
 
 def _string(v) -> str:
@@ -637,22 +683,51 @@ def relation_set_loads(data: str | bytes) -> RelationMatrix:
     change on conversion: every symbol must be distinct and read back as
     written, since the rank takes each column as a different symbol.
 
-    The parse builds only acyclic lists, dicts and tuples (about 170k at
-    weight 10), so it runs with the cyclic garbage collector paused: its
-    full collections there would find nothing.  The caller's collector
-    state is restored on return and on error."""
+    Bytes are decoded to text first and then dropped, so bytes no caller
+    holds are freed before the JSON is decoded.  Each row's entries become
+    its {column: int} dict as the decoder closes the row (`_relation_set`),
+    so the whole JSON tree (about 170k lists at weight 10) is never held.
+    The parse builds only acyclic lists, dicts and tuples, so it runs with
+    the cyclic garbage collector paused: its full collections there would
+    find nothing.  The caller's collector state is restored on return and
+    on error."""
     enabled = gc.isenabled()
     gc.disable()
     try:
+        if isinstance(data, bytes):
+            try:
+                data = data.decode()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"bad relation-set JSON: {exc}") from None
         return _relation_set(data)
     finally:
         if enabled:
             gc.enable()
 
 
-def _relation_set(data: str | bytes) -> RelationMatrix:
+def _relation_set(text: str) -> RelationMatrix:
+    """The relation set of a JSON text.  An object's "entries" list whose
+    columns are distinct ints and whose coefficients are strings as str()
+    writes them becomes a `_Row` as the decoder closes the object, and equal
+    rows share one dict.  The hook raises nothing: any other "entries"
+    stays as decoded, so a JSON syntax error anywhere comes first, and the
+    checks after decoding find the first bad row in file order."""
+    ints: _Coefficients = _Coefficients()
+    seen: dict[tuple, dict[int, int]] = {}
+
+    def convert(obj: dict) -> dict:
+        entries = obj.get("entries")
+        if type(entries) is list:
+            try:
+                row = {c: ints[v] for c, v in entries if type(c) is int and type(v) is str}
+            except (TypeError, ValueError):
+                return obj
+            if len(row) == len(entries):
+                obj["entries"] = _Row(seen.setdefault((tuple(row), tuple(row.values())), row))
+        return obj
+
     try:
-        obj = json.loads(data.decode() if isinstance(data, bytes) else data)
+        obj = json.loads(text, object_hook=convert)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad relation-set JSON: {exc}") from None
     try:
@@ -662,15 +737,20 @@ def _relation_set(data: str | bytes) -> RelationMatrix:
                              "them (comma-separated positive integers)")
         rows = []
         provs: list[Provenance | None] = []
-        ints, shape_of = _Coefficients(), functools.cache(Shape.parse)
+        shape_of = functools.cache(Shape.parse)
         for i, row in enumerate(obj["rows"]):
-            # Anything but distinct int columns and coefficients as str()
-            # writes them would change silently on conversion.
             entries = row["entries"]
-            rows.append({c: ints[v] for c, v in entries if type(c) is int and type(v) is str})
-            if len(rows[-1]) != len(entries) or ints.bad:
-                raise ParseError(f"row {i}: columns must be distinct integers and "
-                                 "coefficients strings of ASCII digits with an optional '-'")
+            if type(entries) is _Row:
+                rows.append(entries.row)
+            else:
+                # Anything but distinct int columns and coefficients of
+                # ASCII digits and '-' would change silently on conversion.
+                rows.append({c: int(v) for c, v in entries
+                             if type(c) is int and type(v) is str})
+                if len(rows[-1]) != len(entries) or not all(
+                        _COEFFICIENT_CHARS.fullmatch(v) for _, v in entries):
+                    raise ParseError(f"row {i}: columns must be distinct integers and "
+                                     "coefficients strings of ASCII digits with an optional '-'")
             if p := row.get("provenance"):
                 shape = shape_of(_string(p["shape"]))
                 p = Provenance(p["family"], shape, IntArgs.parse(_string(p["k"]), shape))

@@ -337,6 +337,24 @@ def test_domain_output_is_pinned(capsys):
     assert h.hexdigest() == DOMAIN_SHA256
 
 
+@pytest.mark.parametrize("blocks, code", [(14, 0), (15, 4), (300, 4)])
+def test_domain_builds_the_dag_of_s_before_labelling_w(capsys, blocks, code):
+    """W of d singleton blocks has d(d-1) + 1 inequalities, whose labels join
+    up to d - 1 terms, so 300 blocks would print 194 MB.  The DAG of their S
+    is built first, and from 15 blocks it passes the cap, so the call exits
+    4 at once."""
+    import time
+
+    start = time.perf_counter()
+    code_, out, err = run(capsys, "domain", "--shape", ",".join(["1"] * blocks),
+                          "--s", ";".join(["1.5"] * blocks), "--format", "text")
+    assert code_ == code and time.perf_counter() - start < 1
+    if code:
+        assert out == "" and "candidate levels (the cap)" in err
+    else:
+        assert out.startswith("inside W\n") and out.count("\n") == blocks * (blocks - 1) + 2
+
+
 @pytest.mark.parametrize("arg", ["nan", "1e400"])
 def test_domain_non_finite_argument_exit_3(capsys, arg):
     code, out, err = run(capsys, "domain", "--shape", "1", "--s", arg)
@@ -489,12 +507,14 @@ def test_relations_unreadable_cache_entry_exit_3(tmp_path, capsys):
 def test_relations_cache_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MZF_CACHE_DIR", str(tmp_path / "cache"))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    # A miss parses no JSON; a hit parses its entry once.
+    # A miss parses no JSON; a hit parses its entry once, in the reader's one
+    # decode call, which converts each row through its object hook.
     for path, cached, parses in ((a, False, 0), (b, True, 1)):
         with mock.patch.object(json, "loads", wraps=json.loads) as loads:
             code, out, _ = run(capsys, "relations", "--weight", "4", "--family", "csf",
                                "--out", str(path))
         assert (code, loads.call_count) == (0, parses)
+        assert all("object_hook" in call.kwargs for call in loads.call_args_list)
         assert json.loads(out)["cached"] is cached
     assert a.read_bytes() == b.read_bytes()
 

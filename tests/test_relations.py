@@ -3,6 +3,7 @@ import gzip
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,9 @@ def test_rank_small_matrices():
     assert _rank_bareiss([[2, 4, 1], [1, 2, 0], [3, 6, 1]]) == 2
     for p in itertools.islice(relations._primes(), 2):
         assert _rank_mod([[2, 4, 1], [1, 2, 0], [3, 6, 1]], p) == 2
+    # rows with no entries: a zero block, whose kernel vectors are checked
+    # in the widest limbs
+    assert rank_exact(_matrix([[0, 0], [0, 0]])) == 0
 
 
 def test_rank_exact_drops_repeated_rows(monkeypatch):
@@ -594,6 +598,79 @@ def test_check_kernel_leaves_int64_before_a_product_wraps():
     assert block.dtype == np.int64
     with pytest.raises(InternalInvariantError, match="is not 0"):
         relations._check_kernel(block, [1], [[2**34, -(2**35)]])
+    # 2^30 (2 (2^33 - 1) + 2) = 2^64: entries of 34 bits are two 32-bit limbs
+    block = relations._block([{0: 2**30, 1: 2**30, 2: 2**30}], 3)
+    assert block.dtype == np.int64
+    with pytest.raises(InternalInvariantError, match="is not 0"):
+        relations._check_kernel(block, [2], [[2**33 - 1, 2**33 - 1, 2]])
+
+
+def _kernel_product_oracle(block, free, kernel):
+    """The verdict of _check_kernel on diagonal vectors, from the block times
+    them in Python integers (dtype object): None, or the error that names the
+    first row and vector whose product is not 0."""
+    bad = np.argwhere(block.astype(object) @ np.array(kernel, object).T != 0)
+    if not bad.size:
+        return None
+    i, j = bad[0]
+    return f"row {i} times the kernel vector for column {free[j]} is not 0"
+
+
+def _check_kernel_verdict(block, free, kernel):
+    try:
+        relations._check_kernel(block, free, kernel)
+    except InternalInvariantError as exc:
+        return str(exc)
+    return None
+
+
+def _block_with_kernel(rng, r, f, bits, d, scale):
+    """The block [d I_r | -X], with X of random entries below 2^bits, its
+    rows followed by a sum and a difference of two of them, its free columns
+    r + j and their kernel vectors s (X e_j, d e_j)."""
+    x = [[rng.randrange(-(2**bits), 2**bits) for _ in range(f)] for _ in range(r)]
+    rows = [[d * (a == i) for a in range(r)] + [-v for v in x[i]] for i in range(r)]
+    rows += [[a + b for a, b in zip(rows[0], rows[-1])], [a - b for a, b in zip(rows[1], rows[0])]]
+    kernel = [[scale * x[i][j] for i in range(r)] + [scale * d * (t == j) for t in range(f)]
+              for j in range(f)]
+    block = relations._block([{c: v for c, v in enumerate(row) if v} for row in rows], r + f)
+    return block, list(range(r, r + f)), kernel
+
+
+def test_check_kernel_in_limbs_matches_the_object_product():
+    """Kernel vectors far past the int64 bound of one product (the block's
+    ncols times its largest entry times the largest vector entry is >= 2^63),
+    held in int64 or past it: the check in limbs agrees with the product in
+    Python integers, also after one entry of one vector is changed, in a low
+    or a high limb, or by 2^64, which an int64 product would not see.  The
+    last block is too large for int64 and is multiplied as Python integers."""
+    rng = random.Random(33)
+    w7 = _certificate(dense(relation_matrix(generate_relations(7, "cyclic"))))
+    cases = [(w7[0], w7[2], [[x * scale for x in y] for y in w7[3]])
+             for scale in (1, 2**61 - 1, 5**40)]
+    cases += [_block_with_kernel(rng, r, f, bits, d, scale) for r, f, bits, d, scale in [
+        (6, 3, 20, 3, 3**30), (4, 2, 28, 2**28 - 1, 2**70 + 1), (3, 2, 12, 5, 2**100 - 1),
+        (3, 2, 37, 2**37 - 1, 7)]]
+    routes = []
+    for block, free, kernel in cases:
+        top = max(-int(block.min()), int(block.max())) * block.shape[1]
+        routes.append((block.dtype == np.int64 and top << 23 < 2**63,
+                       top * max(abs(x) for y in kernel for x in y) >= 2**63))
+        assert _check_kernel_verdict(block, free, kernel) is None
+        assert _kernel_product_oracle(block, free, kernel) is None
+        pivots = [c for c in range(block.shape[1]) if c not in free]
+        for _ in range(40):
+            bad = [list(y) for y in kernel]
+            j = rng.randrange(len(bad))
+            c = rng.choice(pivots + [free[j]])
+            bad[j][c] += rng.choice([1, -1, 2**23, -(2**31), 2**32 + 1, 2**64, 2**64 * 3**20])
+            if bad[j][c]:
+                want = _kernel_product_oracle(block, free, bad)
+                assert want is not None and _check_kernel_verdict(block, free, bad) == want
+    # every case is past one int64 product but one, and all but the last
+    # two run in limbs
+    # (limbs, past one int64 product) for each case
+    assert routes == [(True, False)] + [(True, True)] * 5 + [(False, True)]
 
 
 def test_block_is_int64_only_while_squared_row_norms_fit():
@@ -1084,6 +1161,278 @@ def test_relation_set_dumps_matches_json_dumps():
         data = relation_set_dumps(weight, family, matrix)
         assert data == _json_dumps_route(weight, family, matrix), (weight, family)
         assert relation_set_loads(data).rows == matrix.rows
+
+
+# --- the json.loads reader, kept as the oracle of relation_set_loads ---------
+
+
+class _OracleCoefficients(dict):
+    """int() of each distinct coefficient string of one file, taken once;
+    `bad` is set by one holding more than ASCII digits and '-'."""
+
+    bad = False
+
+    def __missing__(self, text):
+        self.bad |= not relations._COEFFICIENT_CHARS.fullmatch(text)
+        value = self[text] = int(text)
+        return value
+
+
+def _relation_set_oracle(data):
+    """The relation-set reader that builds the whole json.loads tree and then
+    converts every row from it, with the same checks as relation_set_loads."""
+    try:
+        obj = json.loads(data.decode() if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad relation-set JSON: {exc}") from None
+    string = relations._string
+    try:
+        symbols = tuple(Composition.parse(string(t)) for t in obj["symbols"])
+        if len(set(symbols)) != len(symbols) or [str(c) for c in symbols] != obj["symbols"]:
+            raise ParseError("symbols must be distinct and written as str() writes "
+                             "them (comma-separated positive integers)")
+        rows = []
+        provs = []
+        ints, shape_of = _OracleCoefficients(), functools.cache(Shape.parse)
+        for i, row in enumerate(obj["rows"]):
+            entries = row["entries"]
+            rows.append({c: ints[v] for c, v in entries if type(c) is int and type(v) is str})
+            if len(rows[-1]) != len(entries) or ints.bad:
+                raise ParseError(f"row {i}: columns must be distinct integers and "
+                                 "coefficients strings of ASCII digits with an optional '-'")
+            if p := row.get("provenance"):
+                shape = shape_of(string(p["shape"]))
+                p = Provenance(p["family"], shape, IntArgs.parse(string(p["k"]), shape))
+            provs.append(p or None)
+        weight, family = obj.get("weight"), obj.get("family")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad relation-set object: {exc}") from None
+    for row in rows:
+        for c in row:
+            if not 0 <= c < len(symbols):
+                raise ParseError(f"column index {c} out of range")
+    return RelationMatrix(symbols, rows, weight, provs, family)
+
+
+def _read_both(data):
+    """relation_set_loads and the oracle on one input: equal matrices or the
+    same ParseError text."""
+    outcomes = []
+    for read in (relation_set_loads, _relation_set_oracle):
+        try:
+            outcomes.append(read(data))
+        except ParseError as exc:
+            outcomes.append(f"ParseError: {exc}")
+    new, oracle = outcomes
+    assert new == oracle and repr(new) == repr(oracle)
+    return new
+
+
+def _small_set(rows, symbols=("1,2", "3"), **fields):
+    return json.dumps({"weight": 3, "family": "cyclic", "symbols": list(symbols),
+                       "rows": rows, **fields})
+
+
+def _w4_set(edit):
+    """The w4 cyclic set as JSON text after edit(obj)."""
+    obj = json.loads(relation_set_dumps(4, "cyclic",
+                                        relation_matrix(generate_relations(4, "cyclic"))))
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _compact_rows_first(weight, family):
+    """A generated set written compactly, with "rows" before "symbols"."""
+    obj = json.loads(relation_set_dumps(weight, family,
+                                        relation_matrix(generate_relations(weight, family))))
+    return json.dumps({"rows": obj.pop("rows"), **obj}, separators=(",", ":"))
+
+
+_PROV = {"family": "cyclic", "shape": "1,1", "k": "1;2"}
+_ROW = {"entries": [[0, "1"], [1, "-1"]], "provenance": _PROV}
+
+# Relation-set inputs, malformed and not, on which the reader and the oracle
+# must agree: the rank --in corpus of test_cli.py, then inputs where an
+# object with "entries" is not a row or a row's entries do not convert
+# exactly.
+READER_CASES = {
+    # unreadable
+    "not-json": b"{nope",
+    "not-utf8": b"\x80",
+    "too-deep": b"[" * 200_000,
+    "empty": b"",
+    "utf8-bom": b"\xef\xbb\xbf" + _small_set([]).encode(),
+    "bom-text": "\ufeff" + _small_set([]),
+    "bad-row-then-syntax-error": _small_set([{"entries": [[0, "+1"]]}])[:-2],
+    "bad-symbols-then-syntax-error": _small_set([_ROW], symbols=["3", "3"])[:-1],
+    # not a relation set
+    "null": "null",
+    "list": "[]",
+    "no-symbols": "{}",
+    "no-rows": '{"symbols": []}',
+    "rows-not-a-list": _small_set(5),
+    "rows-an-object": _small_set({"entries": [[0, "1"]]}),
+    "rows-a-string": _small_set("ab"),
+    "row-a-list": _small_set([[[0, "1"]]]),
+    "row-without-entries": _small_set([{"provenance": _PROV}]),
+    "symbol-not-a-string": _small_set([_ROW], symbols=[4]),
+    "shape-not-a-string": _small_set([{**_ROW, "provenance": {**_PROV, "shape": 5}}]),
+    "k-not-a-string": _small_set([{**_ROW, "provenance": {**_PROV, "k": 2}}]),
+    "provenance-missing-k": _small_set([{**_ROW, "provenance": {"shape": "1,1"}}]),
+    "repeated-symbol": _small_set([_ROW], symbols=["3", "3"]),
+    "non-canonical-symbol": _small_set([_ROW], symbols=["1, 2", "3"]),
+    # entries that would change on load
+    **{f"entries-{name}": _small_set([{"entries": entries}]) for name, entries in {
+        "repeated-column": [[0, "1"], [0, "-1"], [1, "1"]],
+        "float-column": [[0, "1"], [1.7, "-1"]],
+        "bool-column": [[0, "1"], [True, "-1"]],
+        "int-coefficient": [[0, 1], [1, "-1"]],
+        "float-coefficient": [[0, "1"], [1, -1.9]],
+        "underscore": [[0, "1_0"], [1, "-1"]],
+        "whitespace": [[0, "1"], [1, " -1 "]],
+        "plus-sign": [[0, "+3"], [1, "-1"]],
+        "fullwidth-digit": [[0, "\uff12"], [1, "-1"]],
+        "not-an-integer": [[0, "1"], [1, "1-2"]],
+        "too-many-digits": [[0, "1" * 5000]],
+        "short-pair": [[0, "1"], [1]],
+        "long-pair": [[0, "1", 2]],
+        "scalar-pair": [[0, "1"], 7],
+        "string-pair": [[0, "1"], "ab"],
+        "null": None,
+        "number": 5,
+        "string": "ab",
+        "object": {"ab": "1"},
+        # accepted, though str() writes none of them
+        "leading-zeros": [[0, "007"], [1, "-0"]],
+        "empty-object": {},
+        "empty-string": "",
+    }.items()},
+    "column-negative": _small_set([{"entries": [[0, "1"], [-1, "1"]]}]),
+    "column-past-the-symbols": _small_set([{"entries": [[0, "1"], [2, "1"]]}]),
+    "column-first-in-file-order": _small_set([{"entries": e} for e in (
+        [[0, "1"]], [[1, "1"], [5, "2"], [-3, "1"]], [[7, "1"]])]),
+    # the first bad row is named, and before any column out of range
+    "bad-rows-1-and-2": _small_set([{"entries": e} for e in (
+        [[5, "1"]], [[0, "+1"]], [[1, "1.5"]])]),
+    "bad-entries-before-bad-provenance": _small_set([
+        {"entries": [[0, "+1"]], "provenance": {**_PROV, "k": 2}}]),
+    "bad-provenance-before-bad-entries": _small_set([
+        {**_ROW, "provenance": {**_PROV, "k": 2}}, {"entries": [[0, "+1"]]}]),
+    "equal-rows": _small_set([_ROW, {"entries": [[1, "1"]]}, _ROW, _ROW]),
+    "huge-coefficient": _small_set([{"entries": [[0, str(2**80)], [1, str(-(2**81))]]}]),
+    # duplicate "entries" keys: the last one wins
+    "duplicate-entries-last-good": '{"symbols": ["3"], "rows": [{"entries": [[0, "+1"]], '
+                                   '"entries": [[0, "2"]]}]}',
+    "duplicate-entries-last-bad": '{"symbols": ["3"], "rows": [{"entries": [[0, "2"]], '
+                                  '"entries": [[0, "+1"]]}]}',
+    # "entries" in objects that are not rows
+    "entries-in-settings": _w4_set(lambda o: o["settings"].update(entries=[[0, "1"]])),
+    "bad-entries-in-settings": _w4_set(lambda o: o["settings"].update(entries=[[0, "+1"]])),
+    "entries-in-provenance": _w4_set(lambda o: o["rows"][1]["provenance"].update(entries=[[0, "1"]])),
+    "bad-entries-in-provenance": _w4_set(
+        lambda o: o["rows"][1]["provenance"].update(entries=[[0, "+1"]])),
+    "entries-at-the-top": _w4_set(lambda o: o.update(entries=[[0, "1"]])),
+    "entries-in-a-symbol": _small_set([_ROW], symbols=[{"entries": [[0, "1"]]}, "3"]),
+    "entries-in-a-shape": _small_set([{**_ROW, "provenance": {
+        **_PROV, "shape": {"entries": [[1, "-1"]]}}}]),
+    "entries-in-the-weight": _small_set([_ROW], weight={"entries": [[0, "1"]]}),
+    "leading-zeros-in-the-weight": _small_set([_ROW], weight={"entries": [[0, "007"]]}),
+    "entries-in-a-family": _small_set([{**_ROW, "provenance": {
+        **_PROV, "family": [{"entries": [[1, "2"]]}]}}]),
+    "entries-in-entries": _small_set([{"entries": [{"entries": [[0, "1"]]}]}]),
+    "compact-rows-first": _compact_rows_first(5, "cyclic"),
+}
+
+
+@pytest.mark.parametrize("data", READER_CASES.values(), ids=READER_CASES)
+def test_relation_set_loads_matches_the_json_loads_oracle(data):
+    _read_both(data)
+    if isinstance(data, bytes):
+        try:
+            text = data.decode()
+        except UnicodeDecodeError:
+            return
+        _read_both(text)
+
+
+def test_relation_set_loads_oracle_cases_reach_every_outcome():
+    """The cases above reach each error of the reader, and the accepted ones
+    read as expected."""
+    out = {}
+    for name, data in READER_CASES.items():
+        try:
+            out[name] = relation_set_loads(data)
+        except ParseError as exc:
+            out[name] = str(exc)
+    assert out["bad-row-then-syntax-error"].startswith("bad relation-set JSON: ")
+    assert out["bad-symbols-then-syntax-error"].startswith("bad relation-set JSON: ")
+    assert out["utf8-bom"].startswith("bad relation-set JSON: Unexpected UTF-8 BOM")
+    assert out["row-a-list"] == ("bad relation-set object: "
+                                 "list indices must be integers or slices, not str")
+    assert out["bad-rows-1-and-2"].startswith("row 1: ")
+    assert out["bad-entries-before-bad-provenance"].startswith("row 0: ")
+    assert out["bad-provenance-before-bad-entries"] == ("bad relation-set object: "
+                                                       "expected a string, not 2")
+    assert out["entries-in-a-symbol"] == ("bad relation-set object: expected a string, "
+                                          "not {'entries': [[0, '1']]}")
+    assert out["entries-in-the-weight"].weight == {"entries": [[0, "1"]]}
+    assert out["duplicate-entries-last-good"].rows == [{0: 2}]
+    assert out["duplicate-entries-last-bad"].startswith("row 0: ")
+    assert out["entries-leading-zeros"].rows == [{0: 7, 1: 0}]
+    assert out["entries-empty-object"].rows == out["entries-empty-string"].rows == [{}]
+    assert out["entries-in-entries"] == ("bad relation-set object: "
+                                         "not enough values to unpack (expected 2, got 1)")
+    w4 = relation_set_loads(_w4_set(lambda o: None))
+    for name in ("entries-in-settings", "bad-entries-in-settings", "entries-in-provenance",
+                 "bad-entries-in-provenance", "entries-at-the-top"):
+        assert out[name] == w4, name
+    assert out["compact-rows-first"] == relation_set_loads(
+        relation_set_dumps(5, "cyclic", relation_matrix(generate_relations(5, "cyclic"))))
+    equal = out["equal-rows"].rows
+    assert equal[0] is equal[2] is equal[3] and equal[1] == {1: 1}
+
+
+def _every_relation_set(weights):
+    for w in weights:
+        for fam in relations.FAMILIES:
+            yield relation_set_dumps(w, fam, relation_matrix(generate_relations(w, fam)))
+
+
+def test_relation_set_loads_matches_the_oracle_on_every_set_up_to_weight_9():
+    with gzip.open(STORED_W10) as f:
+        stored = f.read()
+    for data in [*_every_relation_set(range(3, 10)), stored]:
+        m = _read_both(data)
+        assert m == relation_set_loads(data.decode())
+        # equal rows share one dict, as relation_matrix gives them
+        assert len({id(row) for row in m.rows}) == len(relations._distinct_rows(m))
+
+
+@pytest.mark.slow
+def test_relation_set_loads_matches_the_oracle_at_weights_10_and_11():
+    for data in _every_relation_set((10, 11)):
+        _read_both(data)
+
+
+def test_relation_set_loads_never_holds_the_json_tree():
+    """The w9 cyclic set (1.8 MB of text) parses within 3 MiB above the text,
+    since each row is converted as it is decoded; the oracle builds the whole
+    tree first and needs about 5.9 MB."""
+    import tracemalloc
+
+    text = relation_set_dumps(9, "cyclic",
+                              relation_matrix(generate_relations(9, "cyclic"))).decode()
+    peaks = []
+    for read in (relation_set_loads, _relation_set_oracle):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            read(text)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    new, oracle = peaks
+    assert new < 3 * 2**20 <= oracle, peaks
 
 
 @pytest.mark.slow
