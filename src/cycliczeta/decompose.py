@@ -15,7 +15,8 @@ coupled sums.  The engine's recursion also names the first weak order that
 makes a decomposition non-admissible, so no caller enumerates the weak
 orders; `decompose` output counts them from the combination.  Building the
 filters is the only place where the size of a system is bounded
-(`LEVEL_CAP`); `decompose_to_mzv` bounds the total exponent (`EXPONENT_CAP`).
+(`LEVEL_CAP`) and where a system with a cycle through a strict edge is
+refused; `decompose_to_mzv` bounds the total exponent (`EXPONENT_CAP`).
 Completeness and disjointness of the split are exactly testable against a
 brute-force lattice-point count, which this module also provides.
 """
@@ -187,6 +188,12 @@ def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
     candidate list, which fixes the order of the weak orders across runs.
     A system whose filters need more than LEVEL_CAP candidate levels in
     all raises BudgetError, before the filter past the cap is tried.
+
+    This peel is also the strict-cycle check.  Without a cycle through a
+    strict edge, a source strongly connected component of the remaining
+    variables is always a valid level; with one, the cycle's variables are
+    never peeled, so some reachable filter has no valid next level, and
+    the build raises ValueError there.
     """
     vs, strict_in, weak_in = cs.variables, cs.strict_in, cs.weak_in
     n = len(vs)
@@ -220,6 +227,8 @@ def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
             out.append((tuple(t for t in cand if level >> t & 1), rest))
             if rest:
                 todo.append(rest)
+        if not out:
+            raise ValueError("constraint digraph has a cycle through a strict edge")
         steps[remaining] = tuple(out)
     return vs, steps
 

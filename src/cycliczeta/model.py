@@ -15,9 +15,11 @@ series evaluators and the exact decomposer:
 
 A constraint system is the one place where constraints become index masks:
 for each of its variables w (the block positions in (i, j) order, then n)
-it keeps the masks of the u with u < w and with u <= w, which the strict
-cycle check, the order filters and the lattice-point oracle read.  Its
-constraints are sorted by the positions of their variables, then relation.
+it keeps the masks of the u with u < w and with u <= w, which the order
+filters and the lattice-point oracle read.  Its constraints are sorted by
+the positions of their variables, then relation.  A system with a cycle
+through a strict edge is refused when its order filters are built, not
+here.
 
 Membership tests for the convergence domains (the region W attached to a
 shape, and the absolute-convergence region of the plain nested series) are
@@ -269,10 +271,11 @@ class ConstraintSystem:
     `strict_in[w]` and `weak_in[w]` are the masks of the positions u in
     `variables` with u < w and u <= w.  The constraint digraph may contain
     non-strict cycles (forced equalities) but never a cycle through a strict
-    edge; such a system would be empty and the constructors never emit one
-    (ad-hoc construction raises ValueError).  The variables, the masks and
-    the hash are computed once, since the decomposition caches are keyed by
-    the system.
+    edge; such a system is empty and the constructors never emit one.  An
+    ad-hoc one is refused (ValueError) when its order-filter DAG is built
+    (`decompose._filter_steps`), which every decomposition and evaluation
+    does first.  The variables, the masks and the hash are computed once,
+    since the decomposition caches are keyed by the system.
     """
 
     shape: Shape
@@ -295,16 +298,6 @@ class ConstraintSystem:
         strict_in, weak_in = [0] * n, [0] * n
         for u, w, rel, _ in keyed:
             (strict_in if rel == REL_LT else weak_in)[w] |= 1 << u
-        # Warshall's closure: below[w] becomes the mask of every u with a
-        # path u -> ... -> w.  A strict edge u < w lies on a cycle exactly
-        # when w is below u.
-        below = [a | b for a, b in zip(strict_in, weak_in)]
-        for k in range(n):
-            for w in range(n):
-                if below[w] >> k & 1:
-                    below[w] |= below[k]
-        if any(below[u] >> w & 1 for u, w, rel, _ in keyed if rel == REL_LT):
-            raise ValueError("constraint digraph has a cycle through a strict edge")
         object.__setattr__(self, "constraints", cons)
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "strict_in", tuple(strict_in))

@@ -30,7 +30,6 @@ import gc
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
@@ -633,9 +632,6 @@ def relation_set_dumps(weight: int, family: str, matrix: RelationMatrix) -> byte
                     _json_list(rows, 2))).encode()
 
 
-_COEFFICIENT_CHARS = re.compile(r"[0-9-]*")
-
-
 class _Coefficients(dict):
     """int() of each distinct coefficient string of one file that str()
     writes back unchanged, taken once; any other string raises ValueError."""
@@ -650,8 +646,9 @@ class _Coefficients(dict):
 
 class _Row:
     """The entries list of a row, converted as the decoder closed it: `row`
-    maps distinct int columns to coefficients str() wrote, so the list is
-    written back exactly wherever a caller could see it (repr and ==)."""
+    maps distinct int columns to the coefficients str() wrote.  Its repr is
+    the list as written, for a message that quotes a mistyped field holding
+    the row."""
 
     __slots__ = ("row",)
 
@@ -659,13 +656,7 @@ class _Row:
         self.row = row
 
     def __repr__(self) -> str:
-        return repr(self._entries())
-
-    def __eq__(self, other) -> bool:
-        return self._entries() == other
-
-    def _entries(self) -> list:
-        return [[c, str(v)] for c, v in self.row.items()]
+        return repr([[c, str(v)] for c, v in self.row.items()])
 
 
 def _string(v) -> str:
@@ -679,9 +670,13 @@ def relation_set_loads(data: str | bytes) -> RelationMatrix:
     """The matrix of a relation-set file, with the weight and family it
     names.  Anything that is not JSON (including bytes that are not UTF-8,
     and nesting too deep to decode) or not a relation set raises
-    ParseError, and so does any symbol, column or coefficient that would
-    change on conversion: every symbol must be distinct and read back as
-    written, since the rank takes each column as a different symbol.
+    ParseError: each row's "entries" must be a list of [column,
+    coefficient] pairs, the weight an integer or null, the file's family a
+    string or null and each provenance's family a string.  So does any
+    symbol, column or coefficient that would change on conversion: every
+    symbol must be distinct and read back as written, since the rank takes
+    each column as a different symbol, and every coefficient must be a
+    string that str() writes back unchanged ("7", not "007"; "0", not "-0").
 
     Bytes are decoded to text first and then dropped, so bytes no caller
     holds are freed before the JSON is decoded.  Each row's entries become
@@ -706,12 +701,14 @@ def relation_set_loads(data: str | bytes) -> RelationMatrix:
 
 
 def _relation_set(text: str) -> RelationMatrix:
-    """The relation set of a JSON text.  An object's "entries" list whose
-    columns are distinct ints and whose coefficients are strings as str()
-    writes them becomes a `_Row` as the decoder closes the object, and equal
-    rows share one dict.  The hook raises nothing: any other "entries"
-    stays as decoded, so a JSON syntax error anywhere comes first, and the
-    checks after decoding find the first bad row in file order."""
+    """The relation set of a JSON text.  The decoder hook is the only row
+    converter: an object's "entries" list whose columns are distinct ints
+    and whose coefficients are strings as str() writes them becomes a `_Row`
+    as the decoder closes the object, and equal rows share one dict.  The
+    hook raises nothing: any other "entries" stays as decoded, so a JSON
+    syntax error anywhere comes first, and the first row whose "entries" is
+    not a `_Row` is named after decoding, in file order.  The weight and
+    both family fields are type-checked, so no `_Row` reaches the matrix."""
     ints: _Coefficients = _Coefficients()
     seen: dict[tuple, dict[int, int]] = {}
 
@@ -740,22 +737,19 @@ def _relation_set(text: str) -> RelationMatrix:
         shape_of = functools.cache(Shape.parse)
         for i, row in enumerate(obj["rows"]):
             entries = row["entries"]
-            if type(entries) is _Row:
-                rows.append(entries.row)
-            else:
-                # Anything but distinct int columns and coefficients of
-                # ASCII digits and '-' would change silently on conversion.
-                rows.append({c: int(v) for c, v in entries
-                             if type(c) is int and type(v) is str})
-                if len(rows[-1]) != len(entries) or not all(
-                        _COEFFICIENT_CHARS.fullmatch(v) for _, v in entries):
-                    raise ParseError(f"row {i}: columns must be distinct integers and "
-                                     "coefficients strings of ASCII digits with an optional '-'")
+            if type(entries) is not _Row:
+                raise ParseError(f"row {i}: columns must be distinct integers and "
+                                 "coefficients strings of ASCII digits with an optional '-'")
+            rows.append(entries.row)
             if p := row.get("provenance"):
                 shape = shape_of(_string(p["shape"]))
-                p = Provenance(p["family"], shape, IntArgs.parse(_string(p["k"]), shape))
+                p = Provenance(_string(p["family"]), shape,
+                               IntArgs.parse(_string(p["k"]), shape))
             provs.append(p or None)
         weight, family = obj.get("weight"), obj.get("family")
+        if type(weight) not in (int, type(None)) or type(family) not in (str, type(None)):
+            raise TypeError(f"weight must be an integer or null and family a string or "
+                            f"null, not {weight!r} and {family!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad relation-set object: {exc}") from None
     for row in rows:

@@ -400,7 +400,8 @@ def test_rank_bad_file_exit_3(tmp_path, capsys, data):
     assert err.startswith("parse error: bad relation-set JSON: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("field, value, bad", [("symbols", [4], 4), ("shape", 5, 5), ("k", 2, 2)])
+@pytest.mark.parametrize("field, value, bad", [("symbols", [4], 4), ("shape", 5, 5), ("k", 2, 2),
+                                               ("family", 5, 5)])
 def test_rank_non_string_field_exit_3(tmp_path, capsys, field, value, bad):
     prov = {"family": "cyclic", "shape": "1,1", "k": "1;2"}
     obj = {"weight": 3, "family": "cyclic", "symbols": ["1,2", "3"],
@@ -424,8 +425,12 @@ def test_rank_non_string_field_exit_3(tmp_path, capsys, field, value, bad):
     [[0, "1"], [1, " -1 "]],
     [[0, "+3"], [1, "-1"]],
     [[0, "\uff12"], [1, "-1"]],
+    [[0, "007"], [1, "-1"]],
+    [[0, "1"], [1, "-0"]],
+    [[0, "-007"], [1, "-1"]],
 ], ids=["repeated-column", "float-column", "bool-column", "int-coefficient",
-        "float-coefficient", "underscore", "whitespace", "plus-sign", "fullwidth-digit"])
+        "float-coefficient", "underscore", "whitespace", "plus-sign", "fullwidth-digit",
+        "leading-zeros", "minus-zero", "minus-leading-zeros"])
 def test_rank_entries_that_would_change_on_load_exit_3(tmp_path, capsys, entries):
     f = tmp_path / "set.json"
     f.write_text(json.dumps({"weight": 3, "family": "cyclic", "symbols": ["1,2", "3"],
@@ -434,6 +439,22 @@ def test_rank_entries_that_would_change_on_load_exit_3(tmp_path, capsys, entries
     assert (code, out) == (3, "")
     assert err == ("parse error: row 0: columns must be distinct integers and "
                    "coefficients strings of ASCII digits with an optional '-'\n")
+
+
+@pytest.mark.parametrize("field, value", [("weight", {}), ("weight", True), ("family", [])],
+                         ids=["weight-object", "weight-true", "family-list"])
+def test_rank_mistyped_weight_or_family_exit_3(tmp_path, capsys, field, value):
+    """The weight is an integer or null and the family a string or null, as
+    the matrix declares them; true is not the weight 1."""
+    obj = {"weight": 3, "family": "cyclic", "symbols": ["1,2", "3"],
+           "rows": [{"entries": [[0, "1"], [1, "-1"]]}], field: value}
+    f = tmp_path / "set.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "rank", "--in", f.as_posix())
+    weight, family = (value, "'cyclic'") if field == "weight" else (3, value)
+    assert (code, out) == (3, "")
+    assert err == ("parse error: bad relation-set object: weight must be an integer or null "
+                   f"and family a string or null, not {weight} and {family}\n")
 
 
 @pytest.mark.parametrize("rows, column", [
@@ -821,6 +842,23 @@ def test_decompose_count_mode(capsys):
     )
     assert code == 0
     assert out.strip() == "10"
+
+
+@pytest.mark.parametrize("mode, code", [(["--count", "--N", "0"], 0), (["--exponents", "n1_1:2"], 3)],
+                         ids=["count", "exponents"])
+def test_decompose_builds_an_8000_variable_system_at_once(capsys, mode, code):
+    """The one-block S system of depth 8000 is built without any pass over
+    pairs of its variables: the count at N = 0 is 0, and the exponents it
+    lacks exit 3, each well inside the bound."""
+    import time
+
+    start = time.perf_counter()
+    got, out, err = run(capsys, "decompose", "--shape", "8000", "--set", "S", *mode)
+    assert got == code and time.perf_counter() - start < 3
+    if code:
+        assert out == "" and err.startswith("parse error: missing exponents for n1_2, n1_3, ")
+    else:
+        assert json.loads(out)["count"] == 0 and err == ""
 
 
 def test_decompose_base_set_no_indices(capsys):

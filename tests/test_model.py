@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycliczeta import decompose
+from cycliczeta.decompose import _filter_steps
 from cycliczeta.errors import ParseError
 from cycliczeta.model import (
     EXTRA,
@@ -168,8 +170,8 @@ def test_no_tautologies_and_no_strict_cycles():
         for cs in systems:
             for c in cs.constraints:
                 assert c.lhs != c.rhs
-            # construction already rejects strict cycles; rebuild to re-check
-            ConstraintSystem(cs.shape, cs.has_extra_var, cs.constraints)
+            # the DAG build refuses a strict cycle
+            _filter_steps(cs)
 
 
 def test_S_ij_block_part_matches_S():
@@ -192,21 +194,23 @@ def test_S_ij_block_part_matches_S():
 
 def test_strict_cycle_rejected():
     sh = Shape((2,))
-    with pytest.raises(ValueError):
-        ConstraintSystem(
-            sh,
-            False,
-            (
-                Constraint(B(1, 1), "<", B(1, 2)),
-                Constraint(B(1, 2), "<=", B(1, 1)),
-            ),
-        )
+    cs = ConstraintSystem(
+        sh,
+        False,
+        (
+            Constraint(B(1, 1), "<", B(1, 2)),
+            Constraint(B(1, 2), "<=", B(1, 1)),
+        ),
+    )
+    with pytest.raises(ValueError, match="^constraint digraph has a cycle through a strict edge$"):
+        _filter_steps(cs)
 
 
 def has_strict_cycle_dfs(variables, cons):
     """The strict-cycle check systems ran before they kept index masks, kept
-    as the oracle: one reachability set per variable, by a search from each;
-    a strict edge lies on a cycle exactly when its head reaches its tail."""
+    as the oracle of the order-filter peel: one reachability set per
+    variable, by a search from each; a strict edge lies on a cycle exactly
+    when its head reaches its tail."""
     vs = list(variables)
     idx = {v: k for k, v in enumerate(vs)}
     adj = [[] for _ in vs]
@@ -223,29 +227,56 @@ def has_strict_cycle_dfs(variables, cons):
     return any(c.rel == "<" and idx[c.lhs] in reach[idx[c.rhs]] for c in cons)
 
 
+def _random_system(rng, lo, hi):
+    """A system of lo..hi variables (with or without n) and random edges."""
+    nv = rng.randint(lo, hi)
+    extra = rng.random() < 0.5
+    sizes, left = [], nv - extra
+    while left:
+        sizes.append(rng.randint(1, left))
+        left -= sizes[-1]
+    shape = Shape(tuple(sizes))
+    vs = shape.block_vars() + [EXTRA] * extra
+    cons = [Constraint(u, rng.choice(["<", "<="]), w)
+            for u, w in (rng.sample(vs, 2) for _ in range(rng.randint(1, 2 * nv)))]
+    return ConstraintSystem(shape, extra, tuple(cons)), vs, cons
+
+
+def _peel_refuses(build, cs):
+    """Whether building cs's order-filter DAG refuses a strict cycle."""
+    try:
+        build(cs)
+    except ValueError as exc:
+        assert str(exc) == "constraint digraph has a cycle through a strict edge"
+        return True
+    return False
+
+
 def test_strict_cycle_check_matches_the_search_oracle():
     rng = random.Random(31)
     rejected = 0
     for _ in range(3000):
-        nv = rng.randint(3, 6)
-        extra = rng.random() < 0.5
-        sizes, left = [], nv - extra
-        while left:
-            sizes.append(rng.randint(1, left))
-            left -= sizes[-1]
-        shape = Shape(tuple(sizes))
-        vs = shape.block_vars() + [EXTRA] * extra
-        cons = [Constraint(u, rng.choice(["<", "<="]), w)
-                for u, w in (rng.sample(vs, 2) for _ in range(rng.randint(1, 2 * nv)))]
+        cs, vs, cons = _random_system(rng, 3, 6)
         want = has_strict_cycle_dfs(vs, cons)
-        try:
-            ConstraintSystem(shape, extra, tuple(cons))
-        except ValueError as exc:
-            assert want and str(exc) == "constraint digraph has a cycle through a strict edge"
-            rejected += 1
-        else:
-            assert not want, [str(c) for c in cons]
+        assert _peel_refuses(_filter_steps, cs) == want, [str(c) for c in cons]
+        rejected += want
     assert 1000 < rejected < 2000
+
+
+@pytest.mark.slow
+def test_strict_cycle_peel_matches_the_search_oracle_up_to_9_variables(monkeypatch):
+    """20,000 random systems of 2-9 variables.  The level cap is lifted, as
+    an unconstrained 9-variable system tries 3^9 - 2^9 levels, and the DAGs
+    are built uncached, so they are not all kept."""
+    monkeypatch.setattr(decompose, "LEVEL_CAP", 3**9)
+    rng = random.Random(7)
+    rejected = 0
+    for _ in range(20_000):
+        cs, vs, cons = _random_system(rng, 2, 9)
+        want = has_strict_cycle_dfs(vs, cons)
+        assert _peel_refuses(_filter_steps.__wrapped__, cs) == want, [str(c) for c in cons]
+        rejected += want
+    assert 5_000 < rejected < 15_000  # 9,439: both verdicts well represented
 
 
 def test_constraints_canonically_sorted():

@@ -1166,16 +1166,26 @@ def test_relation_set_dumps_matches_json_dumps():
 # --- the json.loads reader, kept as the oracle of relation_set_loads ---------
 
 
-class _OracleCoefficients(dict):
-    """int() of each distinct coefficient string of one file, taken once;
-    `bad` is set by one holding more than ASCII digits and '-'."""
-
-    bad = False
-
-    def __missing__(self, text):
-        self.bad |= not relations._COEFFICIENT_CHARS.fullmatch(text)
-        value = self[text] = int(text)
-        return value
+def _oracle_row(entries):
+    """The {column: int} dict of a row's entries, or None unless they are a
+    list of [int column, str coefficient] pairs with distinct columns and
+    each coefficient t read only when str(int(t)) == t."""
+    if type(entries) is not list:
+        return None
+    row = {}
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 2:
+            return None
+        c, t = entry
+        if type(c) is not int or type(t) is not str:
+            return None
+        try:
+            row[c] = int(t)
+        except ValueError:
+            return None
+        if str(row[c]) != t:
+            return None
+    return row if len(row) == len(entries) else None
 
 
 def _relation_set_oracle(data):
@@ -1193,18 +1203,21 @@ def _relation_set_oracle(data):
                              "them (comma-separated positive integers)")
         rows = []
         provs = []
-        ints, shape_of = _OracleCoefficients(), functools.cache(Shape.parse)
+        shape_of = functools.cache(Shape.parse)
         for i, row in enumerate(obj["rows"]):
-            entries = row["entries"]
-            rows.append({c: ints[v] for c, v in entries if type(c) is int and type(v) is str})
-            if len(rows[-1]) != len(entries) or ints.bad:
+            rows.append(_oracle_row(row["entries"]))
+            if rows[-1] is None:
                 raise ParseError(f"row {i}: columns must be distinct integers and "
                                  "coefficients strings of ASCII digits with an optional '-'")
             if p := row.get("provenance"):
                 shape = shape_of(string(p["shape"]))
-                p = Provenance(p["family"], shape, IntArgs.parse(string(p["k"]), shape))
+                p = Provenance(string(p["family"]), shape, IntArgs.parse(string(p["k"]), shape))
             provs.append(p or None)
         weight, family = obj.get("weight"), obj.get("family")
+        if not (weight is None or type(weight) is int) or not (
+                family is None or type(family) is str):
+            raise TypeError(f"weight must be an integer or null and family a string or "
+                            f"null, not {weight!r} and {family!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad relation-set object: {exc}") from None
     for row in rows:
@@ -1302,7 +1315,6 @@ READER_CASES = {
         "number": 5,
         "string": "ab",
         "object": {"ab": "1"},
-        # accepted, though str() writes none of them
         "leading-zeros": [[0, "007"], [1, "-0"]],
         "empty-object": {},
         "empty-string": "",
@@ -1375,13 +1387,23 @@ def test_relation_set_loads_oracle_cases_reach_every_outcome():
                                                        "expected a string, not 2")
     assert out["entries-in-a-symbol"] == ("bad relation-set object: expected a string, "
                                           "not {'entries': [[0, '1']]}")
-    assert out["entries-in-the-weight"].weight == {"entries": [[0, "1"]]}
     assert out["duplicate-entries-last-good"].rows == [{0: 2}]
     assert out["duplicate-entries-last-bad"].startswith("row 0: ")
-    assert out["entries-leading-zeros"].rows == [{0: 7, 1: 0}]
-    assert out["entries-empty-object"].rows == out["entries-empty-string"].rows == [{}]
-    assert out["entries-in-entries"] == ("bad relation-set object: "
-                                         "not enough values to unpack (expected 2, got 1)")
+    # entries that are not a list of [column, coefficient] pairs, and
+    # coefficients str() never writes, are named by their row
+    for name in ("not-an-integer", "too-many-digits", "short-pair", "long-pair", "scalar-pair",
+                 "null", "number", "string", "leading-zeros", "empty-object", "empty-string",
+                 "in-entries"):
+        assert out[f"entries-{name}"] == out["entries-plus-sign"], name
+    assert out["entries-plus-sign"].startswith("row 0: ")
+    # the weight and both families are type-checked, so no row object
+    # reaches a matrix
+    mistyped = ("bad relation-set object: weight must be an integer or null and family a "
+                "string or null, not {'entries': [[0, %s]]} and 'cyclic'")
+    assert out["entries-in-the-weight"] == mistyped % "'1'"
+    assert out["leading-zeros-in-the-weight"] == mistyped % "'007'"
+    assert out["entries-in-a-family"] == ("bad relation-set object: expected a string, "
+                                          "not [{'entries': [[1, '2']]}]")
     w4 = relation_set_loads(_w4_set(lambda o: None))
     for name in ("entries-in-settings", "bad-entries-in-settings", "entries-in-provenance",
                  "bad-entries-in-provenance", "entries-at-the-top"):
@@ -1406,6 +1428,26 @@ def test_relation_set_loads_matches_the_oracle_on_every_set_up_to_weight_9():
         assert m == relation_set_loads(data.decode())
         # equal rows share one dict, as relation_matrix gives them
         assert len({id(row) for row in m.rows}) == len(relations._distinct_rows(m))
+
+
+def test_relation_set_loads_returns_only_typed_fields():
+    """Every matrix the reader returns, from the corpus or a generated set,
+    has an int or null weight, a str or null family, dict rows of ints and
+    provenances whose family is a str: no decoded row object reaches it."""
+    accepted = 0
+    for data in [*READER_CASES.values(), *_every_relation_set(range(3, 10))]:
+        try:
+            m = relation_set_loads(data)
+        except ParseError:
+            continue
+        accepted += 1
+        assert m.weight is None or type(m.weight) is int
+        assert m.family is None or type(m.family) is str
+        for row in m.rows:
+            assert type(row) is dict and all(type(x) is int for x in (*row, *row.values()))
+        for p in m.provenances:
+            assert p is None or type(p) is Provenance and type(p.family) is str
+    assert accepted == 9 + 21  # corpus inputs read, and every set of w3-w9
 
 
 @pytest.mark.slow
