@@ -356,9 +356,7 @@ def cmd_relations(args) -> int:
                   file=sys.stderr)
     cached = matrix is not None
     if matrix is None:
-        rels = rel_mod.generate_relations(
-            args.weight, args.family, max_weight_budget=args.budget_max_weight)
-        matrix = rel_mod.relation_matrix(rels)
+        matrix = rel_mod._family_matrix(args.weight, args.family, args.budget_max_weight)
         data = rel_mod.relation_set_dumps(args.weight, args.family, matrix)
         if cache is not None:
             _atomic_write(cache, data)
@@ -412,14 +410,9 @@ def cmd_table1(args) -> int:
         }
         _emit(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        header = ["weight"] + families + ["all_relations(ref)"]
-        rows = [",".join(header)]
-        for w in weights:
-            rows.append(
-                ",".join([str(w)] + [str(table[w][f]) for f in families]
-                         + [str(table[w]["all_ref"])])
-            )
-        _emit("\n".join(rows))
+        rows = [["weight", *families, "all_relations(ref)"]]
+        rows += [[w, *(table[w][f] for f in families), table[w]["all_ref"]] for w in weights]
+        _emit("\n".join(",".join(map(str, row)) for row in rows))
     else:
         names = {"csf": "cyclic sum formula", "derivation": "derivation relation",
                  "cyclic": "cyclic relation"}

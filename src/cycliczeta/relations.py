@@ -13,9 +13,10 @@ the reference table of independent relation counts.  Configurations, and
 their shapes, are compositions read off cut points (`_compositions`).
 
 Relations are accumulated on the partial-sum bitmasks of the decomposition
-engine (`decompose._part_counts`), and each relation builds one
-`SymbolCombination` at the end.  `relation_matrix` indexes each distinct
-combination once, by increasing column.
+engine (`decompose._part_counts`), once per block-rotation orbit
+(`_orbit_masks`).  One builder (`_matrix`) stacks mask rows, and only its
+symbol tuple holds `Composition` objects; `table1` builds one matrix per
+weight and ranks each family on its own rows.
 
 The rank is certified modularly (`rank_exact`) from one integer block of
 the distinct rows.  Big-integer Bareiss elimination (`_rank_bareiss`) is
@@ -36,7 +37,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .decompose import Composition, SymbolCombination, _combination, _mask, _part_counts
+from .decompose import Composition, SymbolCombination, _combination, _composition, _mask
+from .decompose import _part_counts
 # Unused here, but perfbench/tracing.py wraps this binding until the library counts its own calls.
 from .decompose import decompose_to_mzv  # noqa: F401
 from .errors import BudgetError, DomainError, InternalInvariantError, NonAdmissibleError, ParseError
@@ -83,13 +85,16 @@ def cyclic_relation(k: IntArgs) -> Relation:
     over every block (extra exponent 1) is subtracted.  Every symbol has
     weight sum(k) + 1.  The variables of every S_ij and S_i system are the
     block positions in order, then n, so the exponents are passed to the
-    decomposition engine as plain lists and its partial-sum masks summed.
+    decomposition engine as plain lists and its masks summed (`_relation_masks`).
     """
     if not is_integer_point_in_W(k):
         raise DomainError(f"integer point {k} lies outside W")
-    shape = k.shape
-    values = list(k.values)
-    acc: dict[int, int] = {}
+    return Relation(_combination(_relation_masks(k)), Provenance("cyclic", k.shape, k))
+
+
+def _relation_masks(k: IntArgs) -> dict[int, int]:
+    """The relation of a configuration in W as masks and coefficients, zeros kept."""
+    shape, values, acc = k.shape, list(k.values), {}
 
     def add(cs, exps, sign):
         for mask, c in _part_counts(cs, exps).items():
@@ -107,7 +112,7 @@ def cyclic_relation(k: IntArgs) -> Relation:
                 add(cs, exps, 1)
     for i in range(1, shape.d + 1):
         add(build_constraints_S_i(shape, i), values + [1], -1)
-    return Relation(_combination(acc), Provenance("cyclic", shape, k))
+    return acc
 
 
 def zeta_star_expand(c: Composition) -> SymbolCombination:
@@ -150,31 +155,32 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
         yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
+# Whether a family takes a cyclic configuration: csf the all-singleton shapes,
+# derivation those whose trailing blocks are single entries 1 (d - 1 ones).
+_TAKES = {"csf": lambda shape, k: shape.all_singleton,
+          "derivation": lambda shape, k: k.values[shape.r[0]:] == (1,) * (shape.d - 1),
+          "cyclic": lambda shape, k: True}
+
+
+@functools.lru_cache(maxsize=None)
+def _configurations(weight: int) -> tuple[tuple[Shape, IntArgs], ...]:
+    """Every cyclic configuration of a weight, ordered by d, then r, then k;
+    the shapes of d blocks are the compositions of weight - 1 into d + 1
+    parts with the last one dropped (total depth <= weight - 2)."""
+    shapes = (Shape(r[:-1]) for d in range(1, weight - 1) for r in _compositions(weight - 1, d + 1))
+    return tuple((shape, k) for shape in shapes
+                 for k in (IntArgs(shape, v) for v in _compositions(weight - 1, shape.total_depth))
+                 if is_integer_point_in_W(k))
+
+
 def enumerate_family(weight: int, family: str) -> list[tuple[Shape, IntArgs]]:
-    """All configurations of a family whose symbols have the given weight
-    (exponent total weight - 1), ordered by d, then r, then k.  The
-    derivation family takes every single-block shape and the shapes whose
-    trailing blocks are singletons.  The shapes of d blocks are those of
-    total depth <= weight - 2: the compositions of weight - 1 into d + 1
-    parts with the last one dropped."""
+    """A new list of the cyclic configurations (`_configurations`) of symbol
+    weight `weight` (exponent total weight - 1) that the family takes."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if weight < 3:
         raise ValueError("weight must be >= 3")
-    out: list[tuple[Shape, IntArgs]] = []
-    for shape in (Shape(r[:-1]) for d in range(1, weight - 1)
-                  for r in _compositions(weight - 1, d + 1)):
-        if family == "csf" and not shape.all_singleton:
-            continue
-        if family == "derivation" and any(x != 1 for x in shape.r[1:]):
-            continue
-        for vals in _compositions(weight - 1, shape.total_depth):
-            if family == "derivation" and any(v != 1 for v in vals[shape.r[0]:]):
-                continue
-            k = IntArgs(shape, vals)
-            if is_integer_point_in_W(k):
-                out.append((shape, k))
-    return out
+    return [c for c in _configurations(weight) if _TAKES[family](*c)]
 
 
 def _check_weight(weight: int, max_weight_budget: int) -> None:
@@ -191,28 +197,35 @@ def _check_weight(weight: int, max_weight_budget: int) -> None:
 
 def generate_relations(weight: int, family: str, *,
                        max_weight_budget: int = HARD_MAX_WEIGHT) -> list[Relation]:
-    """One relation per configuration, from `cyclic_relation` computed once
-    per block-rotation orbit (`_orbit_combo`).  The weight is checked
-    against the budget before any relation is generated."""
+    """One relation per configuration, computed once per block-rotation orbit
+    (`_orbit_masks`) and shared by it, after the weight is checked."""
     _check_weight(weight, max_weight_budget)
-    return [Relation(_orbit_combo(k), Provenance(family, shape, k))
-            for shape, k in enumerate_family(weight, family)]
+    combos: dict[int, SymbolCombination] = {}
+    return [Relation(combos.get(id(m)) or combos.setdefault(id(m), _combination(m)),
+                     Provenance(family, shape, k))
+            for shape, k in enumerate_family(weight, family) for m in [_orbit_masks(k)]]
 
 
-# The combination of each block-rotation orbit, from the first configuration
-# met in it.  Relabelling the blocks cyclically maps every S_ij and S_i
-# system of a configuration onto those of its rotation, so all rotations of
-# a configuration have the same relation.
-_ORBIT_COMBOS: dict[tuple[tuple[int, ...], ...], SymbolCombination] = {}
+def _family_matrix(weight: int, family: str, max_weight_budget: int) -> RelationMatrix:
+    """relation_matrix(generate_relations(...)), built from the orbit masks."""
+    _check_weight(weight, max_weight_budget)
+    configs = enumerate_family(weight, family)
+    return _matrix([_orbit_masks(k) for _, k in configs], [Provenance(family, *c) for c in configs])
 
 
-def _orbit_combo(k: IntArgs) -> SymbolCombination:
+# The nonzero masks of each block-rotation orbit's relation, from the first
+# configuration met in it (relabelling the blocks cyclically maps each S_ij
+# and S_i system onto its rotation's); equal masks are one int (`_INTS`).
+_ORBIT_MASKS: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
+_INTS: dict[int, int] = {}
+
+
+def _orbit_masks(k: IntArgs) -> dict[int, int]:
     blocks = tuple(k.block(i) for i in range(1, k.shape.d + 1))
     key = min(blocks[t:] + blocks[:t] for t in range(len(blocks)))
-    combo = _ORBIT_COMBOS.get(key)
-    if combo is None:
-        combo = _ORBIT_COMBOS[key] = cyclic_relation(k).combo
-    return combo
+    if key not in _ORBIT_MASKS:
+        _ORBIT_MASKS[key] = {_INTS.setdefault(m, m): c for m, c in _relation_masks(k).items() if c}
+    return _ORBIT_MASKS[key]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +241,7 @@ class RelationMatrix:
     rows: list[dict[int, int]]
     weight: int | None
     provenances: list[Provenance | None]
-    # The family a relation-set file names; generated matrices leave it None.
+    # The family a relation-set file names, or that table1 ranks; None otherwise.
     family: str | None = None
 
     @property
@@ -237,19 +250,27 @@ class RelationMatrix:
 
 
 def relation_matrix(rels: Sequence[Relation]) -> RelationMatrix:
-    # Relations of one rotation orbit share their combination object, so
-    # each distinct one is indexed once and its rows share one dict (no
-    # reader mutates a row).
-    combos = {id(r.combo): r.combo.coefficients() for r in rels}
-    symbols = sorted(set().union(*combos.values()), key=Composition.sort_key)
-    weights = sorted({comp.weight for comp in symbols})
+    """The relations stacked by `_matrix`, one row dict per combination object."""
+    masks = {id(r.combo): {_mask(c.parts): v for c, v in r.combo.coefficients().items()}
+             for r in rels}
+    return _matrix([masks[id(r.combo)] for r in rels], [r.provenance for r in rels])
+
+
+def _matrix(rows: Sequence[dict[int, int]], provenances: list[Provenance | None]) -> RelationMatrix:
+    """The matrix of rows of partial-sum masks (`decompose._mask`) and nonzero
+    coefficients, over the masks that occur in sort_key order.  Each distinct
+    row dict becomes one {column: coefficient} dict by increasing column, which
+    its rows share.  A mask's bit length is its weight: mixing raises ValueError."""
+    distinct = {id(row): row for row in rows}
+    masks = sorted(set().union(*distinct.values()), key=lambda m: _composition(m).parts)
+    weights = sorted({m.bit_length() for m in masks})
     if len(weights) > 1:
         raise ValueError(f"relations mix symbol weights {weights}")
-    col = {comp: t for t, comp in enumerate(symbols)}
-    entries = {key: dict(sorted((col[comp], c) for comp, c in co.items()))
-               for key, co in combos.items()}
-    return RelationMatrix(tuple(symbols), [entries[id(r.combo)] for r in rels],
-                          weights[0] if weights else None, [r.provenance for r in rels])
+    col = {m: t for t, m in enumerate(masks)}
+    entries = {key: dict(sorted((col[m], c) for m, c in row.items()))
+               for key, row in distinct.items()}
+    return RelationMatrix(tuple(map(_composition, masks)), [entries[id(row)] for row in rows],
+                          weights[0] if weights else None, provenances)
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -584,10 +605,13 @@ def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
         _check_weight(w, max_weight_budget)
     out: dict[int, dict[str, int]] = {}
     for w in weights:
+        # One matrix for the weight; zero columns of a family's rows leave its rank.
+        configs = [c for c in _configurations(w) if any(_TAKES[f](*c) for f in families)]
+        matrix = _matrix([_orbit_masks(k) for _, k in configs], [None] * len(configs))
         row: dict[str, int] = {}
         for f in families:
-            rels = generate_relations(w, f)
-            row[f] = rank_exact(relation_matrix(rels))
+            rows = [r for r, c in zip(matrix.rows, configs) if _TAKES[f](*c)]
+            row[f] = rank_exact(RelationMatrix(matrix.symbols, rows, w, [None] * len(rows), f))
         row["all_ref"] = ALL_RELATIONS_REF.get(w, 0)
         nested = [(f, "cyclic") for f in ("csf", "derivation") if f in row and "cyclic" in row]
         for lo, hi in nested + [(f, "all_ref") for f in families]:

@@ -689,7 +689,7 @@ def test_table1_internal_invariant_exit_5(capsys, monkeypatch):
 
     def inflated(matrix):
         r = rank(matrix)
-        return r + 2 if matrix.provenances[0].family == "csf" else r
+        return r + 2 if matrix.family == "csf" else r
 
     monkeypatch.setattr(rel_mod, "rank_exact", inflated)
     code, out, err = run(capsys, "table1", "--max-weight", "5")
@@ -717,15 +717,20 @@ def test_table1_max_weight_below_3_exit_3(capsys):
 
 
 def test_table1_repeated_family_is_computed_once(capsys, monkeypatch):
-    calls = []
-    generate = rel_mod.generate_relations
-    monkeypatch.setattr(rel_mod, "generate_relations",
-                        lambda w, f, **kw: calls.append((w, f)) or generate(w, f, **kw))
+    calls, ranked = [], []
+    build, rank = rel_mod._matrix, rel_mod.rank_exact
+    monkeypatch.setattr(rel_mod, "_matrix",
+                        lambda rows, provs: calls.append(len(rows)) or build(rows, provs))
+    monkeypatch.setattr(rel_mod, "rank_exact",
+                        lambda matrix: ranked.append((matrix.weight, matrix.family))
+                        or rank(matrix))
     code, out, _ = run(capsys, "table1", "--max-weight", "4", "--format", "csv",
                        "--families", "cyclic", "csf", "cyclic")
     assert code == 0
     assert out.splitlines() == ["weight,cyclic,csf,all_relations(ref)", "3,1,1,1", "4,2,2,3"]
-    assert calls == [(3, "cyclic"), (3, "csf"), (4, "cyclic"), (4, "csf")]
+    # one matrix per weight, over its cyclic configurations (1 at w3, 4 at w4)
+    assert calls == [1, 4]
+    assert ranked == [(3, "cyclic"), (3, "csf"), (4, "cyclic"), (4, "csf")]
 
 
 def test_table1_csv(capsys):

@@ -27,6 +27,7 @@ from cycliczeta.model import (
     VarId,
     build_constraints_S_i,
     build_constraints_S_ij,
+    is_integer_point_in_W,
 )
 from cycliczeta.relations import (
     ALL_RELATIONS_REF,
@@ -203,6 +204,35 @@ def test_enumerate_family_derivation():
     assert set(enumerate_family(5, "csf")) <= cyc
 
 
+def _enumerate_family_oracle(weight, family):
+    """The per-family enumeration loop that enumerate_family replaced."""
+    out = []
+    for shape in (Shape(r[:-1]) for d in range(1, weight - 1)
+                  for r in relations._compositions(weight - 1, d + 1)):
+        if family == "csf" and not shape.all_singleton:
+            continue
+        if family == "derivation" and any(x != 1 for x in shape.r[1:]):
+            continue
+        for vals in relations._compositions(weight - 1, shape.total_depth):
+            if family == "derivation" and any(v != 1 for v in vals[shape.r[0]:]):
+                continue
+            k = IntArgs(shape, vals)
+            if is_integer_point_in_W(k):
+                out.append((shape, k))
+    return out
+
+
+def test_enumerate_family_returns_a_new_list():
+    for fam in relations.FAMILIES:
+        got = enumerate_family(6, fam)
+        want = list(got)
+        got.reverse()
+        got.append(got[0])
+        assert enumerate_family(6, fam) == want == _enumerate_family_oracle(6, fam), fam
+        enumerate_family(6, fam).clear()
+        assert enumerate_family(6, fam) == want, fam
+
+
 # --- one relation per block-rotation orbit -----------------------------------
 
 
@@ -215,7 +245,7 @@ def _rotations(k):
 
 
 def test_generate_relations_matches_per_configuration_route(monkeypatch):
-    monkeypatch.setattr(relations, "_ORBIT_COMBOS", {})
+    monkeypatch.setattr(relations, "_ORBIT_MASKS", {})
     for w in range(3, 9):
         for fam in relations.FAMILIES:
             gen = csf_relation if fam == "csf" else cyclic_relation
@@ -287,11 +317,18 @@ def test_rotated_configurations_have_equal_relations():
             assert all(c == base for c in rotated), str(k)
 
 
-def test_one_generator_call_per_orbit(monkeypatch):
+def _spy_orbit_masks(monkeypatch):
+    """The configurations whose relation masks are computed, from an empty
+    orbit cache."""
     calls = []
-    cyclic = relations.cyclic_relation
-    monkeypatch.setattr(relations, "_ORBIT_COMBOS", {})
-    monkeypatch.setattr(relations, "cyclic_relation", lambda k: calls.append(k) or cyclic(k))
+    masks = relations._relation_masks
+    monkeypatch.setattr(relations, "_ORBIT_MASKS", {})
+    monkeypatch.setattr(relations, "_relation_masks", lambda k: calls.append(k) or masks(k))
+    return calls
+
+
+def test_one_generator_call_per_orbit(monkeypatch):
+    calls = _spy_orbit_masks(monkeypatch)
     # the cyclic-sum family is generated by the same calls, on its own orbits
     csf = generate_relations(7, "csf")
     assert 0 < len(calls) < len(csf)
@@ -299,12 +336,87 @@ def test_one_generator_call_per_orbit(monkeypatch):
     orbits = {min(tuple(map(str, _rotations(k)))) for _, k in enumerate_family(7, "cyclic")}
     distinct = relations._distinct_rows(relation_matrix(rels))
     assert (len(rels), len(calls), len(orbits), len(distinct)) == (88, 45, 45, 45)
-    # derivation configurations reuse the orbits the cyclic family filled
+    # derivation configurations reuse the orbits the cyclic family filled,
+    # and so does the rank table
     generate_relations(7, "derivation")
+    table1([7], max_weight_budget=7)
     assert len(calls) == 45
 
 
+@pytest.mark.parametrize("family", relations.FAMILIES)
+def test_table1_computes_only_the_orbits_of_its_families(monkeypatch, family):
+    """table1([w], ["csf"]) computes no orbit of a non-singleton shape; each
+    family's table computes one orbit per orbit of its own configurations."""
+    calls = _spy_orbit_masks(monkeypatch)
+    ranks = {"csf": 18, "derivation": 44, "cyclic": 52}
+    assert table1([8], [family], max_weight_budget=8)[8][family] == ranks[family]
+    configs = enumerate_family(8, family)
+    orbits = {min(tuple(map(str, _rotations(k)))) for _, k in configs}
+    assert {str(k) for k in calls} <= {str(k) for _, k in configs}
+    assert len(calls) == len(orbits)
+    if family == "csf":
+        assert calls and all(k.shape.all_singleton for k in calls)
+
+
 # --- matrices and rank -------------------------------------------------------
+
+
+def _relation_matrix_oracle(rels):
+    """The Composition-keyed builder that relation_matrix adapts to the mask
+    builder: each distinct combination object indexed once, by column."""
+    combos = {id(r.combo): r.combo.coefficients() for r in rels}
+    symbols = sorted(set().union(*combos.values()), key=Composition.sort_key)
+    weights = sorted({comp.weight for comp in symbols})
+    if len(weights) > 1:
+        raise ValueError(f"relations mix symbol weights {weights}")
+    col = {comp: t for t, comp in enumerate(symbols)}
+    entries = {key: dict(sorted((col[comp], c) for comp, c in co.items()))
+               for key, co in combos.items()}
+    return RelationMatrix(tuple(symbols), [entries[id(r.combo)] for r in rels],
+                          weights[0] if weights else None, [r.provenance for r in rels])
+
+
+def _check_builders_against_oracles(weights):
+    """At each weight and family: the enumeration against the per-family
+    loop, relation_matrix and the relations command's matrix against the
+    Composition-keyed builder (equal matrices and equal relation-set bytes),
+    and table1 against each family's rank on the oracle matrix, for all
+    families at once and for each alone."""
+    for w in weights:
+        ranks = {}
+        for fam in relations.FAMILIES:
+            assert enumerate_family(w, fam) == _enumerate_family_oracle(w, fam), (w, fam)
+            rels = generate_relations(w, fam)
+            want = _relation_matrix_oracle(rels)
+            data = relation_set_dumps(w, fam, want)
+            for got in (relation_matrix(rels), relations._family_matrix(w, fam, w)):
+                assert got == want, (w, fam)
+                assert relation_set_dumps(w, fam, got) == data, (w, fam)
+            ranks[fam] = rank_exact(want)
+            assert table1([w], [fam], max_weight_budget=w)[w][fam] == ranks[fam], (w, fam)
+        assert table1([w], max_weight_budget=w)[w] == {**ranks, "all_ref": ALL_RELATIONS_REF[w]}
+
+
+def test_builders_match_the_oracles_up_to_weight_9():
+    _check_builders_against_oracles(range(3, 10))
+
+
+@pytest.mark.slow
+def test_builders_match_the_oracles_at_weights_10_and_11():
+    _check_builders_against_oracles((10, 11))
+
+
+def test_relation_matrix_matches_the_oracle_on_shared_and_mixed_rows():
+    """Repeated and reversed relations, a relation built outside any orbit
+    cache, no relations, and relations of two weights (ValueError)."""
+    rels = generate_relations(5, "cyclic")
+    k = IntArgs.parse("1;1,2")  # a configuration of w5, rotated in the orbit of 1,2;1
+    for case in (rels + rels[::-1], rels + [cyclic_relation(k)], []):
+        assert relation_matrix(case) == _relation_matrix_oracle(case)
+    mixed = rels + generate_relations(4, "csf")
+    for build in (relation_matrix, _relation_matrix_oracle):
+        with pytest.raises(ValueError, match=r"mix symbol weights \[4, 5\]"):
+            build(mixed)
 
 
 def test_relation_matrix_examples():
@@ -1051,6 +1163,9 @@ def test_table1_refuses_weight_before_generating(monkeypatch):
     calls = []
     monkeypatch.setattr(relations, "generate_relations",
                         lambda *a, **k: calls.append(a) or [])
+    monkeypatch.setattr(relations, "_ORBIT_MASKS", {})
+    monkeypatch.setattr(relations, "_relation_masks", lambda k: calls.append(k) or {})
+    monkeypatch.setattr(relations, "_matrix", lambda *a: calls.append(a))
     with pytest.raises(BudgetError):
         table1(range(3, 10))
     assert calls == []
@@ -1066,7 +1181,7 @@ def test_table1_checks_family_nesting(monkeypatch, family, bump, broken):
 
     def skewed(matrix):
         r = rank(matrix)
-        return r + bump if matrix.provenances[0].family == family else r
+        return r + bump if matrix.family == family else r
 
     monkeypatch.setattr(relations, "rank_exact", skewed)
     with pytest.raises(InternalInvariantError, match=f"weight 5: {broken}"):
