@@ -16,15 +16,14 @@ from cycliczeta import (
     enumerate_family,
     generate_relations,
     rank_exact,
-    relation_matrix,
     table1,
     zeta_star_expand,
 )
 
 print("the depth-one configuration gives the classical identity:")
 rel = cyclic_relation(IntArgs(Shape((1,)), (2,)))
-print("  ", rel.combo, "   (z(1,2) = z(3))")
-print("   truncated value at N=1e6:", combo_partial_sum(rel.combo, 10**6))
+print("  ", rel, "   (z(1,2) = z(3))")
+print("   truncated value at N=1e6:", combo_partial_sum(rel, 10**6))
 
 print("\nstar symbols expand by merging adjacent parts:")
 print("  z*(1,1,2) =", zeta_star_expand(Composition((1, 1, 2))))
@@ -40,13 +39,12 @@ for i in range(len(vals)):
         rotated = (vals[i] - m,) + vals[i + 1:] + vals[:i] + (m + 1,)
         classical = classical + zeta_star_expand(Composition(rotated))
 print(f"  k = {k}:", classical)
-assert classical == cyclic_relation(k).combo == csf_relation(k).combo
+assert classical == cyclic_relation(k) == csf_relation(k)
 
 print("\nweight-5 family sizes and ranks:")
 for family in ("csf", "derivation", "cyclic"):
-    rels = generate_relations(5, family)
-    rank = rank_exact(relation_matrix(rels))
-    print(f"  {family:10s}: {len(rels):2d} configurations, rank {rank}")
+    matrix = generate_relations(5, family)
+    print(f"  {family:10s}: {matrix.shape[0]:2d} configurations, rank {rank_exact(matrix)}")
 
 print("\nindependent-relation counts (weights 3..6):")
 for w, row in table1(range(3, 7)).items():

@@ -43,14 +43,12 @@ from .model import (
 )
 from .relations import (
     ALL_RELATIONS_REF,
-    Relation,
     RelationMatrix,
     csf_relation,
     cyclic_relation,
     enumerate_family,
     generate_relations,
     rank_exact,
-    relation_matrix,
     table1,
     zeta_star_expand,
 )

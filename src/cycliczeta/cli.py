@@ -356,7 +356,8 @@ def cmd_relations(args) -> int:
                   file=sys.stderr)
     cached = matrix is not None
     if matrix is None:
-        matrix = rel_mod._family_matrix(args.weight, args.family, args.budget_max_weight)
+        matrix = rel_mod.generate_relations(args.weight, args.family,
+                                            max_weight_budget=args.budget_max_weight)
         data = rel_mod.relation_set_dumps(args.weight, args.family, matrix)
         if cache is not None:
             _atomic_write(cache, data)

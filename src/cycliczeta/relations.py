@@ -12,11 +12,12 @@ one weight into an integer matrix and computing its exact rank reproduces
 the reference table of independent relation counts.  Configurations, and
 their shapes, are compositions read off cut points (`_compositions`).
 
-Relations are accumulated on the partial-sum bitmasks of the decomposition
-engine (`decompose._part_counts`), once per block-rotation orbit
-(`_orbit_masks`).  One builder (`_matrix`) stacks mask rows, and only its
-symbol tuple holds `Composition` objects; `table1` builds one matrix per
-weight and ranks each family on its own rows.
+Relations stay rows of partial-sum bitmasks of the decomposition engine
+(`decompose._part_counts`) from the generator to the matrix, accumulated
+once per block-rotation orbit (`_orbit_masks`).  One builder
+(`relation_matrix`) stacks mask rows, and only its symbol tuple holds
+`Composition` objects; `generate_relations` builds one family's matrix, and
+`table1` one matrix per weight, ranking each family on its own rows.
 
 The rank is certified modularly (`rank_exact`) from one integer block of
 the distinct rows.  Big-integer Bareiss elimination (`_rank_bareiss`) is
@@ -68,16 +69,9 @@ class Provenance:
     args: IntArgs
 
 
-@dataclass(frozen=True)
-class Relation:
-    """One generated identity, stored as LHS - RHS (a zero functional)."""
-
-    combo: SymbolCombination
-    provenance: Provenance
-
-
-def cyclic_relation(k: IntArgs) -> Relation:
-    """The integer-point relation of a block configuration.
+def cyclic_relation(k: IntArgs) -> SymbolCombination:
+    """The integer-point relation of a block configuration, as LHS - RHS (a
+    zero functional).
 
     For each position (i, j) and each admissible geometric order m, the
     window domain at (i, j) is decomposed with the exponent at (i, j)
@@ -89,7 +83,7 @@ def cyclic_relation(k: IntArgs) -> Relation:
     """
     if not is_integer_point_in_W(k):
         raise DomainError(f"integer point {k} lies outside W")
-    return Relation(_combination(_relation_masks(k)), Provenance("cyclic", k.shape, k))
+    return _combination(_relation_masks(k))
 
 
 def _relation_masks(k: IntArgs) -> dict[int, int]:
@@ -132,14 +126,14 @@ def zeta_star_expand(c: Composition) -> SymbolCombination:
     return _combination(acc)
 
 
-def csf_relation(k: IntArgs) -> Relation:
+def csf_relation(k: IntArgs) -> SymbolCombination:
     """The cyclic-sum identity at an all-singleton configuration: the sum
     over blocks and orders of the rotated star symbol, minus (sum k) times
     the single full-weight symbol.  Expanded into strict symbols it is the
     cyclic relation of k, which is how it is computed."""
     if not k.shape.all_singleton:
         raise ValueError("the cyclic-sum family needs an all-singleton shape")
-    return Relation(cyclic_relation(k).combo, Provenance("csf", k.shape, k))
+    return cyclic_relation(k)
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +190,14 @@ def _check_weight(weight: int, max_weight_budget: int) -> None:
 
 
 def generate_relations(weight: int, family: str, *,
-                       max_weight_budget: int = HARD_MAX_WEIGHT) -> list[Relation]:
-    """One relation per configuration, computed once per block-rotation orbit
-    (`_orbit_masks`) and shared by it, after the weight is checked."""
-    _check_weight(weight, max_weight_budget)
-    combos: dict[int, SymbolCombination] = {}
-    return [Relation(combos.get(id(m)) or combos.setdefault(id(m), _combination(m)),
-                     Provenance(family, shape, k))
-            for shape, k in enumerate_family(weight, family) for m in [_orbit_masks(k)]]
-
-
-def _family_matrix(weight: int, family: str, max_weight_budget: int) -> RelationMatrix:
-    """relation_matrix(generate_relations(...)), built from the orbit masks."""
+                       max_weight_budget: int = HARD_MAX_WEIGHT) -> RelationMatrix:
+    """The family's matrix, after the weight is checked: one row per
+    configuration, computed once per block-rotation orbit (`_orbit_masks`)
+    and shared by it."""
     _check_weight(weight, max_weight_budget)
     configs = enumerate_family(weight, family)
-    return _matrix([_orbit_masks(k) for _, k in configs], [Provenance(family, *c) for c in configs])
+    return relation_matrix([_orbit_masks(k) for _, k in configs],
+                           [Provenance(family, *c) for c in configs])
 
 
 # The nonzero masks of each block-rotation orbit's relation, from the first
@@ -249,14 +236,8 @@ class RelationMatrix:
         return (len(self.rows), len(self.symbols))
 
 
-def relation_matrix(rels: Sequence[Relation]) -> RelationMatrix:
-    """The relations stacked by `_matrix`, one row dict per combination object."""
-    masks = {id(r.combo): {_mask(c.parts): v for c, v in r.combo.coefficients().items()}
-             for r in rels}
-    return _matrix([masks[id(r.combo)] for r in rels], [r.provenance for r in rels])
-
-
-def _matrix(rows: Sequence[dict[int, int]], provenances: list[Provenance | None]) -> RelationMatrix:
+def relation_matrix(rows: Sequence[dict[int, int]],
+                    provenances: list[Provenance | None]) -> RelationMatrix:
     """The matrix of rows of partial-sum masks (`decompose._mask`) and nonzero
     coefficients, over the masks that occur in sort_key order.  Each distinct
     row dict becomes one {column: coefficient} dict by increasing column, which
@@ -607,7 +588,7 @@ def table1(weights: Sequence[int], families: Sequence[str] = FAMILIES, *,
     for w in weights:
         # One matrix for the weight; zero columns of a family's rows leave its rank.
         configs = [c for c in _configurations(w) if any(_TAKES[f](*c) for f in families)]
-        matrix = _matrix([_orbit_masks(k) for _, k in configs], [None] * len(configs))
+        matrix = relation_matrix([_orbit_masks(k) for _, k in configs], [None] * len(configs))
         row: dict[str, int] = {}
         for f in families:
             rows = [r for r, c in zip(matrix.rows, configs) if _TAKES[f](*c)]
@@ -762,8 +743,9 @@ def _relation_set(text: str) -> RelationMatrix:
         for i, row in enumerate(obj["rows"]):
             entries = row["entries"]
             if type(entries) is not _Row:
-                raise ParseError(f"row {i}: columns must be distinct integers and "
-                                 "coefficients strings of ASCII digits with an optional '-'")
+                raise ParseError(f'row {i}: "entries" must be a list of [column, coefficient] '
+                                 "pairs with distinct integer columns and coefficients "
+                                 "written as str() writes integers")
             rows.append(entries.row)
             if p := row.get("provenance"):
                 shape = shape_of(_string(p["shape"]))

@@ -137,9 +137,9 @@ def test_criterion_1_weight9_rows(capsys):
 
 def test_criterion_2_euler_identity():
     rel = cyclic_relation(IntArgs(Shape((1,)), (2,)))
-    items = {str(comp): c for comp, c in rel.combo.items()}
+    items = {str(comp): c for comp, c in rel.items()}
     assert items == {"1,2": 1, "3": -1}
-    defect = abs(combo_partial_sum(rel.combo, 10**6))
+    defect = abs(combo_partial_sum(rel, 10**6))
     assert defect < 1e-4
     _ok("2 Euler identity via pipeline", f"|combo(1e6)| = {defect:.2e}")
 
@@ -252,7 +252,7 @@ def test_criterion_6_csf_equals_cyclic_weight_le_8():
     for w in range(3, 9):
         for shape, k in enumerate_family(w, "csf"):
             want = _cyclic_sum_formula(k)
-            assert want == cyclic_relation(k).combo == csf_relation(k).combo, (w, k)
+            assert want == cyclic_relation(k) == csf_relation(k), (w, k)
             checked += 1
     _ok("6 specialization equality", f"{checked} all-singleton configurations")
 

@@ -428,17 +428,20 @@ def test_rank_non_string_field_exit_3(tmp_path, capsys, field, value, bad):
     [[0, "007"], [1, "-1"]],
     [[0, "1"], [1, "-0"]],
     [[0, "-007"], [1, "-1"]],
+    5,  # not a list of pairs
+    [[0, "1"], [1]],
 ], ids=["repeated-column", "float-column", "bool-column", "int-coefficient",
         "float-coefficient", "underscore", "whitespace", "plus-sign", "fullwidth-digit",
-        "leading-zeros", "minus-zero", "minus-leading-zeros"])
+        "leading-zeros", "minus-zero", "minus-leading-zeros", "not-a-list", "short-pair"])
 def test_rank_entries_that_would_change_on_load_exit_3(tmp_path, capsys, entries):
     f = tmp_path / "set.json"
     f.write_text(json.dumps({"weight": 3, "family": "cyclic", "symbols": ["1,2", "3"],
                              "rows": [{"entries": entries}]}))
     code, out, err = run(capsys, "rank", "--in", f.as_posix())
     assert (code, out) == (3, "")
-    assert err == ("parse error: row 0: columns must be distinct integers and "
-                   "coefficients strings of ASCII digits with an optional '-'\n")
+    assert err == ('parse error: row 0: "entries" must be a list of [column, coefficient] '
+                   "pairs with distinct integer columns and coefficients written as str() "
+                   "writes integers\n")
 
 
 @pytest.mark.parametrize("field, value", [("weight", {}), ("weight", True), ("family", [])],
@@ -642,6 +645,22 @@ def test_relations_weight10_cyclic_matches_stored_checksum(tmp_path, capsys):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == want.split()[0]
 
 
+# The sha256 over the relation-set files of every family at weights 3-9, in
+# that order, written before relations became mask rows from generator to file.
+RELATIONS_W3_W9_SHA256 = "3d6f0231ff98fc72b85b87e80985b9428df8d5c8a5a0a9fe37821fdc1e141182"
+
+
+def test_relations_weights_3_to_9_match_the_pinned_checksum(tmp_path, capsys):
+    h = hashlib.sha256()
+    for w in range(3, 10):
+        for fam in ("csf", "derivation", "cyclic"):
+            out_file = tmp_path / f"w{w}-{fam}.json"
+            assert run(capsys, "relations", "--weight", str(w), "--family", fam,
+                       "--budget-max-weight", "9", "--out", str(out_file))[0] == 0
+            h.update(out_file.read_bytes())
+    assert h.hexdigest() == RELATIONS_W3_W9_SHA256
+
+
 @pytest.mark.parametrize("family, want", [
     ("csf", "8cb5c72d46056b0111cd4f5cdd2227c71db45c6ae6a7b8faa5973c183d7453b2"),
     ("derivation", "520865c076e92dc87f30f1fe775e535470f4aa07ff502c752777b472084b6136"),
@@ -718,8 +737,8 @@ def test_table1_max_weight_below_3_exit_3(capsys):
 
 def test_table1_repeated_family_is_computed_once(capsys, monkeypatch):
     calls, ranked = [], []
-    build, rank = rel_mod._matrix, rel_mod.rank_exact
-    monkeypatch.setattr(rel_mod, "_matrix",
+    build, rank = rel_mod.relation_matrix, rel_mod.rank_exact
+    monkeypatch.setattr(rel_mod, "relation_matrix",
                         lambda rows, provs: calls.append(len(rows)) or build(rows, provs))
     monkeypatch.setattr(rel_mod, "rank_exact",
                         lambda matrix: ranked.append((matrix.weight, matrix.family))

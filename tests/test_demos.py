@@ -57,26 +57,23 @@ def _traced_names() -> set[str]:
             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
 
-def test_every_definition_has_a_reader():
-    """Each top-level definition in the package is read in the package (an
-    export counts) or named by perfbench/tracing.py, which wraps some
-    helpers by name: a helper that a change leaves orphaned fails here."""
+def _unread_definitions():
+    """The top-level definitions of the package, as (module, name), that the
+    package does not read (an export counts as a read)."""
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     reads = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
              for a in node.names}
     reads = reads.union(*map(_reads, PACKAGE.glob("*.py")))
-    wrapped = _traced_names()
     defined = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
                for name in _definitions(path)]
     assert len(defined) > 150
-    assert [d for d in defined if d[1] not in reads | wrapped] == []
+    return [d for d in defined if d[1] not in reads]
 
 
-def test_every_import_is_read():
-    """Each name a module of the package imports is read in that module,
-    or is a binding perfbench/tracing.py wraps by name; the imports of
-    `__init__.py` are its exports, and `__future__` imports are flags."""
-    wrapped = _traced_names()
+def _unread_imports():
+    """The names a module of the package imports, as (module, name), that
+    the module does not read; the imports of `__init__.py` are its exports,
+    and `__future__` imports are flags."""
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -87,6 +84,31 @@ def test_every_import_is_read():
                                                 and node.module != "__future__"):
                 for a in node.names:
                     name = a.asname or a.name.split(".")[0]
-                    if name not in reads | wrapped:
+                    if name not in reads:
                         unread.append((path.stem, name))
-    assert unread == []
+    return unread
+
+
+def test_every_definition_has_a_reader():
+    """Each top-level definition in the package is read in the package (an
+    export counts) or named by perfbench/tracing.py, which wraps some
+    helpers by name: a helper that a change leaves orphaned fails here."""
+    wrapped = _traced_names()
+    assert [d for d in _unread_definitions() if d[1] not in wrapped] == []
+
+
+def test_every_import_is_read():
+    """Each name a module of the package imports is read in that module,
+    or is a binding perfbench/tracing.py wraps by name."""
+    wrapped = _traced_names()
+    assert [i for i in _unread_imports() if i[1] not in wrapped] == []
+
+
+def test_the_tracer_only_names_are_pinned():
+    """The definitions and imports kept only because perfbench/tracing.py
+    wraps them by name are these six, and no others: a new one fails here,
+    and the library counting its own calls deletes all six."""
+    wrapped = _traced_names()
+    kept = {f"{m}.{n}" for m, n in _unread_definitions() + _unread_imports() if n in wrapped}
+    assert kept == {"relations._rank_bareiss", "relations._rank_mod", "series._chain_coupled",
+                    "cli.weak_orders", "series.weak_orders", "relations.decompose_to_mzv"}

@@ -32,7 +32,6 @@ from cycliczeta.model import (
 from cycliczeta.relations import (
     ALL_RELATIONS_REF,
     Provenance,
-    Relation,
     RelationMatrix,
     csf_relation,
     cyclic_relation,
@@ -62,7 +61,7 @@ def dense(m):
 
 
 def family_rank(weight, family):
-    return rank_exact(relation_matrix(generate_relations(weight, family)))
+    return rank_exact(generate_relations(weight, family))
 
 
 def combo(d):
@@ -74,7 +73,7 @@ def combo(d):
 
 def test_cyclic_relation_euler():
     rel = cyclic_relation(IntArgs(Shape((1,)), (2,)))
-    assert rel.combo == combo({(1, 2): 1, (3,): -1})
+    assert rel == combo({(1, 2): 1, (3,): -1})
 
 
 def test_cyclic_relation_rejects_outside_W():
@@ -84,16 +83,16 @@ def test_cyclic_relation_rejects_outside_W():
 
 def test_cyclic_relation_weight4_numeric_zero():
     rel = cyclic_relation(IntArgs(Shape((2,)), (1, 2)))
-    assert rel.combo.weight() == 4
+    assert rel.weight() == 4
     # slow-converging depth-3 symbols put the truncation defect near
     # (log N)^2 / 2N, so the numeric-zero tolerance at N = 1e4 is 1e-2
-    assert abs(combo_partial_sum(rel.combo, 10_000)) < 1e-2
+    assert abs(combo_partial_sum(rel, 10_000)) < 1e-2
 
 
 def test_cyclic_relation_weight4_exact():
     # hand decomposition: z(1,1,2) - z(2,2) - z(1,3)
     rel = cyclic_relation(IntArgs(Shape((2,)), (1, 2)))
-    assert rel.combo == combo({(1, 1, 2): 1, (2, 2): -1, (1, 3): -1})
+    assert rel == combo({(1, 1, 2): 1, (2, 2): -1, (1, 3): -1})
 
 
 def test_zeta_star_expand_examples():
@@ -163,11 +162,11 @@ def test_zeta_star_expand_counts_and_weight():
 
 def test_csf_relation_examples():
     rel = csf_relation(IntArgs(Shape((1,)), (2,)))
-    assert rel.combo == combo({(1, 2): 1, (3,): -1})
+    assert rel == combo({(1, 2): 1, (3,): -1})
 
     rel = csf_relation(IntArgs(Shape((1, 1)), (1, 2)))
-    assert rel.combo.weight() == 4
-    assert abs(combo_partial_sum(rel.combo, 10_000)) < 1e-2
+    assert rel.weight() == 4
+    assert abs(combo_partial_sum(rel, 10_000)) < 1e-2
 
     with pytest.raises(DomainError):
         csf_relation(IntArgs(Shape((1,)), (1,)))
@@ -248,10 +247,7 @@ def test_generate_relations_matches_per_configuration_route(monkeypatch):
     monkeypatch.setattr(relations, "_ORBIT_MASKS", {})
     for w in range(3, 9):
         for fam in relations.FAMILIES:
-            gen = csf_relation if fam == "csf" else cyclic_relation
-            want = [Relation(gen(k).combo, Provenance(fam, shape, k))
-                    for shape, k in enumerate_family(w, fam)]
-            assert generate_relations(w, fam) == want, (w, fam)
+            assert generate_relations(w, fam) == _per_configuration_matrix(w, fam), (w, fam)
 
 
 def _per_call_cyclic(k):
@@ -292,7 +288,7 @@ def test_part_tuple_engine_matches_per_call_route():
     for w in range(3, 9):
         for fam in relations.FAMILIES:
             for _, k in enumerate_family(w, fam):
-                assert cyclic_relation(k).combo == _per_call_cyclic(k), (fam, str(k))
+                assert cyclic_relation(k) == _per_call_cyclic(k), (fam, str(k))
 
 
 def test_part_tuple_engine_reports_first_non_admissible_order():
@@ -313,7 +309,7 @@ def test_part_tuple_engine_reports_first_non_admissible_order():
 def test_rotated_configurations_have_equal_relations():
     for w in range(3, 9):
         for _, k in enumerate_family(w, "cyclic"):
-            base, *rotated = (cyclic_relation(k2).combo for k2 in _rotations(k))
+            base, *rotated = (cyclic_relation(k2) for k2 in _rotations(k))
             assert all(c == base for c in rotated), str(k)
 
 
@@ -331,11 +327,11 @@ def test_one_generator_call_per_orbit(monkeypatch):
     calls = _spy_orbit_masks(monkeypatch)
     # the cyclic-sum family is generated by the same calls, on its own orbits
     csf = generate_relations(7, "csf")
-    assert 0 < len(calls) < len(csf)
-    rels = generate_relations(7, "cyclic")
+    assert 0 < len(calls) < csf.shape[0]
+    matrix = generate_relations(7, "cyclic")
     orbits = {min(tuple(map(str, _rotations(k)))) for _, k in enumerate_family(7, "cyclic")}
-    distinct = relations._distinct_rows(relation_matrix(rels))
-    assert (len(rels), len(calls), len(orbits), len(distinct)) == (88, 45, 45, 45)
+    distinct = relations._distinct_rows(matrix)
+    assert (matrix.shape[0], len(calls), len(orbits), len(distinct)) == (88, 45, 45, 45)
     # derivation configurations reuse the orbits the cyclic family filled,
     # and so does the rank table
     generate_relations(7, "derivation")
@@ -361,37 +357,59 @@ def test_table1_computes_only_the_orbits_of_its_families(monkeypatch, family):
 # --- matrices and rank -------------------------------------------------------
 
 
-def _relation_matrix_oracle(rels):
-    """The Composition-keyed builder that relation_matrix adapts to the mask
-    builder: each distinct combination object indexed once, by column."""
-    combos = {id(r.combo): r.combo.coefficients() for r in rels}
-    symbols = sorted(set().union(*combos.values()), key=Composition.sort_key)
+def _relation_matrix_oracle(combos, provenances):
+    """The Composition-keyed builder: each distinct combination object
+    indexed once, by column."""
+    coeffs = {id(co): co.coefficients() for co in combos}
+    symbols = sorted(set().union(*coeffs.values()), key=Composition.sort_key)
     weights = sorted({comp.weight for comp in symbols})
     if len(weights) > 1:
         raise ValueError(f"relations mix symbol weights {weights}")
     col = {comp: t for t, comp in enumerate(symbols)}
     entries = {key: dict(sorted((col[comp], c) for comp, c in co.items()))
-               for key, co in combos.items()}
-    return RelationMatrix(tuple(symbols), [entries[id(r.combo)] for r in rels],
-                          weights[0] if weights else None, [r.provenance for r in rels])
+               for key, co in coeffs.items()}
+    return RelationMatrix(tuple(symbols), [entries[id(co)] for co in combos],
+                          weights[0] if weights else None, list(provenances))
+
+
+def _per_configuration_matrix(weight, family):
+    """The oracle matrix of a family, each relation generated for its own
+    configuration (no orbit is shared)."""
+    gen = csf_relation if family == "csf" else cyclic_relation
+    configs = enumerate_family(weight, family)
+    return _relation_matrix_oracle([gen(k) for _, k in configs],
+                                   [Provenance(family, *c) for c in configs])
+
+
+def _mask_rows(combos):
+    """Combinations as the {partial-sum mask: coefficient} rows relation_matrix
+    takes, one row dict per distinct combination object."""
+    rows = {id(co): {decompose._mask(comp.parts): c for comp, c in co.items()} for co in combos}
+    return [rows[id(co)] for co in combos]
+
+
+def _combinations(matrix):
+    """Each row of a matrix as a combination of its symbols; rows that share a
+    dict (the configurations of one orbit) share one combination."""
+    combos = {id(row): SymbolCombination({matrix.symbols[c]: v for c, v in row.items()})
+              for row in matrix.rows}
+    return [combos[id(row)] for row in matrix.rows]
 
 
 def _check_builders_against_oracles(weights):
     """At each weight and family: the enumeration against the per-family
-    loop, relation_matrix and the relations command's matrix against the
-    Composition-keyed builder (equal matrices and equal relation-set bytes),
-    and table1 against each family's rank on the oracle matrix, for all
-    families at once and for each alone."""
+    loop, generate_relations against the Composition-keyed builder over the
+    per-configuration relations (equal matrices and equal relation-set
+    bytes), and table1 against each family's rank on the oracle matrix, for
+    all families at once and for each alone."""
     for w in weights:
         ranks = {}
         for fam in relations.FAMILIES:
             assert enumerate_family(w, fam) == _enumerate_family_oracle(w, fam), (w, fam)
-            rels = generate_relations(w, fam)
-            want = _relation_matrix_oracle(rels)
-            data = relation_set_dumps(w, fam, want)
-            for got in (relation_matrix(rels), relations._family_matrix(w, fam, w)):
-                assert got == want, (w, fam)
-                assert relation_set_dumps(w, fam, got) == data, (w, fam)
+            want = _per_configuration_matrix(w, fam)
+            got = generate_relations(w, fam, max_weight_budget=w)
+            assert got == want, (w, fam)
+            assert relation_set_dumps(w, fam, got) == relation_set_dumps(w, fam, want), (w, fam)
             ranks[fam] = rank_exact(want)
             assert table1([w], [fam], max_weight_budget=w)[w][fam] == ranks[fam], (w, fam)
         assert table1([w], max_weight_budget=w)[w] == {**ranks, "all_ref": ALL_RELATIONS_REF[w]}
@@ -409,36 +427,39 @@ def test_builders_match_the_oracles_at_weights_10_and_11():
 def test_relation_matrix_matches_the_oracle_on_shared_and_mixed_rows():
     """Repeated and reversed relations, a relation built outside any orbit
     cache, no relations, and relations of two weights (ValueError)."""
-    rels = generate_relations(5, "cyclic")
+    rels = _combinations(generate_relations(5, "cyclic"))
     k = IntArgs.parse("1;1,2")  # a configuration of w5, rotated in the orbit of 1,2;1
     for case in (rels + rels[::-1], rels + [cyclic_relation(k)], []):
-        assert relation_matrix(case) == _relation_matrix_oracle(case)
-    mixed = rels + generate_relations(4, "csf")
-    for build in (relation_matrix, _relation_matrix_oracle):
+        provs = [None] * len(case)
+        assert relation_matrix(_mask_rows(case), provs) == _relation_matrix_oracle(case, provs)
+    mixed = rels + _combinations(generate_relations(4, "csf"))
+    for build in (lambda: relation_matrix(_mask_rows(mixed), [None] * len(mixed)),
+                  lambda: _relation_matrix_oracle(mixed, [None] * len(mixed))):
         with pytest.raises(ValueError, match=r"mix symbol weights \[4, 5\]"):
-            build(mixed)
+            build()
 
 
 def test_relation_matrix_examples():
-    euler = cyclic_relation(IntArgs(Shape((1,)), (2,)))
-    m = relation_matrix([euler])
+    [euler] = _mask_rows([cyclic_relation(IntArgs(Shape((1,)), (2,)))])
+    assert euler == {0b101: 1, 0b100: -1}  # z(1,2) - z(3): partial sums {1, 3} and {3}
+    m = relation_matrix([euler], [None])
     assert m.shape == (1, 2)
     assert dense(m) == [[1, -1]]
     assert [str(c) for c in m.symbols] == ["1,2", "3"]
 
-    empty = relation_matrix([])
+    empty = relation_matrix([], [])
     assert rank_exact(empty) == 0
 
-    m2 = relation_matrix([euler, euler])
+    m2 = relation_matrix([euler, euler], [None, None])
     assert m2.shape == (2, 2)
     assert rank_exact(m2) == 1
 
 
 def test_relation_matrix_rejects_mixed_weights():
-    a = cyclic_relation(IntArgs(Shape((1,)), (2,)))
-    b = cyclic_relation(IntArgs(Shape((1,)), (3,)))
-    with pytest.raises(ValueError):
-        relation_matrix([a, b])
+    rows = _mask_rows([cyclic_relation(IntArgs(Shape((1,)), (2,))),
+                       cyclic_relation(IntArgs(Shape((1,)), (3,)))])
+    with pytest.raises(ValueError, match=r"mix symbol weights \[3, 4\]"):
+        relation_matrix(rows, [None, None])
 
 
 def test_rank_small_matrices():
@@ -458,10 +479,11 @@ def test_rank_exact_drops_repeated_rows(monkeypatch):
     monkeypatch.setattr(relations, "_rref_mod",
                         lambda block, sub, p: seen.append(block[sub].tolist())
                         or rref_mod(block, sub, p))
-    rels = generate_relations(5, "cyclic")
-    doubled = relation_matrix(rels + rels[::-1])
+    matrix = generate_relations(5, "cyclic")
+    rows = _mask_rows(_combinations(matrix))
+    doubled = relation_matrix(rows + rows[::-1], [None] * (2 * len(rows)))
     assert rank_exact(doubled) == 5
-    first_seen = list(dict.fromkeys(tuple(r) for r in dense(relation_matrix(rels))))
+    first_seen = list(dict.fromkeys(tuple(r) for r in dense(matrix)))
     assert [tuple(row) for row in seen[0]] == first_seen
 
 
@@ -639,7 +661,7 @@ def test_certificate_matches_the_per_entry_route(monkeypatch, case):
         matrices = [_matrix(HARD_MATRICES[case][0])]
     else:
         fam, w = case.split("-w")
-        matrices = [relation_matrix(generate_relations(int(w), fam))]
+        matrices = [generate_relations(int(w), fam)]
     agree = _spy_kernel_vectors(monkeypatch)
     for matrix in matrices:
         rank = rank_exact(matrix)
@@ -687,7 +709,7 @@ def _certificate(rows):
 
 
 def test_check_kernel_rejects_corrupted_vector():
-    rows = dense(relation_matrix(generate_relations(6, "cyclic")))
+    rows = dense(generate_relations(6, "cyclic"))
     block, pivots, free, kernel = _certificate(rows)
     assert kernel and len(free) == len(rows[0]) - 11 and block.dtype == np.int64
     # the int64 product and the Python-integer one
@@ -757,7 +779,7 @@ def test_check_kernel_in_limbs_matches_the_object_product():
     or a high limb, or by 2^64, which an int64 product would not see.  The
     last block is too large for int64 and is multiplied as Python integers."""
     rng = random.Random(33)
-    w7 = _certificate(dense(relation_matrix(generate_relations(7, "cyclic"))))
+    w7 = _certificate(dense(generate_relations(7, "cyclic")))
     cases = [(w7[0], w7[2], [[x * scale for x in y] for y in w7[3]])
              for scale in (1, 2**61 - 1, 5**40)]
     cases += [_block_with_kernel(rng, r, f, bits, d, scale) for r, f, bits, d, scale in [
@@ -808,7 +830,7 @@ def test_rank_exact_raises_when_a_pivot_is_dropped(monkeypatch):
         return rank - 1, pivots[:-1], rref[:-1], where[:-1]
 
     monkeypatch.setattr(relations, "_rref_mod", drop_last_pivot)
-    rows = dense(relation_matrix(generate_relations(5, "cyclic")))
+    rows = dense(generate_relations(5, "cyclic"))
     with pytest.raises(InternalInvariantError, match="2H"):
         rank_exact(_matrix(rows))
     # the pivot minors are small: 2H^2 has 25 bits, so the first 26-bit
@@ -841,7 +863,7 @@ def _cyclic_matrix(weight):
     """The cyclic relation matrix of a weight; w10 is read from the stored
     benchmark set (587 distinct rows over 256 symbols)."""
     if weight < 10:
-        return relation_matrix(generate_relations(weight, "cyclic"))
+        return generate_relations(weight, "cyclic")
     with gzip.open(STORED_W10) as f:
         return relation_set_loads(f.read())
 
@@ -885,7 +907,7 @@ def test_rref_mod_matches_fraction_elimination(p):
     # 2^31 - 1 reduces the block after every pivot, PRIMES[0] only at the
     # end; the w7 rows take 25 pivots, enough to wrap int64 without the
     # reductions at 2^31 - 1
-    w7 = dense(relation_matrix(generate_relations(7, "cyclic")))
+    w7 = dense(generate_relations(7, "cyclic"))
     for rows in [*_fuzz_matrices(), w7]:
         distinct = relations._distinct_rows(_matrix(rows))
         ncols = len(rows[0])
@@ -981,14 +1003,14 @@ def test_relation_pipeline_exact_rational_bruteforce():
     for w in (4, 5):
         for shape, k in enumerate_family(w, "cyclic"):
             rel = cyclic_relation(k)
-            assert _brute_relation_value(k, n) == _combo_exact_partial(rel.combo, n), k
+            assert _brute_relation_value(k, n) == _combo_exact_partial(rel, n), k
             checked += 1
     # weight-6 sample including the configuration that is independent of
     # the derivation span (see the acceptance notes)
     for text in ("2;1,2", "1,1,3", "5", "1;1;1,2"):
         k = IntArgs.parse(text)
         rel = cyclic_relation(k)
-        assert _brute_relation_value(k, n) == _combo_exact_partial(rel.combo, n), k
+        assert _brute_relation_value(k, n) == _combo_exact_partial(rel, n), k
         checked += 1
     assert checked >= 16
 
@@ -999,7 +1021,7 @@ def _cyclic_relation_includes_csf(weights):
     route."""
     for w in weights:
         for _, k in enumerate_family(w, "csf"):
-            assert _per_call_csf(k) == cyclic_relation(k).combo == csf_relation(k).combo, str(k)
+            assert _per_call_csf(k) == cyclic_relation(k) == csf_relation(k), str(k)
 
 
 def test_specialization_csf_equals_cyclic_small():
@@ -1017,11 +1039,12 @@ def test_numeric_zero_weight_le_6():
     # measured worst defects at N=1e4 are 1.1e-3 / 6e-3 / 4.2e-2 / 0.18.
     bound = {3: 2e-3, 4: 1e-2, 5: 8e-2, 6: 0.25}
     for w in (3, 4, 5, 6):
-        for rel in generate_relations(w, "cyclic"):
-            v1 = abs(combo_partial_sum(rel.combo, 10_000))
-            v2 = abs(combo_partial_sum(rel.combo, 20_000))
-            assert v1 < bound[w], rel.provenance
-            assert v2 < v1 or v2 < 1e-10, rel.provenance
+        matrix = generate_relations(w, "cyclic")
+        for rel, prov in zip(_combinations(matrix), matrix.provenances):
+            v1 = abs(combo_partial_sum(rel, 10_000))
+            v2 = abs(combo_partial_sum(rel, 20_000))
+            assert v1 < bound[w], prov
+            assert v2 < v1 or v2 < 1e-10, prov
 
 
 # --- a 40-digit MZV oracle ---------------------------------------------------
@@ -1096,10 +1119,12 @@ def test_mzv_oracle_matches_pi_squared_over_6_and_duality():
 def _check_relations_vanish(weights):
     for w in weights:
         for family in relations.FAMILIES:
-            combos = {id(rel.combo): rel for rel in generate_relations(w, family)}
+            matrix = generate_relations(w, family)
+            combos = {id(rel): (rel, prov)
+                      for rel, prov in zip(_combinations(matrix), matrix.provenances)}
             assert combos, (w, family)
-            for rel in combos.values():
-                assert mzv_defect(rel.combo) < 1e-35, rel.provenance
+            for rel, prov in combos.values():
+                assert mzv_defect(rel) < 1e-35, prov
 
 
 def test_every_relation_vanishes_at_40_digits_up_to_weight_9():
@@ -1112,11 +1137,11 @@ def test_every_relation_vanishes_at_40_digits_at_weights_10_and_11():
 
 
 def test_mzv_oracle_sees_a_coefficient_off_by_one():
-    rel = generate_relations(9, "cyclic")[-1]
-    coeffs = dict(rel.combo.coefficients())
+    rel = _combinations(generate_relations(9, "cyclic"))[-1]
+    coeffs = dict(rel.coefficients())
     comp = min(coeffs, key=Composition.sort_key)
     coeffs[comp] += 1
-    assert mzv_defect(rel.combo) < 1e-35
+    assert mzv_defect(rel) < 1e-35
     assert mzv_defect(SymbolCombination(coeffs)) > 1e-6
 
 
@@ -1131,8 +1156,8 @@ def test_family_nesting_ranks():
 def test_rotation_invariance_of_rank():
     for w, fam in ((4, "cyclic"), (5, "csf"), (5, "derivation")):
         rels = generate_relations(w, fam)
-        base = rank_exact(relation_matrix(rels))
-        extra = list(rels)
+        base = rank_exact(rels)
+        extra = _combinations(rels)
         for shape, k in enumerate_family(w, fam):
             d = shape.d
             for rot in range(1, d):
@@ -1142,7 +1167,19 @@ def test_rotation_invariance_of_rank():
                     vals.extend(k.block((rot + t) % d + 1))
                 k2 = IntArgs(Shape(r2), tuple(vals))
                 extra.append(cyclic_relation(k2))
-        assert rank_exact(relation_matrix(extra)) == base
+        assert rank_exact(relation_matrix(_mask_rows(extra), [None] * len(extra))) == base
+
+
+def test_reference_column_is_the_admissible_count_minus_zagier_dimension():
+    """The stored count of all relations at weight w is the number 2^(w-2)
+    of admissible symbols minus Zagier's dimension d_w of the weight-w MZV
+    space: d_0 = 1, d_1 = 0, d_2 = 1, d_w = d_(w-2) + d_(w-3)
+    (Bluemlein, Broadhurst and Vermaseren, The multiple zeta value data
+    mine, 2010)."""
+    d = [1, 0, 1]
+    while len(d) < 12:
+        d.append(d[-2] + d[-3])
+    assert ALL_RELATIONS_REF == {w: 2 ** (w - 2) - d[w] for w in range(3, 12)}
 
 
 def test_table1_small_weights():
@@ -1165,7 +1202,7 @@ def test_table1_refuses_weight_before_generating(monkeypatch):
                         lambda *a, **k: calls.append(a) or [])
     monkeypatch.setattr(relations, "_ORBIT_MASKS", {})
     monkeypatch.setattr(relations, "_relation_masks", lambda k: calls.append(k) or {})
-    monkeypatch.setattr(relations, "_matrix", lambda *a: calls.append(a))
+    monkeypatch.setattr(relations, "relation_matrix", lambda *a: calls.append(a))
     with pytest.raises(BudgetError):
         table1(range(3, 10))
     assert calls == []
@@ -1189,7 +1226,7 @@ def test_table1_checks_family_nesting(monkeypatch, family, bump, broken):
 
 
 def test_relation_set_roundtrip():
-    matrix = relation_matrix(generate_relations(4, "cyclic"))
+    matrix = generate_relations(4, "cyclic")
     data = relation_set_dumps(4, "cyclic", matrix)
     assert data.endswith(b"}\n")
     m = relation_set_loads(data)
@@ -1203,7 +1240,7 @@ def test_relation_set_loads_refuses_a_non_ascii_or_underscore_argument(k):
     """A provenance "k" that int() reads but str() never writes ("\u0663"
     would load as 3) is refused."""
     obj = json.loads(relation_set_dumps(4, "cyclic",
-                                        relation_matrix(generate_relations(4, "cyclic"))))
+                                        generate_relations(4, "cyclic")))
     prov = next(row["provenance"] for row in obj["rows"] if row["provenance"]["shape"] == "1")
     prov["k"] = k
     with pytest.raises(ParseError, match="only ASCII text without '_'"):
@@ -1215,7 +1252,7 @@ def test_relation_set_loads_refuses_a_blank_argument_entry(k):
     """A provenance "k" with a blank entry is refused, not read as the
     arguments without it ("1,,2" is not (1, 2))."""
     obj = json.loads(relation_set_dumps(4, "cyclic",
-                                        relation_matrix(generate_relations(4, "cyclic"))))
+                                        generate_relations(4, "cyclic")))
     prov = obj["rows"][1]["provenance"]
     assert (prov["shape"], prov["k"]) == ("2", "1,2")
     assert relation_set_loads(json.dumps(obj)).provenances[1].args == IntArgs.parse("1,2")
@@ -1233,7 +1270,7 @@ def test_relation_set_loads_refuses_a_blank_argument_entry(k):
 def test_relation_set_loads_restores_the_collector(monkeypatch, bad, was_enabled):
     import gc
 
-    good = relation_set_dumps(4, "cyclic", relation_matrix(generate_relations(4, "cyclic")))
+    good = relation_set_dumps(4, "cyclic", generate_relations(4, "cyclic"))
     seen = []
     parse = relations._relation_set
     monkeypatch.setattr(relations, "_relation_set",
@@ -1263,8 +1300,8 @@ def _json_dumps_route(weight, family, matrix):
 def _dumps_cases():
     for w in range(3, 8):
         for fam in relations.FAMILIES:
-            yield w, fam, relation_matrix(generate_relations(w, fam))
-    yield 3, "cyclic", relation_matrix([])
+            yield w, fam, generate_relations(w, fam)
+    yield 3, "cyclic", relation_matrix([], [])
     k = IntArgs.parse("2;1,2")
     huge = RelationMatrix((C(1, 4), C(5)), [{0: 2**80 + 1, 1: -(2**81)}, {}, {1: 3, 0: -1}], 5,
                           [Provenance("cyclic", k.shape, k)] * 3)
@@ -1322,8 +1359,9 @@ def _relation_set_oracle(data):
         for i, row in enumerate(obj["rows"]):
             rows.append(_oracle_row(row["entries"]))
             if rows[-1] is None:
-                raise ParseError(f"row {i}: columns must be distinct integers and "
-                                 "coefficients strings of ASCII digits with an optional '-'")
+                raise ParseError(f'row {i}: "entries" must be a list of [column, coefficient] '
+                                 "pairs with distinct integer columns and coefficients "
+                                 "written as str() writes integers")
             if p := row.get("provenance"):
                 shape = shape_of(string(p["shape"]))
                 p = Provenance(string(p["family"]), shape, IntArgs.parse(string(p["k"]), shape))
@@ -1364,7 +1402,7 @@ def _small_set(rows, symbols=("1,2", "3"), **fields):
 def _w4_set(edit):
     """The w4 cyclic set as JSON text after edit(obj)."""
     obj = json.loads(relation_set_dumps(4, "cyclic",
-                                        relation_matrix(generate_relations(4, "cyclic"))))
+                                        generate_relations(4, "cyclic")))
     edit(obj)
     return json.dumps(obj)
 
@@ -1372,7 +1410,7 @@ def _w4_set(edit):
 def _compact_rows_first(weight, family):
     """A generated set written compactly, with "rows" before "symbols"."""
     obj = json.loads(relation_set_dumps(weight, family,
-                                        relation_matrix(generate_relations(weight, family))))
+                                        generate_relations(weight, family)))
     return json.dumps({"rows": obj.pop("rows"), **obj}, separators=(",", ":"))
 
 
@@ -1524,7 +1562,7 @@ def test_relation_set_loads_oracle_cases_reach_every_outcome():
                  "bad-entries-in-provenance", "entries-at-the-top"):
         assert out[name] == w4, name
     assert out["compact-rows-first"] == relation_set_loads(
-        relation_set_dumps(5, "cyclic", relation_matrix(generate_relations(5, "cyclic"))))
+        relation_set_dumps(5, "cyclic", generate_relations(5, "cyclic")))
     equal = out["equal-rows"].rows
     assert equal[0] is equal[2] is equal[3] and equal[1] == {1: 1}
 
@@ -1532,7 +1570,7 @@ def test_relation_set_loads_oracle_cases_reach_every_outcome():
 def _every_relation_set(weights):
     for w in weights:
         for fam in relations.FAMILIES:
-            yield relation_set_dumps(w, fam, relation_matrix(generate_relations(w, fam)))
+            yield relation_set_dumps(w, fam, generate_relations(w, fam))
 
 
 def test_relation_set_loads_matches_the_oracle_on_every_set_up_to_weight_9():
@@ -1578,7 +1616,7 @@ def test_relation_set_loads_never_holds_the_json_tree():
     import tracemalloc
 
     text = relation_set_dumps(9, "cyclic",
-                              relation_matrix(generate_relations(9, "cyclic"))).decode()
+                              generate_relations(9, "cyclic")).decode()
     peaks = []
     for read in (relation_set_loads, _relation_set_oracle):
         tracemalloc.start()
@@ -1599,7 +1637,7 @@ def test_rank_sweep_and_weight11_rows(capsys):
     # the certified modular rank against Bareiss on every computed cell
     for w in range(3, 11):
         for fam in relations.FAMILIES:
-            matrix = relation_matrix(generate_relations(w, fam))
+            matrix = generate_relations(w, fam)
             distinct = [[row.get(c, 0) for c in range(matrix.shape[1])]
                         for row in relations._distinct_rows(matrix)]
             assert rank_exact(matrix) == _rank_bareiss(distinct), (w, fam)
