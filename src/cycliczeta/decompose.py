@@ -4,19 +4,18 @@ A sum over a domain mixing strict and non-strict inequalities splits into
 sums over totally ordered chains, one per ordered set partition (weak
 order) of the variable set compatible with the constraints: merge the
 exponents of tied variables and read off one symbol per partition.  The
-decomposition only needs how often each symbol occurs, so one engine
-(`_part_counts`) counts weak orders by a recursion over the order filters of
-the constraint poset and returns each composition, as the bitmask of its
-partial sums, with its count; `decompose_to_mzv` checks its input and wraps
-that result as a `SymbolCombination`, and relation generation sums the
-masks itself.  The series evaluators walk the same order filters
-(`_filter_steps`, built from the system's index masks) for their plain and
-coupled sums.  The engine's recursion also names the first weak order that
-makes a decomposition non-admissible, so no caller enumerates the weak
-orders; `decompose` output counts them from the combination.  Building the
-filters is the only place where the size of a system is bounded
-(`LEVEL_CAP`) and where a system with a cycle through a strict edge is
-refused; `decompose_to_mzv` bounds the total exponent (`EXPONENT_CAP`).
+weak orders are the paths of the DAG of order filters (`_filter_steps`,
+built from the system's index masks), and the decomposition only needs
+how often each symbol occurs, so one engine (`_generating`) counts the
+paths as one generating integer with a slot per composition, keyed by its
+suffix sums; `decompose_to_mzv` decodes it into partial-sum bitmasks and a
+`SymbolCombination`, and relation generation sums many systems' integers
+itself.  The series evaluators walk the same DAG.  The engine's pass also
+names the first weak order that makes a decomposition non-admissible, so
+no caller enumerates the weak orders; `decompose` output counts them from
+the combination.  Building the filters bounds the size of a system
+(`LEVEL_CAP`) and refuses a cycle through a strict edge; `decompose_to_mzv`
+bounds the total exponent (`EXPONENT_CAP`) and the memo (`MEMORY_CAP`).
 Completeness and disjointness of the split are exactly testable against a
 brute-force lattice-point count, which this module also provides.
 """
@@ -177,17 +176,18 @@ LEVEL_CAP = 1 << 14
 
 
 @lru_cache(maxsize=None)
-def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
+def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict[int, tuple[int, ...]]]:
     """The variables of cs and, for every order filter reachable by peeling
-    levels off the bottom, its valid next levels in canonical order.
+    levels off the bottom, in ascending order, the rest masks of its valid
+    next levels in canonical order.
 
-    A filter is a bitmask over the variable indices; its steps are
-    (level indices, rest mask) pairs.  A valid next level is a nonempty
-    subset of the currently minimal variables, closed under non-strict
-    in-edges; subsets are tried in binary-counter order over the sorted
-    candidate list, which fixes the order of the weak orders across runs.
-    A system whose filters need more than LEVEL_CAP candidate levels in
-    all raises BudgetError, before the filter past the cap is tried.
+    A filter is a bitmask over the variable indices; the step to a rest
+    places the level filter ^ rest (`_members`).  A valid next level is a
+    nonempty subset of the currently minimal variables, closed under
+    non-strict in-edges; subsets are tried in binary-counter order over the
+    sorted candidate list, which fixes the order of the weak orders across
+    runs.  A system whose filters need more than LEVEL_CAP candidate levels
+    in all raises BudgetError, before the filter past the cap is tried.
 
     This peel is also the strict-cycle check.  Without a cycle through a
     strict edge, a source strongly connected component of the remaining
@@ -197,7 +197,7 @@ def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
     """
     vs, strict_in, weak_in = cs.variables, cs.strict_in, cs.weak_in
     n = len(vs)
-    steps: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+    steps: dict[int, tuple[int, ...]] = {}
     todo = [(1 << n) - 1]
     tried = 0
     while todo:
@@ -224,13 +224,24 @@ def _filter_steps(cs: ConstraintSystem) -> tuple[tuple[VarId, ...], dict]:
             if need & remaining & ~level:
                 continue
             rest = remaining ^ level
-            out.append((tuple(t for t in cand if level >> t & 1), rest))
+            out.append(rest)
             if rest:
                 todo.append(rest)
         if not out:
             raise ValueError("constraint digraph has a cycle through a strict edge")
         steps[remaining] = tuple(out)
-    return vs, steps
+    return vs, dict(sorted(steps.items()))
+
+
+def _members(level: int) -> tuple[int, ...]:
+    """The variable indices of a level mask, ascending, in one step per
+    member."""
+    out = []
+    while level:
+        low = level & -level
+        out.append(low.bit_length() - 1)
+        level ^= low
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -245,8 +256,8 @@ def weak_orders(cs: ConstraintSystem) -> tuple[OrderedSetPartition, ...]:
         if not remaining:
             out.append(OrderedSetPartition(tuple(levels)))
             return
-        for lvl, rest in steps[remaining]:
-            levels.append(tuple(vs[t] for t in lvl))
+        for rest in steps[remaining]:
+            levels.append(tuple(vs[t] for t in _members(remaining ^ rest)))
             rec(rest)
             levels.pop()
 
@@ -257,14 +268,19 @@ def weak_orders(cs: ConstraintSystem) -> tuple[OrderedSetPartition, ...]:
 # The largest total exponent `decompose_to_mzv` takes: every partial-sum
 # mask of a composition then stays below 2^EXPONENT_CAP (512 bytes).
 EXPONENT_CAP = 1 << 12
+# The most memory, in bytes, that the engine's memo (`decompose_to_mzv`) or
+# the counting oracle's grid and mask (`count_lattice_points`) may take.
+MEMORY_CAP = 1 << 28
 
 
 def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> SymbolCombination:
     """Rewrite the sum over cs with the given nonnegative integer exponents
     as an exact combination of admissible symbols (one per weak order, with
-    tied variables' exponents merged): the checked public form of
-    `_part_counts`.  A total exponent above EXPONENT_CAP raises BudgetError
-    before the engine runs.
+    tied variables' exponents merged).  A total exponent above EXPONENT_CAP
+    raises BudgetError.  The engine's (`_generating`) first pass, at width
+    0, counts the weak orders and raises NonAdmissibleError; the second has
+    a slot per distinct filter sum (`_width`), and a memo and decode above
+    MEMORY_CAP raise BudgetError before it sums.
     """
     for v in cs.variables:
         if v not in exponents:
@@ -273,50 +289,94 @@ def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> Sy
         if int(e) != e or e < 0:
             raise ValueError(f"exponent of {v} must be a nonnegative integer")
     exps = [int(exponents[v]) for v in cs.variables]
-    if sum(exps) > EXPONENT_CAP:
-        raise BudgetError(f"total exponent {sum(exps)} exceeds cap {EXPONENT_CAP}")
-    return _combination(_part_counts(cs, exps))
-
-
-def _part_counts(cs: ConstraintSystem, exps: Sequence[int]) -> dict[int, int]:
-    """The decomposition engine: each composition of the weak orders of cs,
-    as the mask of its partial sums (`_composition`), and how many weak
-    orders read it, for nonnegative integer exponents listed in the order of
-    cs.variables (not checked here).
-
-    The weak orders are counted, not built: a memoised recursion over the
-    order filters maps each filter to the multiset of compositions of its
-    completions, each level's part being the sum of its exponents; part p
-    before the completion t is t << p | 1 << (p - 1).  It takes the steps
-    depth-first in canonical order and memoises a filter only once all its
-    completions are admissible, so the first non-admissible step it meets
-    lies on the first non-admissible weak order in canonical order: the path
-    to that step, then the first step of each later filter.
-    """
+    total = sum(exps)
+    if total > EXPONENT_CAP:
+        raise BudgetError(f"total exponent {total} exceeds cap {EXPONENT_CAP}")
     vs, steps = _filter_steps(cs)
+    orders, sums = _generating(vs, steps, exps, [0] * (total + 1))
+    layout = sorted(set(sums.values()) - {0})
+    width, shift = _width(orders), [0] * (total + 1)
+    for j, s in enumerate(layout):
+        shift[s] = width << j
+    # 2 * shift bits a filter, and 8 bytes a slot to decode
+    if sum(shift[sums[mask]] for mask in steps) // 4 + (8 << (len(layout) - 1)) > MEMORY_CAP:
+        raise BudgetError(f"the decomposition's memo of {len(layout)} slots of {width} bits "
+                          f"exceeds the cap of {MEMORY_CAP >> 20} MiB")
+    counts = _slot_counts(_generating(vs, steps, exps, shift)[0], width, len(layout) - 1)
+    slots = np.flatnonzero(counts)
+    return _combination({_prefix_mask(t, layout): c
+                         for t, c in zip(slots.tolist(), counts[slots].tolist())})
+
+
+def _generating(vs: Sequence[VarId], steps: Mapping[int, Sequence[int]],
+                exps: Sequence[int], shift: Sequence[int]) -> tuple[int, dict[int, int]]:
+    """The decomposition engine, for the DAG (vs, steps) of `_filter_steps`
+    and nonnegative exponents in the order of vs (not checked here): the
+    source's generating integer below its top slot, and the exponent sum
+    S(R) of every filter R.
+
+    The suffix sums of a weak order's composition are S of the filters on
+    its path, so with a slot of width bits for each suffix sum s, starting
+    at bit shift[s], the sum of count * 2^(width * suffix mask) over the
+    completions of R is G(R) = (sum of G(rest) over its steps) << shift[S(R)],
+    with G(0) = 1 (Kronecker substitution): one ascending pass, one add a
+    step.  The width must exceed every count (at width 0 G counts paths).
+    The pass also marks the filters with a completion that has a part below
+    1 or a top part below 2, and a marked source raises NonAdmissibleError.
+    """
     exp = exps.__getitem__
-    memo: dict[int, dict[int, int]] = {0: {0: 1}}
-    path: list[tuple[int, ...]] = []  # the levels from the source to this filter
+    sums, gen, bad = {0: 0}, {0: 1}, set()
+    zero = 0 in exps
+    acc = 0
+    for mask, rests in steps.items():
+        level, s = mask ^ rests[0], sums[rests[0]]
+        while level:
+            t = level.bit_length() - 1
+            s += exp(t)
+            level ^= 1 << t
+        sums[mask] = s
+        if (s < 2 and not rests[-1] or zero and s in map(sums.__getitem__, rests)
+                or bad and not bad.isdisjoint(rests)):
+            bad.add(mask)
+        acc = sum(map(gen.__getitem__, rests))
+        gen[mask] = acc << shift[s]
+    if bad:
+        _raise_non_admissible(vs, steps, exps, sums, bad)
+    return acc, sums
 
-    def completions(remaining: int) -> dict[int, int]:
-        got: dict[int, int] = {}
-        for lvl, rest in steps[remaining]:
-            part = sum(map(exp, lvl))
-            if part < 1 or (part < 2 and not rest):
-                _raise_non_admissible(vs, steps, exps, path + [lvl], rest)
-            tails = memo.get(rest)
-            if tails is None:
-                path.append(lvl)
-                tails = completions(rest)
-                path.pop()
-            top = 1 << (part - 1)
-            for tail, n in tails.items():
-                key = tail << part | top
-                got[key] = got.get(key, 0) + n
-        memo[remaining] = got
-        return got
 
-    return completions((1 << len(vs)) - 1)
+def _width(count: int) -> int:
+    """The slot width for counts up to count: the bits of the whole bytes
+    that hold it, at most 64 (BudgetError past that, so a slot never wraps)."""
+    width = -(-count.bit_length() // 8) * 8
+    if width > 64:
+        raise BudgetError(f"{count} weak orders do not fit a 64-bit slot")
+    return width
+
+
+def _slot_counts(g: int, width: int, slots: int) -> np.ndarray:
+    """The counts, uint64 by suffix mask, of the 2^slots slots of width bits
+    (`_width`) of g (`_generating`)."""
+    rows = np.zeros((1 << slots, 8), np.uint8)
+    rows[:, :width // 8] = np.frombuffer(g.to_bytes(width << slots >> 3, "little"),
+                                         np.uint8).reshape(-1, width // 8)
+    return rows.view("<u8")[:, 0]
+
+
+@lru_cache(maxsize=None)
+def _order_count(cs: ConstraintSystem) -> int:
+    """The number of weak orders of cs: `_generating` at width 0, with every
+    exponent 2 so that every part is admissible."""
+    n = len(cs.variables)
+    return _generating(*_filter_steps(cs), [2] * n, [0] * (2 * n + 1))[0]
+
+
+def _prefix_mask(slots: int, layout: Sequence[int]) -> int:
+    """The partial-sum mask (`_mask`) of the composition of weight
+    layout[-1] whose suffix sums below it are layout[j] for each bit j of
+    slots: its partial sums are the weight and the weight less each."""
+    top = layout[-1]
+    return sum(1 << (top - layout[j] - 1) for j in _members(slots)) | 1 << (top - 1)
 
 
 def _mask(parts: Sequence[int]) -> int:
@@ -345,15 +405,28 @@ def _combination(counts: Mapping[int, int]) -> SymbolCombination:
     return SymbolCombination({_composition(mask): c for mask, c in counts.items()})
 
 
-def _raise_non_admissible(vs: Sequence[VarId], steps: Mapping[int, Sequence],
-                          exps: Sequence[int], levels: list[tuple[int, ...]], rest: int):
-    """Raise for the weak order that takes the given levels of variable
-    indices and then, from the filter rest, the first step of each filter."""
+def _raise_non_admissible(vs: Sequence[VarId], steps: Mapping[int, Sequence[int]],
+                          exps: Sequence[int], sums: Mapping[int, int], bad: set[int]):
+    """Raise for the first non-admissible weak order in canonical order,
+    given the filter sums and marks of `_generating`: from the source, the
+    first step that is non-admissible or leads to a marked filter, until
+    one is non-admissible, then the first step of each later filter."""
+    levels, mask, rest = [], max(steps), None
+    while rest is None:
+        for r in steps[mask]:
+            if sums[mask] - sums[r] < (1 if r else 2):
+                rest = r
+            elif r not in bad:
+                continue
+            levels.append(mask ^ r)
+            mask = r
+            break
     while rest:
-        lvl, rest = steps[rest][0]
-        levels.append(lvl)
-    osp = OrderedSetPartition(tuple(tuple(vs[t] for t in lvl) for lvl in levels))
-    parts = tuple(sum(exps[t] for t in lvl) for lvl in levels)
+        levels.append(rest ^ steps[rest][0])
+        rest = steps[rest][0]
+    members = [_members(level) for level in levels]
+    osp = OrderedSetPartition(tuple(tuple(vs[t] for t in lvl) for lvl in members))
+    parts = tuple(sum(exps[t] for t in lvl) for lvl in members)
     raise NonAdmissibleError(
         f"weak order {osp} yields non-admissible parts {parts}",
         partition=osp,
@@ -379,7 +452,7 @@ def count_lattice_points(cs: ConstraintSystem, n_max: int) -> int:
     # The grid holds k-1 int16 rows and the mask one bool row, each of
     # n_max^(k-1) cells, in k axes (numpy 2 allows 64, numpy 1 32).
     axes = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
-    if k > axes or n_max**k > 5 * 10**8 or (2 * (k - 1) + 1) * n_max ** (k - 1) > 2**28:
+    if k > axes or n_max**k > 5 * 10**8 or (2 * (k - 1) + 1) * n_max ** (k - 1) > MEMORY_CAP:
         raise BudgetError("oracle grid too large")
     if k == 1:  # a constraint needs two variables
         return n_max

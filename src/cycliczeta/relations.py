@@ -12,9 +12,11 @@ one weight into an integer matrix and computing its exact rank reproduces
 the reference table of independent relation counts.  Configurations, and
 their shapes, are compositions read off cut points (`_compositions`).
 
-Relations stay rows of partial-sum bitmasks of the decomposition engine
-(`decompose._part_counts`) from the generator to the matrix, accumulated
-once per block-rotation orbit (`_orbit_masks`).  One builder
+Relations stay rows of partial-sum bitmasks from the generator to the
+matrix, computed once per block-rotation orbit (`_orbit_masks`): the
+generating integers of the decomposition engine (`decompose._generating`)
+of all the systems of one relation are summed, one integer per sign, and
+decoded once through a per-weight table of masks.  One builder
 (`relation_matrix`) stacks mask rows, and only its symbol tuple holds
 `Composition` objects; `generate_relations` builds one family's matrix, and
 `table1` one matrix per weight, ranking each family on its own rows.
@@ -38,8 +40,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .decompose import Composition, SymbolCombination, _combination, _composition, _mask
-from .decompose import _part_counts
+from .decompose import Composition, SymbolCombination, _combination, _composition, _filter_steps
+from .decompose import _generating, _mask, _order_count, _prefix_mask, _slot_counts, _width
 # Unused here, but perfbench/tracing.py wraps this binding until the library counts its own calls.
 from .decompose import decompose_to_mzv  # noqa: F401
 from .errors import BudgetError, DomainError, InternalInvariantError, NonAdmissibleError, ParseError
@@ -79,7 +81,7 @@ def cyclic_relation(k: IntArgs) -> SymbolCombination:
     over every block (extra exponent 1) is subtracted.  Every symbol has
     weight sum(k) + 1.  The variables of every S_ij and S_i system are the
     block positions in order, then n, so the exponents are passed to the
-    decomposition engine as plain lists and its masks summed (`_relation_masks`).
+    decomposition engine as plain lists (`_relation_masks`).
     """
     if not is_integer_point_in_W(k):
         raise DomainError(f"integer point {k} lies outside W")
@@ -87,13 +89,14 @@ def cyclic_relation(k: IntArgs) -> SymbolCombination:
 
 
 def _relation_masks(k: IntArgs) -> dict[int, int]:
-    """The relation of a configuration in W as masks and coefficients, zeros kept."""
-    shape, values, acc = k.shape, list(k.values), {}
-
-    def add(cs, exps, sign):
-        for mask, c in _part_counts(cs, exps).items():
-            acc[mask] = acc.get(mask, 0) + sign * c
-
+    """The relation of a configuration in W as its nonzero masks and their
+    coefficients.  Its systems all have total exponent w = sum(k) + 1, so
+    they share the slots of the suffix sums 1..w (`decompose._generating`),
+    each wide enough for all their weak orders (`_width`): the S_ij
+    systems are summed into one integer and the S_i systems into another,
+    decoded once through the weight's table of masks (`_prefix_masks`)."""
+    shape, values = k.shape, list(k.values)
+    systems = []
     for i in range(1, shape.d + 1):
         r_i = shape.r[i - 1]
         for j in range(1, r_i + 1):
@@ -103,10 +106,26 @@ def _relation_masks(k: IntArgs) -> dict[int, int]:
             for m in range(delta, values[at]):
                 exps = values + [m + 1]
                 exps[at] -= m
-                add(cs, exps, 1)
+                systems.append((cs, exps, 0))
     for i in range(1, shape.d + 1):
-        add(build_constraints_S_i(shape, i), values + [1], -1)
-    return acc
+        systems.append((build_constraints_S_i(shape, i), values + [1], 1))
+    w, acc = sum(values) + 1, [0, 0]
+    width = _width(sum(_order_count(cs) for cs, _, _ in systems))
+    shift = [0] + [width << s for s in range(w)]  # the slot of suffix sum s + 1
+    for cs, exps, side in systems:
+        acc[side] += _generating(*_filter_steps(cs), exps, shift)[0]
+    plus, minus = (_slot_counts(g, width, w - 1) for g in acc)
+    nonzero = np.flatnonzero(plus != minus)
+    table = _prefix_masks(w)
+    return {table[t]: a - b for t, a, b in
+            zip(nonzero.tolist(), plus[nonzero].tolist(), minus[nonzero].tolist())}
+
+
+@functools.lru_cache(maxsize=None)
+def _prefix_masks(weight: int) -> tuple[int, ...]:
+    """The partial-sum mask of each suffix mask of the sums 1..weight - 1."""
+    layout = range(1, weight + 1)
+    return tuple(_prefix_mask(slots, layout) for slots in range(1 << (weight - 1)))
 
 
 def zeta_star_expand(c: Composition) -> SymbolCombination:
@@ -200,18 +219,17 @@ def generate_relations(weight: int, family: str, *,
                            [Provenance(family, *c) for c in configs])
 
 
-# The nonzero masks of each block-rotation orbit's relation, from the first
+# The masks of each block-rotation orbit's relation, from the first
 # configuration met in it (relabelling the blocks cyclically maps each S_ij
-# and S_i system onto its rotation's); equal masks are one int (`_INTS`).
+# and S_i system onto its rotation's).
 _ORBIT_MASKS: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
-_INTS: dict[int, int] = {}
 
 
 def _orbit_masks(k: IntArgs) -> dict[int, int]:
     blocks = tuple(k.block(i) for i in range(1, k.shape.d + 1))
     key = min(blocks[t:] + blocks[:t] for t in range(len(blocks)))
     if key not in _ORBIT_MASKS:
-        _ORBIT_MASKS[key] = {_INTS.setdefault(m, m): c for m, c in _relation_masks(k).items() if c}
+        _ORBIT_MASKS[key] = _relation_masks(k)
     return _ORBIT_MASKS[key]
 
 

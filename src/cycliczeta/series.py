@@ -90,7 +90,7 @@ from .couplings import (
     pole_coupling,
     toeplitz_rows,
 )
-from .decompose import _filter_steps
+from .decompose import _filter_steps, _members
 # Unused here, but perfbench/tracing.py wraps this binding until the library counts its own calls.
 from .decompose import weak_orders  # noqa: F401
 from .errors import BudgetError, DomainError, InternalInvariantError
@@ -395,19 +395,19 @@ def _path(levels: Sequence[Sequence[int]]) -> dict:
     steps, rest = {}, 0
     for lvl in reversed(levels):
         mask = rest | sum(1 << t for t in lvl)
-        steps[mask] = ((tuple(lvl), rest),)
+        steps[mask] = (rest,)
         rest = mask
     return steps
 
 
-def _edges(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
-           exps: Sequence[complex]) -> dict:
+def _edges(steps: Mapping[int, Sequence[int]], exps: Sequence[complex]) -> dict:
     """The edges of steps by source from the largest mask down:
-    {mask: [(members, rest), ...]}, members the level's nonzero exponents in
-    index order.  Every filter has a step (the minimal class of what remains
-    is a level), so every edge is on some path to the sink 0."""
-    return {mask: [(tuple(exps[t] for t in lvl if exps[t] != 0), rest)
-                   for lvl, rest in steps[mask]]
+    {mask: [(members, rest), ...]}, members the nonzero exponents of the
+    level mask ^ rest in index order.  Every filter has a step (the minimal
+    class of what remains is a level), so every edge is on some path to the
+    sink 0."""
+    return {mask: [(tuple(exps[t] for t in _members(mask ^ rest) if exps[t] != 0), rest)
+                   for rest in steps[mask]]
             for mask in sorted(steps, reverse=True)}
 
 
@@ -432,11 +432,11 @@ def _walk(edges: dict, runs: dict, vec: Callable[[tuple], np.ndarray], carries: 
             yield mask, rest, mul(vec(members), pre)
 
 
-def _chain_plain(steps: Mapping[int, Sequence[tuple[tuple[int, ...], int]]],
+def _chain_plain(steps: Mapping[int, Sequence[int]],
                  exps: Sequence[complex], cutoffs: Sequence[int]) -> list[complex]:
     """For every cutoff n, the sum over the paths of a DAG of order filters,
-    given as `decompose._filter_steps` gives it ({mask: ((level indices,
-    rest mask), ...)}, from the largest mask down to 0), of the sum over
+    given as `decompose._filter_steps` gives it ({mask: (rest mask, ...)},
+    each step placing the level mask ^ rest), of the sum over
     1 <= x_1 < ... < x_t <= n of prod_l prod_{i in level l} x_l^(-exps[i]).
 
     One pass at the largest cutoff, streamed over value segments, each with
@@ -497,7 +497,7 @@ def _eval_system(cs: ConstraintSystem, es: Sequence[complex], pieces,
                  cutoffs: Sequence[int]) -> list[complex]:
     """The constrained sum at every cutoff (all >= 1), with the exponents es
     listed in the order of cs.variables (the block positions, then n), as
-    `decompose._part_counts` takes them, and the pieces [(coeff, coupling
+    `decompose._generating` takes them, and the pieces [(coeff, coupling
     or None)] coupling variables by those positions.  The uncoupled part
     is a sum over the order-filter DAG of cs; the coupled pieces, on two
     levels or tied on one, are one cut-filter walk of that DAG

@@ -972,6 +972,38 @@ def test_decompose_huge_exponent_exit_4(capsys, big):
     assert err == f"budget exceeded: total exponent {int(big) + 2} exceeds cap 4096\n"
 
 
+def _chain_exponents(r, top):
+    """Exponents 1 on the strict chain of shape (r,) but `top` on its last
+    variable."""
+    return ",".join([f"n1_{j}:1" for j in range(1, r)] + [f"n1_{r}:{top}"])
+
+
+@pytest.mark.parametrize("r", [26, 1500])
+def test_decompose_memo_past_the_memory_cap_exit_4(capsys, r):
+    """The strict chain of r variables with exponents 1, ..., 1, 2 has r
+    distinct filter sums, so its memo and decode would take about 3 * 2^(r+1)
+    bytes: refused before any sum (r = 26 used to exit 0, and r = 1500 to
+    end in a RecursionError traceback)."""
+    code, out, err = run(capsys, "decompose", "--shape", str(r), "--set", "S",
+                         "--exponents", _chain_exponents(r, 2))
+    assert (code, out) == (4, "")
+    assert err == (f"budget exceeded: the decomposition's memo of {r} slots of 8 bits "
+                   "exceeds the cap of 256 MiB\n")
+
+
+def test_decompose_long_non_admissible_chain_exit_5(capsys):
+    """With every exponent 1 the top part is 1: the chain of 1500 variables
+    is refused as non-admissible, before its memo is sized and without a
+    traceback (it used to end in a RecursionError)."""
+    code, out, err = run(capsys, "decompose", "--shape", "1500", "--set", "S",
+                         "--exponents", _chain_exponents(1500, 1))
+    assert (code, out) == (5, "")
+    assert err.count("\n") == 1
+    assert err.startswith("non-admissible symbol: weak order (n1_1)(n1_2)(n1_3)")
+    assert err.endswith(f"yields non-admissible parts {(1,) * 1500} (partition "
+                        + "".join(f"(n1_{j})" for j in range(1, 1501)) + ")\n")
+
+
 def test_decompose_count_negative_n_exit_3(capsys):
     code, out, err = run(
         capsys, "decompose", "--shape", "1", "--set", "S_i", "--i", "1",

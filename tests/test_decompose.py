@@ -8,6 +8,7 @@ from cycliczeta import decompose
 from cycliczeta.errors import BudgetError, NonAdmissibleError
 from cycliczeta.decompose import (
     Composition,
+    OrderedSetPartition,
     SymbolCombination,
     chain_count,
     count_lattice_points,
@@ -374,12 +375,98 @@ def reference_filter_steps(cs):
 
 
 def test_filter_steps_match_the_subset_loop_up_to_depth_6():
+    """The DAG keeps the oracle's rests in its order, each level is its
+    filter less its rest, with members ascending, and the filters ascend."""
     systems = list(systems_up_to_depth(6))
     for cs in systems:
         vs, steps = decompose._filter_steps(cs)
         want_vs, want = reference_filter_steps(cs)
-        assert vs == want_vs and list(steps.items()) == list(want.items()), str(cs)
+        got = {mask: tuple((decompose._members(mask ^ rest), rest) for rest in rests)
+               for mask, rests in steps.items()}
+        assert vs == want_vs and got == want and list(steps) == sorted(want), str(cs)
     assert len(systems) == 768
+
+
+def part_counts(cs, exps):
+    """The dict engine that `decompose._generating` replaced, kept as the
+    oracle: {partial-sum mask: count} over the weak orders of cs, for
+    exponents listed in the order of cs.variables.  A memoised depth-first
+    recursion over the order filters of the subset loop
+    (`reference_filter_steps`) maps each filter to the multiset of
+    compositions of its completions; part p before the completion t is
+    t << p | 1 << (p - 1).  A filter is memoised only once all its
+    completions are admissible, so the first non-admissible step met lies
+    on the first non-admissible weak order in canonical order, which is
+    raised: the path to that step, then the first step of each later
+    filter."""
+    vs, steps = reference_filter_steps(cs)
+    memo = {0: {0: 1}}
+    path = []
+
+    def completions(remaining):
+        got = {}
+        for lvl, rest in steps[remaining]:
+            part = sum(exps[t] for t in lvl)
+            if part < 1 or (part < 2 and not rest):
+                levels = path + [lvl]
+                while rest:
+                    lvl, rest = steps[rest][0]
+                    levels.append(lvl)
+                osp = OrderedSetPartition(tuple(tuple(vs[t] for t in lvl) for lvl in levels))
+                parts = tuple(sum(exps[t] for t in lvl) for lvl in levels)
+                raise NonAdmissibleError(f"weak order {osp} yields non-admissible parts {parts}",
+                                         partition=osp, parts=parts)
+            tails = memo.get(rest)
+            if tails is None:
+                path.append(lvl)
+                tails = completions(rest)
+                path.pop()
+            top = 1 << (part - 1)
+            for tail, n in tails.items():
+                key = tail << part | top
+                got[key] = got.get(key, 0) + n
+        memo[remaining] = got
+        return got
+
+    return completions((1 << len(vs)) - 1)
+
+
+def check_engine_against_the_dict_oracle(max_depth, seed):
+    """decompose_to_mzv equals the dict engine on every builder system up to
+    max_depth, with seeded exponents in four ranges that include zero, and
+    raises the same NonAdmissibleError (message, partition and parts) where
+    the oracle does; returns the counts of systems and of refusals."""
+    rng = random.Random(seed)
+    systems = list(systems_up_to_depth(max_depth))
+    rejected = 0
+    for cs in systems:
+        for lo, hi in ((0, 1), (0, 2), (1, 2), (1, 3)):
+            exps = [rng.randint(lo, hi) for _ in cs.variables]
+            by_var = dict(zip(cs.variables, exps))
+            try:
+                want = decompose._combination(part_counts(cs, exps))
+            except NonAdmissibleError as exc:
+                with pytest.raises(NonAdmissibleError) as ei:
+                    decompose_to_mzv(cs, by_var)
+                got = (str(ei.value), ei.value.partition, ei.value.parts)
+                assert got == (str(exc), exc.partition, exc.parts), (str(cs), exps)
+                rejected += 1
+            else:
+                assert decompose_to_mzv(cs, by_var) == want, (str(cs), exps)
+    return len(systems), rejected
+
+
+def test_engine_matches_the_dict_oracle_up_to_depth_6():
+    systems, rejected = check_engine_against_the_dict_oracle(6, 37)
+    # 3072 inputs: 2284 refused, 788 decomposed
+    assert systems == 768 and 2000 < rejected < 4 * systems - 700
+
+
+@pytest.mark.slow
+def test_engine_matches_the_dict_oracle_at_depth_7():
+    systems, rejected = check_engine_against_the_dict_oracle(7, 38)
+    # 7168 inputs: 5564 refused, 1604 decomposed
+    assert systems == 1792 and 5000 < rejected < 4 * systems - 1500
 
 
 def test_system_masks_match_the_constraints_up_to_depth_7():
@@ -428,6 +515,42 @@ def test_decompose_refuses_a_total_exponent_past_the_cap():
     assert got == SymbolCombination({Composition((top - 2, 2)): 1})
     with pytest.raises(BudgetError, match=f"total exponent {top + 1} exceeds cap {top}"):
         decompose_to_mzv(cs, {B(1, 1): top - 1, EXTRA: 2})
+
+
+def test_decompose_refuses_a_memo_past_the_memory_cap(monkeypatch):
+    """A strict chain of r variables with exponents 1, ..., 1, 2 has the r
+    filter sums 2..r+1, one weak order and so 8-bit slots: its memo holds
+    2 * 8 * 2^j bits for slot j, 2^(r+1) - 2 bytes in all, and its decode 8
+    bytes for each of the 2^(r-1) suffix masks below the top, refused past
+    MEMORY_CAP before it is summed."""
+    cs = build_constraints_S(Shape((10,)))
+    exps = {v: 1 for v in cs.variables} | {B(1, 10): 2}
+    want = SymbolCombination({Composition((1,) * 9 + (2,)): 1})
+    monkeypatch.setattr(decompose, "MEMORY_CAP", 2046 + 4096)
+    assert decompose_to_mzv(cs, exps) == want
+    monkeypatch.setattr(decompose, "MEMORY_CAP", 2045 + 4096)
+    with pytest.raises(BudgetError, match="memo of 10 slots of 8 bits exceeds the cap of 0 MiB"):
+        decompose_to_mzv(cs, exps)
+    # a non-admissible input is refused as such before its memo is sized
+    with pytest.raises(NonAdmissibleError):
+        decompose_to_mzv(cs, exps | {B(1, 10): 1})
+
+
+def test_slot_width_holds_the_weak_order_count():
+    """The slots are as wide as the bytes that hold the count of weak
+    orders, 64 bits at most: 3 antichain variables have 13 (8-bit slots)
+    and 6 have 4683 (16-bit), and 2^64 weak orders are refused."""
+    for r, orders in ((3, 13), (6, 4683)):
+        cs = adhoc((1,) * r, [])
+        assert decompose._order_count(cs) == orders == len(weak_orders(cs))
+        assert decompose._width(orders) == 8 * -(-orders.bit_length() // 8)
+        got = decompose_to_mzv(cs, {v: 2 for v in cs.variables})
+        assert sum(got.coefficients().values()) == orders
+    assert decompose._slot_counts(0x0300FF, 8, 2).tolist() == [255, 0, 3, 0]
+    assert decompose._slot_counts((2**64 - 1) << 64 | 7, 64, 1).tolist() == [7, 2**64 - 1]
+    assert decompose._width(2**64 - 1) == 64
+    with pytest.raises(BudgetError, match="do not fit a 64-bit slot"):
+        decompose._width(2**64)
 
 
 def test_non_admissible_reports_first_weak_order():

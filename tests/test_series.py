@@ -514,7 +514,7 @@ def test_every_filter_has_a_step():
     for cs in systems:
         _, steps = decompose._filter_steps(cs)
         assert all(steps.values()), cs
-        assert all(rest in steps for out in steps.values() for _, rest in out if rest)
+        assert all(rest in steps for rests in steps.values() for rest in rests if rest)
         filters += len(steps)
     assert filters == 2466
 
@@ -746,9 +746,8 @@ def test_dag_node_carry_advances_once_per_segment(monkeypatch):
     monkeypatch.setattr(series, "_SEGMENT", 3)
     a, b, c, d = exps = [1.5 + 0.4j, 0.7 - 0.3j, 1.1 + 0.2j, 2.0 - 0.6j]
     # a < b or b < a, both into the filter {c, d}; then c = d or c < d
-    steps = {0b1111: (((0,), 0b1110), ((1,), 0b1101)),
-             0b1110: (((1,), 0b1100),), 0b1101: (((0,), 0b1100),),
-             0b1100: (((2, 3), 0), ((2,), 0b1000)), 0b1000: (((3,), 0),)}
+    steps = {0b1000: (0,), 0b1100: (0, 0b1000), 0b1101: (0b1100,), 0b1110: (0b1100,),
+             0b1111: (0b1110, 0b1101)}
     cutoffs = (1, 2, 4, 7, 9, 13)
     got = series._chain_plain(steps, exps, cutoffs)
     for n, v in zip(cutoffs, got):
