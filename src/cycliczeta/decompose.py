@@ -10,12 +10,14 @@ how often each symbol occurs, so one engine (`_generating`) counts the
 paths as one generating integer with a slot per composition, keyed by its
 suffix sums; `decompose_to_mzv` decodes it into partial-sum bitmasks and a
 `SymbolCombination`, and relation generation sums many systems' integers
-itself.  The series evaluators walk the same DAG.  The engine's pass also
+itself.  Where the slots would not fit MEMORY_CAP, both count the
+compositions in one dict a filter instead (`_sparse_masks`), within the
+same cap.  The series evaluators walk the same DAG.  The engine's pass also
 names the first weak order that makes a decomposition non-admissible, so
 no caller enumerates the weak orders; `decompose` output counts them from
 the combination.  Building the filters bounds the size of a system
 (`LEVEL_CAP`) and refuses a cycle through a strict edge; `decompose_to_mzv`
-bounds the total exponent (`EXPONENT_CAP`) and the memo (`MEMORY_CAP`).
+bounds the total exponent (`EXPONENT_CAP`).
 Completeness and disjointness of the split are exactly testable against a
 brute-force lattice-point count, which this module also provides.
 """
@@ -268,8 +270,8 @@ def weak_orders(cs: ConstraintSystem) -> tuple[OrderedSetPartition, ...]:
 # The largest total exponent `decompose_to_mzv` takes: every partial-sum
 # mask of a composition then stays below 2^EXPONENT_CAP (512 bytes).
 EXPONENT_CAP = 1 << 12
-# The most memory, in bytes, that the engine's memo (`decompose_to_mzv`) or
-# the counting oracle's grid and mask (`count_lattice_points`) may take.
+# The most memory, in bytes, that the engine's slots or sparse memo, or the
+# counting oracle's grid and mask (`count_lattice_points`), may take.
 MEMORY_CAP = 1 << 28
 
 
@@ -279,8 +281,9 @@ def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> Sy
     tied variables' exponents merged).  A total exponent above EXPONENT_CAP
     raises BudgetError.  The engine's (`_generating`) first pass, at width
     0, counts the weak orders and raises NonAdmissibleError; the second has
-    a slot per distinct filter sum (`_width`), and a memo and decode above
-    MEMORY_CAP raise BudgetError before it sums.
+    a slot per distinct filter sum (`_width`).  Where a slot would take more
+    than 64 bits, or its memo and decode more than MEMORY_CAP, the
+    compositions are counted in one dict a filter instead (`_sparse_masks`).
     """
     for v in cs.variables:
         if v not in exponents:
@@ -299,9 +302,9 @@ def decompose_to_mzv(cs: ConstraintSystem, exponents: Mapping[VarId, int]) -> Sy
     for j, s in enumerate(layout):
         shift[s] = width << j
     # 2 * shift bits a filter, and 8 bytes a slot to decode
-    if sum(shift[sums[mask]] for mask in steps) // 4 + (8 << (len(layout) - 1)) > MEMORY_CAP:
-        raise BudgetError(f"the decomposition's memo of {len(layout)} slots of {width} bits "
-                          f"exceeds the cap of {MEMORY_CAP >> 20} MiB")
+    memo = sum(shift[sums[mask]] for mask in steps) // 4 + (8 << (len(layout) - 1))
+    if width > 64 or memo > MEMORY_CAP:
+        return _combination(_sparse_masks(steps, sums))
     counts = _slot_counts(_generating(vs, steps, exps, shift)[0], width, len(layout) - 1)
     slots = np.flatnonzero(counts)
     return _combination({_prefix_mask(t, layout): c
@@ -325,8 +328,9 @@ def _generating(vs: Sequence[VarId], steps: Mapping[int, Sequence[int]],
     1 or a top part below 2, and a marked source raises NonAdmissibleError.
     """
     exp = exps.__getitem__
-    sums, gen, bad = {0: 0}, {0: 1}, set()
-    zero = 0 in exps
+    # floor[R]: the least filter sum a step to R admits, so that each part is
+    # at least 1 and the top part at least 2
+    sums, floor, gen, bad = {0: 0}, {0: 2}, {0: 1}, set()
     acc = 0
     for mask, rests in steps.items():
         level, s = mask ^ rests[0], sums[rests[0]]
@@ -335,23 +339,48 @@ def _generating(vs: Sequence[VarId], steps: Mapping[int, Sequence[int]],
             s += exp(t)
             level ^= 1 << t
         sums[mask] = s
-        if (s < 2 and not rests[-1] or zero and s in map(sums.__getitem__, rests)
-                or bad and not bad.isdisjoint(rests)):
+        floor[mask] = s + 1
+        if s < max(map(floor.__getitem__, rests)) or bad and not bad.isdisjoint(rests):
             bad.add(mask)
         acc = sum(map(gen.__getitem__, rests))
         gen[mask] = acc << shift[s]
     if bad:
-        _raise_non_admissible(vs, steps, exps, sums, bad)
+        _raise_non_admissible(vs, steps, exps, sums, floor, bad)
     return acc, sums
+
+
+def _sparse_masks(steps: Mapping[int, Sequence[int]], sums: Mapping[int, int]) -> dict[int, int]:
+    """The partial-sum masks (`_mask`) of the weak orders of the DAG of
+    `_filter_steps` and their counts, given the filter sums of
+    `_generating`, as one dict a filter: the sparse route, for DAGs whose
+    slots would not fit MEMORY_CAP.  A weak order's partial sums are the
+    total less the sums of the filters on its path, so each step to a rest
+    sets that rest's bit in each composition of its completions.  The dicts
+    take about 100 bytes and one for each 8 units of the total an entry;
+    BudgetError after the step whose entries pass MEMORY_CAP."""
+    total = sums[max(steps)]
+    memo: dict[int, dict[int, int]] = {0: {0: 1}}
+    entries = 0
+    for mask, rests in steps.items():
+        got: dict[int, int] = {}
+        for rest in rests:
+            bit = 1 << (total - sums[rest] - 1)
+            for tail, c in memo[rest].items():
+                key = tail | bit
+                got[key] = got.get(key, 0) + c
+            if (entries + len(got)) * (100 + total // 8) > MEMORY_CAP:
+                raise BudgetError(f"the sparse memo of {entries + len(got)} compositions of "
+                                  f"total exponent {total} exceeds the cap of {MEMORY_CAP >> 20} MiB")
+        memo[mask] = got
+        entries += len(got)
+    return got
 
 
 def _width(count: int) -> int:
     """The slot width for counts up to count: the bits of the whole bytes
-    that hold it, at most 64 (BudgetError past that, so a slot never wraps)."""
-    width = -(-count.bit_length() // 8) * 8
-    if width > 64:
-        raise BudgetError(f"{count} weak orders do not fit a 64-bit slot")
-    return width
+    that hold it.  The decode (`_slot_counts`) takes at most 64, so past
+    that the callers take the sparse route, and a slot never wraps."""
+    return -(-count.bit_length() // 8) * 8
 
 
 def _slot_counts(g: int, width: int, slots: int) -> np.ndarray:
@@ -406,15 +435,17 @@ def _combination(counts: Mapping[int, int]) -> SymbolCombination:
 
 
 def _raise_non_admissible(vs: Sequence[VarId], steps: Mapping[int, Sequence[int]],
-                          exps: Sequence[int], sums: Mapping[int, int], bad: set[int]):
+                          exps: Sequence[int], sums: Mapping[int, int],
+                          floor: Mapping[int, int], bad: set[int]):
     """Raise for the first non-admissible weak order in canonical order,
-    given the filter sums and marks of `_generating`: from the source, the
-    first step that is non-admissible or leads to a marked filter, until
-    one is non-admissible, then the first step of each later filter."""
+    given the filter sums, floors and marks of `_generating`: from the
+    source, the first step that is non-admissible or leads to a marked
+    filter, until one is non-admissible, then the first step of each later
+    filter."""
     levels, mask, rest = [], max(steps), None
     while rest is None:
         for r in steps[mask]:
-            if sums[mask] - sums[r] < (1 if r else 2):
+            if sums[mask] < floor[r]:
                 rest = r
             elif r not in bad:
                 continue

@@ -16,7 +16,9 @@ Relations stay rows of partial-sum bitmasks from the generator to the
 matrix, computed once per block-rotation orbit (`_orbit_masks`): the
 generating integers of the decomposition engine (`decompose._generating`)
 of all the systems of one relation are summed, one integer per sign, and
-decoded once through a per-weight table of masks.  One builder
+decoded once through a per-weight table of masks.  A configuration whose
+slots would not fit `decompose.MEMORY_CAP`, which only weights far past
+HARD_MAX_WEIGHT reach, takes the sparse route instead.  One builder
 (`relation_matrix`) stacks mask rows, and only its symbol tuple holds
 `Composition` objects; `generate_relations` builds one family's matrix, and
 `table1` one matrix per weight, ranking each family on its own rows.
@@ -41,7 +43,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .decompose import Composition, SymbolCombination, _combination, _composition, _filter_steps
-from .decompose import _generating, _mask, _order_count, _prefix_mask, _slot_counts, _width
+from .decompose import MEMORY_CAP, _generating, _mask, _order_count, _prefix_mask, _slot_counts
+from .decompose import _sparse_masks, _width
 # Unused here, but perfbench/tracing.py wraps this binding until the library counts its own calls.
 from .decompose import decompose_to_mzv  # noqa: F401
 from .errors import BudgetError, DomainError, InternalInvariantError, NonAdmissibleError, ParseError
@@ -94,7 +97,10 @@ def _relation_masks(k: IntArgs) -> dict[int, int]:
     they share the slots of the suffix sums 1..w (`decompose._generating`),
     each wide enough for all their weak orders (`_width`): the S_ij
     systems are summed into one integer and the S_i systems into another,
-    decoded once through the weight's table of masks (`_prefix_masks`)."""
+    decoded once through the weight's table of masks (`_prefix_masks`).
+    Where a slot would take more than 64 bits, or the memo, sums, decode
+    and table more than MEMORY_CAP, the compositions are counted sparsely
+    (`_sparse_relation`)."""
     shape, values = k.shape, list(k.values)
     systems = []
     for i in range(1, shape.d + 1):
@@ -111,6 +117,11 @@ def _relation_masks(k: IntArgs) -> dict[int, int]:
         systems.append((build_constraints_S_i(shape, i), values + [1], 1))
     w, acc = sum(values) + 1, [0, 0]
     width = _width(sum(_order_count(cs) for cs, _, _ in systems))
+    filters = max(len(_filter_steps(cs)[1]) for cs, _, _ in systems)
+    # a slot takes 2 * width bits in each filter's integer and width in each
+    # sum, 8 + width / 8 bytes in each decode and at most about 48 in the table
+    if width > 64 or (width * (filters + 2) // 4 + 64) << (w - 1) > MEMORY_CAP:
+        return _sparse_relation(systems, w)
     shift = [0] + [width << s for s in range(w)]  # the slot of suffix sum s + 1
     for cs, exps, side in systems:
         acc[side] += _generating(*_filter_steps(cs), exps, shift)[0]
@@ -121,11 +132,32 @@ def _relation_masks(k: IntArgs) -> dict[int, int]:
             zip(nonzero.tolist(), plus[nonzero].tolist(), minus[nonzero].tolist())}
 
 
-@functools.lru_cache(maxsize=None)
-def _prefix_masks(weight: int) -> tuple[int, ...]:
-    """The partial-sum mask of each suffix mask of the sums 1..weight - 1."""
-    layout = range(1, weight + 1)
-    return tuple(_prefix_mask(slots, layout) for slots in range(1 << (weight - 1)))
+def _sparse_relation(systems, w: int) -> dict[int, int]:
+    """`_relation_masks` in one dict a filter (`decompose._sparse_masks`),
+    for a configuration whose slots would not fit MEMORY_CAP."""
+    out: dict[int, int] = {}
+    for cs, exps, side in systems:
+        vs, steps = _filter_steps(cs)
+        for mask, c in _sparse_masks(steps, _generating(vs, steps, exps, [0] * (w + 1))[1]).items():
+            out[mask] = out.get(mask, 0) + (-c if side else c)
+    return {mask: c for mask, c in out.items() if c}
+
+
+class _PrefixMasks(dict):
+    """The partial-sum mask of each suffix mask of the sums 1..weight - 1,
+    built when first read, so each is one int shared by every reader."""
+
+    def __init__(self, weight: int):
+        super().__init__()
+        self.layout = range(1, weight + 1)
+
+    def __missing__(self, slots: int) -> int:
+        mask = self[slots] = _prefix_mask(slots, self.layout)
+        return mask
+
+
+# One weight's table at a time: the masks of another weight differ anyway.
+_prefix_masks = functools.lru_cache(maxsize=1)(_PrefixMasks)
 
 
 def zeta_star_expand(c: Composition) -> SymbolCombination:

@@ -978,17 +978,33 @@ def _chain_exponents(r, top):
     return ",".join([f"n1_{j}:1" for j in range(1, r)] + [f"n1_{r}:{top}"])
 
 
-@pytest.mark.parametrize("r", [26, 1500])
-def test_decompose_memo_past_the_memory_cap_exit_4(capsys, r):
+@pytest.mark.parametrize("r", [26, 30, 1500])
+def test_decompose_counts_a_long_chain_sparsely(capsys, r):
     """The strict chain of r variables with exponents 1, ..., 1, 2 has r
     distinct filter sums, so its memo and decode would take about 3 * 2^(r+1)
-    bytes: refused before any sum (r = 26 used to exit 0, and r = 1500 to
-    end in a RecursionError traceback)."""
+    bytes; its one composition is counted sparsely instead (r = 1500 used
+    to end in a RecursionError traceback)."""
     code, out, err = run(capsys, "decompose", "--shape", str(r), "--set", "S",
                          "--exponents", _chain_exponents(r, 2))
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert got["weak_orders"] == 1
+    assert got["combination"] == {",".join(["1"] * (r - 1) + ["2"]): "1"}
+
+
+def test_decompose_sparse_memo_past_the_memory_cap_exit_4(capsys):
+    """S on shape (12, 12, 2) with exponents 1 but 2 on each block's last
+    variable has 29 filter sums, too many for the slots, and more
+    compositions than the sparse memo's cap: refused without a traceback
+    (it used to end in a MemoryError past 1 GiB)."""
+    shape = (12, 12, 2)
+    exps = ",".join(f"n{i}_{j}:{2 if j == r else 1}"
+                    for i, r in enumerate(shape, 1) for j in range(1, r + 1))
+    code, out, err = run(capsys, "decompose", "--shape", "12,12,2", "--set", "S",
+                         "--exponents", exps)
     assert (code, out) == (4, "")
-    assert err == (f"budget exceeded: the decomposition's memo of {r} slots of 8 bits "
-                   "exceeds the cap of 256 MiB\n")
+    assert err == ("budget exceeded: the sparse memo of 2610110 compositions of total "
+                   "exponent 29 exceeds the cap of 256 MiB\n")
 
 
 def test_decompose_long_non_admissible_chain_exit_5(capsys):

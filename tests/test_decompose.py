@@ -432,10 +432,11 @@ def part_counts(cs, exps):
 
 
 def check_engine_against_the_dict_oracle(max_depth, seed):
-    """decompose_to_mzv equals the dict engine on every builder system up to
-    max_depth, with seeded exponents in four ranges that include zero, and
-    raises the same NonAdmissibleError (message, partition and parts) where
-    the oracle does; returns the counts of systems and of refusals."""
+    """decompose_to_mzv, and its sparse route, equal the dict
+    engine on every builder system up to max_depth, with seeded exponents
+    in four ranges that include zero, and decompose_to_mzv raises the same
+    NonAdmissibleError (message, partition and parts) where the oracle
+    does; returns the counts of systems and of refusals."""
     rng = random.Random(seed)
     systems = list(systems_up_to_depth(max_depth))
     rejected = 0
@@ -453,6 +454,9 @@ def check_engine_against_the_dict_oracle(max_depth, seed):
                 rejected += 1
             else:
                 assert decompose_to_mzv(cs, by_var) == want, (str(cs), exps)
+                vs, steps = decompose._filter_steps(cs)
+                sums = decompose._generating(vs, steps, exps, [0] * (sum(exps) + 1))[1]
+                assert decompose._combination(decompose._sparse_masks(steps, sums)) == want
     return len(systems), rejected
 
 
@@ -517,29 +521,48 @@ def test_decompose_refuses_a_total_exponent_past_the_cap():
         decompose_to_mzv(cs, {B(1, 1): top - 1, EXTRA: 2})
 
 
-def test_decompose_refuses_a_memo_past_the_memory_cap(monkeypatch):
+def test_decompose_takes_the_sparse_route_past_the_memory_cap(monkeypatch):
     """A strict chain of r variables with exponents 1, ..., 1, 2 has the r
     filter sums 2..r+1, one weak order and so 8-bit slots: its memo holds
     2 * 8 * 2^j bits for slot j, 2^(r+1) - 2 bytes in all, and its decode 8
-    bytes for each of the 2^(r-1) suffix masks below the top, refused past
-    MEMORY_CAP before it is summed."""
+    bytes for each of the 2^(r-1) suffix masks below the top.  Past
+    MEMORY_CAP its compositions are counted in one dict a filter instead,
+    to the same symbol, and refused only when the dicts' 10 entries, at
+    100 + 11 // 8 bytes each, exceed the cap too."""
     cs = build_constraints_S(Shape((10,)))
     exps = {v: 1 for v in cs.variables} | {B(1, 10): 2}
     want = SymbolCombination({Composition((1,) * 9 + (2,)): 1})
+    sparse = []
+    sparse_masks = decompose._sparse_masks
+    monkeypatch.setattr(decompose, "_sparse_masks", lambda *a: sparse.append(1) or sparse_masks(*a))
     monkeypatch.setattr(decompose, "MEMORY_CAP", 2046 + 4096)
-    assert decompose_to_mzv(cs, exps) == want
+    assert decompose_to_mzv(cs, exps) == want and sparse == []
     monkeypatch.setattr(decompose, "MEMORY_CAP", 2045 + 4096)
-    with pytest.raises(BudgetError, match="memo of 10 slots of 8 bits exceeds the cap of 0 MiB"):
+    assert decompose_to_mzv(cs, exps) == want and sparse == [1]
+    monkeypatch.setattr(decompose, "MEMORY_CAP", 1010)
+    assert decompose_to_mzv(cs, exps) == want
+    monkeypatch.setattr(decompose, "MEMORY_CAP", 1009)
+    with pytest.raises(BudgetError, match="^the sparse memo of 10 compositions of total "
+                                          "exponent 11 exceeds the cap of 0 MiB$"):
         decompose_to_mzv(cs, exps)
     # a non-admissible input is refused as such before its memo is sized
     with pytest.raises(NonAdmissibleError):
         decompose_to_mzv(cs, exps | {B(1, 10): 1})
 
 
-def test_slot_width_holds_the_weak_order_count():
+def test_decompose_counts_a_30_variable_chain_sparsely():
+    """The 30-variable strict chain's 30 filter sums would take 2^31 bytes
+    of memo; its one composition is counted sparsely instead."""
+    cs = build_constraints_S(Shape((30,)))
+    exps = {v: 1 for v in cs.variables} | {B(1, 30): 2}
+    assert decompose_to_mzv(cs, exps) == SymbolCombination({Composition((1,) * 29 + (2,)): 1})
+
+
+def test_slot_width_holds_the_weak_order_count(monkeypatch):
     """The slots are as wide as the bytes that hold the count of weak
-    orders, 64 bits at most: 3 antichain variables have 13 (8-bit slots)
-    and 6 have 4683 (16-bit), and 2^64 weak orders are refused."""
+    orders: 3 antichain variables have 13 (8-bit slots) and 6 have 4683
+    (16-bit).  The decode takes 64 bits at most, so past 2^64 - 1 weak
+    orders the sparse route counts the compositions."""
     for r, orders in ((3, 13), (6, 4683)):
         cs = adhoc((1,) * r, [])
         assert decompose._order_count(cs) == orders == len(weak_orders(cs))
@@ -548,9 +571,10 @@ def test_slot_width_holds_the_weak_order_count():
         assert sum(got.coefficients().values()) == orders
     assert decompose._slot_counts(0x0300FF, 8, 2).tolist() == [255, 0, 3, 0]
     assert decompose._slot_counts((2**64 - 1) << 64 | 7, 64, 1).tolist() == [7, 2**64 - 1]
-    assert decompose._width(2**64 - 1) == 64
-    with pytest.raises(BudgetError, match="do not fit a 64-bit slot"):
-        decompose._width(2**64)
+    assert (decompose._width(2**64 - 1), decompose._width(2**64)) == (64, 72)
+    monkeypatch.setattr(decompose, "_width", lambda count: 72)
+    monkeypatch.setattr(decompose, "_slot_counts", None)
+    assert sum(decompose_to_mzv(cs, {v: 2 for v in cs.variables}).coefficients().values()) == 4683
 
 
 def test_non_admissible_reports_first_weak_order():

@@ -292,6 +292,38 @@ def test_part_tuple_engine_matches_per_call_route():
                 assert cyclic_relation(k) == _per_call_cyclic(k), (fam, str(k))
 
 
+def test_sparse_relations_match_the_slots_up_to_weight_9(monkeypatch):
+    """With no memory for the slots, every orbit's relation is counted in
+    one dict a filter, to the same masks."""
+    configs = [k for w in range(3, 10) for _, k in enumerate_family(w, "cyclic")]
+    dense = [relations._relation_masks(k) for k in configs]
+    monkeypatch.setattr(relations, "MEMORY_CAP", 0)
+    assert [relations._relation_masks(k) for k in configs] == dense
+
+
+@pytest.mark.parametrize("shape,values", [((1,), (29,)), ((1, 1), (3, 26)), ((2,), (1, 30))])
+def test_high_weight_relations_take_the_sparse_route(monkeypatch, shape, values):
+    """Past weight 28 the slots of a configuration with few weak orders would
+    take more than MEMORY_CAP; its compositions are counted sparsely
+    instead, to the per-call route's relation."""
+    k = IntArgs(Shape(shape), values)
+    sparse = []
+    sparse_relation = relations._sparse_relation
+    monkeypatch.setattr(relations, "_sparse_relation",
+                        lambda *a: sparse.append(a[1]) or sparse_relation(*a))
+    assert cyclic_relation(k) == _per_call_cyclic(k)
+    assert sparse == [sum(values) + 1]
+
+
+def test_relation_past_the_memory_cap_is_refused():
+    """Neither the slots nor the sparse memo of the systems of this
+    weight-29 configuration fit MEMORY_CAP."""
+    k = IntArgs(Shape((13, 13)), (1,) * 12 + (2,) + (1,) * 12 + (2,))
+    with pytest.raises(BudgetError, match="^the sparse memo of 2701282 compositions of total "
+                                          "exponent 29 exceeds the cap of 256 MiB$"):
+        cyclic_relation(k)
+
+
 def test_part_tuple_engine_reports_first_non_admissible_order():
     shape = Shape((2, 1))
     for cs in [build_constraints_S_ij(shape, 1, 2), build_constraints_S_i(shape, 1)]:
